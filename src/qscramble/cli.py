@@ -64,9 +64,9 @@ def _cmd_detect(args) -> int:
     else:
         inp = fileio.read_probabilities(args.infile).data
     methods = ("sdp", "witness", "entropy") if args.method == "all" else (args.method,)
-    spec = _entropy_spec(args.entropy, args.q)
-    spec_z = _entropy_spec(args.entropy, args.qtilde)
-    report = detector.detect(inp, methods, spec_x=spec, spec_z=spec_z,
+    spec_x = _entropy_spec(args.entropy, args.qtilde)
+    spec_z = _entropy_spec(args.entropy, args.q)
+    report = detector.detect(inp, methods, spec_x=spec_x, spec_z=spec_z,
                              tol_feasible=args.tol_feas, tol_infeasible=args.tol_infeas)
     doc = {"overall": report.overall, "methods": dict(report.methods),
            "evidence": report.evidence}
@@ -164,6 +164,10 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_passed else 3
 
 
+_Q_HELP = "entropy parameter q of the ZZ (vertical) entropy"
+_QTILDE_HELP = "entropy parameter q~ of the XX (horizontal) entropy"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qscramble",
@@ -175,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="run detection methods on a state or data file")
     p.add_argument("--in", dest="infile", required=True, help="state or probability JSON")
     p.add_argument("--method", choices=["sdp", "witness", "entropy", "all"], default="all")
-    p.add_argument("--q", type=float, default=2.0)
-    p.add_argument("--qtilde", type=float, default=2.0)
+    p.add_argument("--q", type=float, default=2.0, help=_Q_HELP)
+    p.add_argument("--qtilde", type=float, default=2.0, help=_QTILDE_HELP)
     p.add_argument("--entropy", choices=["shannon", "tsallis", "renyi"], default="tsallis")
     p.add_argument("--tol-feas", type=float, default=None)
     p.add_argument("--tol-infeas", type=float, default=None)
@@ -192,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("entropy-curve", help="emit the two entropy bounds on a grid")
-    p.add_argument("--q", type=float, default=2.0)
-    p.add_argument("--qtilde", type=float, default=2.0)
+    p.add_argument("--q", type=float, default=2.0, help=_Q_HELP)
+    p.add_argument("--qtilde", type=float, default=2.0, help=_QTILDE_HELP)
     p.add_argument("--entropy", choices=["shannon", "tsallis", "renyi"], default="tsallis")
     p.add_argument("--resolution", type=int, default=64)
     p.add_argument("--out", default=None)

@@ -17,14 +17,17 @@ import numpy as np
 from .entropy import (DETECT_MARGIN, TSALLIS, EntropySpec, entropy as entropy_of,
                       entropy_detect, entropy_nd, get_separable_boundary)
 from .errors import DomainError
-from .feasibility import (FeasibilityStatus, Verdict, scrambled_possibly_separable,
-                          solve_batch)
+from .feasibility import (Verdict, assignment_rows, reduce_assignments,
+                          scrambled_possibly_separable, solve_batch)
 from .measurement import (XX, YY, ZZ, OutcomeDistribution, ScrambledData,
                           apply_permutation, canonical_permutations, probabilities,
                           probabilities_stack, scramble, scramble_state)
 from .quantum import (SIGMA_X, SIGMA_Z, I2, DensityMatrix, mix, phi_plus,
                       random_hs_stack)
-from .witness import correlation_witness_values, scrambled_family_min, tangent_curve
+# tangent_curve is not called here; it is re-exported because bench/spans.py
+# traces calls looked up as detector.tangent_curve
+from .witness import (correlation_witness_values, scrambled_family_min,  # noqa: F401
+                      tangent_curve)
 
 WITNESS_DETECT_TOL = 1e-8
 _ALL_METHODS = ("sdp", "witness", "entropy")
@@ -64,8 +67,9 @@ class DetectionReport:
     """Per-method verdicts plus the aggregated one.
 
     ``methods`` maps method name to one of "detected", "not_detected",
-    "possibly_separable", "inconclusive" or "error: ...".  The overall
-    verdict is detected as soon as any method detects.
+    "possibly_separable", "inconclusive" or "error: ...".  A failed method's
+    evidence is {"error": <exception class name>, "message": <text>}.  The
+    overall verdict is detected as soon as any method detects.
     """
 
     methods: Mapping[str, str]
@@ -131,6 +135,7 @@ def detect(inp, methods: Iterable[str] = _ALL_METHODS, *,
                                     "separable_bound": float(bound.value(s_x))}
         except Exception as exc:  # recorded per method, never fatal to the report
             verdicts[method] = f"error: {exc}"
+            evidence[method] = {"error": type(exc).__name__, "message": str(exc)}
 
     if any(v == "detected" for v in verdicts.values()):
         overall = Verdict.DETECTED.value
@@ -171,7 +176,8 @@ def scan_details(samples: int, seed: int, scrambled: bool, *,
     """Per-sample scan outcomes: 1 detected, 0 not detected, -1 inconclusive.
 
     Sample ``i`` is ``random_hs_state(derive_seed(seed, i))``; unscrambled
-    mode solves the identity assignment only, scrambled mode all 18.
+    mode solves the true labeling only (one assignment per sample),
+    scrambled mode all 18 canonical assignments of the sorted multisets.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
@@ -182,35 +188,18 @@ def scan_details(samples: int, seed: int, scrambled: bool, *,
         kwargs["tol_feasible"] = tol_feasible
     if tol_infeasible is not None:
         kwargs["tol_infeasible"] = tol_infeasible
+    k = len(canonical_permutations()) if scrambled else 1
     out = np.zeros(samples, dtype=np.int8)
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
         states = random_hs_stack(seed, count, start_index=start)
         pxx = np.clip(probabilities_stack(states, XX), 0.0, 1.0)
         pzz = np.clip(probabilities_stack(states, ZZ), 0.0, 1.0)
-        if not scrambled:
-            statuses, _, _, _ = solve_batch(pxx, pzz, **kwargs)
-            for i, s in enumerate(statuses):
-                if s is FeasibilityStatus.INFEASIBLE:
-                    out[start + i] = 1
-                elif s is FeasibilityStatus.INCONCLUSIVE:
-                    out[start + i] = -1
-        else:
-            mx = np.sort(pxx, axis=1)[:, ::-1]
-            mz = np.sort(pzz, axis=1)[:, ::-1]
-            perms = canonical_permutations()
-            big_x = np.empty((count * len(perms), 4))
-            big_z = np.empty((count * len(perms), 4))
-            for j, pair in enumerate(perms):
-                big_x[j::len(perms)] = mx[:, list(pair.pi_x)]
-                big_z[j::len(perms)] = mz[:, list(pair.pi_z)]
-            statuses, _, _, _ = solve_batch(big_x, big_z, **kwargs)
-            arr = np.array([{"feasible": 0, "infeasible": 1, "inconclusive": 2}[s.value]
-                            for s in statuses]).reshape(count, len(perms))
-            detected = np.all(arr == 1, axis=1)
-            possible = np.any(arr == 0, axis=1)
-            out[start:start + count] = np.where(
-                detected, 1, np.where(possible, 0, -1))
+        if scrambled:
+            pxx, pzz = assignment_rows(np.sort(pxx, axis=1)[:, ::-1],
+                                       np.sort(pzz, axis=1)[:, ::-1])
+        statuses, _, _, _ = solve_batch(pxx, pzz, **kwargs)
+        out[start:start + count] = reduce_assignments(statuses, k)
     return out
 
 
@@ -254,23 +243,10 @@ def _slice_multiset(p_pp: float, p_pm: float) -> np.ndarray | None:
 
 def _classify_slice_batch(points: list[tuple[float, float]], **kwargs) -> list[bool]:
     """possibly_separable flags for symmetric slice points, batched over the
-    18 assignments of every point.  Inconclusive counts as possibly separable
-    (not shown as detected)."""
-    perms = canonical_permutations()
-    rows_x, rows_z = [], []
-    for p_pp, p_pm in points:
-        m = np.sort(_slice_multiset(p_pp, p_pm))[::-1]
-        for pair in perms:
-            rows_x.append(m[list(pair.pi_x)])
-            rows_z.append(m[list(pair.pi_z)])
-    statuses, _, _, _ = solve_batch(np.array(rows_x), np.array(rows_z), **kwargs)
-    flags = []
-    k = len(perms)
-    for i in range(len(points)):
-        block = statuses[i * k:(i + 1) * k]
-        detected = all(s is FeasibilityStatus.INFEASIBLE for s in block)
-        flags.append(not detected)
-    return flags
+    18 assignments of every point; see :func:`nonconvex_slice` for the policy."""
+    m = np.sort([_slice_multiset(p_pp, p_pm) for p_pp, p_pm in points], axis=1)[:, ::-1]
+    statuses, _, _, _ = solve_batch(*assignment_rows(m, m), **kwargs)
+    return (reduce_assignments(statuses, len(canonical_permutations())) != 1).tolist()
 
 
 def classify_slice_point(p_pp: float, p_pm: float, **kwargs) -> SlicePoint:
@@ -287,6 +263,12 @@ def nonconvex_slice(resolution: int, *, rays: int = 64, **kwargs) -> list[SliceP
     the boundary is found by bisecting along rays from the uniform point
     (1/4, 1/4), which is sound because the possibly-separable set is
     star-convex around the maximally mixed state.
+
+    A point is flagged possibly separable unless all 18 of its assignments
+    are proven infeasible: a point with no feasible assignment but an
+    inconclusive one counts as possibly separable, as in
+    :func:`~qscramble.feasibility.star_convexity_ray`.  Solver doubt can
+    therefore only move the reported boundary outward.
     """
     if resolution < 8:
         raise DomainError("resolution must be at least 8")
@@ -408,25 +390,6 @@ def verify_counterexample(**kwargs) -> CounterexampleReport:
 # ---------------------------------------------------------------------------
 # Vectorized helpers shared with the test suite's bulk properties.
 # ---------------------------------------------------------------------------
-
-
-def _min_pairing_delta_stack(m: np.ndarray) -> np.ndarray:
-    return np.minimum(np.abs(m[:, 0] + m[:, 1] - m[:, 2] - m[:, 3]),
-                      np.minimum(np.abs(m[:, 0] + m[:, 2] - m[:, 1] - m[:, 3]),
-                                 np.abs(m[:, 0] + m[:, 3] - m[:, 1] - m[:, 2])))
-
-
-def witness_min_stack(pxx: np.ndarray, pzz: np.ndarray) -> np.ndarray:
-    """Best certified scrambled witness value per sample over the default families."""
-    mx = np.sort(np.asarray(pxx, float), axis=1)[:, ::-1]
-    mz = np.sort(np.asarray(pzz, float), axis=1)[:, ::-1]
-    best = np.full(mx.shape[0], np.inf)
-    for a, g in tangent_curve():
-        px = mx[:, 0] if a < 0 else mx[:, -1]
-        pz = mz[:, 0] if g < 0 else mz[:, -1]
-        best = np.minimum(best, 1.0 + a * px + g * pz)
-    corr = 1.0 - _min_pairing_delta_stack(mx) - _min_pairing_delta_stack(mz)
-    return np.minimum(best, corr)
 
 
 def entropy_detected_stack(pxx: np.ndarray, pzz: np.ndarray,

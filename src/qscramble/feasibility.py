@@ -21,9 +21,16 @@ budget (a provably equivalent plateau exit shortcuts the budget when the
 violation has stopped moving far above the threshold); anything between is
 reported honestly as inconclusive and escalated through perturbed restarts.
 
-Scrambled data is decided by solving the 18 canonical outcome assignments;
-all infeasible means no separable state explains any relabeling, which
-certifies entanglement.
+Scrambled data is decided along one path: :func:`assignment_rows` expands
+sorted multisets into their 18 canonical outcome assignments, one
+:func:`solve_batch` call decides them, and :func:`reduce_assignments` folds
+each sample's statuses into one verdict.  All infeasible means no separable
+state explains any relabeling, which certifies entanglement.
+
+:func:`solve_batch` takes its rows as given: it rejects non-finite,
+misshaped, out-of-range or unnormalized rows and never renormalizes them.
+Eigenvalues come from LAPACK and partial transposes from
+:func:`~qscramble.quantum.partial_transpose_stack`.
 """
 
 from __future__ import annotations
@@ -37,10 +44,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .measurement import (XX, ZZ, OutcomeDistribution, PermutationPair, ScrambledData,
-                          apply_permutation, canonical_permutations, probabilities,
-                          scramble, setting)
-from .quantum import DensityMatrix, _ginibre, derive_seed, maximally_mixed, mix
+from .measurement import (PROB_ENTRY_ATOL, PROB_SUM_ATOL, XX, ZZ, OutcomeDistribution,
+                          PermutationPair, ScrambledData, canonical_permutations,
+                          probabilities, scramble, setting)
+from .quantum import (DensityMatrix, _ginibre, derive_seed, maximally_mixed, mix,
+                      partial_transpose_stack)
 
 TOL_FEASIBLE = 1e-7
 TOL_INFEASIBLE = 1e-6
@@ -121,11 +129,6 @@ def _constraint_frame() -> tuple[np.ndarray, np.ndarray]:
     return np.array(frame), np.array(rows)
 
 
-def _pt(m: np.ndarray) -> np.ndarray:
-    return m.reshape(*m.shape[:-2], 2, 2, 2, 2).swapaxes(-1, -3) \
-            .reshape(*m.shape[:-2], 4, 4)
-
-
 def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
 
@@ -139,7 +142,7 @@ def _psd_project(m: np.ndarray) -> np.ndarray:
 def _violation(x: np.ndarray) -> np.ndarray:
     """max(0, -lambda_min(x), -lambda_min(x^{T_B})) for a stack of iterates."""
     w1 = np.linalg.eigvalsh(_hermitize(x))[..., 0]
-    w2 = np.linalg.eigvalsh(_hermitize(_pt(x)))[..., 0]
+    w2 = np.linalg.eigvalsh(_hermitize(partial_transpose_stack(x)))[..., 0]
     return np.maximum(0.0, np.maximum(-w1, -w2))
 
 
@@ -174,7 +177,7 @@ def _dykstra(b: np.ndarray, x0: np.ndarray, max_cycles: int):
         xn = _psd_project(y)
         corr_psd[active] = y - xn
         y = xn + corr_ppt[active]
-        xn = _pt(_psd_project(_pt(y)))
+        xn = partial_transpose_stack(_psd_project(partial_transpose_stack(y)))
         corr_ppt[active] = y - xn
         x[active] = _affine_project(xn, b[active])
 
@@ -203,6 +206,22 @@ def _dykstra(b: np.ndarray, x0: np.ndarray, max_cycles: int):
     return best_viol, best_x, done_cycle, status
 
 
+def _checked_rows(p, name: str) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 4:
+        raise DomainError(f"{name} must have shape (n, 4), got {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise DomainError(f"{name} has non-finite entries")
+    if np.any(p < -PROB_ENTRY_ATOL) or np.any(p > 1.0 + PROB_ENTRY_ATOL):
+        raise DomainError(f"{name} has entries outside [-1e-9, 1+1e-9]")
+    unnormalized = np.abs(p.sum(axis=1) - 1.0) > PROB_SUM_ATOL
+    if np.any(unnormalized):
+        i = int(np.argmax(unnormalized))
+        raise DomainError(f"{name} row {i} sums to {float(p[i].sum())!r}, "
+                          "violating |sum-1| <= 1e-9")
+    return p
+
+
 def solve_batch(p_xx: np.ndarray, p_zz: np.ndarray, *,
                 tol_feasible: float = TOL_FEASIBLE,
                 tol_infeasible: float = TOL_INFEASIBLE,
@@ -210,13 +229,18 @@ def solve_batch(p_xx: np.ndarray, p_zz: np.ndarray, *,
                 restarts: int = RESTARTS):
     """Decide a stack of feasibility problems.
 
-    Parameters are target probability rows ``p_xx``, ``p_zz`` of shape (n, 4).
-    Returns (statuses, states, residuals, cycles) with statuses a list of
-    :class:`FeasibilityStatus`, states raw certificate matrices (or None).
+    Parameters are target probability rows ``p_xx``, ``p_zz`` of shape (n, 4);
+    rows with non-finite entries, entries outside [-1e-9, 1 + 1e-9] or a sum
+    off 1 by more than 1e-9 raise :class:`DomainError`.  Rows are solved as
+    given, without renormalization.  Returns (statuses, states, residuals,
+    cycles) with statuses a list of :class:`FeasibilityStatus`, states raw
+    certificate matrices (or None).
     """
     _, rows = _constraint_frame()
-    p_xx = np.atleast_2d(np.asarray(p_xx, dtype=float))
-    p_zz = np.atleast_2d(np.asarray(p_zz, dtype=float))
+    p_xx = _checked_rows(p_xx, "p_xx")
+    p_zz = _checked_rows(p_zz, "p_zz")
+    if p_xx.shape != p_zz.shape:
+        raise DomainError(f"p_xx and p_zz shapes differ: {p_xx.shape} vs {p_zz.shape}")
     n = p_xx.shape[0]
     raw_targets = np.concatenate([np.ones((n, 1)), p_xx, p_zz], axis=1)
     b = raw_targets @ rows.T
@@ -301,6 +325,42 @@ class SeparabilityEvidence:
     residuals: tuple[float, ...] = field(default=())
 
 
+@lru_cache(maxsize=1)
+def _assignment_index() -> tuple[np.ndarray, np.ndarray]:
+    """(18, 4) index arrays: row j holds canonical assignment j's pi_x / pi_z."""
+    perms = canonical_permutations()
+    return np.array([p.pi_x for p in perms]), np.array([p.pi_z for p in perms])
+
+
+def assignment_rows(mx: np.ndarray, mz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Expand sorted (descending) multisets of shape (n, 4) into labeled rows.
+
+    Returns (p_xx, p_zz) of shape (18 n, 4), sample-major: row ``18 i + j``
+    assigns sample ``i``'s multisets to outcomes by canonical assignment
+    ``j``, so that outcome ``k`` receives the ``pi[k]``-th largest entry.
+    """
+    ix, iz = _assignment_index()
+    mx = np.asarray(mx, dtype=float)
+    mz = np.asarray(mz, dtype=float)
+    return mx[:, ix].reshape(-1, 4), mz[:, iz].reshape(-1, 4)
+
+
+def reduce_assignments(statuses, k: int) -> np.ndarray:
+    """Fold consecutive blocks of ``k`` statuses into one int8 code per sample.
+
+    1 when all ``k`` assignments are infeasible (detected), 0 when any is
+    feasible (possibly separable), -1 otherwise (inconclusive).
+    """
+    values = np.array([s.value for s in statuses]).reshape(-1, k)
+    detected = np.all(values == FeasibilityStatus.INFEASIBLE.value, axis=1)
+    possible = np.any(values == FeasibilityStatus.FEASIBLE.value, axis=1)
+    return np.where(detected, 1, np.where(possible, 0, -1)).astype(np.int8)
+
+
+_VERDICT_OF_CODE = {1: Verdict.DETECTED, 0: Verdict.POSSIBLY_SEPARABLE,
+                    -1: Verdict.INCONCLUSIVE}
+
+
 def scrambled_possibly_separable(d: ScrambledData, *,
                                  tol_feasible: float = TOL_FEASIBLE,
                                  tol_infeasible: float = TOL_INFEASIBLE,
@@ -311,24 +371,17 @@ def scrambled_possibly_separable(d: ScrambledData, *,
     the first (lowest canonical index) feasible one, detected when all are
     infeasible, inconclusive otherwise.
     """
-    perms = canonical_permutations()
-    pxx = np.empty((len(perms), 4))
-    pzz = np.empty((len(perms), 4))
-    for i, pair in enumerate(perms):
-        dx, dz = apply_permutation(d, pair)
-        pxx[i] = dx.p
-        pzz[i] = dz.p
+    p_xx, p_zz = assignment_rows(d.multiset(XX)[None], d.multiset(ZZ)[None])
     statuses, states, viol, _ = solve_batch(
-        pxx, pzz, tol_feasible=tol_feasible, tol_infeasible=tol_infeasible,
+        p_xx, p_zz, tol_feasible=tol_feasible, tol_infeasible=tol_infeasible,
         max_cycles=max_cycles)
-    evidence_base = dict(statuses=tuple(statuses), residuals=tuple(float(v) for v in viol))
-    for i, status in enumerate(statuses):
-        if status is FeasibilityStatus.FEASIBLE:
-            return Verdict.POSSIBLY_SEPARABLE, SeparabilityEvidence(
-                permutation=perms[i], state=DensityMatrix(states[i]), **evidence_base)
-    if all(s is FeasibilityStatus.INFEASIBLE for s in statuses):
-        return Verdict.DETECTED, SeparabilityEvidence(**evidence_base)
-    return Verdict.INCONCLUSIVE, SeparabilityEvidence(**evidence_base)
+    verdict = _VERDICT_OF_CODE[int(reduce_assignments(statuses, len(statuses))[0])]
+    evidence = dict(statuses=tuple(statuses), residuals=tuple(float(v) for v in viol))
+    if verdict is Verdict.POSSIBLY_SEPARABLE:
+        i = statuses.index(FeasibilityStatus.FEASIBLE)
+        evidence.update(permutation=canonical_permutations()[i],
+                        state=DensityMatrix(states[i]))
+    return verdict, SeparabilityEvidence(**evidence)
 
 
 def star_convexity_ray(rho: DensityMatrix, resolution: int = 256) -> float:

@@ -104,7 +104,12 @@ def probabilities_stack(rhos: np.ndarray, label: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScrambledData:
-    """Per-setting multisets of outcome probabilities, stored sorted descending."""
+    """Per-setting multisets of outcome probabilities, stored sorted descending.
+
+    Each multiset is validated, clipped and renormalized by the same rule as
+    :class:`OutcomeDistribution`, so every assignment of it is a valid
+    distribution as stored.
+    """
 
     multisets: Mapping[str, np.ndarray]
 
@@ -113,11 +118,8 @@ class ScrambledData:
         for label in SETTING_LABELS:
             if label not in self.multisets:
                 continue
-            m = np.sort(np.asarray(self.multisets[label], dtype=float).reshape(4))[::-1].copy()
-            if abs(float(m.sum()) - 1.0) > PROB_SUM_ATOL:
-                raise DomainError(f"multiset for {label} does not sum to 1")
-            m.setflags(write=False)
-            canon[label] = m
+            m = np.sort(np.asarray(self.multisets[label], dtype=float).reshape(4))[::-1]
+            canon[label] = OutcomeDistribution(label, m).p
         unknown = set(self.multisets) - set(SETTING_LABELS)
         if unknown:
             raise DomainError(f"unknown setting labels {sorted(unknown)}")

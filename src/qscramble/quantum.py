@@ -6,6 +6,10 @@ Conventions used everywhere in this package:
 * the computational basis is ordered ``|00>, |01>, |10>, |11>``;
 * ``|+/->`` are the eigenvectors of sigma_x, ``|y+/-> = (|0> +/- i|1>)/sqrt(2)``
   the eigenvectors of sigma_y, and ``|0>, |1>`` those of sigma_z.
+
+Eigenvalues come from LAPACK through ``numpy.linalg.eigh``/``eigvalsh``, and
+:func:`partial_transpose_stack` is the package's one partial transpose; the
+feasibility solver applies both to whole stacks of iterates.
 """
 
 from __future__ import annotations
@@ -21,14 +25,11 @@ HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-9
 PSD_ATOL = 1e-9
 NORM_ATOL = 1e-12
-JACOBI_OFF_TOL = 1e-13
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-_JACOBI_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def _as_matrix4(m) -> np.ndarray:
@@ -47,80 +48,8 @@ def hermiticity_defect(m) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Cyclic complex Jacobi eigensolver.
-#
-# Direct complex Jacobi rotations on the 4x4 Hermitian matrix; a sweep visits
-# all six off-diagonal pairs and convergence is declared once the off-diagonal
-# Frobenius norm drops below JACOBI_OFF_TOL.  The routine operates on a stack
-# of matrices at once so that bulk callers (state validation, PPT filtering)
-# pay vectorized cost.
+# Eigendecomposition, partial transpose and the PPT test.
 # ---------------------------------------------------------------------------
-
-
-def eigh_stack(h: np.ndarray, *, with_vectors: bool = True,
-               off_tol: float = JACOBI_OFF_TOL, max_sweeps: int = 60):
-    """Eigendecompose a stack of Hermitian 4x4 matrices by cyclic Jacobi.
-
-    Parameters
-    ----------
-    h : ndarray, shape (..., 4, 4)
-        Hermitian input (not checked here; see :func:`eig_hermitian`).
-    with_vectors : bool
-        Accumulate eigenvectors; skip for an eigenvalue-only pass.
-
-    Returns
-    -------
-    evals : ndarray, shape (..., 4), sorted descending.
-    evecs : ndarray, shape (..., 4, 4) with eigenvectors in columns, or None.
-    """
-    a = np.array(h, dtype=complex, copy=True)
-    lead = a.shape[:-2]
-    a = a.reshape(-1, 4, 4)
-    n = a.shape[0]
-    offmask = ~np.eye(4, dtype=bool)
-    v = np.broadcast_to(np.eye(4, dtype=complex), a.shape).copy() if with_vectors else None
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.abs(a[:, offmask]) ** 2, axis=1))
-        if np.all(off < off_tol):
-            break
-        for p, q in _JACOBI_PAIRS:
-            apq = a[:, p, q]
-            r = np.abs(apq)
-            live = r > 1e-150
-            rr = np.where(live, r, 1.0)
-            tau = (a[:, q, q].real - a[:, p, p].real) / (2.0 * rr)
-            sgn = np.where(tau >= 0, 1.0, -1.0)
-            t = np.where(live, sgn / (np.abs(tau) + np.hypot(1.0, tau)), 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            phase = np.where(live, apq / rr, 1.0 + 0j)
-            sp = (s * phase)[:, None]
-            spc = sp.conj()
-            cc = c[:, None]
-            colp = a[:, :, p].copy()
-            colq = a[:, :, q].copy()
-            a[:, :, p] = cc * colp - spc * colq
-            a[:, :, q] = sp * colp + cc * colq
-            rowp = a[:, p, :].copy()
-            rowq = a[:, q, :].copy()
-            a[:, p, :] = cc * rowp - sp * rowq
-            a[:, q, :] = spc * rowp + cc * rowq
-            if with_vectors:
-                vp = v[:, :, p].copy()
-                vq = v[:, :, q].copy()
-                v[:, :, p] = cc * vp - spc * vq
-                v[:, :, q] = sp * vp + cc * vq
-    else:
-        off = np.sqrt(np.sum(np.abs(a[:, offmask]) ** 2, axis=1))
-        if np.any(off > 1e-11):
-            raise ArithmeticError("Jacobi sweep limit reached before convergence")
-    evals = np.real(np.diagonal(a, axis1=1, axis2=2)).copy()
-    order = np.argsort(-evals, axis=1, kind="stable")
-    evals = np.take_along_axis(evals, order, axis=1)
-    if with_vectors:
-        v = np.take_along_axis(v, order[:, None, :], axis=2)
-        return evals.reshape(*lead, 4), v.reshape(*lead, 4, 4)
-    return evals.reshape(*lead, 4), None
 
 
 def eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
@@ -132,20 +61,19 @@ def eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
     defect = hermiticity_defect(a)
     if defect > HERMITIAN_ATOL:
         raise NotHermitian(f"matrix deviates from Hermitian by {defect:.3e}")
-    a = 0.5 * (a + a.conj().T)
-    evals, evecs = eigh_stack(a[None])
-    return evals[0], evecs[0]
+    evals, evecs = np.linalg.eigh(0.5 * (a + a.conj().T))
+    return evals[::-1], evecs[:, ::-1]
 
 
 def min_eigval_stack(h: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each matrix in a Hermitian stack."""
-    evals, _ = eigh_stack(h, with_vectors=False)
-    return evals[..., -1]
+    """Smallest eigenvalue of each matrix in a Hermitian stack (..., 4, 4)."""
+    return np.linalg.eigvalsh(h)[..., 0]
 
 
-# ---------------------------------------------------------------------------
-# Partial transpose and the PPT test.
-# ---------------------------------------------------------------------------
+def partial_transpose_stack(m: np.ndarray) -> np.ndarray:
+    """Transpose the second tensor factor of every matrix in a stack (..., 4, 4)."""
+    return m.reshape(*m.shape[:-2], 2, 2, 2, 2).swapaxes(-1, -3) \
+            .reshape(*m.shape[:-2], 4, 4)
 
 
 def partial_transpose(rho) -> np.ndarray:
@@ -156,19 +84,12 @@ def partial_transpose(rho) -> np.ndarray:
     positive.
     """
     m = rho.matrix if isinstance(rho, DensityMatrix) else _as_matrix4(rho)
-    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-
-
-def partial_transpose_stack(m: np.ndarray) -> np.ndarray:
-    return m.reshape(*m.shape[:-2], 2, 2, 2, 2).swapaxes(-1, -3) \
-            .reshape(*m.shape[:-2], 4, 4)
+    return partial_transpose_stack(m)
 
 
 def is_ppt(rho) -> bool:
     """Whether rho^{T_B} >= -1e-9; equals separability for two qubits."""
-    pt = partial_transpose(rho)
-    evals, _ = eigh_stack(pt[None], with_vectors=False)
-    return bool(evals[0, -1] >= -PSD_ATOL)
+    return bool(min_eigval_stack(partial_transpose(rho)) >= -PSD_ATOL)
 
 
 # ---------------------------------------------------------------------------

@@ -292,16 +292,17 @@ def tangent_curve(beta: float = 0.0, num: int = 17) -> tuple[tuple[float, float]
     return tuple(optimize_params(beta, num=num))
 
 
-def _min_pairing_delta(m: np.ndarray) -> float:
-    """Smallest |sum of a pair - sum of the complement| over the 3 pairings.
+def _least_pairing_delta(m: np.ndarray) -> np.ndarray:
+    """Smallest |sum of a pair - sum of the complement| over the 3 pairings,
+    for multisets along the last axis of ``m``.
 
     At every outcome assignment the correlation E = q0 - q1 - q2 + q3 equals
     one of these pairing differences up to sign, and the sign is absorbed by
     the witness family 1 +/- XX +/- ZZ.
     """
-    return min(abs(float(m[0] + m[1] - m[2] - m[3])),
-               abs(float(m[0] + m[2] - m[1] - m[3])),
-               abs(float(m[0] + m[3] - m[1] - m[2])))
+    m0, m1, m2, m3 = m[..., 0], m[..., 1], m[..., 2], m[..., 3]
+    return np.minimum(np.abs(m0 + m1 - m2 - m3),
+                      np.minimum(np.abs(m0 + m2 - m1 - m3), np.abs(m0 + m3 - m1 - m2)))
 
 
 def scrambled_correlation_min(d: ScrambledData) -> float:
@@ -311,7 +312,30 @@ def scrambled_correlation_min(d: ScrambledData) -> float:
     of the four sign witnesses; negative means every assignment is refuted,
     which certifies entanglement.
     """
-    return 1.0 - _min_pairing_delta(d.multiset(XX)) - _min_pairing_delta(d.multiset(ZZ))
+    return float(1.0 - _least_pairing_delta(d.multiset(XX))
+                 - _least_pairing_delta(d.multiset(ZZ)))
+
+
+def _family_values(mx: np.ndarray, mz: np.ndarray, curve) -> np.ndarray:
+    """Certified witness values of sorted (descending) multisets of shape (n, 4).
+
+    Column j < len(curve) is :func:`scrambled_witness_min` at curve point j
+    (beta = 0); the last column is :func:`scrambled_correlation_min`.
+    """
+    ag = np.array(curve, dtype=float).reshape(-1, 2)
+    a, g = ag[:, 0], ag[:, 1]
+    px = np.where(a < 0.0, mx[:, :1], mx[:, -1:])
+    pz = np.where(g < 0.0, mz[:, :1], mz[:, -1:])
+    corr = 1.0 - _least_pairing_delta(mx) - _least_pairing_delta(mz)
+    return np.concatenate([1.0 + a * px + g * pz, corr[:, None]], axis=1)
+
+
+def witness_min_stack(pxx: np.ndarray, pzz: np.ndarray) -> np.ndarray:
+    """Best certified scrambled witness value per sample over the tangent
+    curve plus the correlation family, for stacks of probability rows."""
+    mx = np.sort(np.asarray(pxx, float), axis=1)[:, ::-1]
+    mz = np.sort(np.asarray(pzz, float), axis=1)[:, ::-1]
+    return np.min(_family_values(mx, mz, tangent_curve()), axis=1)
 
 
 def scrambled_family_min(d: ScrambledData, *, curve=None) -> tuple[float, tuple[float, float]]:
@@ -319,14 +343,13 @@ def scrambled_family_min(d: ScrambledData, *, curve=None) -> tuple[float, tuple[
 
     Returns (value, (alpha, gamma)); for the correlation witnesses the pair
     is reported as the (-1, -1) sentinel.  Negative value means detected.
+    Ties go to the first curve point, and to the curve over the correlation
+    family.
     """
-    best = math.inf
-    best_params = (0.0, 0.0)
-    for a, g in (curve if curve is not None else tangent_curve()):
-        v = scrambled_witness_min(d, a, 0.0, g)
-        if v < best:
-            best, best_params = v, (a, g)
-    v = scrambled_correlation_min(d)
-    if v < best:
-        best, best_params = v, (-1.0, -1.0)
-    return best, best_params
+    curve = tuple(curve if curve is not None else tangent_curve())
+    values = _family_values(d.multiset(XX)[None], d.multiset(ZZ)[None], curve)[0]
+    j = int(np.argmin(values))
+    if j == len(curve):
+        return float(values[j]), (-1.0, -1.0)
+    a, g = curve[j]
+    return float(values[j]), (a, g)

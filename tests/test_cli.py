@@ -85,6 +85,32 @@ def test_cli_detect_probability_file(tmp_path, capsys):
     assert doc["methods"]["sdp"] == "detected"
 
 
+def test_cli_detect_q_roles(tmp_path, capsys, monkeypatch):
+    # --qtilde is the XX (horizontal) entropy parameter and --q the ZZ
+    # (vertical) one, as in entropy-curve; a flat stub boundary keeps the test
+    # from building the q = 3 separable boundaries, which play no part here
+    import importlib
+    from qscramble import detector
+    from qscramble.entropy import SeparableBoundary, max_entropy
+    entropy_module = importlib.import_module("qscramble.entropy")
+
+    def flat(spec_x, spec_z):
+        return SeparableBoundary(spec_x, spec_z, np.array([0.0, max_entropy(spec_x)]),
+                                 np.zeros(2))
+    monkeypatch.setattr(detector, "get_separable_boundary", flat)
+    monkeypatch.setattr(entropy_module, "get_separable_boundary", flat)
+    rho = random_hs_state(17)
+    path = tmp_path / "state.json"
+    write_state(path, rho)
+    assert main(["detect", "--in", str(path), "--method", "entropy",
+                 "--q", "3", "--qtilde", "2"]) == 0
+    ev = json.loads(capsys.readouterr().out)["evidence"]["entropy"]
+    p_xx = probabilities(rho, XX).p
+    p_zz = probabilities(rho, ZZ).p
+    assert ev["s_xx"] == pytest.approx(1.0 - np.sum(p_xx ** 2), abs=1e-12)
+    assert ev["s_zz"] == pytest.approx((1.0 - np.sum(p_zz ** 3)) / 2.0, abs=1e-12)
+
+
 def test_cli_detect_missing_file(capsys):
     assert main(["detect", "--in", "/nonexistent/state.json"]) == 2
 

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+import qscramble.detector as det
 from qscramble.detector import (classify_slice_point, counterexample_mixture, detect,
                                 entropy_detected_stack, nonconvex_slice, rho1, scan,
-                                scan_details, verify_counterexample, witness_min_stack)
+                                scan_details, verify_counterexample)
 from qscramble.errors import DomainError
 from qscramble.feasibility import FeasibilityStatus, solve_batch
-from qscramble.measurement import (XX, ZZ, canonical_permutations, probabilities,
-                                   probabilities_stack, scramble_state)
+from qscramble.measurement import (XX, ZZ, apply_permutation, canonical_permutations,
+                                   probabilities, probabilities_stack, scramble_state)
 from qscramble.quantum import (DensityMatrix, is_ppt, maximally_mixed, psi_t,
                                random_hs_stack, singlet)
+from qscramble.witness import witness_min_stack
 
 
 def test_rho1_construction():
@@ -59,6 +61,8 @@ def test_detect_records_method_errors():
     rep = detect(scramble_state(singlet().density()), methods=["entropy"],
                  spec_x=EntropySpec(SHANNON), spec_z=EntropySpec(SHANNON))
     assert rep.methods["entropy"].startswith("error:")
+    assert rep.evidence["entropy"]["error"] == "DomainError"
+    assert rep.evidence["entropy"]["message"] == rep.methods["entropy"][len("error: "):]
     assert rep.overall == "inconclusive"
 
 
@@ -93,6 +97,23 @@ def test_classify_slice_points_from_paper():
         classify_slice_point(0.9, 0.3)
 
 
+def test_slice_counts_inconclusive_as_possibly_separable(monkeypatch):
+    # a point is detected only when all 18 assignments are proven infeasible;
+    # one inconclusive assignment and no feasible one leaves it possibly separable
+    calls = []
+
+    def solve_stub(p_xx, p_zz, **kwargs):
+        calls.append(len(p_xx))
+        statuses = [FeasibilityStatus.INFEASIBLE] * len(p_xx)
+        statuses[-1] = FeasibilityStatus.INCONCLUSIVE  # last assignment of the last point
+        return statuses, [None] * len(p_xx), np.zeros(len(p_xx)), np.zeros(len(p_xx), int)
+
+    monkeypatch.setattr(det, "solve_batch", solve_stub)
+    flags = det._classify_slice_batch([(5 / 48, 5 / 48), (0.3, 0.1)])
+    assert flags == [False, True]
+    assert calls == [36]
+
+
 def test_nonconvex_slice_output():
     with pytest.raises(DomainError):
         nonconvex_slice(4)
@@ -115,15 +136,20 @@ def test_verify_counterexample_all_pass():
 
 
 def test_witness_min_stack_matches_scalar():
-    from qscramble.witness import scrambled_family_min
+    from qscramble.witness import (correlation_witness_values, scrambled_family_min,
+                                   scrambled_witness_min, tangent_curve)
     states = random_hs_stack(13, 25)
     pxx = np.clip(probabilities_stack(states, XX), 0, 1)
     pzz = np.clip(probabilities_stack(states, ZZ), 0, 1)
     vec = witness_min_stack(pxx, pzz)
     for i, m in enumerate(states):
         data = scramble_state(DensityMatrix(m))
-        value, _ = scrambled_family_min(data)
-        assert abs(value - vec[i]) < 1e-12
+        curve = min(scrambled_witness_min(data, a, 0.0, g) for a, g in tangent_curve())
+        corr = max(float(np.min(correlation_witness_values(apply_permutation(data, pair))))
+                   for pair in canonical_permutations())
+        assert abs(min(curve, corr) - vec[i]) < 1e-12
+        one_row = witness_min_stack(data.multiset(XX)[None], data.multiset(ZZ)[None])
+        assert scrambled_family_min(data)[0] == one_row[0]
 
 
 def test_hierarchy_on_scan(tsallis2, boundary_22):

@@ -161,3 +161,44 @@ def test_problem_validation():
         FeasibilityProblem([0.5, 0.5, 0.5, 0.5], [0.25] * 4)
     with pytest.raises(DomainError):
         FeasibilityProblem([0.25] * 4, [0.25] * 4, tol_feasible=1e-5, tol_infeasible=1e-7)
+
+
+def test_assignment_rows_match_apply_permutation(random_states_2k):
+    from qscramble.measurement import apply_permutation, canonical_permutations
+    data = [scramble_state(DensityMatrix(m)) for m in random_states_2k[:3]]
+    mx = np.array([d.multiset(XX) for d in data])
+    mz = np.array([d.multiset(ZZ) for d in data])
+    rows_x, rows_z = fz.assignment_rows(mx, mz)
+    perms = canonical_permutations()
+    assert rows_x.shape == rows_z.shape == (len(data) * 18, 4)
+    for i, d in enumerate(data):
+        for j, pair in enumerate(perms):
+            dx, dz = apply_permutation(d, pair)
+            assert np.array_equal(rows_x[18 * i + j], dx.p)
+            assert np.array_equal(rows_z[18 * i + j], dz.p)
+
+
+def test_reduce_assignments():
+    F, I, U = (FeasibilityStatus.FEASIBLE, FeasibilityStatus.INFEASIBLE,
+               FeasibilityStatus.INCONCLUSIVE)
+    codes = fz.reduce_assignments([F, I, U], 1)
+    assert codes.dtype == np.int8
+    assert codes.tolist() == [0, 1, -1]
+    blocks = [[I] * 18, [I] * 17 + [F], [U] + [I] * 17, [U] * 17 + [F]]
+    codes = fz.reduce_assignments([s for b in blocks for s in b], 18)
+    assert codes.tolist() == [1, 0, -1, 0]
+
+
+def test_solve_batch_rejects_invalid_rows():
+    from qscramble.errors import DomainError
+    good = np.full((2, 4), 0.25)
+    with pytest.raises(DomainError, match="non-finite"):
+        solve_batch(np.array([[0.25, np.nan, 0.25, 0.25], [0.25] * 4]), good)
+    with pytest.raises(DomainError, match="sums to"):
+        solve_batch(good, np.array([[0.25] * 4, [0.3, 0.2, 0.2, 0.2]]))
+    with pytest.raises(DomainError, match="shape"):
+        solve_batch(good, np.full((3, 4), 0.25))
+    with pytest.raises(DomainError, match="shape"):
+        solve_batch(np.full((2, 3), 1 / 3), np.full((2, 3), 1 / 3))
+    with pytest.raises(DomainError, match="outside"):
+        solve_batch(np.array([[1.5, -0.5, 0.0, 0.0]] * 2), good)
