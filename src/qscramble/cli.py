@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import detector, fileio, witness
-from .entropy import EntropySpec, all_states_bound, max_entropy, robustness, separable_bound
+from .entropy import EntropySpec, all_states_bound_vec, get_separable_boundary, robustness
 from .errors import QScrambleError
 from .measurement import XX, ZZ, probabilities, scramble_equivalent, scramble_state
 from .quantum import plus_zero, singlet
@@ -101,19 +101,20 @@ def _cmd_scan(args) -> int:
 def _cmd_entropy_curve(args) -> int:
     spec_x = _entropy_spec(args.entropy, args.qtilde)
     spec_z = _entropy_spec(args.entropy, args.q)
-    grid = np.linspace(0.0, max_entropy(spec_x), args.resolution)
+    # the whole curve is computed before the output is opened, so a failure
+    # leaves no partial file behind
+    bound = get_separable_boundary(spec_x, spec_z, n=args.resolution, starts=64)
+    if spec_x.bound_capable and spec_z.bound_capable:
+        ball = [_fmt(v) for v in all_states_bound_vec(bound.grid, spec_x, spec_z)]
+    else:
+        ball = [""] * len(bound.grid)  # outside the proven regime of the all-states bound
     out = _open_out(args.out)
     try:
         writer = csv.writer(out)
         writer.writerow(["s_xx", "bound_all", "bound_sep", "q", "qtilde", "entropy_kind"])
-        for s in grid:
-            if spec_x.bound_capable and spec_z.bound_capable:
-                ball = _fmt(all_states_bound(float(s), spec_x, spec_z))
-            else:
-                ball = ""  # outside the proven regime of the all-states bound
-            bsep = _fmt(separable_bound(float(s), spec_x, spec_z))
-            writer.writerow([_fmt(float(s)), ball, bsep,
-                             _fmt(spec_z.parameter), _fmt(spec_x.parameter), spec_x.kind])
+        writer.writerows([_fmt(s), b, _fmt(v), _fmt(spec_z.parameter),
+                          _fmt(spec_x.parameter), spec_x.kind]
+                         for s, b, v in zip(bound.grid, ball, bound.values))
     finally:
         if out is not sys.stdout:
             out.close()

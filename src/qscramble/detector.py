@@ -14,8 +14,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .entropy import (DETECT_MARGIN, TSALLIS, EntropySpec, entropy as entropy_of,
-                      entropy_detect, entropy_nd, get_separable_boundary)
+from .entropy import (TSALLIS, EntropySpec, entropy as entropy_of, entropy_detect,
+                      get_separable_boundary)
 from .errors import DomainError
 from .feasibility import (Verdict, assignment_rows, reduce_assignments,
                           scrambled_possibly_separable, solve_batch)
@@ -385,19 +385,3 @@ def verify_counterexample(**kwargs) -> CounterexampleReport:
         f"verdict={v2.value}")
 
     return CounterexampleReport(tuple(checks))
-
-
-# ---------------------------------------------------------------------------
-# Vectorized helpers shared with the test suite's bulk properties.
-# ---------------------------------------------------------------------------
-
-
-def entropy_detected_stack(pxx: np.ndarray, pzz: np.ndarray,
-                           spec_x: EntropySpec, spec_z: EntropySpec,
-                           margin: float = DETECT_MARGIN) -> np.ndarray:
-    """Vectorized entropy-method verdicts for stacks of probability rows."""
-    s_x = entropy_nd(np.asarray(pxx, float), spec_x)
-    s_z = entropy_nd(np.asarray(pzz, float), spec_z)
-    bxz = get_separable_boundary(spec_x, spec_z)
-    bzx = get_separable_boundary(spec_z, spec_x)
-    return (s_z < bxz.value(s_x) - margin) | (s_x < bzx.value(s_z) - margin)

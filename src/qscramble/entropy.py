@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -181,10 +180,13 @@ def t_from_sxx_vec(s: np.ndarray, spec_x: EntropySpec) -> np.ndarray:
         hi = np.full(int(todo.sum()), T_CAP)
         target = s[todo]
         mid = 0.5 * (lo + hi)
+        done = np.zeros(mid.shape, dtype=bool)
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
+            # an entry keeps its first converged midpoint, whatever its batch
+            mid = np.where(done, mid, 0.5 * (lo + hi))
             val = entropy_nd(psi_t_xx_probs(mid), spec_x)
-            if np.all(np.abs(val - target) <= _BISECT_STOL):
+            done |= np.abs(val - target) <= _BISECT_STOL
+            if np.all(done):
                 break
             high = val > target
             hi = np.where(high, mid, hi)
@@ -227,97 +229,104 @@ def all_states_bound_closed_form(s_xx: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_entropy(p: Sequence[float], spec: EntropySpec) -> float:
-    p = sorted(p)
-    kind = spec.kind
-    if kind == SHANNON:
-        acc = 0.0
-        for x in p:
-            if x > 0.0:
-                acc -= x * math.log2(x)
-        return acc
-    q = spec.parameter
-    if kind == TSALLIS:
-        acc = 0.0
-        for x in p:
-            if x > 0.0:
-                acc += x ** q
-        return (1.0 - acc) / (q - 1.0)
-    if math.isinf(q):
-        return -math.log2(max(p))
-    acc = 0.0
-    for x in p:
-        if x > 0.0:
-            acc += x ** q
-    return math.log2(acc) / (1.0 - q)
-
-
-def _pair_probs(theta: float) -> tuple[float, float, float, float]:
-    """(p_z0, p_z1, p_x+, p_x-) of the real qubit state with Bloch angle theta."""
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
+def _pair_probs(theta):
+    """(p_z0, p_z1, p_x+, p_x-) of the real qubit states with Bloch angles theta."""
+    c = np.cos(0.5 * theta)
+    s = np.sin(0.5 * theta)
     sx = 2.0 * s * c
     return c * c, s * s, 0.5 * (1.0 + sx), 0.5 * (1.0 - sx)
 
 
-def _mixture_dists(x: np.ndarray) -> tuple[list[float], list[float]]:
-    """XX and ZZ distributions of (1-p)|ab><ab| + p|cd><cd| with real factors."""
-    p = min(max(x[0], 0.0), 1.0)
-    za0, za1, xa0, xa1 = _pair_probs(x[1])
-    zb0, zb1, xb0, xb1 = _pair_probs(x[2])
-    zc0, zc1, xc0, xc1 = _pair_probs(x[3])
-    zd0, zd1, xd0, xd1 = _pair_probs(x[4])
+def _mixture_dists(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """XX and ZZ distributions (..., 4) of (1-p)|ab><ab| + p|cd><cd| with real
+    factors, for parameters (p, theta_a, theta_b, theta_c, theta_d) along the
+    last axis of ``x``."""
+    p = np.clip(x[..., 0], 0.0, 1.0)
+    za0, za1, xa0, xa1 = _pair_probs(x[..., 1])
+    zb0, zb1, xb0, xb1 = _pair_probs(x[..., 2])
+    zc0, zc1, xc0, xc1 = _pair_probs(x[..., 3])
+    zd0, zd1, xd0, xd1 = _pair_probs(x[..., 4])
     w = 1.0 - p
     dxx = [w * xa0 * xb0 + p * xc0 * xd0, w * xa0 * xb1 + p * xc0 * xd1,
            w * xa1 * xb0 + p * xc1 * xd0, w * xa1 * xb1 + p * xc1 * xd1]
     dzz = [w * za0 * zb0 + p * zc0 * zd0, w * za0 * zb1 + p * zc0 * zd1,
            w * za1 * zb0 + p * zc1 * zd0, w * za1 * zb1 + p * zc1 * zd1]
-    return dxx, dzz
+    return np.stack(dxx, axis=-1), np.stack(dzz, axis=-1)
 
 
-def _symmetric_theta_for_sxx(s: float, spec_x: EntropySpec) -> float:
-    """Angle with S_xx(phi_theta (x) phi_theta) = s; decreasing on [0, pi/2]."""
-    lo, hi = 0.0, 0.5 * math.pi  # S_xx runs from max down to 0
+def _symmetric_theta_for_sxx(s: np.ndarray, spec_x: EntropySpec) -> np.ndarray:
+    """Angles with S_xx(phi_theta (x) phi_theta) = s; decreasing on [0, pi/2]."""
+    lo = np.zeros_like(s)  # S_xx runs from max down to 0
+    hi = np.full_like(s, 0.5 * math.pi)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         _, _, px0, px1 = _pair_probs(mid)
-        val = _scalar_entropy((px0 * px0, px0 * px1, px1 * px0, px1 * px1), spec_x)
-        if val > s:
-            lo = mid
-        else:
-            hi = mid
+        val = entropy_nd(np.stack([px0 * px0, px0 * px1, px1 * px0, px1 * px1], axis=-1),
+                         spec_x)
+        lo = np.where(val > s, mid, lo)
+        hi = np.where(val > s, hi, mid)
     return 0.5 * (lo + hi)
 
 
 _PENALTY = 1e6
 _SEED_KEY = 0x5E9A  # fixed stream for the random starts
+_RANDOM_HIGH = (1.0, math.pi, math.pi, math.pi, math.pi)  # p, then four angles
 
 
-def _separable_starts(s: float, spec_x: EntropySpec, n_random: int) -> list[np.ndarray]:
+def _separable_starts(s: np.ndarray, spec_x: EntropySpec, starts: int) -> np.ndarray:
+    """``starts`` starts per S_xx, at least 4 of them random, with a random
+    stream of its own for each S_xx; shape (len(s), n, 5)."""
     th = _symmetric_theta_for_sxx(s, spec_x)
-    starts = [
-        np.array([0.5, th, th, th, th]),
-        np.array([0.5, th + 0.03, th + 0.03, th - 0.03, th - 0.03]),
-        np.array([0.0, th, th, th + 0.2, th + 0.2]),
-        np.array([1.0, th + 0.2, th + 0.2, th, th]),
+    h = 0.5 * math.pi
+    rows = [
+        (0.5, th, th, th, th),
+        (0.5, th + 0.03, th + 0.03, th - 0.03, th - 0.03),
+        (0.0, th, th, th + 0.2, th + 0.2),
+        (1.0, th + 0.2, th + 0.2, th, th),
         # Shannon-boundary candidate families: |0> (x) (theta) and (theta) (x) |+>
-        np.array([0.5, 0.0, th, 0.0, th + 0.3]),
-        np.array([0.0, 0.0, 2.0 * th, 0.0, 2.0 * th]),
-        np.array([0.5, th, 0.5 * math.pi, th + 0.3, 0.5 * math.pi]),
-        np.array([0.0, 2.0 * th, 0.5 * math.pi, 2.0 * th, 0.5 * math.pi]),
+        (0.5, 0.0, th, 0.0, th + 0.3),
+        (0.0, 0.0, 2.0 * th, 0.0, 2.0 * th),
+        (0.5, th, h, th + 0.3, h),
+        (0.0, 2.0 * th, h, 2.0 * th, h),
         # mixtures of the two eigenstate directions |00> and |++>
-        np.array([0.2, 0.0, 0.0, 0.5 * math.pi, 0.5 * math.pi]),
-        np.array([0.5, 0.0, 0.0, 0.5 * math.pi, 0.5 * math.pi]),
-        np.array([0.8, 0.0, 0.0, 0.5 * math.pi, 0.5 * math.pi]),
+        (0.2, 0.0, 0.0, h, h),
+        (0.5, 0.0, 0.0, h, h),
+        (0.8, 0.0, 0.0, h, h),
     ]
-    gen = np.random.Generator(np.random.Philox(key=derive_seed(_SEED_KEY, int(s * 1e9) & 0xFFFF)))
-    for _ in range(n_random):
-        starts.append(np.array([
-            gen.uniform(0.0, 1.0),
-            gen.uniform(0.0, math.pi), gen.uniform(0.0, math.pi),
-            gen.uniform(0.0, math.pi), gen.uniform(0.0, math.pi),
-        ]))
-    return starts
+    structured = np.stack([np.stack([np.broadcast_to(v, th.shape) for v in row], axis=-1)
+                           for row in rows], axis=1)
+    random = np.stack([
+        np.random.Generator(np.random.Philox(key=derive_seed(_SEED_KEY, int(v * 1e9) & 0xFFFF)))
+        .uniform(0.0, _RANDOM_HIGH, size=(max(starts - len(rows), 4), 5)) for v in s])
+    return np.concatenate([structured, random], axis=1)
+
+
+def _separable_values(s: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec,
+                      starts: int, agree: int) -> np.ndarray:
+    """Separable boundary at every S_xx in ``s`` (inside [0, max]).
+
+    The endpoints are exact: an XX eigenstate forces uniform ZZ and vice
+    versa.  All interior points are solved in one multi-start search.
+    """
+    smax = max_entropy(spec_x)
+    out = np.where(s <= 1e-12, max_entropy(spec_z), 0.0)
+    inner = (s > 1e-12) & (s < smax - 1e-12)
+    if not np.any(inner):
+        return out
+    target = s[inner]
+
+    def objective(x: np.ndarray) -> np.ndarray:
+        dxx, dzz = _mixture_dists(x)
+        cx = entropy_nd(dxx, spec_x) - target[:, None, None]
+        return entropy_nd(dzz, spec_z) + _PENALTY * cx * cx
+
+    result = multistart_minimize(
+        objective, _separable_starts(target, spec_x, starts),
+        agree=agree, agree_tol=1e-6, label="separable boundary",
+        step=0.15, xtol=1e-10, max_iter=350)
+    # report the entropy itself, not the penalized objective
+    out[inner] = entropy_nd(_mixture_dists(result.x)[1], spec_z)
+    return out
 
 
 def separable_bound(s_xx: float, spec_x: EntropySpec, spec_z: EntropySpec, *,
@@ -333,25 +342,7 @@ def separable_bound(s_xx: float, spec_x: EntropySpec, spec_z: EntropySpec, *,
     if not (-1e-12 <= s_xx <= smax + 1e-12):
         raise DomainError(f"S_xx = {s_xx} outside the attainable range [0, {smax!r}]")
     s = min(max(float(s_xx), 0.0), smax)
-    # exact endpoints: an XX eigenstate forces uniform ZZ and vice versa
-    if s <= 1e-12:
-        return max_entropy(spec_z)
-    if s >= smax - 1e-12:
-        return 0.0
-
-    def objective(x: np.ndarray) -> float:
-        dxx, dzz = _mixture_dists(x)
-        cx = _scalar_entropy(dxx, spec_x) - s
-        return _scalar_entropy(dzz, spec_z) + _PENALTY * cx * cx
-
-    n_struct = 11
-    result = multistart_minimize(
-        objective, _separable_starts(s, spec_x, max(starts - n_struct, 4)),
-        agree=agree, agree_tol=1e-6, label="separable boundary",
-        step=0.15, xtol=1e-10, max_iter=350)
-    # report the entropy itself, not the penalized objective
-    dxx, dzz = _mixture_dists(result.x)
-    return _scalar_entropy(dzz, spec_z)
+    return float(_separable_values(np.array([s]), spec_x, spec_z, starts, agree)[0])
 
 
 def separable_bound_closed_form(s_xx: float) -> float:
@@ -385,8 +376,8 @@ def get_separable_boundary(spec_x: EntropySpec, spec_z: EntropySpec,
                            n: int = 97, starts: int = 24) -> SeparableBoundary:
     smax = max_entropy(spec_x)
     grid = np.linspace(0.0, smax, n)
-    vals = np.array([separable_bound(s, spec_x, spec_z, starts=starts) for s in grid])
-    return SeparableBoundary(spec_x, spec_z, grid, vals)
+    return SeparableBoundary(spec_x, spec_z, grid,
+                             _separable_values(grid, spec_x, spec_z, starts, agree=3))
 
 
 # ---------------------------------------------------------------------------
@@ -394,23 +385,30 @@ def get_separable_boundary(spec_x: EntropySpec, spec_z: EntropySpec,
 # ---------------------------------------------------------------------------
 
 
-def entropy_detect(d: ScrambledData, spec_x: EntropySpec, spec_z: EntropySpec, *,
-                   margin: float = DETECT_MARGIN) -> bool:
-    """True when the entropy pair certifies entanglement of the scrambled data.
+def entropy_detected_stack(pxx: np.ndarray, pzz: np.ndarray,
+                           spec_x: EntropySpec, spec_z: EntropySpec,
+                           margin: float = DETECT_MARGIN) -> np.ndarray:
+    """Entropy-method verdicts for stacks of XX and ZZ probability rows.
 
-    Checks the point against the separable boundary in both orientations
-    (the XX/ZZ roles can be swapped by a local Hadamard, which preserves
-    separability).
+    A row is detected when its entropy pair lies below the separable boundary
+    in either orientation (the XX/ZZ roles can be swapped by a local
+    Hadamard, which preserves separability).
     """
     _require_bound_regime(spec_x, "horizontal")
     _require_bound_regime(spec_z, "vertical")
-    s_x = entropy(d.multiset(XX), spec_x)
-    s_z = entropy(d.multiset(ZZ), spec_z)
-    bound_xz = get_separable_boundary(spec_x, spec_z)
-    if s_z < float(bound_xz.value(s_x)) - margin:
-        return True
-    bound_zx = get_separable_boundary(spec_z, spec_x)
-    return bool(s_x < float(bound_zx.value(s_z)) - margin)
+    s_x = entropy_nd(np.asarray(pxx, dtype=float), spec_x)
+    s_z = entropy_nd(np.asarray(pzz, dtype=float), spec_z)
+    detected = s_z < get_separable_boundary(spec_x, spec_z).value(s_x) - margin
+    if np.all(detected):
+        return detected
+    return detected | (s_x < get_separable_boundary(spec_z, spec_x).value(s_z) - margin)
+
+
+def entropy_detect(d: ScrambledData, spec_x: EntropySpec, spec_z: EntropySpec, *,
+                   margin: float = DETECT_MARGIN) -> bool:
+    """True when the entropy pair certifies entanglement of the scrambled data."""
+    return bool(entropy_detected_stack(d.multiset(XX)[None], d.multiset(ZZ)[None],
+                                       spec_x, spec_z, margin=margin)[0])
 
 
 _ROBUST_T = 3.0

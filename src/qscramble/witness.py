@@ -143,23 +143,30 @@ def correlation_witness_values(
 # ---------------------------------------------------------------------------
 
 
-def _product_expectation(x: np.ndarray, alpha: float, beta: float, gamma: float) -> float:
-    """<W> on the product state with Bloch angles (theta_a, phi_a, theta_b, phi_b)."""
-    ta, pa, tb, pb = x
-    sa, sb = math.sin(ta), math.sin(tb)
-    pxa = 0.5 * (1.0 + sa * math.cos(pa))
-    pxb = 0.5 * (1.0 + sb * math.cos(pb))
-    pya = 0.5 * (1.0 + sa * math.sin(pa))
-    pyb = 0.5 * (1.0 + sb * math.sin(pb))
-    pza = math.cos(0.5 * ta) ** 2
-    pzb = math.cos(0.5 * tb) ** 2
+def _product_probs(x: np.ndarray):
+    """Per-qubit probabilities (p_x,a, p_x,b, p_y,a, p_y,b, p_z,a, p_z,b) of the
+    +, + and 0 outcomes on the product states with Bloch angles
+    (theta_a, phi_a, theta_b, phi_b) along the last axis of ``x``."""
+    ta, pa, tb, pb = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+    sa, sb = np.sin(ta), np.sin(tb)
+    pxa = 0.5 * (1.0 + sa * np.cos(pa))
+    pxb = 0.5 * (1.0 + sb * np.cos(pb))
+    pya = 0.5 * (1.0 + sa * np.sin(pa))
+    pyb = 0.5 * (1.0 + sb * np.sin(pb))
+    return pxa, pxb, pya, pyb, np.cos(0.5 * ta) ** 2, np.cos(0.5 * tb) ** 2
+
+
+def _product_expectation(x: np.ndarray, alpha, beta, gamma) -> np.ndarray:
+    """<W> on the product states with Bloch angles along the last axis of ``x``."""
+    pxa, pxb, pya, pyb, pza, pzb = _product_probs(x)
     return 1.0 + alpha * pxa * pxb + beta * pya * pyb + gamma * pza * pzb
 
 
 _WITNESS_SEED = 0x3A11CE
 
 
-def _witness_starts(beta: float, n_random: int) -> list[np.ndarray]:
+def _witness_starts(beta: float, n: int) -> np.ndarray:
+    """``n`` starts (theta_a, phi_a, theta_b, phi_b), at least 4 of them random."""
     starts = []
     # symmetric family theta_a = theta_b, phi = 0 (optimal for gamma/alpha above the crossover)
     for th in np.linspace(0.0, math.pi, 7):
@@ -171,26 +178,30 @@ def _witness_starts(beta: float, n_random: int) -> list[np.ndarray]:
         for th in np.linspace(0.1, math.pi - 0.1, 5):
             starts.append(np.array([th, 0.5 * math.pi, th, 0.5 * math.pi]))
     gen = np.random.Generator(np.random.Philox(key=_WITNESS_SEED))
-    for _ in range(n_random):
+    for _ in range(max(n - len(starts), 4)):
         starts.append(np.array([
             gen.uniform(0.0, math.pi), gen.uniform(0.0, 2.0 * math.pi),
             gen.uniform(0.0, math.pi), gen.uniform(0.0, 2.0 * math.pi),
         ]))
-    return starts
+    return np.array(starts)
 
 
-def _min_over_separable_full(alpha: float, beta: float, gamma: float,
-                             starts: int = 64):
+def _min_over_separable_full(alpha, beta: float, gamma, starts: int = 64):
+    """Multi-start minimum of <W> over product states, one group per entry of
+    ``alpha`` and ``gamma`` (scalars or equal-length arrays); every group
+    gets the same starts."""
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
     for name, c in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-        if not np.isfinite(c):
+        if not np.all(np.isfinite(c)):
             raise DomainError(f"witness coefficient {name} must be finite")
 
-    def objective(x: np.ndarray) -> float:
-        return _product_expectation(x, alpha, beta, gamma)
+    def objective(x: np.ndarray) -> np.ndarray:
+        return _product_expectation(x, alpha[:, None, None], beta, gamma[:, None, None])
 
-    n_structured = len(_witness_starts(beta, 0))
+    base = _witness_starts(beta, starts)
     return multistart_minimize(
-        objective, _witness_starts(beta, max(starts - n_structured, 4)),
+        objective, np.broadcast_to(base, (alpha.size,) + base.shape),
         agree=3, agree_tol=1e-6, label="separable witness minimum",
         step=0.3, xtol=1e-10, max_iter=500)
 
@@ -203,7 +214,7 @@ def min_over_separable(alpha: float, beta: float, gamma: float, *,
     optimal-state structures for beta = 0 only seed starting points; the
     search itself explores the whole product manifold.
     """
-    return _min_over_separable_full(alpha, beta, gamma, starts=starts).value
+    return float(_min_over_separable_full(alpha, beta, gamma, starts=starts).value[0])
 
 
 def witness_min_eigvec(alpha: float, gamma: float) -> tuple[float, PureState]:
@@ -228,14 +239,8 @@ def witness_min_eigvec(alpha: float, gamma: float) -> tuple[float, PureState]:
 
 def _tangency_scale(alpha0: float, gamma0: float, beta: float,
                     starts: int = 64) -> tuple[float, float] | None:
-    """Scale c with min_sep(c alpha0, beta, c gamma0) = 0, or None if impossible."""
-    if beta == 0.0:
-        base = min_over_separable(alpha0, 0.0, gamma0, starts=starts)
-        linear_min = base - 1.0
-        if linear_min >= -1e-12:
-            return None
-        c = -1.0 / linear_min
-        return c * alpha0, c * gamma0
+    """Scale c with min_sep(c alpha0, beta, c gamma0) = 0 for beta != 0, or
+    None if impossible."""
     if beta <= -1.0:
         return None  # 1 + beta p_y is already nonpositive on a product state
     # Newton iteration on f(c) = min_prod <W_c>: f is concave and decreasing,
@@ -245,15 +250,11 @@ def _tangency_scale(alpha0: float, gamma0: float, beta: float,
     c = 1.0
     for _ in range(40):
         res = _min_over_separable_full(c * alpha0, beta, c * gamma0, starts=starts)
-        val = res.value
+        val = float(res.value[0])
         if abs(val) <= TANGENT_TOL:
             return c * alpha0, c * gamma0
-        ta, pa, tb, pb = res.x
-        pxa = 0.5 * (1.0 + math.sin(ta) * math.cos(pa))
-        pxb = 0.5 * (1.0 + math.sin(tb) * math.cos(pb))
-        pza = math.cos(0.5 * ta) ** 2
-        pzb = math.cos(0.5 * tb) ** 2
-        slope = alpha0 * pxa * pxb + gamma0 * pza * pzb
+        pxa, pxb, _, _, pza, pzb = _product_probs(res.x[0])
+        slope = float(alpha0 * pxa * pxb + gamma0 * pza * pzb)
         if slope >= -1e-15:
             return None  # scaling alpha0, gamma0 cannot push the minimum down
         c = max(c - val / slope, 1e-12)
@@ -264,26 +265,29 @@ def optimize_params(beta: float, *, num: int = 33, starts: int = 64) -> list[tup
     """Tangent-witness curve: (alpha, gamma) pairs with separable minimum zero.
 
     Directions (-cos w, -sin w) sweep from the pure-alpha to the pure-gamma
-    witness; for beta = 0 one multi-start minimization per direction fixes
-    the scale exactly, because min <W> is affine in a common rescaling of
-    alpha and gamma.
+    witness.  For beta = 0, min <W> - 1 is linear in a common rescaling of
+    alpha and gamma, so one multi-start minimization over all directions
+    fixes every scale exactly; other beta scale each direction by Newton's
+    method.
     """
     if not np.isfinite(beta):
         raise DomainError("beta must be finite")
-    curve = []
-    for omega in np.linspace(0.0, 0.5 * math.pi, num):
-        a0, g0 = -math.cos(omega), -math.sin(omega)
-        if abs(a0) < 1e-15:
-            a0 = 0.0
-        if abs(g0) < 1e-15:
-            g0 = 0.0
-        if a0 == 0.0 and beta == 0.0:
-            curve.append((0.0, -1.0))  # tangent at |00>, degenerate endpoint
-            continue
-        scaled = _tangency_scale(a0, g0, beta, starts=starts)
-        if scaled is not None:
-            curve.append(scaled)
-    return curve
+    omega = np.linspace(0.0, 0.5 * math.pi, num)
+    a0, g0 = -np.cos(omega), -np.sin(omega)
+    a0[np.abs(a0) < 1e-15] = 0.0
+    g0[np.abs(g0) < 1e-15] = 0.0
+    if beta != 0.0:
+        scaled = (_tangency_scale(float(a), float(g), beta, starts=starts)
+                  for a, g in zip(a0, g0))
+        return [pair for pair in scaled if pair is not None]
+    live = a0 != 0.0  # a0 = 0 is the degenerate endpoint, tangent at |00>
+    # its linear minimum -1 (the |00> value of -|00><00|) gives scale 1 and (0, -1)
+    linear_min = np.full(num, -1.0)
+    linear_min[live] = _min_over_separable_full(a0[live], 0.0, g0[live],
+                                                starts=starts).value - 1.0
+    keep = linear_min < -1e-12
+    scale = -1.0 / linear_min[keep]
+    return [(float(a), float(g)) for a, g in zip(scale * a0[keep], scale * g0[keep])]
 
 
 @lru_cache(maxsize=4)

@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 import qscramble.quantum as qm
-from qscramble.detector import (counterexample_mixture, entropy_detected_stack,
-                                scan_details, verify_counterexample)
+from qscramble.detector import counterexample_mixture, scan_details, verify_counterexample
 from qscramble.entropy import (TSALLIS, EntropySpec, all_states_bound_closed_form,
-                               all_states_bound_vec, entropy_nd, psi_t_entropies,
-                               robustness, separable_bound,
+                               all_states_bound_vec, entropy_detected_stack, entropy_nd,
+                               psi_t_entropies, robustness, separable_bound,
                                separable_bound_closed_form)
 from qscramble.feasibility import (FeasibilityStatus, oracle_feasible, solve_batch)
 from qscramble.measurement import (XX, ZZ, canonical_permutations, probabilities,

@@ -150,6 +150,20 @@ def test_cli_entropy_curve_shannon_has_no_all_states_bound(tmp_path):
     assert all(r[5] == "shannon" for r in rows)
 
 
+def test_cli_entropy_curve_failure_writes_nothing(tmp_path, capsys, monkeypatch):
+    from qscramble import cli
+    from qscramble.errors import ConvergenceFailure
+
+    def fail(*args, **kwargs):
+        raise ConvergenceFailure("separable boundary: starts disagree")
+    monkeypatch.setattr(cli, "get_separable_boundary", fail)
+    assert main(["entropy-curve", "--resolution", "5"]) == 2
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "curve.csv"
+    assert main(["entropy-curve", "--resolution", "5", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_cli_witness_curve(tmp_path):
     out = tmp_path / "wc.csv"
     assert main(["witness-curve", "--resolution", "5", "--out", str(out)]) == 0

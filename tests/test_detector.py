@@ -3,8 +3,9 @@ import pytest
 
 import qscramble.detector as det
 from qscramble.detector import (classify_slice_point, counterexample_mixture, detect,
-                                entropy_detected_stack, nonconvex_slice, rho1, scan,
-                                scan_details, verify_counterexample)
+                                nonconvex_slice, rho1, scan, scan_details,
+                                verify_counterexample)
+from qscramble.entropy import entropy_detected_stack
 from qscramble.errors import DomainError
 from qscramble.feasibility import FeasibilityStatus, solve_batch
 from qscramble.measurement import (XX, ZZ, apply_permutation, canonical_permutations,

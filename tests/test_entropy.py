@@ -97,6 +97,15 @@ def test_t_from_sxx():
         t_from_sxx(0.1, EntropySpec(SHANNON))
 
 
+@pytest.mark.parametrize("spec_x", [T2, EntropySpec(TSALLIS, 3.0)])
+def test_all_states_bound_vec_matches_scalar(spec_x):
+    # each bisection entry stops at its own first converged midpoint, so a
+    # point's value does not depend on the batch it is solved in
+    grid = np.linspace(0.0, max_entropy(spec_x), 100)
+    vec = all_states_bound_vec(grid, spec_x, T2)
+    assert all(vec[i] == all_states_bound(float(s), spec_x, T2) for i, s in enumerate(grid))
+
+
 def test_all_states_bound_examples():
     assert abs(all_states_bound(5 / 12, T2, T2) - 5 / 12) < 1e-9
     assert abs(all_states_bound(0.0, T2, T2) - 0.75) < 1e-12

@@ -1,0 +1,123 @@
+import numpy as np
+import pytest
+
+from qscramble.entropy import separable_bound
+from qscramble.errors import ConvergenceFailure
+from qscramble.optimize import multistart_minimize, nelder_mead
+
+
+def _rosenbrock(shift: np.ndarray):
+    """Elementwise Rosenbrock objectives, one minimum (shift, shift^2) per group."""
+    s = np.asarray(shift, dtype=float)[:, None, None]
+
+    def f(x):
+        return (s - x[..., 0]) ** 2 + 100.0 * (x[..., 1] - x[..., 0] ** 2) ** 2
+    return f
+
+
+def _scalar_nelder_mead(f, x0, *, step, xtol, ftol, max_iter):
+    """One simplex at a time: the reference the batched search must reproduce."""
+    n = x0.size
+    simplex = [x0.copy()]
+    for i in range(n):
+        xi = x0.copy()
+        xi[i] += step
+        simplex.append(xi)
+    vals = [f(x) for x in simplex]
+    for _ in range(max_iter):
+        order = sorted(range(n + 1), key=lambda i: vals[i])
+        simplex = [simplex[i] for i in order]
+        vals = [vals[i] for i in order]
+        diam = max(np.max(np.abs(s - simplex[0])) for s in simplex[1:])
+        if diam < xtol or vals[-1] - vals[0] < ftol:
+            break
+        centroid = np.mean(simplex[:-1], axis=0)
+        xr = centroid + (centroid - simplex[-1])
+        fr = f(xr)
+        if fr < vals[0]:
+            xe = centroid + 2.0 * (centroid - simplex[-1])
+            fe = f(xe)
+            if fe < fr:
+                simplex[-1], vals[-1] = xe, fe
+            else:
+                simplex[-1], vals[-1] = xr, fr
+        elif fr < vals[-2]:
+            simplex[-1], vals[-1] = xr, fr
+        else:
+            xc = centroid + 0.5 * (simplex[-1] - centroid)
+            fc = f(xc)
+            if fc < vals[-1]:
+                simplex[-1], vals[-1] = xc, fc
+            else:
+                for i in range(1, n + 1):
+                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+                    vals[i] = f(simplex[i])
+    best = int(np.argmin(vals))
+    return simplex[best], vals[best]
+
+
+@pytest.mark.parametrize("max_iter", [40, 400])
+def test_batched_search_reproduces_scalar_reference(max_iter):
+    # 40 iterations stop most simplices mid-flight, 400 let them converge
+    def f(x):
+        return (0.3 - x[..., 0]) ** 2 + 5.0 * (x[..., 1] - x[..., 0] ** 2) ** 2 + x[..., 2] ** 4
+    starts = np.random.default_rng(7).uniform(-2.0, 2.0, size=(3, 8, 3))
+    kwargs = dict(step=0.25, xtol=1e-10, ftol=1e-14, max_iter=max_iter)
+    xs, values = nelder_mead(f, starts, **kwargs)
+    for g in range(3):
+        for k in range(8):
+            x, v = _scalar_nelder_mead(f, starts[g, k], **kwargs)
+            assert np.array_equal(xs[g, k], x)
+            assert values[g, k] == v
+
+
+def test_convex_quadratic_over_groups():
+    centers = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5], [-3.0, 0.25, 2.0]])
+
+    def f(x):
+        return np.sum((x - centers[:, None, None, :]) ** 2, axis=-1)
+    starts = np.random.default_rng(0).uniform(-4.0, 4.0, size=(3, 5, 3))
+    res = multistart_minimize(f, starts, xtol=1e-12, ftol=1e-20, max_iter=2000)
+    assert res.x.shape == (3, 3) and res.value.shape == (3,)
+    assert res.start_values.shape == (3, 5)
+    assert np.allclose(res.x, centers, atol=1e-9)
+    assert np.all(res.value < 1e-16)
+    # a single start needs no batch axes
+    x, v = nelder_mead(lambda p: np.sum((p - 1.0) ** 2, axis=-1), np.zeros(2),
+                       xtol=1e-12, ftol=1e-20, max_iter=2000)
+    assert x.shape == (2,) and np.ndim(v) == 0
+    assert np.allclose(x, 1.0, atol=1e-9)
+
+
+def test_separate_basins_raise_convergence_failure():
+    # tilted double well: the left minimum near -1 is lower than the right one
+    def f(x):
+        y = x[..., 0]
+        return (y * y - 1.0) ** 2 + 0.1 * y
+    together = np.array([[-1.2], [-0.9], [-1.1]])
+    split = np.array([[-1.2], [0.9], [1.1]])
+    res = multistart_minimize(f, together[None], agree=3)
+    assert res.x[0, 0] < 0.0
+    with pytest.raises(ConvergenceFailure, match=r"group 1\): only 1 of 3"):
+        multistart_minimize(f, np.stack([together, split]), agree=3)
+    # two agreeing starts are enough when only two are demanded
+    res = multistart_minimize(f, np.array([[[-1.2], [-0.9], [1.1]]]), agree=2)
+    assert res.x[0, 0] < 0.0
+
+
+def test_group_alone_equals_group_in_batch():
+    shifts = np.array([0.5, 1.0, -0.7, 2.0])
+    starts = np.random.default_rng(3).uniform(-2.0, 2.0, size=(4, 6, 2))
+    batch = multistart_minimize(_rosenbrock(shifts), starts, agree=1, max_iter=300)
+    for g in range(4):
+        alone = multistart_minimize(_rosenbrock(shifts[g:g + 1]), starts[g:g + 1],
+                                    agree=1, max_iter=300)
+        assert np.array_equal(alone.x[0], batch.x[g])
+        assert alone.value[0] == batch.value[g]
+        assert np.array_equal(alone.start_values[0], batch.start_values[g])
+
+
+def test_separable_point_alone_equals_grid_point(boundary_22, tsallis2):
+    for k in (1, 30, 60, 95):
+        s = float(boundary_22.grid[k])
+        assert separable_bound(s, tsallis2, tsallis2, starts=24) == boundary_22.values[k]
