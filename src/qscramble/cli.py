@@ -17,6 +17,7 @@ import numpy as np
 from . import detector, fileio, witness
 from .entropy import EntropySpec, all_states_bound_vec, get_separable_boundary, robustness
 from .errors import QScrambleError
+from .feasibility import MAX_CYCLES, TOL_FEASIBLE, TOL_INFEASIBLE
 from .measurement import XX, ZZ, probabilities, scramble_equivalent, scramble_state
 from .quantum import plus_zero, singlet
 
@@ -167,6 +168,10 @@ def _cmd_verify(args) -> int:
 
 _Q_HELP = "entropy parameter q of the ZZ (vertical) entropy"
 _QTILDE_HELP = "entropy parameter q~ of the XX (horizontal) entropy"
+_TOL_FEAS_HELP = f"largest row residual of a separable certificate state (default {TOL_FEASIBLE:g})"
+_TOL_INFEAS_HELP = (f"least margin -Tr(W rho) a witness needs to prove a problem "
+                    f"infeasible (default {TOL_INFEASIBLE:g})")
+_MAX_CYCLES_HELP = f"Newton-step budget per feasibility problem (default {MAX_CYCLES})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,17 +188,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=2.0, help=_Q_HELP)
     p.add_argument("--qtilde", type=float, default=2.0, help=_QTILDE_HELP)
     p.add_argument("--entropy", choices=["shannon", "tsallis", "renyi"], default="tsallis")
-    p.add_argument("--tol-feas", type=float, default=None)
-    p.add_argument("--tol-infeas", type=float, default=None)
+    p.add_argument("--tol-feas", type=float, default=None, help=_TOL_FEAS_HELP)
+    p.add_argument("--tol-infeas", type=float, default=None, help=_TOL_INFEAS_HELP)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("scan", help="Monte-Carlo detection scan over random states")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scrambled", choices=["true", "false"], default="false")
-    p.add_argument("--max-cycles", type=int, default=None)
-    p.add_argument("--tol-feas", type=float, default=None)
-    p.add_argument("--tol-infeas", type=float, default=None)
+    p.add_argument("--max-cycles", type=int, default=None, help=_MAX_CYCLES_HELP)
+    p.add_argument("--tol-feas", type=float, default=None, help=_TOL_FEAS_HELP)
+    p.add_argument("--tol-infeas", type=float, default=None, help=_TOL_INFEAS_HELP)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("entropy-curve", help="emit the two entropy bounds on a grid")
@@ -210,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nonconvex-slice", help="classify the symmetric data slice")
     p.add_argument("--resolution", type=int, default=16)
-    p.add_argument("--tol-feas", type=float, default=None)
-    p.add_argument("--tol-infeas", type=float, default=None)
+    p.add_argument("--tol-feas", type=float, default=None, help=_TOL_FEAS_HELP)
+    p.add_argument("--tol-infeas", type=float, default=None, help=_TOL_INFEAS_HELP)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("robustness", help="maximal detectable white-noise weight")

@@ -7,36 +7,42 @@ the convex feasibility problem
     find rho with Tr rho = 1, rho >= 0, rho^{T_B} >= 0,
     Tr(rho Pi_i^xx) = p_i^xx, Tr(rho Pi_i^zz) = p_i^zz.
 
-The solver runs alternating projections with Dykstra's correction over three
-convex sets: the affine set (trace plus probability constraints, projected
-through a precomputed orthonormal constraint frame in the Hilbert-Schmidt
-inner product), the PSD cone (eigenvalue clipping), and the PPT cone
-(partial transpose, clip, transpose back).  The problem lives in 16 real
-dimensions, where projection methods are simple and robust.
+The constraint operators are real, so a real rho suffices.  Its Pauli
+coordinates II, XI, IX, XX, ZI, IZ and ZZ are fixed by the data (the base
+state rho_b); XZ, ZX and YY are free.  The partial transpose flips only YY,
+so the midpoint of rho and rho^{T_B} is feasible with YY = 0, where
+rho^{T_B} = rho.  Hence the data are separable-compatible exactly when the
+2-variable LMI A(t) = rho_b + t_1 XZ/4 + t_2 ZX/4 >= 0 has a solution.
 
-Verdicts are three-valued.  Feasible instances produce a certificate state
-whose constraint residuals are at most 1e-7 with spectra above -1e-8;
-infeasible ones must end with violation above 1e-6 after the iteration
-budget (a provably equivalent plateau exit shortcuts the budget when the
-violation has stopped moving far above the threshold); anything between is
-reported honestly as inconclusive and escalated through perturbed restarts.
+:func:`solve_batch` decides the LMI for a stack of rows with a damped
+Newton log-barrier method (Boyd & Vandenberghe, ch. 11): it maximizes s
+subject to A(t) - sI > 0, minimizing -tau s - log det(A(t) - sI) and
+multiplying tau by a fixed factor once a problem is centered.  Steps of
+length 1/(1 + lambda), lambda the Newton decrement, keep every iterate
+strictly feasible, so there is no line search.  A problem stops as soon as
+one of two certificates checks:
 
-Scrambled data is decided along one path: :func:`assignment_rows` expands
-sorted multisets into their 18 canonical outcome assignments, one
+* feasible: lambda_min(A(t)) >= -1e-8.  A(t), clipped to PSD and
+  renormalized, is its own partial transpose and must reproduce the rows
+  within ``tol_feasible``;
+* infeasible: W = (A(t) - sI)^{-1}, with its XZ and ZX parts projected out,
+  shifted to PSD and trace-normalized, has Tr(W rho_b) <= -``tol_infeasible``.
+  Tr(W A(t)) = Tr(W rho_b) for every t, and (W + W^{T_B})/2 is a
+  decomposable witness in the span of the measured projectors.
+
+Neither within ``max_cycles`` Newton steps is inconclusive.  A row's
+arithmetic never mixes with another row's, so verdicts do not depend on the
+batch.  Scrambled data is decided along one path: :func:`assignment_rows`
+expands sorted multisets into their 18 canonical outcome assignments, one
 :func:`solve_batch` call decides them, and :func:`reduce_assignments` folds
-each sample's statuses into one verdict.  All infeasible means no separable
-state explains any relabeling, which certifies entanglement.
-
-:func:`solve_batch` takes its rows as given: it rejects non-finite,
-misshaped, out-of-range or unnormalized rows and never renormalizes them.
-Eigenvalues come from LAPACK and partial transposes from
-:func:`~qscramble.quantum.partial_transpose_stack`.
+each sample's statuses into one verdict; all infeasible certifies
+entanglement.  :func:`solve_batch` rejects non-finite, misshaped,
+out-of-range or unnormalized rows and never renormalizes them.
 """
 
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -46,21 +52,19 @@ import numpy as np
 from .errors import DomainError
 from .measurement import (PROB_ENTRY_ATOL, PROB_SUM_ATOL, XX, ZZ, OutcomeDistribution,
                           PermutationPair, ScrambledData, canonical_permutations,
-                          probabilities, scramble, setting)
-from .quantum import (DensityMatrix, _ginibre, derive_seed, maximally_mixed, mix,
-                      partial_transpose_stack)
+                          probabilities, probabilities_stack, scramble, setting)
+from .quantum import DensityMatrix, _ginibre, derive_seed, maximally_mixed, mix
 
 TOL_FEASIBLE = 1e-7
 TOL_INFEASIBLE = 1e-6
-MAX_CYCLES = 20000
-RESTARTS = 8
+MAX_CYCLES = 200
 
-_FEAS_TARGET = 1e-9        # early certificate-grade acceptance
 _CERT_EIG_TOL = 1e-8
-_EVAL_EVERY = 5
-_STALL_WINDOW = 200        # cycles without improvement before a plateau exit
-_STALL_FLOOR = 1e-5        # plateau exits only far above the infeasibility band
-_RESTART_SEED = 0xD14A
+_START_GAP = 0.25          # the first iterate has s = lambda_min(rho_b) - _START_GAP
+_TAU_GROWTH = 8.0          # barrier weight factor per centering
+_CENTERED = 1e-4           # squared Newton decrement that counts as centered
+_FULL_STEP = 0.25          # undamped Newton steps below this squared decrement
+_TAU_MAX = 4e12            # gap 4/tau below every tolerance; larger tau makes H singular
 
 
 class FeasibilityStatus(str, Enum):
@@ -101,109 +105,116 @@ class FeasibilityResult:
 
 
 @lru_cache(maxsize=1)
-def _constraint_frame() -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal Hilbert-Schmidt frame spanning the constraint operators.
+def _lmi_frame() -> tuple[np.ndarray, np.ndarray]:
+    """(base, free): rho_b = I/4 + sum_k p_k base[k] over the eight raw
+    probabilities (XX then ZZ), and the free directions (XZ/4, ZX/4)."""
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    z = np.array([[1.0, 0.0], [0.0, -1.0]])
+    i = np.eye(2)
+    paulis = np.array([np.kron(a, b) for a, b in
+                       ((x, i), (i, x), (x, x), (z, i), (i, z), (z, z))])
+    projs = np.concatenate([setting(XX).projectors, setting(ZZ).projectors]).real
+    base = np.einsum("kab,pba,pcd->kcd", projs, paulis, paulis) / 4.0
+    return base, np.array([np.kron(x, z), np.kron(z, x)]) / 4.0
 
-    Gram-Schmidt over [identity, XX projectors, ZZ projectors] drops the two
-    redundant directions (each setting's probabilities sum to the trace),
-    leaving a 7-element frame; returns (frame, coeff) with
-    frame_j = sum_k coeff[j, k] * op_k so targets transform the same way.
+
+def _base_state(p_xx: np.ndarray, p_zz: np.ndarray) -> np.ndarray:
+    """rho_b of each row pair: trace one, no XZ, ZX or YY coordinate."""
+    p = np.concatenate([p_xx, p_zz], axis=1)
+    return np.eye(4) / 4.0 + (p[:, :, None, None] * _lmi_frame()[0]).sum(axis=1)
+
+
+def _lmi(rho_b: np.ndarray, tol_infeasible: float, max_cycles: int):
+    """Decide A(t) = rho_b + t_1 XZ/4 + t_2 ZX/4 >= 0 for a stack of rho_b.
+
+    Returns (code, a, witness, margin, steps): code is 1 when the primal
+    certificate checked, -1 when the dual one did and 0 when the budget ran
+    out; ``a`` holds the last A(t) and ``witness`` the normalized PSD W of
+    each infeasible row (zero elsewhere); ``margin`` is lambda_min(A(t)) for
+    primal and open rows and Tr(W rho_b) for dual ones; ``steps`` counts
+    Newton steps.
     """
-    ops = [np.eye(4, dtype=complex)]
-    ops += list(setting(XX).projectors)
-    ops += list(setting(ZZ).projectors)
-    frame: list[np.ndarray] = []
-    rows: list[np.ndarray] = []
-    for k, op in enumerate(ops):
-        v = op.astype(complex)
-        row = np.zeros(len(ops))
-        row[k] = 1.0
-        for f, r in zip(frame, rows):
-            c = float(np.real(np.sum(f.conj() * v)))
-            v = v - c * f
-            row = row - c * r
-        norm = math.sqrt(float(np.real(np.sum(v.conj() * v))))
-        if norm > 1e-10:
-            frame.append(v / norm)
-            rows.append(row / norm)
-    return np.array(frame), np.array(rows)
-
-
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
-
-
-def _psd_project(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(_hermitize(m))
-    w = np.maximum(w, 0.0)
-    return np.einsum("...ik,...k,...jk->...ij", v, w, v.conj())
-
-
-def _violation(x: np.ndarray) -> np.ndarray:
-    """max(0, -lambda_min(x), -lambda_min(x^{T_B})) for a stack of iterates."""
-    w1 = np.linalg.eigvalsh(_hermitize(x))[..., 0]
-    w2 = np.linalg.eigvalsh(_hermitize(partial_transpose_stack(x)))[..., 0]
-    return np.maximum(0.0, np.maximum(-w1, -w2))
-
-
-def _affine_project(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    frame, _ = _constraint_frame()
-    inner = np.real(np.einsum("jab,nab->nj", frame.conj(), x))
-    return x + np.einsum("nj,jab->nab", b - inner, frame)
-
-
-def _dykstra(b: np.ndarray, x0: np.ndarray, max_cycles: int):
-    """Run Dykstra cycles for a stack of problems with shared constraints frame.
-
-    Returns (best_violation, best_iterate, cycles_done, early_status) where
-    early_status is +1 for certificate-grade feasible exits, -1 for plateau
-    (infeasible) exits, and 0 when the budget ran out.
-    """
-    n = x0.shape[0]
-    x = _affine_project(x0.astype(complex), b)
-    corr_psd = np.zeros_like(x)
-    corr_ppt = np.zeros_like(x)
-    best_viol = np.full(n, 1e30)
-    best_x = x.copy()
-    last_improve = np.zeros(n, dtype=int)
-    status = np.zeros(n, dtype=int)
-    done_cycle = np.zeros(n, dtype=int)
+    free = _lmi_frame()[1]
+    n = rho_b.shape[0]
+    z = np.zeros((n, 3))  # (t_1, t_2, s)
+    z[:, 2] = np.linalg.eigvalsh(rho_b)[:, 0] - _START_GAP
+    tau = np.zeros(n)
+    code = np.zeros(n, dtype=np.int8)
+    a_out = np.empty_like(rho_b)
+    witness = np.zeros_like(rho_b)
+    margin = np.zeros(n)
+    steps = np.zeros(n, dtype=np.int64)
     active = np.arange(n)
+    while active.size:
+        za = z[active]
+        a = rho_b[active] + (za[:, :2, None, None] * free).sum(axis=1)
+        w, v = np.linalg.eigh(a - za[:, 2, None, None] * np.eye(4))
+        r = 1.0 / w  # the spectrum of G = (A - sI)^{-1}
+        # F_k in the eigenbasis, and Tr(G F_k) for F = (XZ/4, ZX/4)
+        u = np.swapaxes(v, 1, 2)[:, None] @ free @ v[:, None]
+        d = np.diagonal(u, axis1=2, axis2=3)
+        gf = (r[:, None, :] * d).sum(axis=2)
+        trace_g = r.sum(axis=1)
+        lam_min = za[:, 2] + w[:, 0]
+        # Tr(G rho_b) / Tr(G), since V^T (A - sI) V = diag(w); the witness
+        # margin is never below it
+        dual = (4.0 - (za[:, :2] * gf).sum(axis=1)) / trace_g + za[:, 2]
 
-    cycle = 0
-    while cycle < max_cycles and active.size:
-        cycle += 1
-        y = x[active] + corr_psd[active]
-        xn = _psd_project(y)
-        corr_psd[active] = y - xn
-        y = xn + corr_ppt[active]
-        xn = partial_transpose_stack(_psd_project(partial_transpose_stack(y)))
-        corr_ppt[active] = y - xn
-        x[active] = _affine_project(xn, b[active])
+        feasible = lam_min >= -_CERT_EIG_TOL
+        infeasible = np.zeros_like(feasible)
+        maybe = np.nonzero(~feasible & (dual <= -tol_infeasible))[0]
+        if maybe.size:
+            wit = _dual_witness(v[maybe], r[maybe])
+            m = (wit * rho_b[active[maybe]]).sum(axis=(1, 2))
+            hit = m <= -tol_infeasible
+            infeasible[maybe[hit]] = True
+            witness[active[maybe[hit]]] = wit[hit]
+            margin[active[maybe[hit]]] = m[hit]
+        done = feasible | infeasible | (steps[active] >= max_cycles)
+        code[active[done]] = np.where(feasible[done], 1, np.where(infeasible[done], -1, 0))
+        a_out[active[done]] = a[done]
+        margin[active[done & ~infeasible]] = lam_min[done & ~infeasible]
+        go = ~done
+        active = active[go]
+        if not active.size:
+            break
 
-        if cycle % _EVAL_EVERY == 0 or cycle == max_cycles:
-            viol = _violation(x[active])
-            improved = viol < best_viol[active] - np.maximum(1e-12, 1e-6 * best_viol[active])
-            upd = viol < best_viol[active]
-            idx_upd = active[upd]
-            best_viol[idx_upd] = viol[upd]
-            best_x[idx_upd] = x[idx_upd]
-            last_improve[active[improved]] = cycle
+        # gradient of -log det(A - sI) and the Hessian Tr(G F_k G F_l), F_3 = -I
+        r, u, d, trace_g = r[go], u[go], d[go], trace_g[go]
+        g0 = np.concatenate([-gf[go], trace_g[:, None]], axis=1)
+        rr = r[:, :, None] * r[:, None, :]
+        h = np.empty((active.size, 3, 3))
+        h[:, :2, :2] = (rr[:, None, None] * u[:, :, None] * u[:, None, :]).sum(axis=(3, 4))
+        h[:, :2, 2] = h[:, 2, :2] = -((r * r)[:, None, :] * d).sum(axis=2)
+        h[:, 2, 2] = (r * r).sum(axis=1)
+        e_s = np.broadcast_to([0.0, 0.0, 1.0], g0.shape)
+        sol = np.linalg.solve(h, np.stack([g0, e_s], axis=2))
 
-            feas = viol <= _FEAS_TARGET
-            # A plateau far above the infeasibility threshold cannot recover
-            # within any remaining budget at the observed improvement rate,
-            # so the budget-exhaustion verdict is already determined.
-            stall = (cycle - last_improve[active] >= _STALL_WINDOW) \
-                & (best_viol[active] > _STALL_FLOOR)
-            finished = feas | stall
-            if np.any(finished):
-                idx = active[finished]
-                status[idx] = np.where(feas[finished], 1, -1)
-                done_cycle[idx] = cycle
-                active = active[~finished]
-    done_cycle[active] = cycle
-    return best_viol, best_x, done_cycle, status
+        def newton(weight):
+            """Step -H^{-1} g for g = g0 - weight e_s, and its squared decrement."""
+            step = weight[:, None] * sol[:, :, 1] - sol[:, :, 0]
+            return step, -np.einsum("ij,ij->i", g0 - weight[:, None] * e_s, step)
+
+        # the first weight makes the s-component of the gradient vanish
+        weight = np.where(tau[active] == 0.0, trace_g, tau[active])
+        _, dec2 = newton(weight)
+        weight = np.where(dec2 <= _CENTERED, np.minimum(weight * _TAU_GROWTH, _TAU_MAX), weight)
+        tau[active] = weight
+        step, dec2 = newton(weight)
+        alpha = np.where(dec2 > _FULL_STEP, 1.0 / (1.0 + np.sqrt(np.maximum(dec2, 0.0))), 1.0)
+        z[active] += alpha[:, None] * step
+        steps[active] += 1
+    return code, a_out, witness, margin, steps
+
+
+def _dual_witness(v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Normalized PSD W with no XZ or ZX coordinate from G = V diag(r) V^T."""
+    g = (v * (r / r.sum(axis=1, keepdims=True))[:, None, :]) @ np.swapaxes(v, 1, 2)
+    g = 0.5 * (g + np.swapaxes(g, 1, 2))
+    for f in _lmi_frame()[1]:
+        g = g - 4.0 * (g * f).sum(axis=(1, 2))[:, None, None] * f  # Tr(f f) = 1/4
+    g = g + np.maximum(0.0, -np.linalg.eigvalsh(g)[:, 0])[:, None, None] * np.eye(4)
+    return g / np.trace(g, axis1=1, axis2=2)[:, None, None]
 
 
 def _checked_rows(p, name: str) -> np.ndarray:
@@ -225,84 +236,51 @@ def _checked_rows(p, name: str) -> np.ndarray:
 def solve_batch(p_xx: np.ndarray, p_zz: np.ndarray, *,
                 tol_feasible: float = TOL_FEASIBLE,
                 tol_infeasible: float = TOL_INFEASIBLE,
-                max_cycles: int = MAX_CYCLES,
-                restarts: int = RESTARTS):
+                max_cycles: int = MAX_CYCLES):
     """Decide a stack of feasibility problems.
 
     Parameters are target probability rows ``p_xx``, ``p_zz`` of shape (n, 4);
     rows with non-finite entries, entries outside [-1e-9, 1 + 1e-9] or a sum
     off 1 by more than 1e-9 raise :class:`DomainError`.  Rows are solved as
-    given, without renormalization.  Returns (statuses, states, residuals,
-    cycles) with statuses a list of :class:`FeasibilityStatus`, states raw
-    certificate matrices (or None).
+    given, without renormalization.  ``tol_feasible`` bounds the certificate
+    state's row residual, ``tol_infeasible`` is the least witness margin and
+    ``max_cycles`` the Newton-step budget per problem.
+
+    Returns (statuses, states, residuals, cycles): statuses a list of
+    :class:`FeasibilityStatus`; states real certificate matrices for feasible
+    rows and None otherwise; residuals max(0, -lambda_min(A(t))) for feasible
+    and inconclusive rows and the witness margin -Tr(W rho_b) for infeasible
+    ones; cycles the Newton steps taken.
     """
-    _, rows = _constraint_frame()
     p_xx = _checked_rows(p_xx, "p_xx")
     p_zz = _checked_rows(p_zz, "p_zz")
     if p_xx.shape != p_zz.shape:
         raise DomainError(f"p_xx and p_zz shapes differ: {p_xx.shape} vs {p_zz.shape}")
-    n = p_xx.shape[0]
-    raw_targets = np.concatenate([np.ones((n, 1)), p_xx, p_zz], axis=1)
-    b = raw_targets @ rows.T
+    code, a, _, margin, steps = _lmi(_base_state(p_xx, p_zz), tol_infeasible, max_cycles)
 
-    x0 = np.broadcast_to(np.eye(4, dtype=complex) / 4.0, (n, 4, 4)).copy()
-    viol, xbest, cycles, _ = _dykstra(b, x0, max_cycles)
-
-    # escalate inconclusive instances through perturbed restarts; the
-    # perturbation stream is keyed by problem content, not batch position
-    pending = [i for i in range(n)
-               if not (viol[i] <= tol_feasible or viol[i] > tol_infeasible)]
-    attempts = 0
-    while pending and attempts < restarts:
-        attempts += 1
-        pert = np.empty((len(pending), 4, 4), dtype=complex)
-        for j, i in enumerate(pending):
-            key = zlib.crc32(raw_targets[i].tobytes()) ^ _RESTART_SEED
-            g = _ginibre(derive_seed(key, attempts))[0]
-            pert[j] = np.eye(4) / 4.0 + 0.05 * _hermitize(g)
-        v2, x2, c2, _ = _dykstra(b[pending], pert, max_cycles)
-        for j, i in enumerate(pending):
-            cycles[i] += c2[j]
-            if v2[j] < viol[i]:
-                viol[i] = v2[j]
-                xbest[i] = x2[j]
-        pending = [i for i in pending
-                   if not (viol[i] <= tol_feasible or viol[i] > tol_infeasible)]
-
-    statuses: list[FeasibilityStatus] = []
-    states: list[np.ndarray | None] = []
-    candidates = _affine_project(xbest, b)
-    for i in range(n):
-        if viol[i] <= tol_feasible:
-            cert = _certificate(candidates[i])
-            res = _certificate_residual(cert, raw_targets[i])
-            if res <= tol_feasible and _violation(cert[None])[0] <= _CERT_EIG_TOL:
-                statuses.append(FeasibilityStatus.FEASIBLE)
-                states.append(cert)
-            else:
-                statuses.append(FeasibilityStatus.INCONCLUSIVE)
-                states.append(None)
-        elif viol[i] > tol_infeasible:
-            statuses.append(FeasibilityStatus.INFEASIBLE)
-            states.append(None)
-        else:
-            statuses.append(FeasibilityStatus.INCONCLUSIVE)
-            states.append(None)
-    return statuses, states, viol, cycles
+    statuses = [FeasibilityStatus.INCONCLUSIVE] * len(code)
+    states: list[np.ndarray | None] = [None] * len(code)
+    for i in np.nonzero(code == -1)[0]:
+        statuses[i] = FeasibilityStatus.INFEASIBLE
+    hit = np.nonzero(code == 1)[0]
+    if hit.size:
+        certs = _certificate(a[hit])
+        res = np.maximum(np.abs(probabilities_stack(certs, XX) - p_xx[hit]).max(axis=1),
+                         np.abs(probabilities_stack(certs, ZZ) - p_zz[hit]).max(axis=1))
+        for i, cert, ok in zip(hit, certs, res <= tol_feasible):
+            if ok:
+                statuses[i] = FeasibilityStatus.FEASIBLE
+                states[i] = cert
+    residuals = np.where(code == -1, -margin, np.maximum(0.0, -margin))
+    return statuses, states, residuals, steps
 
 
-def _certificate(candidate: np.ndarray) -> np.ndarray:
-    """Clip residual negative eigenvalues and renormalize the trace."""
-    cert = _psd_project(candidate)
-    return cert / np.real(np.trace(cert))
-
-
-def _certificate_residual(cert: np.ndarray, raw_target: np.ndarray) -> float:
-    ops = [np.eye(4, dtype=complex)]
-    ops += list(setting(XX).projectors)
-    ops += list(setting(ZZ).projectors)
-    vals = np.real([np.sum(op.conj() * cert) for op in ops])
-    return float(np.max(np.abs(vals - raw_target)))
+def _certificate(a: np.ndarray) -> np.ndarray:
+    """Clip residual negative eigenvalues of a stack and renormalize the trace."""
+    w, v = np.linalg.eigh(a)
+    clipped = (v * np.maximum(w, 0.0)[:, None, :]) @ np.swapaxes(v, -1, -2)
+    cert = np.where(w[:, :1, None] < 0.0, clipped, a)
+    return cert / np.trace(cert, axis1=1, axis2=2)[:, None, None]
 
 
 def feasible_for_probabilities(problem: FeasibilityProblem) -> FeasibilityResult:

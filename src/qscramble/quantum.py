@@ -8,8 +8,7 @@ Conventions used everywhere in this package:
   the eigenvectors of sigma_y, and ``|0>, |1>`` those of sigma_z.
 
 Eigenvalues come from LAPACK through ``numpy.linalg.eigh``/``eigvalsh``, and
-:func:`partial_transpose_stack` is the package's one partial transpose; the
-feasibility solver applies both to whole stacks of iterates.
+:func:`partial_transpose_stack` is the package's one partial transpose.
 """
 
 from __future__ import annotations

@@ -67,6 +67,12 @@ def test_detect_records_method_errors():
     assert rep.overall == "inconclusive"
 
 
+def test_scan_has_no_inconclusive_sample():
+    # every sample gets a certificate, including the near-boundary sample 2270
+    outcomes = scan_details(4000, 11, False)
+    assert not np.any(outcomes == -1)
+
+
 def test_scan_deterministic():
     s1 = scan(300, 99, False)
     s2 = scan(300, 99, False)

@@ -7,16 +7,41 @@ from qscramble.feasibility import (FeasibilityProblem, FeasibilityStatus, Verdic
                                    oracle_min_violation, scrambled_possibly_separable,
                                    solve_batch, star_convexity_ray)
 from qscramble.measurement import (XX, ZZ, ScrambledData, probabilities,
-                                   probabilities_stack, scramble, scramble_state)
+                                   probabilities_stack, scramble, scramble_state, setting)
 from qscramble.quantum import (DensityMatrix, is_ppt, maximally_mixed, mix,
-                               random_hs_stack, singlet)
+                               partial_transpose_stack, random_hs_stack, singlet)
 
 
-def test_constraint_frame_rank():
-    frame, rows = fz._constraint_frame()
-    assert frame.shape == (7, 4, 4)
-    gram = np.real(np.einsum("iab,jab->ij", frame.conj(), frame))
-    assert np.max(np.abs(gram - np.eye(7))) < 1e-12
+_PLUS, _MINUS = np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([1.0, -1.0]) / np.sqrt(2.0)
+_KETS = (np.array([np.kron(a, b) for a in (_PLUS, _MINUS) for b in (_PLUS, _MINUS)]),
+         np.array([np.kron(a, b) for a in np.eye(2) for b in np.eye(2)]))
+
+
+def certificate_checks(cert, p_xx, p_zz):
+    """The rules of bench/checks.certificate, from numpy alone: trace, PSD and
+    PPT within 1e-8, rows within 1e-7."""
+    m = np.asarray(cert, dtype=complex)
+    pt = m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    rows = [np.real(np.einsum("ka,ab,kb->k", kets, m, kets)) for kets in _KETS]
+    return (abs(np.trace(m).real - 1.0) <= 1e-8
+            and min(np.linalg.eigvalsh(m)[0], np.linalg.eigvalsh(pt)[0]) >= -1e-8
+            and max(np.max(np.abs(rows[0] - p_xx)), np.max(np.abs(rows[1] - p_zz))) <= 1e-7)
+
+
+def test_lmi_reduction_reproduces_rows():
+    states = random_hs_stack(99, 20)
+    pxx = probabilities_stack(states, XX)
+    pzz = probabilities_stack(states, ZZ)
+    rho_b = fz._base_state(pxx, pzz)
+    assert np.max(np.abs(np.trace(rho_b, axis1=1, axis2=2) - 1.0)) <= 1e-15
+    assert np.max(np.abs(probabilities_stack(rho_b, XX) - pxx)) <= 1e-15
+    assert np.max(np.abs(probabilities_stack(rho_b, ZZ) - pzz)) <= 1e-15
+    _, free = fz._lmi_frame()
+    projs = np.concatenate([setting(XX).projectors, setting(ZZ).projectors])
+    assert np.max(np.abs(np.einsum("kab,fba->kf", projs, free))) <= 1e-15
+    t = np.random.default_rng(5).normal(size=(20, 2))
+    a = rho_b + t[:, 0, None, None] * free[0] + t[:, 1, None, None] * free[1]
+    assert np.array_equal(partial_transpose_stack(a), a)
 
 
 def test_uniform_is_feasible():
@@ -126,17 +151,73 @@ def test_oracle_gradient_matches_finite_differences():
         assert abs(fd - grad[k]) < 1e-5 * max(1.0, abs(fd))
 
 
-def test_stall_exit_matches_budget_classification(monkeypatch):
+def test_certificates_check_on_mixed_rows():
     states = random_hs_stack(424242, 25)
     pxx = np.clip(probabilities_stack(states, XX), 0, 1)
     pzz = np.clip(probabilities_stack(states, ZZ), 0, 1)
     # add two instances that are far from feasible
     pxx = np.vstack([pxx, [0, .5, .5, 0], np.array([5, 5, 5, 33]) / 48.0])
     pzz = np.vstack([pzz, [0, .5, .5, 0], np.array([5, 5, 5, 33]) / 48.0])
-    s_fast, _, _, _ = solve_batch(pxx, pzz, max_cycles=5000)
-    monkeypatch.setattr(fz, "_STALL_WINDOW", 10 ** 9)
-    s_slow, _, _, _ = solve_batch(pxx, pzz, max_cycles=5000)
-    assert s_fast == s_slow
+    statuses, certs, _, _ = solve_batch(pxx, pzz)
+    assert FeasibilityStatus.INCONCLUSIVE not in statuses
+    for i, s in enumerate(statuses):
+        if s is FeasibilityStatus.FEASIBLE:
+            assert certificate_checks(certs[i], pxx[i], pzz[i]), i
+    rho_b = fz._base_state(pxx, pzz)
+    code, _, wit, _, _ = fz._lmi(rho_b, fz.TOL_INFEASIBLE, fz.MAX_CYCLES)
+    infeasible = [i for i, s in enumerate(statuses) if s is FeasibilityStatus.INFEASIBLE]
+    assert np.nonzero(code == -1)[0].tolist() == infeasible
+    assert infeasible[-2:] == [25, 26]
+    _, free = fz._lmi_frame()
+    for i in infeasible:
+        w = wit[i]
+        assert np.linalg.eigvalsh(w)[0] >= 0.0
+        assert abs(np.trace(w) - 1.0) <= 1e-15
+        assert np.max(np.abs(np.einsum("fab,ba->f", free, w))) <= 1e-15
+        assert np.sum(w * rho_b[i]) < 0.0
+    oracle = [i for i in range(len(pxx)) if not oracle_feasible(pxx[i], pzz[i])]
+    assert oracle == infeasible
+
+
+def test_wrong_and_missing_verdicts_are_feasible():
+    # near-boundary rows, each reproduced by a positive-definite PPT state
+    states = np.concatenate([random_hs_stack(107, 1, start_index=i) for i in (66, 734, 1772)])
+    pxx = np.clip(probabilities_stack(states, XX), 0, 1)
+    pzz = np.clip(probabilities_stack(states, ZZ), 0, 1)
+    statuses, certs, residuals, _ = solve_batch(pxx, pzz)
+    assert statuses == [FeasibilityStatus.FEASIBLE] * 3
+    for i in range(3):
+        assert certificate_checks(certs[i], pxx[i], pzz[i])
+        assert residuals[i] <= fz._CERT_EIG_TOL
+
+
+def test_verdict_independent_of_batch():
+    states = random_hs_stack(107, 200)
+    pxx = np.clip(probabilities_stack(states, XX), 0, 1)
+    pzz = np.clip(probabilities_stack(states, ZZ), 0, 1)
+    pxx = np.vstack([pxx, [0, .5, .5, 0], [.5, .5, 0, 0]])
+    pzz = np.vstack([pzz, [0, .5, .5, 0], [.5, 0, .5, 0]])
+    statuses, certs, residuals, cycles = solve_batch(pxx, pzz)
+    assert FeasibilityStatus.INFEASIBLE in statuses
+    for i in list(range(0, 200, 3)) + [200, 201]:  # sample 66 and the two fixed rows
+        s, c, r, k = solve_batch(pxx[i:i + 1], pzz[i:i + 1])
+        assert s[0] is statuses[i] and k[0] == cycles[i]
+        assert abs(r[0] - residuals[i]) <= 1e-15
+        if certs[i] is not None:
+            assert np.max(np.abs(c[0] - certs[i])) <= 1e-15
+
+
+def test_rows_between_the_certificates_are_inconclusive():
+    # on the segment from uniform to the singlet labeling, max_t lambda_min(A(t))
+    # is (1 - 2 lam)/4: here -3.5e-8 to -5e-7, below the primal rule's -1e-8
+    # and above the witness margin floor -1e-6, so neither certificate can check
+    gaps = np.array([3.5e-8, 1e-7, 1.5e-7, 5e-7])
+    lam = 0.5 + 2.0 * gaps[:, None]
+    p = (1 - lam) * np.full(4, 0.25) + lam * np.array([0, .5, .5, 0])
+    statuses, states, residuals, cycles = solve_batch(p, p)
+    assert statuses == [FeasibilityStatus.INCONCLUSIVE] * 4 and states == [None] * 4
+    assert np.all(cycles == fz.MAX_CYCLES)
+    assert np.max(np.abs(residuals - gaps)) < 1e-9
 
 
 def test_star_convexity_ray():
