@@ -17,7 +17,6 @@ import numpy as np
 from . import detector, fileio, witness
 from .entropy import EntropySpec, all_states_bound_vec, get_separable_boundary, robustness
 from .errors import QScrambleError
-from .feasibility import MAX_CYCLES, TOL_FEASIBLE, TOL_INFEASIBLE
 from .measurement import XX, ZZ, probabilities, scramble_equivalent, scramble_state
 from .quantum import plus_zero, singlet
 
@@ -67,8 +66,7 @@ def _cmd_detect(args) -> int:
     methods = ("sdp", "witness", "entropy") if args.method == "all" else (args.method,)
     spec_x = _entropy_spec(args.entropy, args.qtilde)
     spec_z = _entropy_spec(args.entropy, args.q)
-    report = detector.detect(inp, methods, spec_x=spec_x, spec_z=spec_z,
-                             tol_feasible=args.tol_feas, tol_infeasible=args.tol_infeas)
+    report = detector.detect(inp, methods, spec_x=spec_x, spec_z=spec_z)
     doc = {"overall": report.overall, "methods": dict(report.methods),
            "evidence": report.evidence}
     text = json.dumps(doc, indent=1, default=_json_default)
@@ -89,9 +87,7 @@ def _json_default(obj):
 
 
 def _cmd_scan(args) -> int:
-    stats = detector.scan(args.samples, args.seed, args.scrambled == "true",
-                          max_cycles=args.max_cycles,
-                          tol_feasible=args.tol_feas, tol_infeasible=args.tol_infeas)
+    stats = detector.scan(args.samples, args.seed, args.scrambled == "true")
     text = json.dumps(stats.as_dict(), indent=1)
     if args.out:
         Path(args.out).write_text(text)
@@ -137,12 +133,7 @@ def _cmd_witness_curve(args) -> int:
 
 
 def _cmd_slice(args) -> int:
-    kwargs = {}
-    if args.tol_feas is not None:
-        kwargs["tol_feasible"] = args.tol_feas
-    if args.tol_infeas is not None:
-        kwargs["tol_infeasible"] = args.tol_infeas
-    points = detector.nonconvex_slice(args.resolution, **kwargs)
+    points = detector.nonconvex_slice(args.resolution)
     out = _open_out(args.out)
     try:
         writer = csv.writer(out)
@@ -168,10 +159,6 @@ def _cmd_verify(args) -> int:
 
 _Q_HELP = "entropy parameter q of the ZZ (vertical) entropy"
 _QTILDE_HELP = "entropy parameter q~ of the XX (horizontal) entropy"
-_TOL_FEAS_HELP = f"largest row residual of a separable certificate state (default {TOL_FEASIBLE:g})"
-_TOL_INFEAS_HELP = (f"least margin -Tr(W rho) a witness needs to prove a problem "
-                    f"infeasible (default {TOL_INFEASIBLE:g})")
-_MAX_CYCLES_HELP = f"Newton-step budget per feasibility problem (default {MAX_CYCLES})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,17 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=2.0, help=_Q_HELP)
     p.add_argument("--qtilde", type=float, default=2.0, help=_QTILDE_HELP)
     p.add_argument("--entropy", choices=["shannon", "tsallis", "renyi"], default="tsallis")
-    p.add_argument("--tol-feas", type=float, default=None, help=_TOL_FEAS_HELP)
-    p.add_argument("--tol-infeas", type=float, default=None, help=_TOL_INFEAS_HELP)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("scan", help="Monte-Carlo detection scan over random states")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scrambled", choices=["true", "false"], default="false")
-    p.add_argument("--max-cycles", type=int, default=None, help=_MAX_CYCLES_HELP)
-    p.add_argument("--tol-feas", type=float, default=None, help=_TOL_FEAS_HELP)
-    p.add_argument("--tol-infeas", type=float, default=None, help=_TOL_INFEAS_HELP)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("entropy-curve", help="emit the two entropy bounds on a grid")
@@ -215,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nonconvex-slice", help="classify the symmetric data slice")
     p.add_argument("--resolution", type=int, default=16)
-    p.add_argument("--tol-feas", type=float, default=None, help=_TOL_FEAS_HELP)
-    p.add_argument("--tol-infeas", type=float, default=None, help=_TOL_INFEAS_HELP)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("robustness", help="maximal detectable white-noise weight")

@@ -30,6 +30,7 @@ from .witness import (correlation_witness_values, scrambled_family_min,  # noqa:
                       tangent_curve)
 
 WITNESS_DETECT_TOL = 1e-8
+_SCAN_CHUNK = 8192  # samples drawn and solved per solve_batch call
 _ALL_METHODS = ("sdp", "witness", "entropy")
 
 
@@ -87,9 +88,7 @@ def _as_scrambled(inp) -> ScrambledData:
 
 def detect(inp, methods: Iterable[str] = _ALL_METHODS, *,
            spec_x: EntropySpec | None = None,
-           spec_z: EntropySpec | None = None,
-           tol_feasible: float | None = None,
-           tol_infeasible: float | None = None) -> DetectionReport:
+           spec_z: EntropySpec | None = None) -> DetectionReport:
     """Run the requested detection methods on a state or its scrambled data."""
     wanted = [m for m in _ALL_METHODS if m in set(methods)]
     unknown = set(methods) - set(_ALL_METHODS)
@@ -104,12 +103,7 @@ def detect(inp, methods: Iterable[str] = _ALL_METHODS, *,
     for method in wanted:
         try:
             if method == "sdp":
-                kwargs = {}
-                if tol_feasible is not None:
-                    kwargs["tol_feasible"] = tol_feasible
-                if tol_infeasible is not None:
-                    kwargs["tol_infeasible"] = tol_infeasible
-                verdict, ev = scrambled_possibly_separable(data, **kwargs)
+                verdict, ev = scrambled_possibly_separable(data)
                 verdicts[method] = verdict.value
                 evidence[method] = {
                     "statuses": [s.value for s in ev.statuses],
@@ -169,46 +163,35 @@ class ScanStats:
                 "seed": self.seed}
 
 
-def scan_details(samples: int, seed: int, scrambled: bool, *,
-                 chunk: int = 8192, max_cycles: int | None = None,
-                 tol_feasible: float | None = None,
-                 tol_infeasible: float | None = None) -> np.ndarray:
+def scan_details(samples: int, seed: int, scrambled: bool) -> np.ndarray:
     """Per-sample scan outcomes: 1 detected, 0 not detected, -1 inconclusive.
 
     Sample ``i`` is ``random_hs_state(derive_seed(seed, i))``; unscrambled
     mode solves the true labeling only (one assignment per sample),
     scrambled mode all 18 canonical assignments of the sorted multisets.
+    Samples are drawn and solved ``_SCAN_CHUNK`` at a time; a sample's
+    outcome does not depend on the chunk it falls in.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
-    kwargs = {}
-    if max_cycles is not None:
-        kwargs["max_cycles"] = max_cycles
-    if tol_feasible is not None:
-        kwargs["tol_feasible"] = tol_feasible
-    if tol_infeasible is not None:
-        kwargs["tol_infeasible"] = tol_infeasible
     k = len(canonical_permutations()) if scrambled else 1
     out = np.zeros(samples, dtype=np.int8)
-    for start in range(0, samples, chunk):
-        count = min(chunk, samples - start)
+    for start in range(0, samples, _SCAN_CHUNK):
+        count = min(_SCAN_CHUNK, samples - start)
         states = random_hs_stack(seed, count, start_index=start)
         pxx = np.clip(probabilities_stack(states, XX), 0.0, 1.0)
         pzz = np.clip(probabilities_stack(states, ZZ), 0.0, 1.0)
         if scrambled:
             pxx, pzz = assignment_rows(np.sort(pxx, axis=1)[:, ::-1],
                                        np.sort(pzz, axis=1)[:, ::-1])
-        statuses, _, _, _ = solve_batch(pxx, pzz, **kwargs)
+        statuses, _, _, _ = solve_batch(pxx, pzz)
         out[start:start + count] = reduce_assignments(statuses, k)
     return out
 
 
-def scan(samples: int, seed: int, scrambled: bool, *, chunk: int = 8192,
-         max_cycles: int | None = None, tol_feasible: float | None = None,
-         tol_infeasible: float | None = None) -> ScanStats:
+def scan(samples: int, seed: int, scrambled: bool) -> ScanStats:
     """Count SDP-detectable Hilbert-Schmidt random states; deterministic per seed."""
-    outcomes = scan_details(samples, seed, scrambled, chunk=chunk, max_cycles=max_cycles,
-                            tol_feasible=tol_feasible, tol_infeasible=tol_infeasible)
+    outcomes = scan_details(samples, seed, scrambled)
     detected = int(np.sum(outcomes == 1))
     inconclusive = int(np.sum(outcomes == -1))
     return ScanStats(
@@ -241,22 +224,22 @@ def _slice_multiset(p_pp: float, p_pm: float) -> np.ndarray | None:
     return np.array([p_pp, p_pm, p_pm, max(p_mm, 0.0)])
 
 
-def _classify_slice_batch(points: list[tuple[float, float]], **kwargs) -> list[bool]:
+def _classify_slice_batch(points: list[tuple[float, float]]) -> list[bool]:
     """possibly_separable flags for symmetric slice points, batched over the
     18 assignments of every point; see :func:`nonconvex_slice` for the policy."""
     m = np.sort([_slice_multiset(p_pp, p_pm) for p_pp, p_pm in points], axis=1)[:, ::-1]
-    statuses, _, _, _ = solve_batch(*assignment_rows(m, m), **kwargs)
+    statuses, _, _, _ = solve_batch(*assignment_rows(m, m))
     return (reduce_assignments(statuses, len(canonical_permutations())) != 1).tolist()
 
 
-def classify_slice_point(p_pp: float, p_pm: float, **kwargs) -> SlicePoint:
+def classify_slice_point(p_pp: float, p_pm: float) -> SlicePoint:
     if _slice_multiset(p_pp, p_pm) is None:
         raise DomainError(f"slice point ({p_pp}, {p_pm}) has negative probabilities")
-    flag = _classify_slice_batch([(p_pp, p_pm)], **kwargs)[0]
+    flag = _classify_slice_batch([(p_pp, p_pm)])[0]
     return SlicePoint(p_pp, p_pm, flag)
 
 
-def nonconvex_slice(resolution: int, *, rays: int = 64, **kwargs) -> list[SlicePoint]:
+def nonconvex_slice(resolution: int, *, rays: int = 64) -> list[SlicePoint]:
     """Classified grid of the symmetric slice plus ray-traced boundary points.
 
     The grid covers the valid triangle p_pp in [0, 1], p_pm in [0, (1-p_pp)/2];
@@ -277,7 +260,7 @@ def nonconvex_slice(resolution: int, *, rays: int = 64, **kwargs) -> list[SliceP
         for p_pm in np.linspace(0.0, 0.5, resolution):
             if _slice_multiset(p_pp, p_pm) is not None:
                 grid_pts.append((float(p_pp), float(p_pm)))
-    flags = _classify_slice_batch(grid_pts, **kwargs)
+    flags = _classify_slice_batch(grid_pts)
     points = [SlicePoint(pp, pm, f) for (pp, pm), f in zip(grid_pts, flags)]
 
     center = np.array([0.25, 0.25])
@@ -300,7 +283,7 @@ def nonconvex_slice(resolution: int, *, rays: int = 64, **kwargs) -> list[SliceP
     for _ in range(depth):
         mid = 0.5 * (lam_lo + lam_hi)
         pts = center + mid[:, None] * dirs
-        flags = _classify_slice_batch([tuple(p) for p in pts], **kwargs)
+        flags = _classify_slice_batch([tuple(p) for p in pts])
         flags = np.array(flags)
         lam_lo = np.where(flags, mid, lam_lo)
         lam_hi = np.where(flags, lam_hi, mid)
@@ -330,7 +313,7 @@ class CounterexampleReport:
         return all(c.passed for c in self.checks)
 
 
-def verify_counterexample(**kwargs) -> CounterexampleReport:
+def verify_counterexample() -> CounterexampleReport:
     """Re-derive the non-convexity construction and check every claim."""
     checks: list[CheckResult] = []
 
@@ -365,7 +348,7 @@ def verify_counterexample(**kwargs) -> CounterexampleReport:
         f"xx={p_x.tolist()}")
 
     d_mix = scramble([OutcomeDistribution(XX, p_x), OutcomeDistribution(ZZ, p_z)])
-    verdict, _ = scrambled_possibly_separable(d_mix, **kwargs)
+    verdict, _ = scrambled_possibly_separable(d_mix)
     add("mixture scrambled data is detected", verdict is Verdict.DETECTED,
         f"verdict={verdict.value}")
 
@@ -377,10 +360,10 @@ def verify_counterexample(**kwargs) -> CounterexampleReport:
             break
     add("a correlation witness refutes every canonical assignment", refuted)
 
-    v1, _ = scrambled_possibly_separable(scramble_state(r1), **kwargs)
+    v1, _ = scrambled_possibly_separable(scramble_state(r1))
     add("rho1 endpoint is possibly separable", v1 is Verdict.POSSIBLY_SEPARABLE,
         f"verdict={v1.value}")
-    v2, _ = scrambled_possibly_separable(d2, **kwargs)
+    v2, _ = scrambled_possibly_separable(d2)
     add("rho2 endpoint is possibly separable", v2 is Verdict.POSSIBLY_SEPARABLE,
         f"verdict={v2.value}")
 

@@ -269,6 +269,7 @@ def _symmetric_theta_for_sxx(s: np.ndarray, spec_x: EntropySpec) -> np.ndarray:
 
 
 _PENALTY = 1e6
+_AGREE = 3  # starts that must reproduce a boundary minimum
 _SEED_KEY = 0x5E9A  # fixed stream for the random starts
 _RANDOM_HIGH = (1.0, math.pi, math.pi, math.pi, math.pi)  # p, then four angles
 
@@ -302,7 +303,7 @@ def _separable_starts(s: np.ndarray, spec_x: EntropySpec, starts: int) -> np.nda
 
 
 def _separable_values(s: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec,
-                      starts: int, agree: int) -> np.ndarray:
+                      starts: int) -> np.ndarray:
     """Separable boundary at every S_xx in ``s`` (inside [0, max]).
 
     The endpoints are exact: an XX eigenstate forces uniform ZZ and vice
@@ -322,7 +323,7 @@ def _separable_values(s: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec,
 
     result = multistart_minimize(
         objective, _separable_starts(target, spec_x, starts),
-        agree=agree, agree_tol=1e-6, label="separable boundary",
+        agree=_AGREE, agree_tol=1e-6, label="separable boundary",
         step=0.15, xtol=1e-10, max_iter=350)
     # report the entropy itself, not the penalized objective
     out[inner] = entropy_nd(_mixture_dists(result.x)[1], spec_z)
@@ -330,7 +331,7 @@ def _separable_values(s: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec,
 
 
 def separable_bound(s_xx: float, spec_x: EntropySpec, spec_z: EntropySpec, *,
-                    starts: int = 64, agree: int = 3) -> float:
+                    starts: int = 64) -> float:
     """Minimal S_zz over separable states at the given S_xx.
 
     Multi-start simplex search over (p, theta_a, theta_b, theta_c, theta_d)
@@ -342,7 +343,7 @@ def separable_bound(s_xx: float, spec_x: EntropySpec, spec_z: EntropySpec, *,
     if not (-1e-12 <= s_xx <= smax + 1e-12):
         raise DomainError(f"S_xx = {s_xx} outside the attainable range [0, {smax!r}]")
     s = min(max(float(s_xx), 0.0), smax)
-    return float(_separable_values(np.array([s]), spec_x, spec_z, starts, agree)[0])
+    return float(_separable_values(np.array([s]), spec_x, spec_z, starts)[0])
 
 
 def separable_bound_closed_form(s_xx: float) -> float:
@@ -377,7 +378,7 @@ def get_separable_boundary(spec_x: EntropySpec, spec_z: EntropySpec,
     smax = max_entropy(spec_x)
     grid = np.linspace(0.0, smax, n)
     return SeparableBoundary(spec_x, spec_z, grid,
-                             _separable_values(grid, spec_x, spec_z, starts, agree=3))
+                             _separable_values(grid, spec_x, spec_z, starts))
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +387,7 @@ def get_separable_boundary(spec_x: EntropySpec, spec_z: EntropySpec,
 
 
 def entropy_detected_stack(pxx: np.ndarray, pzz: np.ndarray,
-                           spec_x: EntropySpec, spec_z: EntropySpec,
-                           margin: float = DETECT_MARGIN) -> np.ndarray:
+                           spec_x: EntropySpec, spec_z: EntropySpec) -> np.ndarray:
     """Entropy-method verdicts for stacks of XX and ZZ probability rows.
 
     A row is detected when its entropy pair lies below the separable boundary
@@ -398,17 +398,16 @@ def entropy_detected_stack(pxx: np.ndarray, pzz: np.ndarray,
     _require_bound_regime(spec_z, "vertical")
     s_x = entropy_nd(np.asarray(pxx, dtype=float), spec_x)
     s_z = entropy_nd(np.asarray(pzz, dtype=float), spec_z)
-    detected = s_z < get_separable_boundary(spec_x, spec_z).value(s_x) - margin
+    detected = s_z < get_separable_boundary(spec_x, spec_z).value(s_x) - DETECT_MARGIN
     if np.all(detected):
         return detected
-    return detected | (s_x < get_separable_boundary(spec_z, spec_x).value(s_z) - margin)
+    return detected | (s_x < get_separable_boundary(spec_z, spec_x).value(s_z) - DETECT_MARGIN)
 
 
-def entropy_detect(d: ScrambledData, spec_x: EntropySpec, spec_z: EntropySpec, *,
-                   margin: float = DETECT_MARGIN) -> bool:
+def entropy_detect(d: ScrambledData, spec_x: EntropySpec, spec_z: EntropySpec) -> bool:
     """True when the entropy pair certifies entanglement of the scrambled data."""
     return bool(entropy_detected_stack(d.multiset(XX)[None], d.multiset(ZZ)[None],
-                                       spec_x, spec_z, margin=margin)[0])
+                                       spec_x, spec_z)[0])
 
 
 _ROBUST_T = 3.0

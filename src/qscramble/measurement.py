@@ -91,15 +91,19 @@ class OutcomeDistribution:
 
 def probabilities(rho: DensityMatrix, s: MeasurementSetting | str) -> OutcomeDistribution:
     """Outcome probabilities p_i = Tr(rho Pi_i) for one setting."""
-    if isinstance(s, str):
-        s = setting(s)
-    p = np.real(np.einsum("kab,ba->k", s.projectors, rho.matrix))
-    return OutcomeDistribution(s.label, p)
+    label = s if isinstance(s, str) else s.label
+    return OutcomeDistribution(label, probabilities_stack(rho.matrix, label))
 
 
 def probabilities_stack(rhos: np.ndarray, label: str) -> np.ndarray:
-    """Raw probabilities (..., 4) of a stack of state matrices, no clamping."""
-    return np.real(np.einsum("kab,...ba->...k", setting(label).projectors, rhos))
+    """Raw probabilities (..., 4) of a stack of state matrices, no clamping.
+
+    Each p_k = Re sum_ab Pi_k[a, b] rho[b, a] is an elementwise product
+    summed over each matrix on its own, so a matrix gets the same bits alone
+    as in any stack (a stacked einsum does not).
+    """
+    terms = setting(label).projectors * np.swapaxes(rhos, -1, -2)[..., None, :, :]
+    return np.real(terms.sum(axis=(-2, -1)))
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,7 @@ def _product_expectation(x: np.ndarray, alpha, beta, gamma) -> np.ndarray:
 
 
 _WITNESS_SEED = 0x3A11CE
+_SEARCH_STARTS = 64  # starts per product-state search
 
 
 def _witness_starts(beta: float, n: int) -> np.ndarray:
@@ -186,7 +187,7 @@ def _witness_starts(beta: float, n: int) -> np.ndarray:
     return np.array(starts)
 
 
-def _min_over_separable_full(alpha, beta: float, gamma, starts: int = 64):
+def _min_over_separable_full(alpha, beta: float, gamma):
     """Multi-start minimum of <W> over product states, one group per entry of
     ``alpha`` and ``gamma`` (scalars or equal-length arrays); every group
     gets the same starts."""
@@ -199,22 +200,21 @@ def _min_over_separable_full(alpha, beta: float, gamma, starts: int = 64):
     def objective(x: np.ndarray) -> np.ndarray:
         return _product_expectation(x, alpha[:, None, None], beta, gamma[:, None, None])
 
-    base = _witness_starts(beta, starts)
+    base = _witness_starts(beta, _SEARCH_STARTS)
     return multistart_minimize(
         objective, np.broadcast_to(base, (alpha.size,) + base.shape),
         agree=3, agree_tol=1e-6, label="separable witness minimum",
         step=0.3, xtol=1e-10, max_iter=500)
 
 
-def min_over_separable(alpha: float, beta: float, gamma: float, *,
-                       starts: int = 64) -> float:
+def min_over_separable(alpha: float, beta: float, gamma: float) -> float:
     """min over pure product states of <W>; >= 0 iff W is a witness.
 
     Full (theta_a, phi_a, theta_b, phi_b) multi-start search.  The known
     optimal-state structures for beta = 0 only seed starting points; the
     search itself explores the whole product manifold.
     """
-    return float(_min_over_separable_full(alpha, beta, gamma, starts=starts).value[0])
+    return float(_min_over_separable_full(alpha, beta, gamma).value[0])
 
 
 def witness_min_eigvec(alpha: float, gamma: float) -> tuple[float, PureState]:
@@ -237,8 +237,7 @@ def witness_min_eigvec(alpha: float, gamma: float) -> tuple[float, PureState]:
 # -- tangency: scale coefficients so the separable minimum is exactly zero --
 
 
-def _tangency_scale(alpha0: float, gamma0: float, beta: float,
-                    starts: int = 64) -> tuple[float, float] | None:
+def _tangency_scale(alpha0: float, gamma0: float, beta: float) -> tuple[float, float] | None:
     """Scale c with min_sep(c alpha0, beta, c gamma0) = 0 for beta != 0, or
     None if impossible."""
     if beta <= -1.0:
@@ -249,7 +248,7 @@ def _tangency_scale(alpha0: float, gamma0: float, beta: float,
     # monotonically once it crosses the root.
     c = 1.0
     for _ in range(40):
-        res = _min_over_separable_full(c * alpha0, beta, c * gamma0, starts=starts)
+        res = _min_over_separable_full(c * alpha0, beta, c * gamma0)
         val = float(res.value[0])
         if abs(val) <= TANGENT_TOL:
             return c * alpha0, c * gamma0
@@ -261,7 +260,7 @@ def _tangency_scale(alpha0: float, gamma0: float, beta: float,
     raise ConvergenceFailure("tangency scaling did not converge for beta != 0")
 
 
-def optimize_params(beta: float, *, num: int = 33, starts: int = 64) -> list[tuple[float, float]]:
+def optimize_params(beta: float, *, num: int = 33) -> list[tuple[float, float]]:
     """Tangent-witness curve: (alpha, gamma) pairs with separable minimum zero.
 
     Directions (-cos w, -sin w) sweep from the pure-alpha to the pure-gamma
@@ -277,14 +276,12 @@ def optimize_params(beta: float, *, num: int = 33, starts: int = 64) -> list[tup
     a0[np.abs(a0) < 1e-15] = 0.0
     g0[np.abs(g0) < 1e-15] = 0.0
     if beta != 0.0:
-        scaled = (_tangency_scale(float(a), float(g), beta, starts=starts)
-                  for a, g in zip(a0, g0))
+        scaled = (_tangency_scale(float(a), float(g), beta) for a, g in zip(a0, g0))
         return [pair for pair in scaled if pair is not None]
     live = a0 != 0.0  # a0 = 0 is the degenerate endpoint, tangent at |00>
     # its linear minimum -1 (the |00> value of -|00><00|) gives scale 1 and (0, -1)
     linear_min = np.full(num, -1.0)
-    linear_min[live] = _min_over_separable_full(a0[live], 0.0, g0[live],
-                                                starts=starts).value - 1.0
+    linear_min[live] = _min_over_separable_full(a0[live], 0.0, g0[live]).value - 1.0
     keep = linear_min < -1e-12
     scale = -1.0 / linear_min[keep]
     return [(float(a), float(g)) for a, g in zip(scale * a0[keep], scale * g0[keep])]

@@ -120,6 +120,17 @@ def test_cli_usage_error():
     assert main(["frobnicate"]) == 2
 
 
+def test_cli_rejects_retired_solver_flags(tmp_path, capsys):
+    # the solver tolerances and step budget are constants, not options
+    path = tmp_path / "state.json"
+    write_state(path, singlet().density())
+    for argv in (["scan", "--max-cycles", "5"],
+                 ["detect", "--in", str(path), "--tol-feas", "1e-3"],
+                 ["nonconvex-slice", "--tol-infeas", "1e-3"]):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_scan_deterministic(tmp_path, capsys):
     out1 = tmp_path / "s1.json"
     out2 = tmp_path / "s2.json"

@@ -240,8 +240,25 @@ def test_problem_validation():
     from qscramble.errors import DomainError
     with pytest.raises(DomainError):
         FeasibilityProblem([0.5, 0.5, 0.5, 0.5], [0.25] * 4)
-    with pytest.raises(DomainError):
-        FeasibilityProblem([0.25] * 4, [0.25] * 4, tol_feasible=1e-5, tol_infeasible=1e-7)
+
+
+@pytest.mark.parametrize("p_xx, p_zz", [
+    ([0.4, 0.3, 0.2, 0.1 + 5e-10], [0.25] * 4),            # feasible
+    ([0.0, 0.5, 0.5, 5e-10], [0.0, 0.5, 0.5, 0.0]),        # infeasible
+])
+def test_problem_solves_the_rows_solve_batch_solves(p_xx, p_zz):
+    # a row sum 1 + 5e-10 is inside the 1e-9 band both entry points accept,
+    # and neither may renormalize it
+    problem = FeasibilityProblem(p_xx, p_zz)
+    assert np.array_equal(problem.p_xx, p_xx) and np.array_equal(problem.p_zz, p_zz)
+    res = feasible_for_probabilities(problem)
+    statuses, states, residuals, _ = solve_batch(np.array([p_xx]), np.array([p_zz]))
+    assert res.status is statuses[0]
+    assert res.residual == residuals[0]
+    if states[0] is None:
+        assert res.witness_state is None
+    else:
+        assert np.array_equal(res.witness_state.matrix, DensityMatrix(states[0]).matrix)
 
 
 def test_assignment_rows_match_apply_permutation(random_states_2k):

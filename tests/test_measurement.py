@@ -7,8 +7,8 @@ from qscramble.errors import DomainError, DuplicateSetting, SettingMismatch
 from qscramble.measurement import (XX, YY, ZZ, OutcomeDistribution, PermutationPair,
                                    ScrambledData, apply_permutation,
                                    canonical_permutations, probabilities,
-                                   relabeling_group, scramble, scramble_equivalent,
-                                   scramble_state, setting)
+                                   probabilities_stack, relabeling_group, scramble,
+                                   scramble_equivalent, scramble_state, setting)
 from qscramble.quantum import (I2, SIGMA_X, SIGMA_Z, DensityMatrix, plus_zero, psi_t,
                                random_hs_stack, singlet)
 
@@ -46,6 +46,18 @@ def test_probability_sums(random_states_2k):
         rho = DensityMatrix(m)
         for label in (XX, YY, ZZ):
             assert abs(probabilities(rho, label).p.sum() - 1.0) < 1e-12
+
+
+def test_probabilities_do_not_depend_on_the_batch():
+    # a state's rows are the same bits alone, in any slice of a stack and
+    # through the single-state path
+    states = random_hs_stack(13, 1000)
+    for label in (XX, YY, ZZ):
+        stack = probabilities_stack(states, label)
+        assert np.array_equal(probabilities_stack(states[5:700], label), stack[5:700])
+        for i in range(0, 1000, 7):
+            assert np.array_equal(probabilities_stack(states[i:i + 1], label)[0], stack[i])
+            assert np.array_equal(probabilities(DensityMatrix(states[i]), label).p, stack[i])
 
 
 def test_outcome_distribution_validation():
