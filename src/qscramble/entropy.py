@@ -317,12 +317,13 @@ def _separable_values(s: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec,
     target = s[inner]
 
     def objective(x: np.ndarray) -> np.ndarray:
+        # x: the five mixture parameters, then the group's target S_xx
         dxx, dzz = _mixture_dists(x)
-        cx = entropy_nd(dxx, spec_x) - target[:, None, None]
+        cx = entropy_nd(dxx, spec_x) - x[..., 5]
         return entropy_nd(dzz, spec_z) + _PENALTY * cx * cx
 
     result = multistart_minimize(
-        objective, _separable_starts(target, spec_x, starts),
+        objective, _separable_starts(target, spec_x, starts), consts=target[:, None],
         agree=_AGREE, agree_tol=1e-6, label="separable boundary",
         step=0.15, xtol=1e-10, max_iter=350)
     # report the entropy itself, not the penalized objective

@@ -40,7 +40,6 @@ _LOCAL_BASES = {
 
 PROB_SUM_ATOL = 1e-9
 PROB_ENTRY_ATOL = 1e-9
-_RENORM_BAND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,6 @@ class OutcomeDistribution:
         if abs(total - 1.0) > PROB_SUM_ATOL:
             raise DomainError(
                 f"probabilities for {self.setting} sum to {total!r}, violating |sum-1| <= 1e-9")
-        if abs(total - 1.0) > _RENORM_BAND:
-            p = p / total
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
@@ -110,9 +107,9 @@ def probabilities_stack(rhos: np.ndarray, label: str) -> np.ndarray:
 class ScrambledData:
     """Per-setting multisets of outcome probabilities, stored sorted descending.
 
-    Each multiset is validated, clipped and renormalized by the same rule as
-    :class:`OutcomeDistribution`, so every assignment of it is a valid
-    distribution as stored.
+    Each multiset is validated and clipped to [0, 1] by the same rule as
+    :class:`OutcomeDistribution` and otherwise stored as given, so its
+    assignments are the rows that the scans decide for the same multisets.
     """
 
     multisets: Mapping[str, np.ndarray]

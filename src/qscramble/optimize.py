@@ -1,18 +1,24 @@
 """Batched derivative-free minimizer used by the boundary and witness searches.
 
-``nelder_mead`` advances a stack of simplices with the textbook rules and
-stable ordering.  The objective maps points (..., k, d) to values (..., k)
-and must be elementwise, so a simplex follows the same path alone as inside
-any batch.  Each call after the first holds one point per simplex: the
-reflection, then the expansion after a new best or else the contraction, and
-the shrink points vertex by vertex when some simplex shrinks.  A simplex that
-meets its own stop test stops moving.  ``multistart_minimize`` raises
+``nelder_mead`` advances a flat batch of simplices with the textbook rules
+and stable ordering, on an active set: each iteration sorts, tests and steps
+only the simplices still moving, and a simplex that meets its own stop test
+is written back once and never evaluated again.  The objective maps points
+(m, k, d) to values (m, k) and must be elementwise, so a simplex follows the
+same path alone as inside any batch.  Constants of a start (a boundary's
+target S_xx, a witness direction) travel with its points as trailing
+columns, points (m, k, d + c), because a call holds only the active points.
+Each call after the first holds one point per active simplex, or per
+simplex that needs it: the reflection, then the expansion after a new best
+or the contraction after a rejected reflection, then the d shrink points of
+every simplex that shrinks, in one call.  ``multistart_minimize`` raises
 ConvergenceFailure unless several starts of each group reproduce its best
 value, since a scattered field of minima signals an unreliable landscape.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,75 +27,102 @@ import numpy as np
 from .errors import ConvergenceFailure
 
 
-def nelder_mead(f: Callable[[np.ndarray], np.ndarray], x0, *, step: float = 0.25,
-                xtol: float = 1e-10, ftol: float = 1e-14, max_iter: int = 600):
+def nelder_mead(f: Callable[[np.ndarray], np.ndarray], x0, *, consts=None,
+                step: float = 0.25, xtol: float = 1e-10, ftol: float = 1e-14,
+                max_iter: int = 600):
     """Minimize ``f`` from every start in ``x0`` of shape (..., d).
 
-    Returns (x_best (..., d), f_best (...)).  A simplex stops when its
+    ``f`` receives points (m, k, d), or (m, k, d + c) with each start's row
+    of ``consts`` (broadcastable to (..., c)) appended.  Returns (x_best
+    (..., d), f_best (...), capped (...)); ``capped`` marks the simplices
+    still moving after ``max_iter`` iterations.  A simplex stops when its
     diameter drops below ``xtol`` or its value spread below ``ftol``.
     """
     x0 = np.asarray(x0, dtype=float)
-    d = x0.shape[-1]
-    simplex = np.repeat(x0[..., None, :], d + 1, axis=-2)
-    simplex[..., np.arange(1, d + 1), np.arange(d)] += step
-    vals = f(simplex)
+    batch, d = x0.shape[:-1], x0.shape[-1]
+    n = math.prod(batch)
+    consts = np.zeros(batch + (0,)) if consts is None else np.asarray(consts, dtype=float)
+    consts = np.broadcast_to(consts, batch + consts.shape[-1:]).reshape(n, -1)
 
+    def evaluate(points, rows):
+        tail = np.broadcast_to(consts[rows, None, :], points.shape[:2] + consts.shape[-1:])
+        return f(np.concatenate([points, tail], axis=-1))
+
+    simplex = np.repeat(x0.reshape(n, 1, d), d + 1, axis=1)
+    simplex[:, np.arange(1, d + 1), np.arange(d)] += step
+    vals = evaluate(simplex, slice(None))
+    # the active set: original rows, and their simplices and values
+    rows, s, v = np.arange(n), simplex, vals
     for _ in range(max_iter):
-        order = np.argsort(vals, axis=-1, kind="stable")
-        simplex = np.take_along_axis(simplex, order[..., None], axis=-2)
-        vals = np.take_along_axis(vals, order, axis=-1)
-        best, worst = simplex[..., :1, :], simplex[..., -1, :]
-        diam = np.max(np.abs(simplex[..., 1:, :] - best), axis=(-2, -1))
-        move = ~((diam < xtol) | (vals[..., -1] - vals[..., 0] < ftol))
-        if not np.any(move):
-            break
-        centroid = np.mean(simplex[..., :-1, :], axis=-2)
+        order = np.argsort(v, axis=1, kind="stable")
+        at = np.arange(rows.size)[:, None]
+        s, v = s[at, order], v[at, order]
+        diam = np.max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2))
+        move = ~((diam < xtol) | (v[:, -1] - v[:, 0] < ftol))
+        if not np.all(move):
+            simplex[rows[~move]], vals[rows[~move]] = s[~move], v[~move]
+            rows, s, v = rows[move], s[move], v[move]
+            if rows.size == 0:
+                break
+        worst = s[:, -1]
+        centroid = np.mean(s[:, :-1], axis=1)
         xr = centroid + (centroid - worst)
-        fr = f(xr[..., None, :])[..., 0]
-        # fr < vals[0] <= vals[-2]: `reflect` also holds where the rules expand
-        reflect = fr < vals[..., -2]
-        expand = fr < vals[..., 0]
-        # the second candidate: the expansion after a new best, else the contraction
-        x2 = np.where(expand[..., None], centroid + 2.0 * (centroid - worst),
-                      centroid + 0.5 * (worst - centroid))
-        f2 = f(x2[..., None, :])[..., 0]
-        take2 = (expand & (f2 < fr)) | (~reflect & (f2 < vals[..., -1]))
-        replace = move & (reflect | take2)
-        shrink = move & ~replace
-        simplex[..., -1, :] = np.where(replace[..., None],
-                                       np.where(take2[..., None], x2, xr), worst)
-        vals[..., -1] = np.where(replace, np.where(take2, f2, fr), vals[..., -1])
-        if np.any(shrink):
-            shrunk = best + 0.5 * (simplex[..., 1:, :] - best)
-            simplex[..., 1:, :] = np.where(shrink[..., None, None], shrunk, simplex[..., 1:, :])
-            # one call per vertex keeps the peak memory at one point per simplex
-            fs = np.concatenate([f(shrunk[..., i:i + 1, :]) for i in range(d)], axis=-1)
-            vals[..., 1:] = np.where(shrink[..., None], fs, vals[..., 1:])
-    best = np.argmin(vals, axis=-1)
-    return (np.take_along_axis(simplex, best[..., None, None], axis=-2)[..., 0, :],
-            np.min(vals, axis=-1))
+        fr = evaluate(xr[:, None], rows)[:, 0]
+        reflect = fr < v[:, -2]
+        # fr < v[0] <= v[-2]: `reflect` also holds where the rules expand
+        expand = fr < v[:, 0]
+        # the second candidate: the expansion after a new best, the contraction
+        # after a rejected reflection, and none for an accepted one
+        j = np.flatnonzero(expand | ~reflect)
+        cj, wj, ej = centroid[j], worst[j], expand[j]
+        s[reflect, -1], v[reflect, -1] = xr[reflect], fr[reflect]
+        if j.size:
+            x2 = np.where(ej[:, None], cj + 2.0 * (cj - wj), cj + 0.5 * (wj - cj))
+            f2 = evaluate(x2[:, None], rows[j])[:, 0]
+            # taken if below the last vertex, which after a new best is the reflection
+            take2 = f2 < v[j, -1]
+            s[j[take2], -1], v[j[take2], -1] = x2[take2], f2[take2]
+            shrink = j[~(ej | take2)]
+            if shrink.size:
+                b = s[shrink, :1]
+                s[shrink, 1:] = b + 0.5 * (s[shrink, 1:] - b)
+                v[shrink, 1:] = evaluate(s[shrink, 1:], rows[shrink])
+    simplex[rows], vals[rows] = s, v
+    capped = np.zeros(n, dtype=bool)
+    capped[rows] = True
+    best = np.argmin(vals, axis=1)
+    return (simplex[np.arange(n), best].reshape(batch + (d,)),
+            vals[np.arange(n), best].reshape(batch), capped.reshape(batch))
 
 
 @dataclass(frozen=True)
 class MultistartResult:
-    """Best point (G, d) and value (G,) of each group, and every start's value (G, S)."""
+    """Best point (G, d) and value (G,) of each group, every start's value
+    (G, S), and each group's number of starts still moving at the iteration
+    cap (G,)."""
 
     x: np.ndarray
     value: np.ndarray
     start_values: np.ndarray
+    capped: np.ndarray
 
 
-def multistart_minimize(f: Callable[[np.ndarray], np.ndarray], starts, *,
+def multistart_minimize(f: Callable[[np.ndarray], np.ndarray], starts, *, consts=None,
                         agree: int = 3, agree_tol: float = 1e-6, label: str = "objective",
                         **nm_kwargs) -> MultistartResult:
     """Run Nelder-Mead from every start of shape (G, S, d); keep each group's best.
 
-    Ties go to the lowest start index.  Raises ConvergenceFailure for the
-    first group in which fewer than ``min(agree, S)`` starts land within
-    ``agree_tol`` of the group's best value.
+    ``consts`` of shape (G, c) are the groups' constants: ``f`` then receives
+    points (m, k, d + c) whose trailing c columns are the constants of the
+    group each point belongs to, and without them points (m, k, d).  Ties go
+    to the lowest start index.  Raises ConvergenceFailure for the first group
+    in which fewer than ``min(agree, S)`` starts land within ``agree_tol`` of
+    the group's best value.
     """
     starts = np.asarray(starts, dtype=float)
-    xs, values = nelder_mead(f, starts, **nm_kwargs)
+    if consts is not None:
+        consts = np.asarray(consts, dtype=float)[:, None, :]
+    xs, values, capped = nelder_mead(f, starts, consts=consts, **nm_kwargs)
     best_x = xs[np.arange(len(xs)), np.argmin(values, axis=1)]
     best_v = np.min(values, axis=1)
     close = np.sum(values - best_v[:, None] <= agree_tol, axis=1)
@@ -99,4 +132,4 @@ def multistart_minimize(f: Callable[[np.ndarray], np.ndarray], starts, *,
         raise ConvergenceFailure(
             f"{label} (group {g}): only {close[g]} of {starts.shape[1]} starts reach "
             f"the minimum {best_v[g]:.6g} within {agree_tol:g}")
-    return MultistartResult(best_x, best_v, values)
+    return MultistartResult(best_x, best_v, values, np.sum(capped, axis=1))

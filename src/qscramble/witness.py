@@ -198,11 +198,13 @@ def _min_over_separable_full(alpha, beta: float, gamma):
             raise DomainError(f"witness coefficient {name} must be finite")
 
     def objective(x: np.ndarray) -> np.ndarray:
-        return _product_expectation(x, alpha[:, None, None], beta, gamma[:, None, None])
+        # x: the four Bloch angles, then the group's alpha and gamma
+        return _product_expectation(x, x[..., 4], beta, x[..., 5])
 
     base = _witness_starts(beta, _SEARCH_STARTS)
     return multistart_minimize(
         objective, np.broadcast_to(base, (alpha.size,) + base.shape),
+        consts=np.stack([alpha, gamma], axis=1),
         agree=3, agree_tol=1e-6, label="separable witness minimum",
         step=0.3, xtol=1e-10, max_iter=500)
 

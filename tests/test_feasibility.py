@@ -261,6 +261,17 @@ def test_problem_solves_the_rows_solve_batch_solves(p_xx, p_zz):
         assert np.array_equal(res.witness_state.matrix, DensityMatrix(states[0]).matrix)
 
 
+def test_scrambled_data_solves_the_rows_the_scans_solve():
+    # a multiset summing to 1 + 5e-10 is stored as given, so the detect path
+    # and the scan path decide the same 18 rows
+    mx, mz = np.array([0.4, 0.3, 0.2, 0.1 + 5e-10]), np.array([0.5, 0.5, 0.0, 0.0])
+    verdict, ev = scrambled_possibly_separable(ScrambledData({XX: mx, ZZ: mz}))
+    statuses, _, residuals, _ = solve_batch(*fz.assignment_rows(mx[None], mz[None]))
+    assert verdict is Verdict.DETECTED
+    assert ev.statuses == tuple(statuses)
+    assert ev.residuals == tuple(float(r) for r in residuals)
+
+
 def test_assignment_rows_match_apply_permutation(random_states_2k):
     from qscramble.measurement import apply_permutation, canonical_permutations
     data = [scramble_state(DensityMatrix(m)) for m in random_states_2k[:3]]

@@ -66,7 +66,7 @@ def test_outcome_distribution_validation():
     with pytest.raises(DomainError):
         OutcomeDistribution(XX, [-1e-6, 0.5, 0.5, 0.0])  # entry below tolerance
     d = OutcomeDistribution(XX, [0.25 + 2e-10, 0.25, 0.25, 0.25])
-    assert abs(d.p.sum() - 1.0) < 1e-12  # renormalized inside the band
+    assert np.array_equal(d.p, [0.25 + 2e-10, 0.25, 0.25, 0.25])  # stored as given
     d = OutcomeDistribution(ZZ, [-1e-10, 0.5, 0.5, 1e-10])
     assert d.p[0] == 0.0  # clamped
 

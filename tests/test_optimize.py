@@ -6,13 +6,10 @@ from qscramble.errors import ConvergenceFailure
 from qscramble.optimize import multistart_minimize, nelder_mead
 
 
-def _rosenbrock(shift: np.ndarray):
-    """Elementwise Rosenbrock objectives, one minimum (shift, shift^2) per group."""
-    s = np.asarray(shift, dtype=float)[:, None, None]
-
-    def f(x):
-        return (s - x[..., 0]) ** 2 + 100.0 * (x[..., 1] - x[..., 0] ** 2) ** 2
-    return f
+def _rosenbrock(x):
+    """Elementwise Rosenbrock objective with its minimum at (shift, shift^2);
+    the group's shift is the trailing column of ``x``."""
+    return (x[..., 2] - x[..., 0]) ** 2 + 100.0 * (x[..., 1] - x[..., 0] ** 2) ** 2
 
 
 def _scalar_nelder_mead(f, x0, *, step, xtol, ftol, max_iter):
@@ -63,7 +60,7 @@ def test_batched_search_reproduces_scalar_reference(max_iter):
         return (0.3 - x[..., 0]) ** 2 + 5.0 * (x[..., 1] - x[..., 0] ** 2) ** 2 + x[..., 2] ** 4
     starts = np.random.default_rng(7).uniform(-2.0, 2.0, size=(3, 8, 3))
     kwargs = dict(step=0.25, xtol=1e-10, ftol=1e-14, max_iter=max_iter)
-    xs, values = nelder_mead(f, starts, **kwargs)
+    xs, values, _ = nelder_mead(f, starts, **kwargs)
     for g in range(3):
         for k in range(8):
             x, v = _scalar_nelder_mead(f, starts[g, k], **kwargs)
@@ -75,17 +72,20 @@ def test_convex_quadratic_over_groups():
     centers = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5], [-3.0, 0.25, 2.0]])
 
     def f(x):
-        return np.sum((x - centers[:, None, None, :]) ** 2, axis=-1)
+        # three coordinates, then the group's center
+        return np.sum((x[..., :3] - x[..., 3:]) ** 2, axis=-1)
     starts = np.random.default_rng(0).uniform(-4.0, 4.0, size=(3, 5, 3))
-    res = multistart_minimize(f, starts, xtol=1e-12, ftol=1e-20, max_iter=2000)
+    res = multistart_minimize(f, starts, consts=centers, xtol=1e-12, ftol=1e-20,
+                              max_iter=2000)
     assert res.x.shape == (3, 3) and res.value.shape == (3,)
     assert res.start_values.shape == (3, 5)
+    assert np.array_equal(res.capped, [0, 0, 0])
     assert np.allclose(res.x, centers, atol=1e-9)
     assert np.all(res.value < 1e-16)
     # a single start needs no batch axes
-    x, v = nelder_mead(lambda p: np.sum((p - 1.0) ** 2, axis=-1), np.zeros(2),
-                       xtol=1e-12, ftol=1e-20, max_iter=2000)
-    assert x.shape == (2,) and np.ndim(v) == 0
+    x, v, capped = nelder_mead(lambda p: np.sum((p - 1.0) ** 2, axis=-1), np.zeros(2),
+                               xtol=1e-12, ftol=1e-20, max_iter=2000)
+    assert x.shape == (2,) and np.ndim(v) == 0 and not capped
     assert np.allclose(x, 1.0, atol=1e-9)
 
 
@@ -108,9 +108,10 @@ def test_separate_basins_raise_convergence_failure():
 def test_group_alone_equals_group_in_batch():
     shifts = np.array([0.5, 1.0, -0.7, 2.0])
     starts = np.random.default_rng(3).uniform(-2.0, 2.0, size=(4, 6, 2))
-    batch = multistart_minimize(_rosenbrock(shifts), starts, agree=1, max_iter=300)
+    batch = multistart_minimize(_rosenbrock, starts, consts=shifts[:, None], agree=1,
+                                max_iter=300)
     for g in range(4):
-        alone = multistart_minimize(_rosenbrock(shifts[g:g + 1]), starts[g:g + 1],
+        alone = multistart_minimize(_rosenbrock, starts[g:g + 1], consts=shifts[g:g + 1, None],
                                     agree=1, max_iter=300)
         assert np.array_equal(alone.x[0], batch.x[g])
         assert alone.value[0] == batch.value[g]
@@ -121,3 +122,43 @@ def test_separable_point_alone_equals_grid_point(boundary_22, tsallis2):
     for k in (1, 30, 60, 95):
         s = float(boundary_22.grid[k])
         assert separable_bound(s, tsallis2, tsallis2, starts=24) == boundary_22.values[k]
+
+
+@pytest.mark.parametrize("max_iter", [40, 400])
+def test_only_moving_simplices_are_evaluated(max_iter):
+    # f receives exactly the points the scalar reference evaluates, its d + 1
+    # first vertices included: none of a stopped simplex, no second point
+    # after an accepted reflection, and shrink points only where a simplex shrinks
+    shifts = np.array([0.5, 1.0, -0.7])
+    starts = np.random.default_rng(5).uniform(-2.0, 2.0, size=(3, 6, 2))
+    kwargs = dict(step=0.25, xtol=1e-10, ftol=1e-14, max_iter=max_iter)
+    shapes = []
+
+    def counted(x):
+        shapes.append(x.shape)
+        return _rosenbrock(x)
+    res = multistart_minimize(counted, starts, consts=shifts[:, None], agree=1, **kwargs)
+    expected = 0
+    for g in range(3):
+        for k in range(6):
+            calls = []
+
+            def scalar(x):
+                # one (1, 1, 3) point: numpy scalars may square differently from arrays
+                calls.append(x)
+                return _rosenbrock(np.append(x, shifts[g])[None, None])[0, 0]
+            _, v = _scalar_nelder_mead(scalar, starts[g, k], **kwargs)
+            assert res.start_values[g, k] == v
+            expected += len(calls)
+    assert sum(m * k for m, k, _ in shapes) == expected
+    assert any(k == 2 for _, k, _ in shapes)  # some simplex shrank
+
+
+def test_capped_counts_the_starts_still_moving():
+    shifts = np.array([0.5, 1.0, -0.7, 2.0])
+    starts = np.random.default_rng(3).uniform(-2.0, 2.0, size=(4, 6, 2))
+    # 40 iterations stop no Rosenbrock simplex; 2 000 let every one converge
+    for max_iter, capped in ((40, 6), (2000, 0)):
+        res = multistart_minimize(_rosenbrock, starts, consts=shifts[:, None], agree=1,
+                                  max_iter=max_iter)
+        assert np.array_equal(res.capped, [capped] * 4)
