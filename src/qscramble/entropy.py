@@ -25,7 +25,7 @@ from scipy.special import logsumexp
 from .errors import ConvergenceFailure, DomainError
 from .measurement import XX, ZZ, OutcomeDistribution, ScrambledData
 from .optimize import multistart_minimize
-from .quantum import derive_seed
+from .quantum import _derive_keys, _uniforms
 
 SHANNON = "shannon"
 TSALLIS = "tsallis"
@@ -271,7 +271,7 @@ def _symmetric_theta_for_sxx(s: np.ndarray, spec_x: EntropySpec) -> np.ndarray:
 _PENALTY = 1e6
 _AGREE = 3  # starts that must reproduce a boundary minimum
 _SEED_KEY = 0x5E9A  # fixed stream for the random starts
-_RANDOM_HIGH = (1.0, math.pi, math.pi, math.pi, math.pi)  # p, then four angles
+_RANDOM_HIGH = np.array([1.0, math.pi, math.pi, math.pi, math.pi])  # p, then four angles
 
 
 def _separable_starts(s: np.ndarray, spec_x: EntropySpec, starts: int) -> np.ndarray:
@@ -296,10 +296,11 @@ def _separable_starts(s: np.ndarray, spec_x: EntropySpec, starts: int) -> np.nda
     ]
     structured = np.stack([np.stack([np.broadcast_to(v, th.shape) for v in row], axis=-1)
                            for row in rows], axis=1)
-    random = np.stack([
-        np.random.Generator(np.random.Philox(key=derive_seed(_SEED_KEY, int(v * 1e9) & 0xFFFF)))
-        .uniform(0.0, _RANDOM_HIGH, size=(max(starts - len(rows), 4), 5)) for v in s])
-    return np.concatenate([structured, random], axis=1)
+    m = max(starts - len(rows), 4)
+    index = (s * 1e9).astype(np.int64).astype(np.uint64) & np.uint64(0xFFFF)
+    u = _uniforms(_derive_keys(_SEED_KEY, index), 5 * m).reshape(len(s), m, 5)
+    # what Generator.uniform(0.0, high) draws: low + (high - low) * u
+    return np.concatenate([structured, 0.0 + _RANDOM_HIGH * u], axis=1)
 
 
 def _separable_values(s: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec,

@@ -226,11 +226,67 @@ def plus_zero() -> PureState:
 # ---------------------------------------------------------------------------
 # Random states distributed by the Hilbert-Schmidt measure.
 #
-# Philox is counter-based, so distinct seeds give independent streams and
-# parallel scans can derive one stream per sample index.  Gaussians are
-# produced by an explicit Box-Muller transform to keep the mapping from seed
-# to state fully pinned down.
+# Sample i of a scan is keyed by the SplitMix64 hash of (seed, i) and draws
+# its 32 doubles from a Philox4x64-10 stream under that key (Salmon et al.,
+# "Parallel random numbers: as easy as 1, 2, 3", SC 2011).  Philox is
+# counter-based, so distinct keys give independent streams and every sample
+# of a stack is computed at once: the rounds run in numpy on (keys, counters)
+# arrays, word for word the stream ``np.random.Philox(key=k)`` yields, and
+# the doubles are those ``Generator.random`` makes of it.  Gaussians come
+# from an explicit Box-Muller transform, so the map from seed to state is
+# pinned down bit for bit.
+#
+# Every operand in the hashing and the rounds is an explicit np.uint64:
+# numpy < 2 promotes a uint64 scalar mixed with a Python int to float64,
+# which would drop key bits silently.
 # ---------------------------------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+_M32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products m * x, the high word
+    summed from 32-bit halves (Warren, "Hacker's Delight", mulhu)."""
+    m_lo, m_hi = m & _M32, m >> _S32
+    x_lo, x_hi = x & _M32, x >> _S32
+    t = m_hi * x_lo + ((m_lo * x_lo) >> _S32)
+    w = m_lo * x_hi + (t & _M32)
+    return m_hi * x_hi + (t >> _S32) + (w >> _S32), m * x
+
+
+def _philox4x64(keys: np.ndarray, blocks: int) -> np.ndarray:
+    """The first ``4 * blocks`` words of ``np.random.Philox(key=k)`` for every
+    k in the uint64 array ``keys``; shape (len(keys), 4 * blocks).
+
+    Block b is Philox4x64-10 of the counter (b, 0, 0, 0) under the key (k, 0),
+    b = 1 .. blocks: the generator increments its counter before each block.
+    Words that depend only on the key or only on the counter keep a
+    broadcastable shape until the rounds mix them.
+    """
+    k0, k1 = keys[:, None], np.zeros((1, 1), dtype=np.uint64)
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    c1 = c2 = c3 = k1
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1) \
+             .reshape(len(keys), 4 * blocks)
+
+
+def _uniforms(keys, count: int) -> np.ndarray:
+    """The first ``count`` doubles ``Generator(Philox(key=k)).random()`` draws,
+    for every key k (an int in [0, 2^64) or a uint64 array);
+    shape (number of keys, count)."""
+    keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
+    raw = _philox4x64(keys, -(-count // 4))[:, :count]
+    return (raw >> np.uint64(11)) * 2.0 ** -53
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,41 +295,52 @@ def _box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return r * np.cos(ang), r * np.sin(ang)
 
 
-def _ginibre(seed: int, count: int = 1) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=seed & ((1 << 64) - 1)))
-    u = gen.random((count, 2, 16))
-    za, zb = _box_muller(u[:, 0, :], u[:, 1, :])
-    g = (za + 1j * zb).reshape(count, 4, 4)
-    return g
+def _ginibre(keys) -> np.ndarray:
+    """Complex Ginibre matrices, one per Philox key (as in :func:`_uniforms`);
+    shape (number of keys, 4, 4)."""
+    u = _uniforms(keys, 32)
+    za, zb = _box_muller(u[:, :16], u[:, 16:])
+    return (za + 1j * zb).reshape(-1, 4, 4)
+
+
+def _hs_matrices(keys) -> np.ndarray:
+    """G G^dag / Tr(G G^dag) for the Ginibre matrix G of every key."""
+    g = _ginibre(keys)
+    s = g @ g.conj().swapaxes(-1, -2)
+    return s / np.trace(s, axis1=-2, axis2=-1).real[:, None, None]
 
 
 def random_hs_state(seed: int) -> DensityMatrix:
     """Draw rho = G G^dag / Tr(G G^dag) with G a complex Ginibre matrix.
 
     The map from ``seed`` to the state is deterministic and bit-stable:
-    a Philox stream keyed by the seed feeds a Box-Muller transform.
+    a Philox stream keyed by ``seed`` modulo 2^64 feeds a Box-Muller
+    transform.
     """
-    g = _ginibre(int(seed))[0]
-    s = g @ g.conj().T
-    return DensityMatrix(s / np.trace(s).real)
+    return DensityMatrix(_hs_matrices(int(seed) & _MASK64)[0])
 
 
 def derive_seed(seed: int, index: int) -> int:
     """SplitMix64-style per-index seed derivation for scan streams."""
-    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & ((1 << 64) - 1)
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & ((1 << 64) - 1)
+    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _derive_keys(seed: int, index: np.ndarray) -> np.ndarray:
+    """``derive_seed(seed, i)`` for every i in the uint64 array ``index``."""
+    z = np.uint64(seed & _MASK64) + (index + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def random_hs_stack(seed: int, count: int, start_index: int = 0) -> np.ndarray:
     """Stack of ``count`` Hilbert-Schmidt random states as raw matrices.
 
-    Sample ``i`` equals ``random_hs_state(derive_seed(seed, start_index + i))``.
+    Sample ``i`` equals ``random_hs_state(derive_seed(seed, start_index + i))``;
+    all of them are drawn in one pass.
     """
-    out = np.empty((count, 4, 4), dtype=complex)
-    for i in range(count):
-        g = _ginibre(derive_seed(seed, start_index + i))[0]
-        s = g @ g.conj().T
-        out[i] = s / np.trace(s).real
-    return out
+    index = np.arange(count, dtype=np.uint64) + np.uint64(start_index & _MASK64)
+    return _hs_matrices(_derive_keys(seed, index))

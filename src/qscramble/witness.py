@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConvergenceFailure, DomainError, MissingSetting
 from .measurement import XX, YY, ZZ, OutcomeDistribution, ScrambledData, setting
 from .optimize import multistart_minimize
-from .quantum import PureState
+from .quantum import PureState, _uniforms
 
 TANGENT_TOL = 1e-8
 REGIME_RATIO = -3.0 - 2.0 * math.sqrt(2.0)  # gamma/alpha at the optimal-state crossover
@@ -163,6 +163,7 @@ def _product_expectation(x: np.ndarray, alpha, beta, gamma) -> np.ndarray:
 
 
 _WITNESS_SEED = 0x3A11CE
+_WITNESS_HIGH = np.array([math.pi, 2.0 * math.pi, math.pi, 2.0 * math.pi])
 _SEARCH_STARTS = 64  # starts per product-state search
 
 
@@ -178,13 +179,10 @@ def _witness_starts(beta: float, n: int) -> np.ndarray:
     if beta != 0.0:
         for th in np.linspace(0.1, math.pi - 0.1, 5):
             starts.append(np.array([th, 0.5 * math.pi, th, 0.5 * math.pi]))
-    gen = np.random.Generator(np.random.Philox(key=_WITNESS_SEED))
-    for _ in range(max(n - len(starts), 4)):
-        starts.append(np.array([
-            gen.uniform(0.0, math.pi), gen.uniform(0.0, 2.0 * math.pi),
-            gen.uniform(0.0, math.pi), gen.uniform(0.0, 2.0 * math.pi),
-        ]))
-    return np.array(starts)
+    m = max(n - len(starts), 4)
+    u = _uniforms(_WITNESS_SEED, 4 * m).reshape(m, 4)
+    # what Generator.uniform(0.0, high) draws: low + (high - low) * u
+    return np.concatenate([np.array(starts), 0.0 + _WITNESS_HIGH * u])
 
 
 def _min_over_separable_full(alpha, beta: float, gamma):

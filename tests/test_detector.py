@@ -88,6 +88,17 @@ def test_scan_scrambled_mode_runs():
     assert 0 <= stats.detected_scrambled <= 2  # rate ~2e-5, essentially zero
 
 
+@pytest.mark.parametrize("scrambled", [False, True])
+def test_scan_details_do_not_depend_on_the_chunk(monkeypatch, scrambled):
+    # seed 2 has unscrambled detections at samples 6, 40 and 44, which fall
+    # at and inside chunk edges when a chunk holds 7 samples
+    whole = scan_details(50, 2, scrambled)
+    monkeypatch.setattr(det, "_SCAN_CHUNK", 7)
+    assert np.array_equal(scan_details(50, 2, scrambled), whole)
+    if not scrambled:
+        assert np.flatnonzero(whole == 1).tolist() == [6, 40, 44]
+
+
 def test_scan_details_consistent_with_scan():
     out = scan_details(300, 99, False)
     stats = scan(300, 99, False)

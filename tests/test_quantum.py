@@ -5,6 +5,7 @@ import pytest
 
 from qscramble.errors import DomainError, InvalidState, NotHermitian
 from qscramble.quantum import (DensityMatrix, ProductStateParams, PureState,
+                               _derive_keys, _philox4x64, _uniforms, derive_seed,
                                eig_hermitian, is_ppt, maximally_mixed,
                                min_eigval_stack, mix, partial_transpose, phi_plus,
                                plus_zero, product_state, psi_t, random_hs_stack,
@@ -98,6 +99,65 @@ def test_random_hs_state_invariants_bulk():
     traces = np.trace(states, axis1=1, axis2=2)
     assert np.max(np.abs(traces - 1.0)) < 1e-9
     assert float(np.min(min_eigval_stack(states))) > -1e-9
+
+
+def test_philox_kernel_matches_numpy():
+    keys = [0, 1, 2**63, 2**64 - 1]
+    keys += [int(k) for k in _derive_keys(2024, np.arange(1000, dtype=np.uint64))]
+    raw = _philox4x64(np.array(keys, dtype=np.uint64), 8)
+    for k, words in zip(keys, raw):
+        assert np.array_equal(words, np.random.Philox(key=k).random_raw(32))
+    # fewer blocks give a prefix of the same stream
+    assert np.array_equal(_philox4x64(np.array([5], dtype=np.uint64), 3)[0],
+                          np.random.Philox(key=5).random_raw(12))
+
+
+def test_uniforms_match_numpy_generator():
+    high = np.array([1.0, math.pi, 2.0 * math.pi])
+    for k in (0, 7, 2**64 - 1):
+        gen = np.random.Generator(np.random.Philox(key=k))
+        assert np.array_equal(_uniforms(k, 30)[0], gen.random(30))
+        # the formula Generator.uniform(0, high) applies to the same doubles
+        u = _uniforms(k, 30 + 12)[0, 30:].reshape(4, 3)
+        assert np.array_equal(0.0 + high * u, gen.uniform(0.0, high, size=(4, 3)))
+
+
+def test_derive_keys_match_scalar_at_the_wrap():
+    seed, start = 2**64 - 1, 2**40
+    keys = _derive_keys(seed, np.arange(64, dtype=np.uint64) + np.uint64(start))
+    assert [int(k) for k in keys] == [derive_seed(seed, start + i) for i in range(64)]
+    keys = _derive_keys(-3, np.array([0, 2**64 - 1], dtype=np.uint64))
+    assert [int(k) for k in keys] == [derive_seed(-3, 0), derive_seed(-3, 2**64 - 1)]
+
+
+@pytest.mark.parametrize("seed, start", [(107, 0), (1, 0), (11, 2270)])
+def test_random_hs_stack_sample_is_the_single_state(seed, start):
+    states = random_hs_stack(seed, 200, start_index=start)
+    for i, m in enumerate(states):
+        assert np.array_equal(m, random_hs_state(derive_seed(seed, start + i)).matrix)
+
+
+def _generator_hs_state(key: int) -> np.ndarray:
+    # the per-sample reference: one numpy Philox generator per state
+    u = np.random.Generator(np.random.Philox(key=key)).random((2, 16))
+    r = np.sqrt(-2.0 * np.log1p(-u[0]))
+    ang = 2.0 * math.pi * u[1]
+    g = (r * np.cos(ang) + 1j * (r * np.sin(ang))).reshape(4, 4)
+    s = g @ g.conj().T
+    return s / np.trace(s).real
+
+
+def test_random_hs_stack_matches_per_sample_generators():
+    for seed, start in ((107, 0), (314159265, 5000)):
+        states = random_hs_stack(seed, 100, start_index=start)
+        for i, m in enumerate(states):
+            assert np.array_equal(m, _generator_hs_state(derive_seed(seed, start + i)))
+
+
+def test_random_hs_stack_does_not_depend_on_the_batch():
+    whole = random_hs_stack(31, 300)
+    for a, b in ((0, 1), (0, 300), (17, 18), (99, 256), (250, 300)):
+        assert np.array_equal(whole[a:b], random_hs_stack(31, b - a, start_index=a))
 
 
 def test_psi_t_values():
