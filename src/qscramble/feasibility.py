@@ -24,7 +24,10 @@ one of two certificates checks:
 
 * feasible: lambda_min(A(t)) >= -1e-8.  A(t), clipped to PSD and
   renormalized, is its own partial transpose and must reproduce the rows
-  within ``TOL_FEASIBLE`` (1e-7);
+  within ``TOL_FEASIBLE`` (1e-7).  At t = 0 this is rho_b itself: the
+  eigenvalues that place the first iterate already decide it, so a row
+  whose rho_b passes is certified before any Newton step, and zero steps
+  means exactly that (95-98 % of the rows of the fixed-seed scans);
 * infeasible: W = (A(t) - sI)^{-1}, with its XZ and ZX parts projected out,
   shifted to PSD and trace-normalized, has Tr(W rho_b) <= -``TOL_INFEASIBLE``
   = -1e-6.  Tr(W A(t)) = Tr(W rho_b) for every t, and (W + W^{T_B})/2 is a
@@ -127,7 +130,7 @@ def _base_state(p_xx: np.ndarray, p_zz: np.ndarray) -> np.ndarray:
     return np.eye(4) / 4.0 + (p[:, :, None, None] * _lmi_frame()[0]).sum(axis=1)
 
 
-def _lmi(rho_b: np.ndarray, tol_infeasible: float, max_cycles: int):
+def _lmi(rho_b: np.ndarray):
     """Decide A(t) = rho_b + t_1 XZ/4 + t_2 ZX/4 >= 0 for a stack of rho_b.
 
     Returns (code, a, witness, margin, steps): code is 1 when the primal
@@ -135,19 +138,25 @@ def _lmi(rho_b: np.ndarray, tol_infeasible: float, max_cycles: int):
     out; ``a`` holds the last A(t) and ``witness`` the normalized PSD W of
     each infeasible row (zero elsewhere); ``margin`` is lambda_min(A(t)) for
     primal and open rows and Tr(W rho_b) for dual ones; ``steps`` counts
-    Newton steps.
+    Newton steps.  A row whose rho_b passes the primal rule is decided by the
+    eigenvalues that place the start, with A = rho_b and no Newton step.
     """
     free = _lmi_frame()[1]
     n = rho_b.shape[0]
+    lam0 = np.linalg.eigvalsh(rho_b)[:, 0]
     z = np.zeros((n, 3))  # (t_1, t_2, s)
-    z[:, 2] = np.linalg.eigvalsh(rho_b)[:, 0] - _START_GAP
+    z[:, 2] = lam0 - _START_GAP
     tau = np.zeros(n)
     code = np.zeros(n, dtype=np.int8)
     a_out = np.empty_like(rho_b)
     witness = np.zeros_like(rho_b)
     margin = np.zeros(n)
     steps = np.zeros(n, dtype=np.int64)
-    active = np.arange(n)
+    psd = lam0 >= -_CERT_EIG_TOL
+    code[psd] = 1
+    a_out[psd] = rho_b[psd]
+    margin[psd] = lam0[psd]
+    active = np.nonzero(~psd)[0]
     while active.size:
         za = z[active]
         a = rho_b[active] + (za[:, :2, None, None] * free).sum(axis=1)
@@ -165,15 +174,15 @@ def _lmi(rho_b: np.ndarray, tol_infeasible: float, max_cycles: int):
 
         feasible = lam_min >= -_CERT_EIG_TOL
         infeasible = np.zeros_like(feasible)
-        maybe = np.nonzero(~feasible & (dual <= -tol_infeasible))[0]
+        maybe = np.nonzero(~feasible & (dual <= -TOL_INFEASIBLE))[0]
         if maybe.size:
             wit = _dual_witness(v[maybe], r[maybe])
             m = (wit * rho_b[active[maybe]]).sum(axis=(1, 2))
-            hit = m <= -tol_infeasible
+            hit = m <= -TOL_INFEASIBLE
             infeasible[maybe[hit]] = True
             witness[active[maybe[hit]]] = wit[hit]
             margin[active[maybe[hit]]] = m[hit]
-        done = feasible | infeasible | (steps[active] >= max_cycles)
+        done = feasible | infeasible | (steps[active] >= MAX_CYCLES)
         code[active[done]] = np.where(feasible[done], 1, np.where(infeasible[done], -1, 0))
         a_out[active[done]] = a[done]
         margin[active[done & ~infeasible]] = lam_min[done & ~infeasible]
@@ -251,13 +260,14 @@ def solve_batch(p_xx: np.ndarray, p_zz: np.ndarray):
     :class:`FeasibilityStatus`; states real certificate matrices for feasible
     rows and None otherwise; residuals max(0, -lambda_min(A(t))) for feasible
     and inconclusive rows and the witness margin -Tr(W rho_b) for infeasible
-    ones; cycles the Newton steps taken.
+    ones; cycles the Newton steps taken, zero exactly for the rows whose
+    rho_b is PSD within 1e-8 and so is its own certificate.
     """
     p_xx = _checked_rows(p_xx, "p_xx")
     p_zz = _checked_rows(p_zz, "p_zz")
     if p_xx.shape != p_zz.shape:
         raise DomainError(f"p_xx and p_zz shapes differ: {p_xx.shape} vs {p_zz.shape}")
-    code, a, _, margin, steps = _lmi(_base_state(p_xx, p_zz), TOL_INFEASIBLE, MAX_CYCLES)
+    code, a, _, margin, steps = _lmi(_base_state(p_xx, p_zz))
 
     statuses = [FeasibilityStatus.INCONCLUSIVE] * len(code)
     states: list[np.ndarray | None] = [None] * len(code)
@@ -265,7 +275,7 @@ def solve_batch(p_xx: np.ndarray, p_zz: np.ndarray):
         statuses[i] = FeasibilityStatus.INFEASIBLE
     hit = np.nonzero(code == 1)[0]
     if hit.size:
-        certs = _certificate(a[hit])
+        certs = _certificate(a[hit], margin[hit])
         res = np.maximum(np.abs(probabilities_stack(certs, XX) - p_xx[hit]).max(axis=1),
                          np.abs(probabilities_stack(certs, ZZ) - p_zz[hit]).max(axis=1))
         for i, cert, ok in zip(hit, certs, res <= TOL_FEASIBLE):
@@ -276,11 +286,14 @@ def solve_batch(p_xx: np.ndarray, p_zz: np.ndarray):
     return statuses, states, residuals, steps
 
 
-def _certificate(a: np.ndarray) -> np.ndarray:
-    """Clip residual negative eigenvalues of a stack and renormalize the trace."""
-    w, v = np.linalg.eigh(a)
+def _certificate(a: np.ndarray, lam_min: np.ndarray) -> np.ndarray:
+    """Clip residual negative eigenvalues of the rows with ``lam_min < 0`` and
+    renormalize the trace of every row."""
+    cert = a.copy()
+    neg = np.nonzero(lam_min < 0.0)[0]
+    w, v = np.linalg.eigh(a[neg])
     clipped = (v * np.maximum(w, 0.0)[:, None, :]) @ np.swapaxes(v, -1, -2)
-    cert = np.where(w[:, :1, None] < 0.0, clipped, a)
+    cert[neg] = np.where(w[:, :1, None] < 0.0, clipped, a[neg])
     return cert / np.trace(cert, axis1=1, axis2=2)[:, None, None]
 
 

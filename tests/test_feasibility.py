@@ -164,7 +164,7 @@ def test_certificates_check_on_mixed_rows():
         if s is FeasibilityStatus.FEASIBLE:
             assert certificate_checks(certs[i], pxx[i], pzz[i]), i
     rho_b = fz._base_state(pxx, pzz)
-    code, _, wit, _, _ = fz._lmi(rho_b, fz.TOL_INFEASIBLE, fz.MAX_CYCLES)
+    code, _, wit, _, _ = fz._lmi(rho_b)
     infeasible = [i for i, s in enumerate(statuses) if s is FeasibilityStatus.INFEASIBLE]
     assert np.nonzero(code == -1)[0].tolist() == infeasible
     assert infeasible[-2:] == [25, 26]
@@ -195,16 +195,66 @@ def test_verdict_independent_of_batch():
     states = random_hs_stack(107, 200)
     pxx = np.clip(probabilities_stack(states, XX), 0, 1)
     pzz = np.clip(probabilities_stack(states, ZZ), 0, 1)
-    pxx = np.vstack([pxx, [0, .5, .5, 0], [.5, .5, 0, 0]])
-    pzz = np.vstack([pzz, [0, .5, .5, 0], [.5, 0, .5, 0]])
+    # the last row's rho_b has lambda_min = -5e-9: certified before any Newton
+    # step, with a clipped certificate
+    lam = 0.5 + 1e-8
+    gap_row = (1 - lam) * np.full(4, 0.25) + lam * np.array([0, .5, .5, 0])
+    pxx = np.vstack([pxx, [0, .5, .5, 0], [.5, .5, 0, 0], gap_row])
+    pzz = np.vstack([pzz, [0, .5, .5, 0], [.5, 0, .5, 0], gap_row])
     statuses, certs, residuals, cycles = solve_batch(pxx, pzz)
     assert FeasibilityStatus.INFEASIBLE in statuses
-    for i in list(range(0, 200, 3)) + [200, 201]:  # sample 66 and the two fixed rows
+    assert statuses[202] is FeasibilityStatus.FEASIBLE and cycles[202] == 0
+    for i in list(range(0, 200, 3)) + [200, 201, 202]:  # sample 66 and the fixed rows
         s, c, r, k = solve_batch(pxx[i:i + 1], pzz[i:i + 1])
         assert s[0] is statuses[i] and k[0] == cycles[i]
         assert abs(r[0] - residuals[i]) <= 1e-15
         if certs[i] is not None:
             assert np.max(np.abs(c[0] - certs[i])) <= 1e-15
+
+
+def _scan_rows():
+    """The true labelings of random_hs_stack(107, 3000) and the 18 assignments
+    of the first 80 samples of scramble seed 1, as the scans build them."""
+    hs = random_hs_stack(107, 3000)
+    scr = random_hs_stack(1, 80)
+    sx = np.sort(np.clip(probabilities_stack(scr, XX), 0, 1), axis=1)[:, ::-1]
+    sz = np.sort(np.clip(probabilities_stack(scr, ZZ), 0, 1), axis=1)[:, ::-1]
+    yield np.clip(probabilities_stack(hs, XX), 0, 1), np.clip(probabilities_stack(hs, ZZ), 0, 1)
+    yield fz.assignment_rows(sx, sz)
+
+
+def test_psd_base_states_need_no_newton_step():
+    # a PSD rho_b is its own certificate, found by the eigenvalues that place
+    # the first iterate; only the other rows take Newton steps
+    for pxx, pzz in _scan_rows():
+        statuses, certs, residuals, cycles = solve_batch(pxx, pzz)
+        rho_b = fz._base_state(pxx, pzz)
+        lam0 = np.linalg.eigvalsh(rho_b)[:, 0]
+        screened = lam0 >= -fz._CERT_EIG_TOL
+        assert 0 < screened.sum() < len(lam0)
+        assert np.array_equal(cycles == 0, screened)
+        assert all(statuses[i] is FeasibilityStatus.FEASIBLE for i in np.nonzero(screened)[0])
+        assert np.array_equal(residuals[screened], np.maximum(0.0, -lam0[screened]))
+        exact = rho_b / np.trace(rho_b, axis1=1, axis2=2)[:, None, None]
+        for i in np.nonzero(lam0 >= 0.0)[0]:
+            assert np.array_equal(certs[i], exact[i]), i
+
+
+def test_slightly_negative_base_state_gets_a_clipped_certificate():
+    # on the segment from uniform to the singlet labeling lambda_min(rho_b) is
+    # (1 - 2 lam)/4 = -gap, inside the primal rule's 1e-8
+    gaps = np.array([1e-12, 1e-9, 5e-9, 9e-9])
+    lam = 0.5 + 2.0 * gaps[:, None]
+    p = (1 - lam) * np.full(4, 0.25) + lam * np.array([0, .5, .5, 0])
+    statuses, certs, residuals, cycles = solve_batch(p, p)
+    assert statuses == [FeasibilityStatus.FEASIBLE] * 4
+    assert np.all(cycles == 0)
+    lam0 = np.linalg.eigvalsh(fz._base_state(p, p))[:, 0]
+    assert np.array_equal(residuals, -lam0)  # the margin is the start eigenvalue
+    assert np.max(np.abs(residuals - gaps)) <= 1e-15
+    for i in range(4):
+        assert certificate_checks(certs[i], p[i], p[i])
+        assert np.linalg.eigvalsh(certs[i])[0] >= -1e-15  # clipped, not -gap
 
 
 def test_rows_between_the_certificates_are_inconclusive():
