@@ -23,11 +23,11 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DomainError, MissingSetting
 from .measurement import XX, YY, ZZ, OutcomeDistribution, ScrambledData, setting
-from .optimize import multistart_minimize
-from .quantum import PureState, _uniforms
+# multistart_minimize is not called here; bench/spans.py traces witness.multistart_minimize
+from .optimize import multistart_minimize, nelder_mead  # noqa: F401
+from .quantum import PureState
 
 TANGENT_TOL = 1e-8
-REGIME_RATIO = -3.0 - 2.0 * math.sqrt(2.0)  # gamma/alpha at the optimal-state crossover
 
 
 @dataclass(frozen=True)
@@ -143,78 +143,76 @@ def correlation_witness_values(
 # ---------------------------------------------------------------------------
 
 
-def _product_probs(x: np.ndarray):
-    """Per-qubit probabilities (p_x,a, p_x,b, p_y,a, p_y,b, p_z,a, p_z,b) of the
-    +, + and 0 outcomes on the product states with Bloch angles
-    (theta_a, phi_a, theta_b, phi_b) along the last axis of ``x``."""
-    ta, pa, tb, pb = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-    sa, sb = np.sin(ta), np.sin(tb)
-    pxa = 0.5 * (1.0 + sa * np.cos(pa))
-    pxb = 0.5 * (1.0 + sb * np.cos(pb))
-    pya = 0.5 * (1.0 + sa * np.sin(pa))
-    pyb = 0.5 * (1.0 + sb * np.sin(pb))
-    return pxa, pxb, pya, pyb, np.cos(0.5 * ta) ** 2, np.cos(0.5 * tb) ** 2
+def _qubit_probs(theta, phi=0.0) -> np.ndarray:
+    """Probabilities (p_x, p_y, p_z) of the +, +i and 0 outcomes of a qubit
+    with Bloch angles (theta, phi), along a new last axis."""
+    s = np.sin(theta)
+    return 0.5 * (1.0 + np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)], axis=-1))
 
 
-def _product_expectation(x: np.ndarray, alpha, beta, gamma) -> np.ndarray:
-    """<W> on the product states with Bloch angles along the last axis of ``x``."""
-    pxa, pxb, pya, pyb, pza, pzb = _product_probs(x)
-    return 1.0 + alpha * pxa * pxb + beta * pya * pyb + gamma * pza * pzb
+def _min_over_b(pa: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """<W> minimized over qubit B, for qubit A's outcome probabilities ``pa``
+    and coefficients ``k`` = (alpha, beta, gamma) along the last axis: with
+    u = k pa, <W> = 1 + sum(u)/2 + u.b/2 is affine in B's Bloch vector b, so
+    its minimum is 1 + sum(u)/2 - |u|/2, at b = -u/|u|."""
+    u = k * pa
+    return 1.0 + 0.5 * np.sum(u, axis=-1) - 0.5 * np.linalg.norm(u, axis=-1)
 
 
-_WITNESS_SEED = 0x3A11CE
-_WITNESS_HIGH = np.array([math.pi, 2.0 * math.pi, math.pi, 2.0 * math.pi])
-_SEARCH_STARTS = 64  # starts per product-state search
+def _golden_min(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Golden-section minimizer of the elementwise ``f`` in every bracket [lo, hi]."""
+    r = 0.5 * (math.sqrt(5.0) - 1.0)
+    for _ in range(80):  # shrinks a grid bracket far below double precision
+        c, d = hi - r * (hi - lo), lo + r * (hi - lo)
+        left = f(c) < f(d)  # a minimizer lies in [lo, d], else in [c, hi]
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+    return 0.5 * (lo + hi)
 
 
-def _witness_starts(beta: float, n: int) -> np.ndarray:
-    """``n`` starts (theta_a, phi_a, theta_b, phi_b), at least 4 of them random."""
-    starts = []
-    # symmetric family theta_a = theta_b, phi = 0 (optimal for gamma/alpha above the crossover)
-    for th in np.linspace(0.0, math.pi, 7):
-        starts.append(np.array([th, 0.0, th, 0.0]))
-    # mirrored family theta_a - 3pi/4 = 3pi/4 - theta_b (the other regime)
-    for delta in np.linspace(-0.6 * math.pi, 0.6 * math.pi, 7):
-        starts.append(np.array([0.75 * math.pi + delta, 0.0, 0.75 * math.pi - delta, 0.0]))
-    if beta != 0.0:
-        for th in np.linspace(0.1, math.pi - 0.1, 5):
-            starts.append(np.array([th, 0.5 * math.pi, th, 0.5 * math.pi]))
-    m = max(n - len(starts), 4)
-    u = _uniforms(_WITNESS_SEED, 4 * m).reshape(m, 4)
-    # what Generator.uniform(0.0, high) draws: low + (high - low) * u
-    return np.concatenate([np.array(starts), 0.0 + _WITNESS_HIGH * u])
+def _separable_min(alpha, beta: float, gamma):
+    """Minimum of <W> over product states per entry of ``alpha`` and ``gamma``
+    (scalars or equal-length arrays): the values (G,), and the outcome
+    probabilities (p_x, p_y, p_z) of qubits A and B at the minimum, (G, 3) each.
 
-
-def _min_over_separable_full(alpha, beta: float, gamma):
-    """Multi-start minimum of <W> over product states, one group per entry of
-    ``alpha`` and ``gamma`` (scalars or equal-length arrays); every group
-    gets the same starts."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
-    for name, c in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-        if not np.all(np.isfinite(c)):
-            raise DomainError(f"witness coefficient {name} must be finite")
-
-    def objective(x: np.ndarray) -> np.ndarray:
-        # x: the four Bloch angles, then the group's alpha and gamma
-        return _product_expectation(x, x[..., 4], beta, x[..., 5])
-
-    base = _witness_starts(beta, _SEARCH_STARTS)
-    return multistart_minimize(
-        objective, np.broadcast_to(base, (alpha.size,) + base.shape),
-        consts=np.stack([alpha, gamma], axis=1),
-        agree=3, agree_tol=1e-6, label="separable witness minimum",
-        step=0.3, xtol=1e-10, max_iter=500)
+    B is minimized in closed form (:func:`_min_over_b`), which leaves a function
+    concave in A's Bloch vector: A runs over a fixed grid on its sphere, refined
+    from the grid minimum.  For beta = 0 only (a_x, a_z) matter, so the grid is
+    4 001 points on the circle phi = 0 and golden sections refine; otherwise it
+    is 101 x 200 points in (theta, phi) and Nelder-Mead refines.
+    """
+    k = np.atleast_2d(np.stack(np.broadcast_arrays(alpha, beta, gamma), axis=-1).astype(float))
+    if not np.all(np.isfinite(k)):
+        raise DomainError("witness coefficients alpha, beta, gamma must be finite")
+    if beta == 0.0:
+        t, phi = np.linspace(-math.pi, math.pi, 4001, endpoint=False), 0.0
+    else:
+        t, phi = (g.ravel() for g in np.meshgrid(
+            np.linspace(0.0, math.pi, 101), np.linspace(-math.pi, math.pi, 200, endpoint=False)))
+    grid = _qubit_probs(t, phi)
+    # one group at a time: large short-lived temporaries would raise the
+    # allocator's threshold for returning freed memory, and the process stays larger
+    i = [np.argmin(_min_over_b(grid, row)) for row in k]
+    if beta == 0.0:
+        h = t[1] - t[0]
+        pa = _qubit_probs(_golden_min(lambda x: _min_over_b(_qubit_probs(x), k),
+                                      t[i] - h, t[i] + h))
+    else:
+        # points: A's Bloch angles, then the group's coefficients
+        x = nelder_mead(lambda y: _min_over_b(_qubit_probs(y[..., 0], y[..., 1]), y[..., 2:]),
+                        np.stack([t[i], phi[i]], axis=-1), consts=k, step=math.pi / 100,
+                        xtol=1e-10, ftol=0.0, max_iter=500)[0]
+        pa = _qubit_probs(x[:, 0], x[:, 1])
+    u = k * pa
+    norm = np.linalg.norm(u, axis=-1, keepdims=True)
+    # B's Bloch vector is -u/|u|; where u = 0 every b is minimal, so take b = 0
+    b = np.divide(-u, norm, out=np.zeros_like(u), where=norm > 0.0)
+    return _min_over_b(pa, k), pa, 0.5 * (1.0 + b)
 
 
 def min_over_separable(alpha: float, beta: float, gamma: float) -> float:
-    """min over pure product states of <W>; >= 0 iff W is a witness.
-
-    Full (theta_a, phi_a, theta_b, phi_b) multi-start search.  The known
-    optimal-state structures for beta = 0 only seed starting points; the
-    search itself explores the whole product manifold.
-    """
-    return float(_min_over_separable_full(alpha, beta, gamma).value[0])
+    """min over pure product states of <W>; >= 0 iff W is a witness.  Exact
+    over qubit B, then a fixed grid over qubit A, refined; no random starts."""
+    return float(_separable_min(alpha, beta, gamma)[0][0])
 
 
 def witness_min_eigvec(alpha: float, gamma: float) -> tuple[float, PureState]:
@@ -248,12 +246,11 @@ def _tangency_scale(alpha0: float, gamma0: float, beta: float) -> tuple[float, f
     # monotonically once it crosses the root.
     c = 1.0
     for _ in range(40):
-        res = _min_over_separable_full(c * alpha0, beta, c * gamma0)
-        val = float(res.value[0])
+        value, pa, pb = _separable_min(c * alpha0, beta, c * gamma0)
+        val = float(value[0])
         if abs(val) <= TANGENT_TOL:
             return c * alpha0, c * gamma0
-        pxa, pxb, _, _, pza, pzb = _product_probs(res.x[0])
-        slope = float(alpha0 * pxa * pxb + gamma0 * pza * pzb)
+        slope = float(alpha0 * pa[0, 0] * pb[0, 0] + gamma0 * pa[0, 2] * pb[0, 2])
         if slope >= -1e-15:
             return None  # scaling alpha0, gamma0 cannot push the minimum down
         c = max(c - val / slope, 1e-12)
@@ -264,13 +261,15 @@ def optimize_params(beta: float, *, num: int = 33) -> list[tuple[float, float]]:
     """Tangent-witness curve: (alpha, gamma) pairs with separable minimum zero.
 
     Directions (-cos w, -sin w) sweep from the pure-alpha to the pure-gamma
-    witness.  For beta = 0, min <W> - 1 is linear in a common rescaling of
-    alpha and gamma, so one multi-start minimization over all directions
-    fixes every scale exactly; other beta scale each direction by Newton's
-    method.
+    witness; ``num`` of them, at least 1.  For beta = 0, min <W> - 1 is
+    linear in a common rescaling of alpha and gamma, so one batched
+    separable minimum over all directions fixes every scale exactly; other
+    beta scale each direction by Newton's method.
     """
     if not np.isfinite(beta):
         raise DomainError("beta must be finite")
+    if num < 1:
+        raise DomainError(f"the curve resolution num must be at least 1, got {num}")
     omega = np.linspace(0.0, 0.5 * math.pi, num)
     a0, g0 = -np.cos(omega), -np.sin(omega)
     a0[np.abs(a0) < 1e-15] = 0.0
@@ -281,7 +280,7 @@ def optimize_params(beta: float, *, num: int = 33) -> list[tuple[float, float]]:
     live = a0 != 0.0  # a0 = 0 is the degenerate endpoint, tangent at |00>
     # its linear minimum -1 (the |00> value of -|00><00|) gives scale 1 and (0, -1)
     linear_min = np.full(num, -1.0)
-    linear_min[live] = _min_over_separable_full(a0[live], 0.0, g0[live]).value - 1.0
+    linear_min[live] = _separable_min(a0[live], 0.0, g0[live])[0] - 1.0
     keep = linear_min < -1e-12
     scale = -1.0 / linear_min[keep]
     return [(float(a), float(g)) for a, g in zip(scale * a0[keep], scale * g0[keep])]

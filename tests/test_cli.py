@@ -184,6 +184,13 @@ def test_cli_witness_curve(tmp_path):
     assert float(mid[1]) == pytest.approx(8 * np.sqrt(2) - 12, abs=1e-6)
 
 
+def test_cli_witness_curve_rejects_bad_resolution(capsys):
+    for resolution in ("0", "-1"):
+        assert main(["witness-curve", "--resolution", resolution]) == 2
+        captured = capsys.readouterr()
+        assert "resolution" in captured.err and captured.out == ""
+
+
 def test_cli_nonconvex_slice(tmp_path):
     out = tmp_path / "slice.csv"
     assert main(["nonconvex-slice", "--resolution", "8", "--out", str(out)]) == 0

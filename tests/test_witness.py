@@ -11,7 +11,7 @@ from qscramble.quantum import eig_hermitian, psi_t, random_hs_stack, singlet
 from qscramble.witness import (WitnessParams, correlation_witness_values,
                                min_entropy_form, min_over_separable, optimize_params,
                                scrambled_correlation_min, scrambled_family_min,
-                               scrambled_witness_min, witness_matrix,
+                               scrambled_witness_min, tangent_curve, witness_matrix,
                                witness_min_eigvec, witness_value)
 
 TANGENT = 8.0 * math.sqrt(2.0) - 12.0  # alpha = gamma at the symmetric tangent point
@@ -98,10 +98,54 @@ def test_min_over_separable_values():
 
 def test_min_over_separable_against_grid_oracle():
     rng = np.random.default_rng(3)
-    for _ in range(6):
-        a = -rng.uniform(0.2, 2.0)
-        g = -rng.uniform(0.2, 2.0)
+    pairs = [(-rng.uniform(0.2, 2.0), -rng.uniform(0.2, 2.0)) for _ in range(6)]
+    # mixed signs, and both positive
+    pairs += [(1.3, -0.8), (-1.7, 0.6), (0.5, -1.5), (-0.4, 1.9), (0.9, 0.4)]
+    for a, g in pairs:
         assert abs(min_over_separable(a, 0.0, g) - grid_min_separable(a, g, 2001)) < 2e-5
+
+
+def random_qubits(rng, n: int) -> np.ndarray:
+    v = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def sampled_product_values(w: np.ndarray, rng, n: int = 20000, rounds: int = 12) -> np.ndarray:
+    """Independent oracle: Tr(W rho) on random pure product states, then on
+    ever closer random perturbations of the best one found so far."""
+    def values(a, b):
+        psi = np.einsum("ni,nj->nij", a, b).reshape(-1, 4)
+        rho = np.einsum("ni,nj->nij", psi, psi.conj())
+        return np.einsum("ij,nji->n", w, rho).real
+
+    a, b = random_qubits(rng, n), random_qubits(rng, n)
+    found = [values(a, b)]
+    best_a, best_b = a[np.argmin(found[0])], b[np.argmin(found[0])]
+    for r in range(rounds):
+        kick = [0.5 ** (r + 1) * random_qubits(rng, 2000) for _ in range(2)]
+        a, b = best_a + kick[0], best_b + kick[1]
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        found.append(values(a, b))
+        if found[-1].min() < min(f.min() for f in found[:-1]):
+            best_a, best_b = a[np.argmin(found[-1])], b[np.argmin(found[-1])]
+    return np.concatenate(found)
+
+
+def test_min_over_separable_beta_against_sampled_product_states():
+    rng = np.random.default_rng(5)
+    for abg in [(-0.5, -0.3, -0.5), (0.8, -1.2, -0.4), (-1.5, 0.7, 0.3), (0.6, 0.4, -1.1),
+                (-0.9, -0.6, 1.3), (1.0, 0.5, 0.2), (0.0, 0.5, 0.0), (-1.2, -0.8, 0.0)]:
+        sampled = sampled_product_values(witness_matrix(WitnessParams(*abg)), rng)
+        reduced = min_over_separable(*abg)
+        assert np.all(reduced <= sampled + 1e-12), abg
+        assert sampled.min() - reduced < 1e-3, abg
+
+
+def test_min_over_separable_rejects_non_finite():
+    for abg in [(math.nan, 0.0, -1.0), (-1.0, math.inf, -1.0), (-1.0, 0.0, -math.inf)]:
+        with pytest.raises(DomainError, match="finite"):
+            min_over_separable(*abg)
 
 
 def test_optimize_params_beta_zero():
@@ -122,6 +166,14 @@ def test_optimize_params_tangency():
         if a == 0.0:  # degenerate endpoint, tangent at |00> by construction
             continue
         assert abs(min_over_separable(a, 0.0, g)) < 1e-8
+
+
+def test_curve_resolution_must_be_positive():
+    for num in (0, -1):
+        with pytest.raises(DomainError, match="resolution"):
+            optimize_params(0.0, num=num)
+        with pytest.raises(DomainError, match="resolution"):
+            tangent_curve(0.0, num)
 
 
 def test_optimize_params_beta_nonzero():
