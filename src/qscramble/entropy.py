@@ -5,8 +5,12 @@ Both detection bounds live in the plane spanned by the XX-measurement entropy
 
 * the all-states bound is the curve traced by the one-parameter family
   psi_t, which minimizes the ZZ entropy at fixed XX entropy;
-* the separable bound is the (numerically determined) minimum over mixtures
-  of at most two real pure product states.
+* the separable bound is the minimum over mixtures of at most two real pure
+  product states.  For Tsallis and Renyi parameters >= 2 on both axes it is
+  the curve traced by the symmetric product states phi_theta (x) phi_theta,
+  found by one vectorized bisection; q = qtilde = 2 gives the closed form
+  -9/4 + 3 sqrt(1 - S) + S.  Outside that regime a multi-start simplex
+  search determines it numerically.
 
 Entanglement is detected from scrambled data whenever the measured entropy
 pair falls strictly below the separable bound but, necessarily, on or above
@@ -254,6 +258,11 @@ def _mixture_dists(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(dxx, axis=-1), np.stack(dzz, axis=-1)
 
 
+def _product_dist(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """Two-outcome distribution (p0, p1) measured on both qubits, shape (..., 4)."""
+    return np.stack([p0 * p0, p0 * p1, p1 * p0, p1 * p1], axis=-1)
+
+
 def _symmetric_theta_for_sxx(s: np.ndarray, spec_x: EntropySpec) -> np.ndarray:
     """Angles with S_xx(phi_theta (x) phi_theta) = s; decreasing on [0, pi/2]."""
     lo = np.zeros_like(s)  # S_xx runs from max down to 0
@@ -261,11 +270,17 @@ def _symmetric_theta_for_sxx(s: np.ndarray, spec_x: EntropySpec) -> np.ndarray:
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         _, _, px0, px1 = _pair_probs(mid)
-        val = entropy_nd(np.stack([px0 * px0, px0 * px1, px1 * px0, px1 * px1], axis=-1),
-                         spec_x)
+        val = entropy_nd(_product_dist(px0, px1), spec_x)
         lo = np.where(val > s, mid, lo)
         hi = np.where(val > s, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def _symmetric_curve(s: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec) -> np.ndarray:
+    """S_zz of the symmetric product state phi_theta (x) phi_theta with S_xx = s,
+    elementwise, so a point's value does not depend on its batch."""
+    pz0, pz1, _, _ = _pair_probs(_symmetric_theta_for_sxx(s, spec_x))
+    return entropy_nd(_product_dist(pz0, pz1), spec_z)
 
 
 _PENALTY = 1e6
@@ -308,7 +323,14 @@ def _separable_values(s: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec,
     """Separable boundary at every S_xx in ``s`` (inside [0, max]).
 
     The endpoints are exact: an XX eigenstate forces uniform ZZ and vice
-    versa.  All interior points are solved in one multi-start search.
+    versa.  When both entropies are Tsallis or Renyi with parameter >= 2,
+    the interior points lie on the symmetric product curve
+    (:func:`_symmetric_curve`), and no minimizer runs.  For q = qtilde = 2
+    that curve is the closed form :func:`separable_bound_closed_form`; for
+    the other parameters a penalty-free search over two-state mixtures of
+    real product states finds nothing below it (see tests/test_entropy.py).
+    Outside that regime, all interior points are solved in one multi-start
+    search of ``starts`` starts each.
     """
     smax = max_entropy(spec_x)
     out = np.where(s <= 1e-12, max_entropy(spec_z), 0.0)
@@ -316,6 +338,9 @@ def _separable_values(s: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec,
     if not np.any(inner):
         return out
     target = s[inner]
+    if spec_x.bound_capable and spec_z.bound_capable:
+        out[inner] = _symmetric_curve(target, spec_x, spec_z)
+        return out
 
     def objective(x: np.ndarray) -> np.ndarray:
         # x: the five mixture parameters, then the group's target S_xx
@@ -336,9 +361,12 @@ def separable_bound(s_xx: float, spec_x: EntropySpec, spec_z: EntropySpec, *,
                     starts: int = 64) -> float:
     """Minimal S_zz over separable states at the given S_xx.
 
-    Multi-start simplex search over (p, theta_a, theta_b, theta_c, theta_d)
-    parametrizing rank-<=2 mixtures of real product states, with the XX
-    constraint enforced by a quadratic penalty.  Raises ConvergenceFailure
+    For Tsallis or Renyi parameters >= 2 on both axes this is S_zz of the
+    symmetric product state phi_theta (x) phi_theta whose S_xx is ``s_xx``,
+    with theta found by bisection; ``starts`` is then unused.  Otherwise a
+    multi-start simplex search over (p, theta_a, theta_b, theta_c, theta_d)
+    parametrizing rank-<=2 mixtures of real product states runs, with the XX
+    constraint enforced by a quadratic penalty; it raises ConvergenceFailure
     when the restarts do not reproduce the minimum.
     """
     smax = max_entropy(spec_x)

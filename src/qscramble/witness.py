@@ -235,25 +235,32 @@ def witness_min_eigvec(alpha: float, gamma: float) -> tuple[float, PureState]:
 # -- tangency: scale coefficients so the separable minimum is exactly zero --
 
 
-def _tangency_scale(alpha0: float, gamma0: float, beta: float) -> tuple[float, float] | None:
-    """Scale c with min_sep(c alpha0, beta, c gamma0) = 0 for beta != 0, or
-    None if impossible."""
+def _tangency_scales(alpha0: np.ndarray, gamma0: np.ndarray, beta: float) -> np.ndarray:
+    """Scales c (G,) with min_sep(c alpha0, beta, c gamma0) = 0 for beta != 0,
+    NaN where none exists; one Newton loop for all directions."""
+    scale = np.full(alpha0.shape, np.nan)
     if beta <= -1.0:
-        return None  # 1 + beta p_y is already nonpositive on a product state
+        return scale  # 1 + beta p_y is already nonpositive on a product state
     # Newton iteration on f(c) = min_prod <W_c>: f is concave and decreasing,
     # and its one-sided derivative at the minimizer x* is the linear term
     # alpha0 p_x(x*) + gamma0 p_z(x*), so the tangent-line update converges
-    # monotonically once it crosses the root.
-    c = 1.0
+    # monotonically once it crosses the root.  A direction leaves the loop at
+    # its own first converged or hopeless step; _separable_min is elementwise
+    # per direction, so each follows the same path as alone.
+    live = np.arange(alpha0.size)
+    c = np.ones(alpha0.shape)
     for _ in range(40):
-        value, pa, pb = _separable_min(c * alpha0, beta, c * gamma0)
-        val = float(value[0])
-        if abs(val) <= TANGENT_TOL:
-            return c * alpha0, c * gamma0
-        slope = float(alpha0 * pa[0, 0] * pb[0, 0] + gamma0 * pa[0, 2] * pb[0, 2])
-        if slope >= -1e-15:
-            return None  # scaling alpha0, gamma0 cannot push the minimum down
-        c = max(c - val / slope, 1e-12)
+        a, g, cl = alpha0[live], gamma0[live], c[live]
+        val, pa, pb = _separable_min(cl * a, beta, cl * g)
+        slope = a * pa[:, 0] * pb[:, 0] + g * pa[:, 2] * pb[:, 2]
+        done = np.abs(val) <= TANGENT_TOL
+        scale[live[done]] = cl[done]
+        # where the slope is >= -1e-15, scaling cannot push the minimum down
+        moving = ~done & (slope < -1e-15)
+        live = live[moving]
+        if live.size == 0:
+            return scale
+        c[live] = np.maximum(cl[moving] - val[moving] / slope[moving], 1e-12)
     raise ConvergenceFailure("tangency scaling did not converge for beta != 0")
 
 
@@ -275,8 +282,10 @@ def optimize_params(beta: float, *, num: int = 33) -> list[tuple[float, float]]:
     a0[np.abs(a0) < 1e-15] = 0.0
     g0[np.abs(g0) < 1e-15] = 0.0
     if beta != 0.0:
-        scaled = (_tangency_scale(float(a), float(g), beta) for a, g in zip(a0, g0))
-        return [pair for pair in scaled if pair is not None]
+        scale = _tangency_scales(a0, g0, beta)
+        keep = ~np.isnan(scale)
+        return [(float(a), float(g)) for a, g in zip(scale[keep] * a0[keep],
+                                                     scale[keep] * g0[keep])]
     live = a0 != 0.0  # a0 = 0 is the degenerate endpoint, tangent at |00>
     # its linear minimum -1 (the |00> value of -|00><00|) gives scale 1 and (0, -1)
     linear_min = np.full(num, -1.0)

@@ -102,9 +102,9 @@ def test_criterion_4_separable_boundary(big_stack):
     n_sep = sep_x.size
     formula = np.array([separable_bound_closed_form(float(s)) for s in sep_x])
     worst_below = float(np.min(sep_z - formula))
-    report("criterion 4: separable boundary (optimizer + 1e4 PPT states)",
+    report("criterion 4: separable boundary (symmetric curve + 1e4 PPT states)",
            worst_opt <= 1e-4 and n_sep == 10_000 and worst_below >= -1e-6,
-           f"optimizer dev {worst_opt:.2e}, min margin {worst_below:.2e}, n={n_sep}")
+           f"curve dev {worst_opt:.2e}, min margin {worst_below:.2e}, n={n_sep}")
 
 
 def test_criterion_5_robustness():

@@ -14,8 +14,10 @@ from qscramble.entropy import (RENYI, SHANNON, TSALLIS, EntropySpec, T_CAP,
                                psi_t_xx_probs, psi_t_zz_probs, robustness,
                                separable_bound, separable_bound_closed_form,
                                t_from_sxx)
+from qscramble.entropy import _mixture_dists, _separable_values
 from qscramble.errors import DomainError
 from qscramble.measurement import XX, ZZ, probabilities, scramble, scramble_state
+from qscramble.optimize import nelder_mead
 
 T2 = EntropySpec(TSALLIS, 2.0)
 
@@ -140,6 +142,36 @@ def test_separable_bound_formula_points():
     assert abs(separable_bound_closed_form(0.75)) < 1e-15
     for s in (0.0, 0.3, 5 / 12, 0.6, 0.75):
         assert abs(separable_bound(s, T2, T2) - separable_bound_closed_form(s)) < 1e-4
+
+
+def test_boundary_22_is_the_closed_form(boundary_22):
+    closed = np.array([separable_bound_closed_form(float(s)) for s in boundary_22.grid])
+    assert boundary_22.grid.size == 97
+    assert np.max(np.abs(boundary_22.values - closed)) <= 1e-14
+
+
+@pytest.mark.parametrize("spec_x, spec_z", [
+    (EntropySpec(TSALLIS, 3.0), T2),
+    (EntropySpec(RENYI, math.inf), EntropySpec(RENYI, 2.0)),
+    (EntropySpec(TSALLIS, 5.0), EntropySpec(TSALLIS, 5.0)),
+])
+def test_no_mixture_below_the_symmetric_curve(spec_x, spec_z):
+    # the gap S_zz(mixture) - curve(S_xx(mixture)) over mixtures of two real
+    # product states needs no constraint: 10^4 random mixtures, then Nelder-Mead
+    # from the 32 lowest
+    smax = max_entropy(spec_x)
+
+    def gap(x):
+        dxx, dzz = _mixture_dists(x)
+        s_xx = np.clip(entropy_nd(dxx, spec_x), 0.0, smax)
+        return entropy_nd(dzz, spec_z) - _separable_values(s_xx, spec_x, spec_z, 0)
+
+    x = np.random.default_rng(2718).uniform(0.0, 1.0, (10_000, 5)) \
+        * np.array([1.0, math.pi, math.pi, math.pi, math.pi])
+    sampled = gap(x)
+    _, refined, _ = nelder_mead(gap, x[np.argsort(sampled)[:32]], step=0.1, xtol=1e-10,
+                                ftol=1e-15, max_iter=300)
+    assert min(float(np.min(sampled)), float(np.min(refined))) >= -1e-12
 
 
 def test_bound_ordering(boundary_22):

@@ -8,7 +8,7 @@ from qscramble.measurement import (XX, YY, ZZ, OutcomeDistribution, ScrambledDat
                                    apply_permutation, canonical_permutations,
                                    probabilities, scramble, scramble_state)
 from qscramble.quantum import eig_hermitian, psi_t, random_hs_stack, singlet
-from qscramble.witness import (WitnessParams, correlation_witness_values,
+from qscramble.witness import (WitnessParams, _tangency_scales, correlation_witness_values,
                                min_entropy_form, min_over_separable, optimize_params,
                                scrambled_correlation_min, scrambled_family_min,
                                scrambled_witness_min, tangent_curve, witness_matrix,
@@ -185,6 +185,19 @@ def test_optimize_params_beta_nonzero():
     # the y-projector term absorbs part of the budget, shrinking alpha, gamma
     a_mid, g_mid = curve[1]
     assert abs(a_mid) < abs(TANGENT) and abs(g_mid) < abs(TANGENT)
+    assert optimize_params(-1.0, num=3) == []
+
+
+@pytest.mark.parametrize("beta", [-0.9, 0.4])
+def test_tangency_direction_alone_equals_batch(beta):
+    # one Newton loop serves every direction, and each retires at its own
+    # step: at beta = -0.9 two of the nine directions take one more step
+    omega = np.linspace(0.0, 0.5 * math.pi, 9)
+    a0, g0 = -np.cos(omega), -np.sin(omega)
+    batch = _tangency_scales(a0, g0, beta)
+    for k in range(9):
+        alone = _tangency_scales(a0[k:k + 1], g0[k:k + 1], beta)
+        assert np.array_equal(alone, batch[k:k + 1], equal_nan=True)
 
 
 def test_witness_min_eigvec():
