@@ -30,7 +30,9 @@ from .witness import (correlation_witness_values, scrambled_family_min,  # noqa:
                       tangent_curve)
 
 WITNESS_DETECT_TOL = 1e-8
-_SCAN_CHUNK = 8192  # samples drawn and solved per solve_batch call
+# samples drawn per chunk; a chunk solves its true labelings in one solve_batch
+# call and, when scrambled, the 18 assignments of the rest in a second
+_SCAN_CHUNK = 8192
 _ALL_METHODS = ("sdp", "witness", "entropy")
 
 
@@ -163,29 +165,42 @@ class ScanStats:
                 "seed": self.seed}
 
 
+def _scan_codes(states: np.ndarray, scrambled: bool) -> np.ndarray:
+    """Scan outcome codes of a stack of states (see :func:`scan_details`)."""
+    pxx = np.clip(probabilities_stack(states, XX), 0.0, 1.0)
+    pzz = np.clip(probabilities_stack(states, ZZ), 0.0, 1.0)
+    statuses, _, _, _ = solve_batch(pxx, pzz)
+    codes = reduce_assignments(statuses, 1)
+    if scrambled:
+        # the true labeling is one of the relabelings, so a feasible true row
+        # already makes the sample possibly separable
+        uncertified = np.flatnonzero(codes != 0)
+        if uncertified.size:
+            rows = assignment_rows(np.sort(pxx[uncertified], axis=1)[:, ::-1],
+                                   np.sort(pzz[uncertified], axis=1)[:, ::-1])
+            statuses, _, _, _ = solve_batch(*rows)
+            codes[uncertified] = reduce_assignments(statuses, len(canonical_permutations()))
+    return codes
+
+
 def scan_details(samples: int, seed: int, scrambled: bool) -> np.ndarray:
     """Per-sample scan outcomes: 1 detected, 0 not detected, -1 inconclusive.
 
-    Sample ``i`` is ``random_hs_state(derive_seed(seed, i))``; unscrambled
-    mode solves the true labeling only (one assignment per sample),
-    scrambled mode all 18 canonical assignments of the sorted multisets.
-    Samples are drawn and solved ``_SCAN_CHUNK`` at a time; a sample's
+    Sample ``i`` is ``random_hs_state(derive_seed(seed, i))``.  Every sample's
+    true labeling is solved first; that decides unscrambled mode.  Scrambled
+    mode keeps the samples whose true row is certified feasible (the true
+    labeling is one of the relabelings) and decides the rest, the infeasible
+    and inconclusive ones, on all 18 canonical assignments of their sorted
+    multisets.  Samples are drawn ``_SCAN_CHUNK`` at a time; a sample's
     outcome does not depend on the chunk it falls in.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
-    k = len(canonical_permutations()) if scrambled else 1
     out = np.zeros(samples, dtype=np.int8)
     for start in range(0, samples, _SCAN_CHUNK):
         count = min(_SCAN_CHUNK, samples - start)
-        states = random_hs_stack(seed, count, start_index=start)
-        pxx = np.clip(probabilities_stack(states, XX), 0.0, 1.0)
-        pzz = np.clip(probabilities_stack(states, ZZ), 0.0, 1.0)
-        if scrambled:
-            pxx, pzz = assignment_rows(np.sort(pxx, axis=1)[:, ::-1],
-                                       np.sort(pzz, axis=1)[:, ::-1])
-        statuses, _, _, _ = solve_batch(pxx, pzz)
-        out[start:start + count] = reduce_assignments(statuses, k)
+        out[start:start + count] = _scan_codes(
+            random_hs_stack(seed, count, start_index=start), scrambled)
     return out
 
 

@@ -44,8 +44,10 @@ batch.  Scrambled data is decided along one path: :func:`assignment_rows`
 expands sorted multisets into their 18 canonical outcome assignments, one
 :func:`solve_batch` call decides them, and :func:`reduce_assignments` folds
 each sample's statuses into one verdict; all infeasible certifies
-entanglement.  :func:`solve_batch` rejects non-finite, misshaped,
-out-of-range or unnormalized rows and never renormalizes them.
+entanglement.  A scan, which knows each sample's true labeling, expands only
+the samples whose true labeling is not certified feasible.
+:func:`solve_batch` rejects non-finite, misshaped, out-of-range or
+unnormalized rows and never renormalizes them.
 """
 
 from __future__ import annotations
@@ -334,16 +336,20 @@ def assignment_rows(mx: np.ndarray, mz: np.ndarray) -> tuple[np.ndarray, np.ndar
     return mx[:, ix].reshape(-1, 4), mz[:, iz].reshape(-1, 4)
 
 
+_CODE_OF_STATUS = {FeasibilityStatus.INFEASIBLE: 1, FeasibilityStatus.FEASIBLE: 0,
+                   FeasibilityStatus.INCONCLUSIVE: -1}
+
+
 def reduce_assignments(statuses, k: int) -> np.ndarray:
     """Fold consecutive blocks of ``k`` statuses into one int8 code per sample.
 
     1 when all ``k`` assignments are infeasible (detected), 0 when any is
     feasible (possibly separable), -1 otherwise (inconclusive).
     """
-    values = np.array([s.value for s in statuses]).reshape(-1, k)
-    detected = np.all(values == FeasibilityStatus.INFEASIBLE.value, axis=1)
-    possible = np.any(values == FeasibilityStatus.FEASIBLE.value, axis=1)
-    return np.where(detected, 1, np.where(possible, 0, -1)).astype(np.int8)
+    codes = np.fromiter((_CODE_OF_STATUS[s] for s in statuses), dtype=np.int8,
+                        count=len(statuses)).reshape(-1, k)
+    # any feasible (0) wins; otherwise the least code, 1 only if all are 1
+    return np.where(np.any(codes == 0, axis=1), 0, codes.min(axis=1)).astype(np.int8)
 
 
 _VERDICT_OF_CODE = {1: Verdict.DETECTED, 0: Verdict.POSSIBLY_SEPARABLE,

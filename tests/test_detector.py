@@ -7,7 +7,8 @@ from qscramble.detector import (classify_slice_point, counterexample_mixture, de
                                 verify_counterexample)
 from qscramble.entropy import entropy_detected_stack
 from qscramble.errors import DomainError
-from qscramble.feasibility import FeasibilityStatus, solve_batch
+from qscramble.feasibility import (FeasibilityStatus, assignment_rows, reduce_assignments,
+                                   solve_batch)
 from qscramble.measurement import (XX, ZZ, apply_permutation, canonical_permutations,
                                    probabilities, probabilities_stack, scramble_state)
 from qscramble.quantum import (DensityMatrix, is_ppt, maximally_mixed, psi_t,
@@ -85,7 +86,7 @@ def test_scan_scrambled_mode_runs():
     stats = scan(60, 5, True)
     assert stats.samples == 60
     assert stats.detected_unscrambled == 0
-    assert 0 <= stats.detected_scrambled <= 2  # rate ~2e-5, essentially zero
+    assert stats.detected_scrambled == 0  # rate ~2e-5, essentially zero
 
 
 @pytest.mark.parametrize("scrambled", [False, True])
@@ -97,6 +98,55 @@ def test_scan_details_do_not_depend_on_the_chunk(monkeypatch, scrambled):
     assert np.array_equal(scan_details(50, 2, scrambled), whole)
     if not scrambled:
         assert np.flatnonzero(whole == 1).tolist() == [6, 40, 44]
+
+
+def _all_assignment_codes(states):
+    """Scrambled outcomes from all 18 canonical assignments of every sample."""
+    mx = np.sort(np.clip(probabilities_stack(states, XX), 0.0, 1.0), axis=1)[:, ::-1]
+    mz = np.sort(np.clip(probabilities_stack(states, ZZ), 0.0, 1.0), axis=1)[:, ::-1]
+    statuses, _, _, _ = solve_batch(*assignment_rows(mx, mz))
+    return reduce_assignments(statuses, len(canonical_permutations()))
+
+
+def test_scrambled_scan_matches_all_assignments():
+    # seed 1 has 35 samples below 3000 that are detected on their true
+    # labeling and go to the 18-assignment stage; sample 101 is one of them
+    # and is possibly separable scrambled
+    n, seed = 3000, 1
+    scrambled = scan_details(n, seed, True)
+    assert np.array_equal(scrambled, _all_assignment_codes(random_hs_stack(seed, n)))
+    unscrambled = scan_details(n, seed, False)
+    assert np.count_nonzero(unscrambled) == 35
+    assert (unscrambled[101], scrambled[101]) == (1, 0)
+
+
+def test_scrambled_scan_detects_sample_14816_of_seed_1():
+    # samples 14816, 101 and 244 of seed 1 are detected on their true
+    # labeling, and 14816 alone stays detected scrambled; sample 0 is
+    # certified on its true labeling
+    states = np.concatenate([random_hs_stack(1, 1, start_index=i)
+                             for i in (0, 14816, 101, 244)])
+    assert det._scan_codes(states, False).tolist() == [0, 1, 1, 1]
+    assert det._scan_codes(states, True).tolist() == [0, 1, 0, 0]
+    assert _all_assignment_codes(states).tolist() == [0, 1, 0, 0]
+
+
+def test_scrambled_scan_expands_only_uncertified_samples(monkeypatch):
+    n, seed = 400, 1
+    states = random_hs_stack(seed, n)
+    statuses, _, _, _ = solve_batch(np.clip(probabilities_stack(states, XX), 0.0, 1.0),
+                                    np.clip(probabilities_stack(states, ZZ), 0.0, 1.0))
+    uncertified = sum(s is not FeasibilityStatus.FEASIBLE for s in statuses)
+    assert uncertified >= 2
+    rows = []
+
+    def counting(p_xx, p_zz):
+        rows.append(len(p_xx))
+        return solve_batch(p_xx, p_zz)
+
+    monkeypatch.setattr(det, "solve_batch", counting)
+    scan_details(n, seed, True)
+    assert rows == [n, 18 * uncertified]
 
 
 def test_scan_details_consistent_with_scan():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -346,6 +348,17 @@ def test_reduce_assignments():
     blocks = [[I] * 18, [I] * 17 + [F], [U] + [I] * 17, [U] * 17 + [F]]
     codes = fz.reduce_assignments([s for b in blocks for s in b], 18)
     assert codes.tolist() == [1, 0, -1, 0]
+
+
+def test_reduce_assignments_every_block_of_three():
+    # every block of k = 3 statuses, against the definition applied per block
+    blocks = list(itertools.product(list(FeasibilityStatus), repeat=3))
+    codes = fz.reduce_assignments(tuple(s for b in blocks for s in b), 3)
+    expected = [1 if all(s is FeasibilityStatus.INFEASIBLE for s in b) else
+                0 if FeasibilityStatus.FEASIBLE in b else -1 for b in blocks]
+    assert codes.dtype == np.int8
+    assert codes.tolist() == expected
+    assert fz.reduce_assignments([], 18).shape == (0,)
 
 
 def test_solve_batch_rejects_invalid_rows():
