@@ -58,8 +58,7 @@ def _cmd_robustness(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    payload = json.loads(Path(args.infile).read_text())
-    if "rho_re" in payload:
+    if "rho_re" in fileio.read_json_object(args.infile):
         inp = fileio.read_state(args.infile)
     else:
         inp = fileio.read_probabilities(args.infile).data
@@ -100,7 +99,7 @@ def _cmd_entropy_curve(args) -> int:
     spec_z = _entropy_spec(args.entropy, args.q)
     # the whole curve is computed before the output is opened, so a failure
     # leaves no partial file behind
-    bound = get_separable_boundary(spec_x, spec_z, n=args.resolution, starts=64)
+    bound = get_separable_boundary(spec_x, spec_z, n=args.resolution)
     if spec_x.bound_capable and spec_z.bound_capable:
         ball = [_fmt(v) for v in all_states_bound_vec(bound.grid, spec_x, spec_z)]
     else:

@@ -5,12 +5,11 @@ Both detection bounds live in the plane spanned by the XX-measurement entropy
 
 * the all-states bound is the curve traced by the one-parameter family
   psi_t, which minimizes the ZZ entropy at fixed XX entropy;
-* the separable bound is the minimum over mixtures of at most two real pure
-  product states.  For Tsallis and Renyi parameters >= 2 on both axes it is
-  the curve traced by the symmetric product states phi_theta (x) phi_theta,
-  found by one vectorized bisection; q = qtilde = 2 gives the closed form
-  -9/4 + 3 sqrt(1 - S) + S.  Outside that regime a multi-start simplex
-  search determines it numerically.
+* the separable bound is the lower envelope of three curves of real pure
+  product states: phi_theta (x) phi_theta, |0> (x) phi_theta and
+  |+> (x) phi_theta, each found by one vectorized bisection.  For Tsallis
+  and Renyi parameters >= 2 on both axes the symmetric curve alone is the
+  envelope; q = qtilde = 2 gives the closed form -9/4 + 3 sqrt(1 - S) + S.
 
 Entanglement is detected from scrambled data whenever the measured entropy
 pair falls strictly below the separable bound but, necessarily, on or above
@@ -28,8 +27,8 @@ from scipy.special import logsumexp
 
 from .errors import ConvergenceFailure, DomainError
 from .measurement import XX, ZZ, OutcomeDistribution, ScrambledData
-from .optimize import multistart_minimize
-from .quantum import _derive_keys, _uniforms
+# multistart_minimize is not called here; bench/spans.py traces entropy.multistart_minimize
+from .optimize import multistart_minimize  # noqa: F401
 
 SHANNON = "shannon"
 TSALLIS = "tsallis"
@@ -228,9 +227,13 @@ def all_states_bound_closed_form(s_xx: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Separable bound: minimize S_zz at fixed S_xx over mixtures of two real
-# pure product states, the form every extremal separable point can take.
+# Separable bound: minimize S_zz at fixed S_xx over separable states.  The
+# minimum lies on one of three curves of pure real product states.
 # ---------------------------------------------------------------------------
+
+# qubit A's Bloch angle on each product curve A (x) phi_theta: theta itself
+# (the symmetric curve), |0> and |+>
+_CURVES = (None, 0.0, 0.5 * math.pi)
 
 
 def _pair_probs(theta):
@@ -241,139 +244,87 @@ def _pair_probs(theta):
     return c * c, s * s, 0.5 * (1.0 + sx), 0.5 * (1.0 - sx)
 
 
-def _mixture_dists(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """XX and ZZ distributions (..., 4) of (1-p)|ab><ab| + p|cd><cd| with real
-    factors, for parameters (p, theta_a, theta_b, theta_c, theta_d) along the
-    last axis of ``x``."""
-    p = np.clip(x[..., 0], 0.0, 1.0)
-    za0, za1, xa0, xa1 = _pair_probs(x[..., 1])
-    zb0, zb1, xb0, xb1 = _pair_probs(x[..., 2])
-    zc0, zc1, xc0, xc1 = _pair_probs(x[..., 3])
-    zd0, zd1, xd0, xd1 = _pair_probs(x[..., 4])
-    w = 1.0 - p
-    dxx = [w * xa0 * xb0 + p * xc0 * xd0, w * xa0 * xb1 + p * xc0 * xd1,
-           w * xa1 * xb0 + p * xc1 * xd0, w * xa1 * xb1 + p * xc1 * xd1]
-    dzz = [w * za0 * zb0 + p * zc0 * zd0, w * za0 * zb1 + p * zc0 * zd1,
-           w * za1 * zb0 + p * zc1 * zd0, w * za1 * zb1 + p * zc1 * zd1]
-    return np.stack(dxx, axis=-1), np.stack(dzz, axis=-1)
+def _product_dist(a0, a1, b0, b1) -> np.ndarray:
+    """Distribution (..., 4) of two-outcome measurements (a0, a1) on qubit A
+    and (b0, b1) on qubit B of a product state."""
+    return np.stack([a0 * b0, a0 * b1, a1 * b0, a1 * b1], axis=-1)
 
 
-def _product_dist(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    """Two-outcome distribution (p0, p1) measured on both qubits, shape (..., 4)."""
-    return np.stack([p0 * p0, p0 * p1, p1 * p0, p1 * p1], axis=-1)
+def _product_envelope(s: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec,
+                      curves=_CURVES) -> np.ndarray:
+    """Least S_zz at S_xx = s, elementwise, over the product states
+    A (x) phi_theta of the ``curves`` (qubit A's angle, None for theta).
 
+    S_xx decreases as theta runs over [0, pi/2] on every curve, so one
+    vectorized bisection finds theta on all of them; an entry keeps its own
+    path, so its value does not depend on its batch.  The symmetric curve
+    spans the whole S_xx range, a fixed A only part of it: outside, its
+    value is inf.
+    """
+    target = np.tile(s, len(curves))
+    angle_a = np.repeat([math.nan if a is None else a for a in curves], s.size)
+    own = np.isnan(angle_a)  # the rows whose qubit A is phi_theta
+    symmetric = bool(own.all())
 
-def _symmetric_theta_for_sxx(s: np.ndarray, spec_x: EntropySpec) -> np.ndarray:
-    """Angles with S_xx(phi_theta (x) phi_theta) = s; decreasing on [0, pi/2]."""
-    lo = np.zeros_like(s)  # S_xx runs from max down to 0
-    hi = np.full_like(s, 0.5 * math.pi)
+    def probs(theta):
+        b = _pair_probs(theta)
+        return (b if symmetric else _pair_probs(np.where(own, theta, angle_a))), b
+
+    def s_xx(theta):
+        (_, _, xa0, xa1), (_, _, xb0, xb1) = probs(theta)
+        return entropy_nd(_product_dist(xa0, xa1, xb0, xb1), spec_x)
+
+    lo = np.zeros_like(target)
+    hi = np.full_like(target, 0.5 * math.pi)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        _, _, px0, px1 = _pair_probs(mid)
-        val = entropy_nd(_product_dist(px0, px1), spec_x)
-        lo = np.where(val > s, mid, lo)
-        hi = np.where(val > s, hi, mid)
-    return 0.5 * (lo + hi)
+        val = s_xx(mid)
+        lo = np.where(val > target, mid, lo)
+        hi = np.where(val > target, hi, mid)
+    (za0, za1, _, _), (zb0, zb1, _, _) = probs(0.5 * (lo + hi))
+    s_zz = entropy_nd(_product_dist(za0, za1, zb0, zb1), spec_z)
+    top, bottom = s_xx(np.zeros_like(target)), s_xx(np.full_like(target, 0.5 * math.pi))
+    s_zz = np.where((target <= top) & (target >= bottom), s_zz, np.inf)
+    return np.min(s_zz.reshape(len(curves), s.size), axis=0)
 
 
-def _symmetric_curve(s: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec) -> np.ndarray:
-    """S_zz of the symmetric product state phi_theta (x) phi_theta with S_xx = s,
-    elementwise, so a point's value does not depend on its batch."""
-    pz0, pz1, _, _ = _pair_probs(_symmetric_theta_for_sxx(s, spec_x))
-    return entropy_nd(_product_dist(pz0, pz1), spec_z)
-
-
-_PENALTY = 1e6
-_AGREE = 3  # starts that must reproduce a boundary minimum
-_SEED_KEY = 0x5E9A  # fixed stream for the random starts
-_RANDOM_HIGH = np.array([1.0, math.pi, math.pi, math.pi, math.pi])  # p, then four angles
-
-
-def _separable_starts(s: np.ndarray, spec_x: EntropySpec, starts: int) -> np.ndarray:
-    """``starts`` starts per S_xx, at least 4 of them random, with a random
-    stream of its own for each S_xx; shape (len(s), n, 5)."""
-    th = _symmetric_theta_for_sxx(s, spec_x)
-    h = 0.5 * math.pi
-    rows = [
-        (0.5, th, th, th, th),
-        (0.5, th + 0.03, th + 0.03, th - 0.03, th - 0.03),
-        (0.0, th, th, th + 0.2, th + 0.2),
-        (1.0, th + 0.2, th + 0.2, th, th),
-        # Shannon-boundary candidate families: |0> (x) (theta) and (theta) (x) |+>
-        (0.5, 0.0, th, 0.0, th + 0.3),
-        (0.0, 0.0, 2.0 * th, 0.0, 2.0 * th),
-        (0.5, th, h, th + 0.3, h),
-        (0.0, 2.0 * th, h, 2.0 * th, h),
-        # mixtures of the two eigenstate directions |00> and |++>
-        (0.2, 0.0, 0.0, h, h),
-        (0.5, 0.0, 0.0, h, h),
-        (0.8, 0.0, 0.0, h, h),
-    ]
-    structured = np.stack([np.stack([np.broadcast_to(v, th.shape) for v in row], axis=-1)
-                           for row in rows], axis=1)
-    m = max(starts - len(rows), 4)
-    index = (s * 1e9).astype(np.int64).astype(np.uint64) & np.uint64(0xFFFF)
-    u = _uniforms(_derive_keys(_SEED_KEY, index), 5 * m).reshape(len(s), m, 5)
-    # what Generator.uniform(0.0, high) draws: low + (high - low) * u
-    return np.concatenate([structured, 0.0 + _RANDOM_HIGH * u], axis=1)
-
-
-def _separable_values(s: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec,
-                      starts: int) -> np.ndarray:
+def _separable_values(s: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec) -> np.ndarray:
     """Separable boundary at every S_xx in ``s`` (inside [0, max]).
 
     The endpoints are exact: an XX eigenstate forces uniform ZZ and vice
-    versa.  When both entropies are Tsallis or Renyi with parameter >= 2,
-    the interior points lie on the symmetric product curve
-    (:func:`_symmetric_curve`), and no minimizer runs.  For q = qtilde = 2
-    that curve is the closed form :func:`separable_bound_closed_form`; for
-    the other parameters a penalty-free search over two-state mixtures of
-    real product states finds nothing below it (see tests/test_entropy.py).
-    Outside that regime, all interior points are solved in one multi-start
-    search of ``starts`` starts each.
+    versa.  An interior point is the lower envelope of three curves of pure
+    real product states A (x) phi_theta: A = phi_theta (the symmetric
+    curve), A = |0> and A = |+>.  No minimizer runs.  When both entropies
+    are Tsallis or Renyi with parameter >= 2 the envelope equals the
+    symmetric curve bit for bit, so only that curve is evaluated; for
+    q = qtilde = 2 it is the closed form :func:`separable_bound_closed_form`.
+    tests/test_entropy.py finds no mixture of two real product states, and
+    no product state on a grid, below the envelope, inside the regime and
+    outside it (Shannon, Tsallis 1.5, Renyi 0.5).
     """
     smax = max_entropy(spec_x)
     out = np.where(s <= 1e-12, max_entropy(spec_z), 0.0)
     inner = (s > 1e-12) & (s < smax - 1e-12)
     if not np.any(inner):
         return out
-    target = s[inner]
-    if spec_x.bound_capable and spec_z.bound_capable:
-        out[inner] = _symmetric_curve(target, spec_x, spec_z)
-        return out
-
-    def objective(x: np.ndarray) -> np.ndarray:
-        # x: the five mixture parameters, then the group's target S_xx
-        dxx, dzz = _mixture_dists(x)
-        cx = entropy_nd(dxx, spec_x) - x[..., 5]
-        return entropy_nd(dzz, spec_z) + _PENALTY * cx * cx
-
-    result = multistart_minimize(
-        objective, _separable_starts(target, spec_x, starts), consts=target[:, None],
-        agree=_AGREE, agree_tol=1e-6, label="separable boundary",
-        step=0.15, xtol=1e-10, max_iter=350)
-    # report the entropy itself, not the penalized objective
-    out[inner] = entropy_nd(_mixture_dists(result.x)[1], spec_z)
+    in_regime = spec_x.bound_capable and spec_z.bound_capable
+    out[inner] = _product_envelope(s[inner], spec_x, spec_z, (None,) if in_regime else _CURVES)
     return out
 
 
-def separable_bound(s_xx: float, spec_x: EntropySpec, spec_z: EntropySpec, *,
-                    starts: int = 64) -> float:
+def separable_bound(s_xx: float, spec_x: EntropySpec, spec_z: EntropySpec) -> float:
     """Minimal S_zz over separable states at the given S_xx.
 
-    For Tsallis or Renyi parameters >= 2 on both axes this is S_zz of the
-    symmetric product state phi_theta (x) phi_theta whose S_xx is ``s_xx``,
-    with theta found by bisection; ``starts`` is then unused.  Otherwise a
-    multi-start simplex search over (p, theta_a, theta_b, theta_c, theta_d)
-    parametrizing rank-<=2 mixtures of real product states runs, with the XX
-    constraint enforced by a quadratic penalty; it raises ConvergenceFailure
-    when the restarts do not reproduce the minimum.
+    This is the least S_zz, at this S_xx, of the product states
+    phi_theta (x) phi_theta, |0> (x) phi_theta and |+> (x) phi_theta, each
+    theta found by bisection.  For Tsallis or Renyi parameters >= 2 on both
+    axes the symmetric state phi_theta (x) phi_theta alone attains it.
     """
     smax = max_entropy(spec_x)
     if not (-1e-12 <= s_xx <= smax + 1e-12):
         raise DomainError(f"S_xx = {s_xx} outside the attainable range [0, {smax!r}]")
     s = min(max(float(s_xx), 0.0), smax)
-    return float(_separable_values(np.array([s]), spec_x, spec_z, starts)[0])
+    return float(_separable_values(np.array([s]), spec_x, spec_z)[0])
 
 
 def separable_bound_closed_form(s_xx: float) -> float:
@@ -404,11 +355,12 @@ class SeparableBoundary:
 
 @lru_cache(maxsize=8)
 def get_separable_boundary(spec_x: EntropySpec, spec_z: EntropySpec,
-                           n: int = 97, starts: int = 24) -> SeparableBoundary:
-    smax = max_entropy(spec_x)
-    grid = np.linspace(0.0, smax, n)
-    return SeparableBoundary(spec_x, spec_z, grid,
-                             _separable_values(grid, spec_x, spec_z, starts))
+                           n: int = 97) -> SeparableBoundary:
+    """The separable boundary on ``n`` evenly spaced S_xx from 0 to the maximum."""
+    if n < 2:
+        raise DomainError(f"the boundary resolution n must be at least 2, got {n}")
+    grid = np.linspace(0.0, max_entropy(spec_x), n)
+    return SeparableBoundary(spec_x, spec_z, grid, _separable_values(grid, spec_x, spec_z))
 
 
 # ---------------------------------------------------------------------------

@@ -30,4 +30,6 @@ class MissingSetting(QScrambleError, KeyError):
 
 
 class ConvergenceFailure(QScrambleError, RuntimeError):
-    """A multi-start optimization did not reproduce its minimum reliably."""
+    """An iterative solve did not converge: the beta != 0 tangency scaling,
+    the robustness root, or a multi-start search that did not reproduce its
+    minimum."""

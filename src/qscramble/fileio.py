@@ -27,9 +27,17 @@ def write_state(path, rho: DensityMatrix) -> None:
     Path(path).write_text(json.dumps(payload, indent=1))
 
 
+def read_json_object(path) -> dict:
+    """The JSON object a state or probability file holds."""
+    payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise DomainError(f"the file must hold a JSON object, got {type(payload).__name__}")
+    return payload
+
+
 def read_state(path) -> DensityMatrix:
     """Parse and fully validate a state file; diagnostics name the violated invariant."""
-    payload = json.loads(Path(path).read_text())
+    payload = read_json_object(path)
     for key in ("rho_re", "rho_im"):
         if key not in payload:
             raise DomainError(f"state file is missing the {key!r} field")
@@ -65,8 +73,10 @@ def write_probabilities(path, dists=None, data: ScrambledData | None = None) -> 
 
 
 def read_probabilities(path) -> ProbabilityFile:
-    payload = json.loads(Path(path).read_text())
-    scrambled = bool(payload.get("scrambled", False))
+    payload = read_json_object(path)
+    scrambled = payload.get("scrambled", False)
+    if not isinstance(scrambled, bool):
+        raise DomainError(f"field 'scrambled' must be true or false, got {scrambled!r}")
     arrays: dict[str, np.ndarray] = {}
     for key, label in _KEY_FOR.items():
         if key in payload:

@@ -1,13 +1,13 @@
-"""Batched derivative-free minimizer for the entropic boundary and the beta != 0 witness.
+"""Batched derivative-free minimizer for the beta != 0 witness.
 
 ``nelder_mead`` advances a flat batch of simplices with the textbook rules
 and stable ordering, on an active set: each iteration sorts, tests and steps
 only the simplices still moving, and a simplex that meets its own stop test
 is written back once and never evaluated again.  The objective maps points
 (m, k, d) to values (m, k) and must be elementwise, so a simplex follows the
-same path alone as inside any batch.  Constants of a start (a boundary's
-target S_xx, a witness's coefficients) travel with its points as trailing
-columns, points (m, k, d + c), because a call holds only the active points.
+same path alone as inside any batch.  Constants of a start (a witness's
+coefficients) travel with its points as trailing columns, points
+(m, k, d + c), because a call holds only the active points.
 Each call after the first holds one point per active simplex, or per
 simplex that needs it: the reflection, then the expansion after a new best
 or the contraction after a rejected reflection, then the d shrink points of

@@ -54,6 +54,29 @@ def test_probability_file_scrambled_canonicalizes(tmp_path):
     assert np.array_equal(parsed.data.multiset(XX), [0.5, 0.25, 0.15, 0.1])
 
 
+def test_probability_file_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2, 3]")
+    from qscramble.errors import DomainError
+    with pytest.raises(DomainError, match="JSON object, got list"):
+        read_probabilities(path)
+    for payload in ("[1, 2, 3]", "5", "null"):
+        path.write_text(payload)
+        assert main(["detect", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "JSON object" in captured.err and captured.out == ""
+
+
+def test_probability_file_scrambled_must_be_boolean(tmp_path, capsys):
+    path = tmp_path / "probs.json"
+    path.write_text(json.dumps({"xx": [0.25] * 4, "zz": [0.25] * 4, "scrambled": "false"}))
+    from qscramble.errors import DomainError
+    with pytest.raises(DomainError, match="'scrambled' must be true or false"):
+        read_probabilities(path)
+    assert main(["detect", "--in", str(path), "--method", "sdp"]) == 2
+    assert "scrambled" in capsys.readouterr().err
+
+
 def test_cli_table1(capsys):
     assert main(["table1"]) == 0
     out = capsys.readouterr().out
@@ -173,6 +196,28 @@ def test_cli_entropy_curve_failure_writes_nothing(tmp_path, capsys, monkeypatch)
     out = tmp_path / "curve.csv"
     assert main(["entropy-curve", "--resolution", "5", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_cli_entropy_curve_rejects_bad_resolution(capsys):
+    for resolution in ("1", "0", "-3"):
+        assert main(["entropy-curve", "--resolution", resolution]) == 2
+        captured = capsys.readouterr()
+        assert "resolution" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["--entropy", "shannon"],
+    ["--entropy", "tsallis", "--q", "1.5", "--qtilde", "1.5", "--resolution", "9"],
+    ["--entropy", "renyi", "--q", "0.5", "--qtilde", "0.5", "--resolution", "9"],
+])
+def test_cli_entropy_curve_outside_the_bound_regime(args, capsys):
+    assert main(["entropy-curve", *args]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    n = int(args[-1]) if "--resolution" in args else 64
+    bound = np.array([float(r[2]) for r in rows])
+    assert len(rows) == n and np.all(np.isfinite(bound))
+    # decreasing from the maximal ZZ entropy down to 0
+    assert bound[-1] == 0.0 and np.all(np.diff(bound) < 0)
 
 
 def test_cli_witness_curve(tmp_path):

@@ -10,16 +10,24 @@ import qscramble.quantum as qm
 from qscramble.entropy import (RENYI, SHANNON, TSALLIS, EntropySpec, T_CAP,
                                all_states_bound, all_states_bound_closed_form,
                                all_states_bound_vec, entropy, entropy_detect,
-                               entropy_nd, max_entropy, psi_t_entropies,
-                               psi_t_xx_probs, psi_t_zz_probs, robustness,
+                               entropy_nd, get_separable_boundary, max_entropy,
+                               psi_t_entropies, psi_t_xx_probs, psi_t_zz_probs, robustness,
                                separable_bound, separable_bound_closed_form,
                                t_from_sxx)
-from qscramble.entropy import _mixture_dists, _separable_values
+from qscramble.entropy import _pair_probs, _product_envelope, _separable_values
 from qscramble.errors import DomainError
 from qscramble.measurement import XX, ZZ, probabilities, scramble, scramble_state
 from qscramble.optimize import nelder_mead
 
 T2 = EntropySpec(TSALLIS, 2.0)
+T15 = EntropySpec(TSALLIS, 1.5)
+SH = EntropySpec(SHANNON)
+
+# Tsallis and Renyi pairs with parameters >= 2, where the symmetric curve is the boundary
+IN_REGIME = [(T2, T2), (EntropySpec(TSALLIS, 3.0), T2),
+             (EntropySpec(RENYI, math.inf), EntropySpec(RENYI, 2.0)),
+             (EntropySpec(TSALLIS, 5.0), EntropySpec(TSALLIS, 5.0)),
+             (EntropySpec(TSALLIS, 10.0), T2)]
 
 
 def test_entropy_spec_normalization():
@@ -150,28 +158,70 @@ def test_boundary_22_is_the_closed_form(boundary_22):
     assert np.max(np.abs(boundary_22.values - closed)) <= 1e-14
 
 
+def _mixture_dists(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """XX and ZZ distributions (..., 4) of (1-p)|ab><ab| + p|cd><cd| with real
+    factors, for parameters (p, theta_a, theta_b, theta_c, theta_d) along the
+    last axis of ``x``."""
+    p = np.clip(x[..., 0], 0.0, 1.0)
+    za0, za1, xa0, xa1 = _pair_probs(x[..., 1])
+    zb0, zb1, xb0, xb1 = _pair_probs(x[..., 2])
+    zc0, zc1, xc0, xc1 = _pair_probs(x[..., 3])
+    zd0, zd1, xd0, xd1 = _pair_probs(x[..., 4])
+    w = 1.0 - p
+    dxx = [w * xa0 * xb0 + p * xc0 * xd0, w * xa0 * xb1 + p * xc0 * xd1,
+           w * xa1 * xb0 + p * xc1 * xd0, w * xa1 * xb1 + p * xc1 * xd1]
+    dzz = [w * za0 * zb0 + p * zc0 * zd0, w * za0 * zb1 + p * zc0 * zd1,
+           w * za1 * zb0 + p * zc1 * zd0, w * za1 * zb1 + p * zc1 * zd1]
+    return np.stack(dxx, axis=-1), np.stack(dzz, axis=-1)
+
+
 @pytest.mark.parametrize("spec_x, spec_z", [
     (EntropySpec(TSALLIS, 3.0), T2),
     (EntropySpec(RENYI, math.inf), EntropySpec(RENYI, 2.0)),
     (EntropySpec(TSALLIS, 5.0), EntropySpec(TSALLIS, 5.0)),
+    (SH, SH),
+    (T15, T15),
+    (EntropySpec(RENYI, 0.5), EntropySpec(RENYI, 0.5)),
+    (T15, T2),
 ])
-def test_no_mixture_below_the_symmetric_curve(spec_x, spec_z):
-    # the gap S_zz(mixture) - curve(S_xx(mixture)) over mixtures of two real
+def test_no_mixture_below_the_separable_boundary(spec_x, spec_z):
+    # the gap S_zz(mixture) - boundary(S_xx(mixture)) over mixtures of two real
     # product states needs no constraint: 10^4 random mixtures, then Nelder-Mead
-    # from the 32 lowest
+    # from the 16 lowest, and a 121 x 121 grid of pure product states
     smax = max_entropy(spec_x)
 
     def gap(x):
         dxx, dzz = _mixture_dists(x)
         s_xx = np.clip(entropy_nd(dxx, spec_x), 0.0, smax)
-        return entropy_nd(dzz, spec_z) - _separable_values(s_xx, spec_x, spec_z, 0)
+        return entropy_nd(dzz, spec_z) - _separable_values(s_xx, spec_x, spec_z)
 
     x = np.random.default_rng(2718).uniform(0.0, 1.0, (10_000, 5)) \
         * np.array([1.0, math.pi, math.pi, math.pi, math.pi])
     sampled = gap(x)
-    _, refined, _ = nelder_mead(gap, x[np.argsort(sampled)[:32]], step=0.1, xtol=1e-10,
-                                ftol=1e-15, max_iter=300)
+    _, refined, _ = nelder_mead(gap, x[np.argsort(sampled)[:16]], step=0.1, xtol=1e-10,
+                                ftol=1e-15, max_iter=120)
     assert min(float(np.min(sampled)), float(np.min(refined))) >= -1e-12
+    # p = 0 leaves the product state of angles (theta_a, theta_b) alone
+    theta = np.linspace(0.0, math.pi, 121)
+    ta, tb = np.meshgrid(theta, theta)
+    products = np.stack([np.zeros(ta.size), ta.ravel(), tb.ravel(),
+                         ta.ravel(), tb.ravel()], axis=-1)
+    assert float(np.min(gap(products))) >= -1e-12
+
+
+@pytest.mark.parametrize("spec_x, spec_z", IN_REGIME)
+def test_envelope_is_the_symmetric_curve_in_the_bound_regime(spec_x, spec_z):
+    # the condition under which the bound regime evaluates the symmetric curve alone
+    s = np.linspace(0.0, max_entropy(spec_x), 97)[1:-1]
+    assert np.array_equal(_product_envelope(s, spec_x, spec_z),
+                          _product_envelope(s, spec_x, spec_z, (None,)))
+
+
+def test_boundary_resolution_must_be_at_least_two():
+    for n in (1, 0, -3):
+        with pytest.raises(DomainError, match="resolution"):
+            get_separable_boundary(T2, T2, n=n)
+    assert get_separable_boundary(SH, SH, n=2).values.tolist() == [2.0, 0.0]
 
 
 def test_bound_ordering(boundary_22):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qscramble.entropy import (RENYI, TSALLIS, EntropySpec, get_separable_boundary,
+from qscramble.entropy import (RENYI, SHANNON, TSALLIS, EntropySpec, get_separable_boundary,
                                separable_bound)
 from qscramble.errors import ConvergenceFailure
 from qscramble.optimize import multistart_minimize, nelder_mead
@@ -125,30 +125,33 @@ def test_group_alone_equals_group_in_batch():
 def test_separable_point_alone_equals_grid_point(boundary_22, tsallis2):
     for k in (1, 30, 60, 95):
         s = float(boundary_22.grid[k])
-        assert separable_bound(s, tsallis2, tsallis2, starts=24) == boundary_22.values[k]
+        assert separable_bound(s, tsallis2, tsallis2) == boundary_22.values[k]
 
 
 def test_searched_point_alone_equals_grid_point():
-    # Tsallis 1.5 lies outside the bound regime, so its boundary is searched
-    spec = EntropySpec(TSALLIS, 1.5)
-    bound = get_separable_boundary(spec, spec, n=5, starts=64)
-    for s, v in zip(bound.grid, bound.values):
-        assert separable_bound(float(s), spec, spec, starts=64) == v
+    # outside the bound regime the boundary is the three-curve envelope
+    for spec in (EntropySpec(SHANNON), EntropySpec(TSALLIS, 1.5)):
+        bound = get_separable_boundary.__wrapped__(spec, spec, n=9)
+        for s, v in zip(bound.grid, bound.values):
+            assert separable_bound(float(s), spec, spec) == v
 
 
 def test_bound_regime_boundary_runs_no_search(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the bound-regime boundary ran a search")
+        raise AssertionError("a separable boundary ran a search")
     # the package's `entropy` attribute is the function, so fetch the module
     monkeypatch.setattr(importlib.import_module("qscramble.entropy"), "multistart_minimize",
                         refuse)
     renyi_inf, t3 = EntropySpec(RENYI, math.inf), EntropySpec(TSALLIS, 3.0)
+    t15, shannon = EntropySpec(TSALLIS, 1.5), EntropySpec(SHANNON)
     # the uncached builder, so the grid is computed here
     get_separable_boundary.__wrapped__(t3, EntropySpec(TSALLIS, 2.0))
     get_separable_boundary.__wrapped__(renyi_inf, EntropySpec(RENYI, 2.0), n=9)
+    get_separable_boundary.__wrapped__(shannon, shannon, n=64)
+    get_separable_boundary.__wrapped__(t15, t15, n=9)
     separable_bound(0.3, EntropySpec(TSALLIS, 2.0), t3)
-    with pytest.raises(AssertionError, match="ran a search"):
-        separable_bound(0.3, EntropySpec(TSALLIS, 1.5), t3)
+    separable_bound(0.3, t15, t3)
+    separable_bound(1.3, shannon, t15)
 
 
 @pytest.mark.parametrize("max_iter", [40, 400])
