@@ -264,11 +264,9 @@ def _product_envelope(s: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec,
     target = np.tile(s, len(curves))
     angle_a = np.repeat([math.nan if a is None else a for a in curves], s.size)
     own = np.isnan(angle_a)  # the rows whose qubit A is phi_theta
-    symmetric = bool(own.all())
 
     def probs(theta):
-        b = _pair_probs(theta)
-        return (b if symmetric else _pair_probs(np.where(own, theta, angle_a))), b
+        return _pair_probs(np.where(own, theta, angle_a)), _pair_probs(theta)
 
     def s_xx(theta):
         (_, _, xa0, xa1), (_, _, xb0, xb1) = probs(theta)

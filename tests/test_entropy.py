@@ -187,7 +187,7 @@ def _mixture_dists(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def test_no_mixture_below_the_separable_boundary(spec_x, spec_z):
     # the gap S_zz(mixture) - boundary(S_xx(mixture)) over mixtures of two real
     # product states needs no constraint: 10^4 random mixtures, then Nelder-Mead
-    # from the 16 lowest, and a 121 x 121 grid of pure product states
+    # from the 32 lowest, and a 121 x 121 grid of pure product states
     smax = max_entropy(spec_x)
 
     def gap(x):
@@ -198,8 +198,8 @@ def test_no_mixture_below_the_separable_boundary(spec_x, spec_z):
     x = np.random.default_rng(2718).uniform(0.0, 1.0, (10_000, 5)) \
         * np.array([1.0, math.pi, math.pi, math.pi, math.pi])
     sampled = gap(x)
-    _, refined, _ = nelder_mead(gap, x[np.argsort(sampled)[:16]], step=0.1, xtol=1e-10,
-                                ftol=1e-15, max_iter=120)
+    _, refined, _ = nelder_mead(gap, x[np.argsort(sampled)[:32]], step=0.1, xtol=1e-10,
+                                ftol=1e-15, max_iter=300)
     assert min(float(np.min(sampled)), float(np.min(refined))) >= -1e-12
     # p = 0 leaves the product state of angles (theta_a, theta_b) alone
     theta = np.linspace(0.0, math.pi, 121)
