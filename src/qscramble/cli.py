@@ -25,12 +25,16 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _entropy_spec(kind: str, parameter: float) -> EntropySpec:
-    return EntropySpec(kind, parameter)
-
-
-def _open_out(path):
-    return open(path, "w", newline="") if path else sys.stdout
+def _write_csv(path, header, rows) -> None:
+    """Write a header and rows as CSV to ``path``, or to stdout without one."""
+    out = open(path, "w", newline="") if path else sys.stdout
+    try:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def _cmd_table1(args) -> int:
@@ -63,8 +67,8 @@ def _cmd_detect(args) -> int:
     else:
         inp = fileio.read_probabilities(args.infile).data
     methods = ("sdp", "witness", "entropy") if args.method == "all" else (args.method,)
-    spec_x = _entropy_spec(args.entropy, args.qtilde)
-    spec_z = _entropy_spec(args.entropy, args.q)
+    spec_x = EntropySpec(args.entropy, args.qtilde)
+    spec_z = EntropySpec(args.entropy, args.q)
     report = detector.detect(inp, methods, spec_x=spec_x, spec_z=spec_z)
     doc = {"overall": report.overall, "methods": dict(report.methods),
            "evidence": report.evidence}
@@ -95,8 +99,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_entropy_curve(args) -> int:
-    spec_x = _entropy_spec(args.entropy, args.qtilde)
-    spec_z = _entropy_spec(args.entropy, args.q)
+    spec_x = EntropySpec(args.entropy, args.qtilde)
+    spec_z = EntropySpec(args.entropy, args.q)
     # the whole curve is computed before the output is opened, so a failure
     # leaves no partial file behind
     bound = get_separable_boundary(spec_x, spec_z, n=args.resolution)
@@ -104,45 +108,24 @@ def _cmd_entropy_curve(args) -> int:
         ball = [_fmt(v) for v in all_states_bound_vec(bound.grid, spec_x, spec_z)]
     else:
         ball = [""] * len(bound.grid)  # outside the proven regime of the all-states bound
-    out = _open_out(args.out)
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["s_xx", "bound_all", "bound_sep", "q", "qtilde", "entropy_kind"])
-        writer.writerows([_fmt(s), b, _fmt(v), _fmt(spec_z.parameter),
-                          _fmt(spec_x.parameter), spec_x.kind]
-                         for s, b, v in zip(bound.grid, ball, bound.values))
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    rows = [[_fmt(s), b, _fmt(v), _fmt(spec_z.parameter), _fmt(spec_x.parameter), spec_x.kind]
+            for s, b, v in zip(bound.grid, ball, bound.values)]
+    _write_csv(args.out, ["s_xx", "bound_all", "bound_sep", "q", "qtilde", "entropy_kind"], rows)
     return 0
 
 
 def _cmd_witness_curve(args) -> int:
     curve = witness.optimize_params(args.beta, num=args.resolution)
-    out = _open_out(args.out)
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["beta", "alpha", "gamma"])
-        for a, g in curve:
-            writer.writerow([_fmt(args.beta), _fmt(a), _fmt(g)])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_csv(args.out, ["beta", "alpha", "gamma"],
+               ([_fmt(args.beta), _fmt(a), _fmt(g)] for a, g in curve))
     return 0
 
 
 def _cmd_slice(args) -> int:
     points = detector.nonconvex_slice(args.resolution)
-    out = _open_out(args.out)
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["p_pp", "p_pm", "possibly_separable"])
-        for pt in points:
-            writer.writerow([_fmt(pt.p_pp), _fmt(pt.p_pm),
-                             "true" if pt.possibly_separable else "false"])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_csv(args.out, ["p_pp", "p_pm", "possibly_separable"],
+               ([_fmt(pt.p_pp), _fmt(pt.p_pm), "true" if pt.possibly_separable else "false"]
+                for pt in points))
     return 0
 
 

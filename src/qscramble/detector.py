@@ -19,9 +19,10 @@ from .entropy import (TSALLIS, EntropySpec, entropy as entropy_of, entropy_detec
 from .errors import DomainError
 from .feasibility import (Verdict, assignment_rows, reduce_assignments,
                           scrambled_possibly_separable, solve_batch)
-from .measurement import (XX, YY, ZZ, OutcomeDistribution, ScrambledData,
+from .measurement import (XX, ZZ, OutcomeDistribution, ScrambledData,
                           apply_permutation, canonical_permutations, probabilities,
                           probabilities_stack, scramble, scramble_state)
+from .optimize import bisect
 from .quantum import (SIGMA_X, SIGMA_Z, I2, DensityMatrix, mix, phi_plus,
                       random_hs_stack)
 # tangent_curve is not called here; it is re-exported because bench/spans.py
@@ -84,7 +85,7 @@ def _as_scrambled(inp) -> ScrambledData:
     if isinstance(inp, ScrambledData):
         return inp
     if isinstance(inp, DensityMatrix):
-        return scramble_state(inp, (XX, YY, ZZ))
+        return scramble_state(inp)
     raise DomainError(f"detect expects a DensityMatrix or ScrambledData, got {type(inp)!r}")
 
 
@@ -232,35 +233,35 @@ class SlicePoint:
     possibly_separable: bool
 
 
-def _slice_multiset(p_pp: float, p_pm: float) -> np.ndarray | None:
-    p_mm = 1.0 - p_pp - 2.0 * p_pm
-    if p_pp < -1e-12 or p_pm < -1e-12 or p_mm < -1e-12:
-        return None
-    return np.array([p_pp, p_pm, p_pm, max(p_mm, 0.0)])
+def _in_slice(p_pp, p_pm):
+    """Where (p_pp, p_pm) has no probability below -1e-12, p_-- included."""
+    return (p_pp >= -1e-12) & (p_pm >= -1e-12) & (1.0 - p_pp - 2.0 * p_pm >= -1e-12)
 
 
-def _classify_slice_batch(points: list[tuple[float, float]]) -> list[bool]:
+def _classify_slice_batch(p_pp: np.ndarray, p_pm: np.ndarray) -> np.ndarray:
     """possibly_separable flags for symmetric slice points, batched over the
     18 assignments of every point; see :func:`nonconvex_slice` for the policy."""
-    m = np.sort([_slice_multiset(p_pp, p_pm) for p_pp, p_pm in points], axis=1)[:, ::-1]
+    m = np.stack([p_pp, p_pm, p_pm, np.maximum(1.0 - p_pp - 2.0 * p_pm, 0.0)], axis=1)
+    m = np.sort(m, axis=1)[:, ::-1]
     statuses, _, _, _ = solve_batch(*assignment_rows(m, m))
-    return (reduce_assignments(statuses, len(canonical_permutations())) != 1).tolist()
+    return reduce_assignments(statuses, len(canonical_permutations())) != 1
 
 
 def classify_slice_point(p_pp: float, p_pm: float) -> SlicePoint:
-    if _slice_multiset(p_pp, p_pm) is None:
+    if not _in_slice(p_pp, p_pm):
         raise DomainError(f"slice point ({p_pp}, {p_pm}) has negative probabilities")
-    flag = _classify_slice_batch([(p_pp, p_pm)])[0]
-    return SlicePoint(p_pp, p_pm, flag)
+    flag = _classify_slice_batch(np.array([p_pp]), np.array([p_pm]))[0]
+    return SlicePoint(p_pp, p_pm, bool(flag))
 
 
 def nonconvex_slice(resolution: int, *, rays: int = 64) -> list[SlicePoint]:
     """Classified grid of the symmetric slice plus ray-traced boundary points.
 
     The grid covers the valid triangle p_pp in [0, 1], p_pm in [0, (1-p_pp)/2];
-    the boundary is found by bisecting along rays from the uniform point
+    the boundary is found by bisecting, ceil(log2(resolution)) times, along
+    ``rays`` (at least 1) evenly spaced rays from the uniform point
     (1/4, 1/4), which is sound because the possibly-separable set is
-    star-convex around the maximally mixed state.
+    star-convex around the maximally mixed state.  The ray ends come last.
 
     A point is flagged possibly separable unless all 18 of its assignments
     are proven infeasible: a point with no feasible assignment but an
@@ -270,38 +271,29 @@ def nonconvex_slice(resolution: int, *, rays: int = 64) -> list[SlicePoint]:
     """
     if resolution < 8:
         raise DomainError("resolution must be at least 8")
-    grid_pts: list[tuple[float, float]] = []
-    for p_pp in np.linspace(0.0, 1.0, resolution):
-        for p_pm in np.linspace(0.0, 0.5, resolution):
-            if _slice_multiset(p_pp, p_pm) is not None:
-                grid_pts.append((float(p_pp), float(p_pm)))
-    flags = _classify_slice_batch(grid_pts)
-    points = [SlicePoint(pp, pm, f) for (pp, pm), f in zip(grid_pts, flags)]
+    if rays < 1:
+        raise DomainError(f"rays must be at least 1, got {rays}")
+    p_pp, p_pm = np.meshgrid(np.linspace(0.0, 1.0, resolution),
+                             np.linspace(0.0, 0.5, resolution), indexing="ij")
+    inside = _in_slice(p_pp, p_pm)
+    p_pp, p_pm = p_pp[inside], p_pm[inside]
+    flags = _classify_slice_batch(p_pp, p_pm)
+    points = [SlicePoint(float(pp), float(pm), bool(f)) for pp, pm, f in zip(p_pp, p_pm, flags)]
 
     center = np.array([0.25, 0.25])
-    depth = max(1, math.ceil(math.log2(resolution)))
-    lam_lo = np.zeros(rays)
-    lam_hi = np.ones(rays)
-    dirs = []
-    for k in range(rays):
-        ang = 2.0 * math.pi * k / rays
-        d = np.array([math.cos(ang), math.sin(ang)])
-        # largest step keeping the point inside the valid triangle
-        tmax = math.inf
-        for normal, offset in (([-1.0, 0.0], 0.25), ([0.0, -1.0], 0.25),
-                               ([1.0, 2.0], 0.25)):
-            denom = float(np.dot(normal, d))
-            if denom > 1e-15:
-                tmax = min(tmax, offset / denom)
-        dirs.append(d * tmax)
-    dirs = np.array(dirs)
-    for _ in range(depth):
-        mid = 0.5 * (lam_lo + lam_hi)
-        pts = center + mid[:, None] * dirs
-        flags = _classify_slice_batch([tuple(p) for p in pts])
-        flags = np.array(flags)
-        lam_lo = np.where(flags, mid, lam_lo)
-        lam_hi = np.where(flags, lam_hi, mid)
+    ang = 2.0 * math.pi * np.arange(rays) / rays
+    d = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    # the largest step keeping the point inside the triangle: each edge
+    # n . (p - center) <= 1/4 that the direction heads towards bounds it
+    denom = np.stack([-d[:, 0], -d[:, 1], d[:, 0] + 2.0 * d[:, 1]], axis=1)
+    tmax = np.min(np.where(denom > 1e-15, 0.25 / np.maximum(denom, 1e-15), np.inf), axis=1)
+    dirs = d * tmax[:, None]
+
+    def separable(lam):
+        pts = center + lam[:, None] * dirs
+        return _classify_slice_batch(pts[:, 0], pts[:, 1])
+
+    lam_lo, _ = bisect(separable, np.zeros(rays), 1.0, max(1, math.ceil(math.log2(resolution))))
     boundary = center + lam_lo[:, None] * dirs
     points.extend(SlicePoint(float(pp), float(pm), True) for pp, pm in boundary)
     return points

@@ -27,6 +27,7 @@ from scipy.special import logsumexp
 
 from .errors import ConvergenceFailure, DomainError
 from .measurement import XX, ZZ, OutcomeDistribution, ScrambledData
+from .optimize import bisect
 # multistart_minimize is not called here; bench/spans.py traces entropy.multistart_minimize
 from .optimize import multistart_minimize  # noqa: F401
 
@@ -35,7 +36,6 @@ TSALLIS = "tsallis"
 RENYI = "renyi"
 
 T_CAP = 1e8
-_BISECT_STOL = 1e-12
 _LOGSPACE_Q = 50.0
 DETECT_MARGIN = 1e-9
 
@@ -165,7 +165,13 @@ def _require_bound_regime(spec: EntropySpec, role: str) -> None:
 
 
 def t_from_sxx_vec(s: np.ndarray, spec_x: EntropySpec) -> np.ndarray:
-    """Vectorized inverse of t -> S_xx(psi_t); capped at T_CAP near the asymptote."""
+    """Vectorized inverse of t -> S_xx(psi_t); capped at T_CAP near the asymptote.
+
+    S_xx increases with t, so t is the midpoint of [1, T_CAP] after 80
+    halvings, a bracket of 1e8 * 2^-80 (about 8e-17), below the spacing of
+    the floats at t >= 1.  Targets at or below 1e-12 give t = 1, and
+    targets at or above S_xx(psi_T_CAP) give T_CAP.
+    """
     _require_bound_regime(spec_x, "horizontal")
     s = np.asarray(s, dtype=float)
     shape = s.shape
@@ -175,26 +181,14 @@ def t_from_sxx_vec(s: np.ndarray, spec_x: EntropySpec) -> np.ndarray:
         raise DomainError(f"target entropy outside the attainable range [0, {smax!r}]")
     s = np.clip(s, 0.0, smax)
     s_at_cap = float(entropy_nd(psi_t_xx_probs(T_CAP), spec_x))
-    out = np.where(s <= _BISECT_STOL, 1.0, np.nan)
+    out = np.where(s <= 1e-12, 1.0, np.nan)
     out = np.where(s >= s_at_cap, T_CAP, out)
     todo = np.isnan(out)
     if np.any(todo):
-        lo = np.ones(int(todo.sum()))
-        hi = np.full(int(todo.sum()), T_CAP)
         target = s[todo]
-        mid = 0.5 * (lo + hi)
-        done = np.zeros(mid.shape, dtype=bool)
-        for _ in range(200):
-            # an entry keeps its first converged midpoint, whatever its batch
-            mid = np.where(done, mid, 0.5 * (lo + hi))
-            val = entropy_nd(psi_t_xx_probs(mid), spec_x)
-            done |= np.abs(val - target) <= _BISECT_STOL
-            if np.all(done):
-                break
-            high = val > target
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
-        out[todo] = mid
+        lo, hi = bisect(lambda t: entropy_nd(psi_t_xx_probs(t), spec_x) <= target,
+                        np.ones(target.size), T_CAP, 80)
+        out[todo] = 0.5 * (lo + hi)
     return out.reshape(shape)
 
 
@@ -272,13 +266,8 @@ def _product_envelope(s: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec,
         (_, _, xa0, xa1), (_, _, xb0, xb1) = probs(theta)
         return entropy_nd(_product_dist(xa0, xa1, xb0, xb1), spec_x)
 
-    lo = np.zeros_like(target)
-    hi = np.full_like(target, 0.5 * math.pi)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        val = s_xx(mid)
-        lo = np.where(val > target, mid, lo)
-        hi = np.where(val > target, hi, mid)
+    lo, hi = bisect(lambda theta: s_xx(theta) > target, np.zeros_like(target),
+                    0.5 * math.pi, 80)
     (za0, za1, _, _), (zb0, zb1, _, _) = probs(0.5 * (lo + hi))
     s_zz = entropy_nd(_product_dist(za0, za1, zb0, zb1), spec_z)
     top, bottom = s_xx(np.zeros_like(target)), s_xx(np.full_like(target, 0.5 * math.pi))
@@ -413,21 +402,14 @@ def robustness(q: float) -> float:
     rhs_weights = np.array([1.0, 2.0, 1.0])
     rhs = logsumexp(2.0 * q * np.log(rhs_bases), b=rhs_weights)
 
-    def excess(lam: float) -> float:
+    def excess(lam):
         b1 = (1.0 - lam) * amp_big + 0.25 * lam
         b2 = (1.0 - lam) * amp_small + 0.25 * lam
         lhs = logsumexp(2.0 * q * np.log(np.array([b1, b2])), b=np.array([1.0, 3.0]))
         return lhs - rhs
 
-    lo, hi = 0.0, 1.0
     if excess(0.0) <= 0.0:
         raise ConvergenceFailure("robustness equation has no root in [0, 1]")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12:
-            break
-    return 0.5 * (lo + hi)
+    # 40 halvings leave a bracket of 2^-40, about 9.1e-13
+    lo, hi = bisect(lambda lam: excess(lam) > 0.0, 0.0, 1.0, 40)
+    return float(0.5 * (lo + hi))

@@ -63,6 +63,7 @@ from .errors import DomainError
 from .measurement import (PROB_ENTRY_ATOL, PROB_SUM_ATOL, XX, ZZ, PermutationPair,
                           ScrambledData, canonical_permutations, probabilities,
                           probabilities_stack, scramble, setting)
+from .optimize import bisect
 from .quantum import DensityMatrix, _ginibre, derive_seed, maximally_mixed, mix
 
 TOL_FEASIBLE = 1e-7
@@ -377,11 +378,15 @@ def scrambled_possibly_separable(d: ScrambledData) -> tuple[Verdict, Separabilit
 def star_convexity_ray(rho: DensityMatrix, resolution: int = 256) -> float:
     """Detectability threshold along the ray from the maximally mixed state.
 
-    Bisects the mixing weight lambda of ``mix(I/4, rho, lambda)``; by
-    star-convexity of the possibly-separable set the verdict flips exactly
-    once.  Returns 1.0 when ``rho`` itself is not detected.  Inconclusive
-    verdicts count as not detected, which can only push the reported
-    boundary outward.
+    Bisects the mixing weight lambda of ``mix(I/4, rho, lambda)`` over
+    [0, 1], ceil(log2(resolution)) times; by star-convexity of the
+    possibly-separable set the verdict flips exactly once.  Returns the upper
+    end of the final bracket, the smallest weight shown to be detected, and
+    1.0 when ``rho`` itself is not detected.  The upper end is 1.0 also for a
+    detected ``rho`` whose threshold lies in the top bracket: at resolution 2
+    the counterexample mixture gives 1.0, at 64 it gives 0.859375.
+    Inconclusive verdicts count as not detected, which can only push the
+    reported boundary outward.
     """
     if resolution < 2:
         raise DomainError("resolution must be at least 2")
@@ -394,15 +399,9 @@ def star_convexity_ray(rho: DensityMatrix, resolution: int = 256) -> float:
 
     if not detected(1.0):
         return 1.0
-    lo, hi = 0.0, 1.0
-    steps = max(1, math.ceil(math.log2(resolution)))
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if detected(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    _, hi = bisect(lambda lam: not detected(float(lam)), 0.0, 1.0,
+                   max(1, math.ceil(math.log2(resolution))))
+    return float(hi)
 
 
 # ---------------------------------------------------------------------------

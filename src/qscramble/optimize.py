@@ -1,4 +1,4 @@
-"""Batched derivative-free minimizer for the beta != 0 witness.
+"""Batched numerics: a derivative-free minimizer and an elementwise bisection.
 
 ``nelder_mead`` advances a flat batch of simplices with the textbook rules
 and stable ordering, on an active set: each iteration sorts, tests and steps
@@ -14,6 +14,11 @@ or the contraction after a rejected reflection, then the d shrink points of
 every simplex that shrinks, in one call.  ``multistart_minimize`` raises
 ConvergenceFailure unless several starts of each group reproduce its best
 value, since a scattered field of minima signals an unreliable landscape.
+
+``bisect`` halves a batch of brackets a fixed number of times.  It serves
+every 1-D search of the package: the psi_t and product-state inverses of
+S_xx, the robustness root and the ray searches of the possibly-separable
+set, each with its own step count.
 """
 
 from __future__ import annotations
@@ -93,6 +98,22 @@ def nelder_mead(f: Callable[[np.ndarray], np.ndarray], x0, *, consts=None,
     best = np.argmin(vals, axis=1)
     return (simplex[np.arange(n), best].reshape(batch + (d,)),
             vals[np.arange(n), best].reshape(batch), capped.reshape(batch))
+
+
+def bisect(go_right: Callable[[np.ndarray], np.ndarray], lo, hi, steps: int):
+    """Halve every bracket [lo, hi] ``steps`` times, elementwise.
+
+    ``go_right(mid)`` receives the midpoints 0.5 (lo + hi) and returns where
+    the sought point lies above them: there the bracket becomes [mid, hi],
+    elsewhere [lo, mid].  ``go_right`` must be elementwise, so an entry
+    follows the same path alone as inside any batch.  Returns (lo, hi).
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        right = go_right(mid)
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    return lo, hi
 
 
 @dataclass(frozen=True)

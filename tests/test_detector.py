@@ -177,8 +177,8 @@ def test_slice_counts_inconclusive_as_possibly_separable(monkeypatch):
         return statuses, [None] * len(p_xx), np.zeros(len(p_xx)), np.zeros(len(p_xx), int)
 
     monkeypatch.setattr(det, "solve_batch", solve_stub)
-    flags = det._classify_slice_batch([(5 / 48, 5 / 48), (0.3, 0.1)])
-    assert flags == [False, True]
+    flags = det._classify_slice_batch(np.array([5 / 48, 0.3]), np.array([5 / 48, 0.1]))
+    assert flags.tolist() == [False, True]
     assert calls == [36]
 
 
@@ -194,6 +194,12 @@ def test_nonconvex_slice_output():
         assert 1.0 - p.p_pp - 2.0 * p.p_pm >= -1e-9
     # boundary points are appended and marked possibly separable
     assert all(p.possibly_separable for p in points[-8:])
+
+
+@pytest.mark.parametrize("rays", [0, -1])
+def test_nonconvex_slice_rejects_bad_rays(rays):
+    with pytest.raises(DomainError, match="rays"):
+        nonconvex_slice(8, rays=rays)
 
 
 def test_verify_counterexample_all_pass():

@@ -109,8 +109,8 @@ def test_t_from_sxx():
 
 @pytest.mark.parametrize("spec_x", [T2, EntropySpec(TSALLIS, 3.0)])
 def test_all_states_bound_vec_matches_scalar(spec_x):
-    # each bisection entry stops at its own first converged midpoint, so a
-    # point's value does not depend on the batch it is solved in
+    # every bisection entry takes the same 80 halvings on its own bracket, so
+    # a point's value does not depend on the batch it is solved in
     grid = np.linspace(0.0, max_entropy(spec_x), 100)
     vec = all_states_bound_vec(grid, spec_x, T2)
     assert all(vec[i] == all_states_bound(float(s), spec_x, T2) for i, s in enumerate(grid))
@@ -124,6 +124,12 @@ def test_all_states_bound_examples():
     assert abs(all_states_bound_closed_form(5 / 12) - 5 / 12) < 1e-15
     assert abs(all_states_bound_closed_form(0.0) - 0.75) < 1e-15
     assert all_states_bound_closed_form(0.75) == 0.0
+
+
+def test_all_states_bound_22_is_the_closed_form():
+    grid = np.linspace(0.0, 0.75, 64)
+    closed = np.array([all_states_bound_closed_form(float(s)) for s in grid])
+    assert np.max(np.abs(all_states_bound_vec(grid, T2, T2) - closed)) <= 1e-14
 
 
 def test_saturation_on_psi_t_grid():

@@ -7,7 +7,7 @@ import pytest
 from qscramble.entropy import (RENYI, SHANNON, TSALLIS, EntropySpec, get_separable_boundary,
                                separable_bound)
 from qscramble.errors import ConvergenceFailure
-from qscramble.optimize import multistart_minimize, nelder_mead
+from qscramble.optimize import bisect, multistart_minimize, nelder_mead
 
 
 def _rosenbrock(x):
@@ -192,3 +192,14 @@ def test_capped_counts_the_starts_still_moving():
         res = multistart_minimize(_rosenbrock, starts, consts=shifts[:, None], agree=1,
                                   max_iter=max_iter)
         assert np.array_equal(res.capped, [capped] * 4)
+
+
+def test_bisect_entry_alone_equals_entry_in_batch():
+    # the cube root of each target, bracketed in [0, 4]
+    targets = np.array([0.1, 2.0, 0.5, 7.3, 0.0])
+    lo, hi = bisect(lambda x: x ** 3 < targets, np.zeros(targets.size), 4.0, 40)
+    assert np.all(hi - lo == 4.0 * 2.0 ** -40)
+    assert np.all((lo <= np.cbrt(targets)) & (np.cbrt(targets) <= hi))
+    for i, c in enumerate(targets):
+        lo_i, hi_i = bisect(lambda x: x ** 3 < c, 0.0, 4.0, 40)
+        assert (lo_i, hi_i) == (lo[i], hi[i])
