@@ -16,7 +16,7 @@ import numpy as np
 
 from .entropy import (TSALLIS, EntropySpec, entropy as entropy_of, entropy_detect,
                       get_separable_boundary)
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .feasibility import (Verdict, assignment_rows, reduce_assignments,
                           scrambled_possibly_separable, solve_batch)
 from .measurement import (XX, ZZ, OutcomeDistribution, ScrambledData,
@@ -195,8 +195,7 @@ def scan_details(samples: int, seed: int, scrambled: bool) -> np.ndarray:
     multisets.  Samples are drawn ``_SCAN_CHUNK`` at a time; a sample's
     outcome does not depend on the chunk it falls in.
     """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
+    samples = check_count("samples", samples, 1)
     out = np.zeros(samples, dtype=np.int8)
     for start in range(0, samples, _SCAN_CHUNK):
         count = min(_SCAN_CHUNK, samples - start)
@@ -248,6 +247,8 @@ def _classify_slice_batch(p_pp: np.ndarray, p_pm: np.ndarray) -> np.ndarray:
 
 
 def classify_slice_point(p_pp: float, p_pm: float) -> SlicePoint:
+    if not (math.isfinite(p_pp) and math.isfinite(p_pm)):
+        raise DomainError(f"slice point ({p_pp}, {p_pm}) is non-finite")
     if not _in_slice(p_pp, p_pm):
         raise DomainError(f"slice point ({p_pp}, {p_pm}) has negative probabilities")
     flag = _classify_slice_batch(np.array([p_pp]), np.array([p_pm]))[0]
@@ -269,10 +270,8 @@ def nonconvex_slice(resolution: int, *, rays: int = 64) -> list[SlicePoint]:
     :func:`~qscramble.feasibility.star_convexity_ray`.  Solver doubt can
     therefore only move the reported boundary outward.
     """
-    if resolution < 8:
-        raise DomainError("resolution must be at least 8")
-    if rays < 1:
-        raise DomainError(f"rays must be at least 1, got {rays}")
+    resolution = check_count("resolution", resolution, 8)
+    rays = check_count("rays", rays, 1)
     p_pp, p_pm = np.meshgrid(np.linspace(0.0, 1.0, resolution),
                              np.linspace(0.0, 0.5, resolution), indexing="ij")
     inside = _in_slice(p_pp, p_pm)

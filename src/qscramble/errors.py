@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-argument check."""
+
+from numbers import Integral
 
 
 class QScrambleError(Exception):
@@ -33,3 +35,13 @@ class ConvergenceFailure(QScrambleError, RuntimeError):
     """An iterative solve did not converge: the beta != 0 tangency scaling,
     the robustness root, or a multi-start search that did not reproduce its
     minimum."""
+
+
+def check_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int; :class:`DomainError` naming ``name`` unless it is an
+    integer (a bool is not) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)

@@ -196,10 +196,31 @@ def test_nonconvex_slice_output():
     assert all(p.possibly_separable for p in points[-8:])
 
 
-@pytest.mark.parametrize("rays", [0, -1])
+@pytest.mark.parametrize("rays", [0, -1, 2.5, True])
 def test_nonconvex_slice_rejects_bad_rays(rays):
     with pytest.raises(DomainError, match="rays"):
         nonconvex_slice(8, rays=rays)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: scan_details(10.5, 1, False), "samples must be an integer, got 10.5"),
+    (lambda: scan_details(True, 1, False), "samples must be an integer, got True"),
+    (lambda: scan(10.5, 1, True), "samples must be an integer"),
+    (lambda: scan(0, 1, False), "samples must be at least 1, got 0"),
+    (lambda: nonconvex_slice(8.0), "resolution must be an integer, got 8.0"),
+    (lambda: nonconvex_slice(4), "resolution must be at least 8, got 4"),
+    (lambda: classify_slice_point(float("nan"), 0.1), "non-finite"),
+    (lambda: classify_slice_point(0.5, float("inf")), "non-finite"),
+], ids=["scan_details-float", "scan_details-bool", "scan-float", "scan-zero",
+        "slice-float", "slice-small", "point-nan", "point-inf"])
+def test_detector_entry_points_raise_typed_errors(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_integer_arguments_accept_numpy_integers():
+    assert scan_details(np.int64(3), 1, False).shape == (3,)
+    assert len(nonconvex_slice(np.int32(8), rays=np.int8(1))) == 37
 
 
 def test_verify_counterexample_all_pass():

@@ -242,6 +242,73 @@ def test_psd_base_states_need_no_newton_step():
             assert np.array_equal(certs[i], exact[i]), i
 
 
+def _slice_rows(resolution):
+    """The 18 assignments of every point of nonconvex_slice's grid."""
+    from qscramble.detector import _in_slice
+    p_pp, p_pm = np.meshgrid(np.linspace(0.0, 1.0, resolution),
+                             np.linspace(0.0, 0.5, resolution), indexing="ij")
+    inside = _in_slice(p_pp, p_pm)
+    p_pp, p_pm = p_pp[inside], p_pm[inside]
+    m = np.stack([p_pp, p_pm, p_pm, np.maximum(1.0 - p_pp - 2.0 * p_pm, 0.0)], axis=1)
+    m = np.sort(m, axis=1)[:, ::-1]
+    return fz.assignment_rows(m, m)
+
+
+def test_ldl_screen_is_sound():
+    # a row the LDL^T screen passes is positive definite by eigvalsh, so its
+    # certificate is rho_b unclipped, as the eigenvalue rule gives it; a row
+    # it rejects that is PSD within 1e-8 is still certified with no step.
+    # Boundary rows: the true rows of random_hs_stack(5, 3000) whose rho_b is
+    # not PSD, moved along the ray from I/4 to where lambda_min(rho_b) = 0 up
+    # to rounding; a pivot floor of 1e-14 x trace would pass one of them with
+    # lambda_min <= 0.  Edge rows: the rank-1 rho_b of the |00> labeling, and
+    # singlet-segment rows with lambda_min(rho_b) = -gap
+    states = random_hs_stack(5, 3000)
+    pxx = np.clip(probabilities_stack(states, XX), 0, 1)
+    pzz = np.clip(probabilities_stack(states, ZZ), 0, 1)
+    lam0 = np.linalg.eigvalsh(fz._base_state(pxx, pzz))[:, 0]
+    t = 1.0 / (1.0 - 4.0 * lam0[lam0 < 0.0, None])
+    boundary = [(1 - t) * np.full(4, 0.25) + t * q[lam0 < 0.0] for q in (pxx, pzz)]
+    gaps = np.array([1e-12, -1e-12, 1e-9, -1e-9])
+    lam = 0.5 + 2.0 * gaps[:, None]
+    p = (1 - lam) * np.full(4, 0.25) + lam * np.array([0, .5, .5, 0])
+    edge = np.vstack([[.25] * 4, p]), np.vstack([[1.0, 0, 0, 0], p])
+    for pxx, pzz in [*_scan_rows(), _slice_rows(16), boundary, edge]:
+        rho_b = fz._base_state(pxx, pzz)
+        screened = fz._ldl_positive(rho_b)
+        lam0 = np.linalg.eigvalsh(rho_b)[:, 0]
+        assert np.all(lam0[screened] > 0.0)
+        statuses, _, _, cycles = solve_batch(pxx, pzz)
+        late = np.flatnonzero(~screened & (lam0 >= -fz._CERT_EIG_TOL))
+        assert all(statuses[i] is FeasibilityStatus.FEASIBLE for i in late)
+        assert np.all(cycles[late] == 0)
+    assert screened.tolist() == [False, False, True, False, True]
+    assert late.tolist() == [0, 1, 3]
+
+
+def test_solve_batch_on_zero_rows_and_status_identity():
+    statuses, states, residuals, cycles = solve_batch(np.empty((0, 4)), np.empty((0, 4)))
+    assert statuses == [] and states == []
+    assert residuals.shape == (0,) and cycles.shape == (0,)
+    # feasible, infeasible and (between the certificates) inconclusive rows
+    gap_row = (0.5 - 2e-7) * np.full(4, 0.25) + (0.5 + 2e-7) * np.array([0, .5, .5, 0])
+    pxx = np.array([[.25] * 4, [0, .5, .5, 0], gap_row, [.5, .5, 0, 0]])
+    pzz = np.array([[.25] * 4, [0, .5, .5, 0], gap_row, [.5, 0, .5, 0]])
+    statuses, states, _, _ = solve_batch(pxx, pzz)
+    members = list(FeasibilityStatus)
+    assert all(any(s is m for m in members) for s in statuses)
+    assert statuses == [FeasibilityStatus.FEASIBLE, FeasibilityStatus.INFEASIBLE,
+                        FeasibilityStatus.INCONCLUSIVE, FeasibilityStatus.FEASIBLE]
+    assert [s is None for s in states] == [False, True, True, False]
+
+
+@pytest.mark.parametrize("resolution", [2.5, True, 1])
+def test_star_convexity_ray_rejects_bad_resolution(resolution):
+    from qscramble.errors import DomainError
+    with pytest.raises(DomainError, match="resolution"):
+        star_convexity_ray(maximally_mixed(), resolution)
+
+
 def test_slightly_negative_base_state_gets_a_clipped_certificate():
     # on the segment from uniform to the singlet labeling lambda_min(rho_b) is
     # (1 - 2 lam)/4 = -gap, inside the primal rule's 1e-8
