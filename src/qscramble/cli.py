@@ -152,7 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table1", help="print the singlet vs |+>|0> data table")
 
     p = sub.add_parser("detect", help="run detection methods on a state or data file")
-    p.add_argument("--in", dest="infile", required=True, help="state or probability JSON")
+    p.add_argument("--in", dest="infile", required=True,
+                   help="state or probability JSON; a probability file's yy field is "
+                        "accepted but not read (the witness family has beta = 0)")
     p.add_argument("--method", choices=["sdp", "witness", "entropy", "all"], default="all")
     p.add_argument("--q", type=float, default=2.0, help=_Q_HELP)
     p.add_argument("--qtilde", type=float, default=2.0, help=_QTILDE_HELP)

@@ -31,7 +31,11 @@ one of two certificates checks:
   (positive definite), or, for the rows it rejects, the eigenvalues that
   place the first iterate are >= -1e-8.  That is 95-98 % of the rows of
   the fixed-seed scans, nearly all of them passing the LDL^T, so only the
-  few rejected rows pay for an eigendecomposition before the Newton loop;
+  few rejected rows pay for an eigendecomposition before the Newton loop.
+  Rejected rows whose rho_b are equal byte for byte are solved once and the
+  result copied, which is exact because no row's arithmetic reads another
+  row: the 18 assignments of a multiset with a tie, as on the non-convexity
+  slice, repeat rows;
 * infeasible: W = (A(t) - sI)^{-1}, with its XZ and ZX parts projected out,
   shifted to PSD and trace-normalized, has Tr(W rho_b) <= -``TOL_INFEASIBLE``
   = -1e-6.  Tr(W A(t)) = Tr(W rho_b) for every t, and (W + W^{T_B})/2 is a
@@ -191,8 +195,14 @@ def _lmi(rho_b: np.ndarray):
     decided with A = rho_b and no Newton step when rho_b passes the LDL^T
     screen, or else when the eigenvalues that place its start pass the
     primal rule; only the rows the screen rejects are eigendecomposed.
+
+    Rejected rows that are equal byte for byte are solved once, by
+    :func:`_newton` on one representative, and its five outputs are copied
+    to the others.  That is exact: a row's arithmetic never reads another
+    row, so each copy gets the bits it would have computed itself, and since
+    :func:`_base_state` adds I/4 last, no entry is -0.0, so equal bytes means
+    equal values.  ``steps`` still counts every copy's steps.
     """
-    free = _lmi_frame()[1]
     n = rho_b.shape[0]
     code = np.zeros(n, dtype=np.int8)
     a_out = rho_b.copy()
@@ -201,18 +211,39 @@ def _lmi(rho_b: np.ndarray):
     steps = np.zeros(n, dtype=np.int64)
     code[_ldl_positive(rho_b)] = 1
     rest = np.flatnonzero(code == 0)
-    lam0 = np.linalg.eigvalsh(rho_b[rest])[:, 0]
+    if not rest.size:
+        return code, a_out, witness, margin, steps
+    keys = rho_b[rest].reshape(rest.size, 16).view(np.dtype((np.void, 128)))[:, 0]
+    _, first, back = np.unique(keys, return_index=True, return_inverse=True)
+    for out, solved in zip((code, a_out, witness, margin, steps), _newton(rho_b[rest[first]])):
+        out[rest] = solved[back]
+    return code, a_out, witness, margin, steps
+
+
+def _newton(rho_b: np.ndarray):
+    """:func:`_lmi`'s outputs for rows that the LDL^T screen rejected: the
+    eigenvalues place each start, then the barrier's Newton loop runs on the
+    rows they do not certify."""
+    free = _lmi_frame()[1]
+    n = rho_b.shape[0]
+    code = np.zeros(n, dtype=np.int8)
+    a_out = rho_b.copy()
+    witness = np.zeros_like(rho_b)
+    margin = np.zeros(n)
+    steps = np.zeros(n, dtype=np.int64)
+    lam0 = np.linalg.eigvalsh(rho_b)[:, 0]
     z = np.zeros((n, 3))  # (t_1, t_2, s)
-    z[rest, 2] = lam0 - _START_GAP
+    z[:, 2] = lam0 - _START_GAP
     tau = np.zeros(n)
     psd = lam0 >= -_CERT_EIG_TOL
-    code[rest[psd]] = 1
-    margin[rest[psd]] = lam0[psd]
-    active = rest[~psd]
+    code[psd] = 1
+    margin[psd] = lam0[psd]
+    active = np.flatnonzero(~psd)
+    eye, e_s = np.eye(4), np.array([0.0, 0.0, 1.0])
     while active.size:
         za = z[active]
         a = rho_b[active] + (za[:, :2, None, None] * free).sum(axis=1)
-        w, v = np.linalg.eigh(a - za[:, 2, None, None] * np.eye(4))
+        w, v = np.linalg.eigh(a - za[:, 2, None, None] * eye)
         r = 1.0 / w  # the spectrum of G = (A - sI)^{-1}
         # F_k in the eigenbasis, and Tr(G F_k) for F = (XZ/4, ZX/4)
         u = np.swapaxes(v, 1, 2)[:, None] @ free @ v[:, None]
@@ -251,8 +282,7 @@ def _lmi(rho_b: np.ndarray):
         h[:, :2, :2] = (rr[:, None, None] * u[:, :, None] * u[:, None, :]).sum(axis=(3, 4))
         h[:, :2, 2] = h[:, 2, :2] = -((r * r)[:, None, :] * d).sum(axis=2)
         h[:, 2, 2] = (r * r).sum(axis=1)
-        e_s = np.broadcast_to([0.0, 0.0, 1.0], g0.shape)
-        sol = np.linalg.solve(h, np.stack([g0, e_s], axis=2))
+        sol = np.linalg.solve(h, np.stack([g0, np.broadcast_to(e_s, g0.shape)], axis=2))
 
         def newton(weight):
             """Step -H^{-1} g for g = g0 - weight e_s, and its squared decrement."""
@@ -346,9 +376,10 @@ def _certificate(a: np.ndarray, lam_min: np.ndarray) -> np.ndarray:
     renormalize the trace of every row."""
     cert = a.copy()
     neg = np.nonzero(lam_min < 0.0)[0]
-    w, v = np.linalg.eigh(a[neg])
-    clipped = (v * np.maximum(w, 0.0)[:, None, :]) @ np.swapaxes(v, -1, -2)
-    cert[neg] = np.where(w[:, :1, None] < 0.0, clipped, a[neg])
+    if neg.size:
+        w, v = np.linalg.eigh(a[neg])
+        clipped = (v * np.maximum(w, 0.0)[:, None, :]) @ np.swapaxes(v, -1, -2)
+        cert[neg] = np.where(w[:, :1, None] < 0.0, clipped, a[neg])
     return cert / np.trace(cert, axis1=1, axis2=2)[:, None, None]
 
 

@@ -3,7 +3,10 @@
 State files: {"rho_re": [[...]], "rho_im": [[...]]} with 4x4 row-major
 entries in the computational basis.  Probability files: {"xx": [p1..p4],
 "zz": [...], "yy": [... optional], "scrambled": bool}; when scrambled is
-true the array order is meaningless and canonicalized on load.
+true the array order is meaningless and canonicalized on load.  ``yy`` is
+validated and carried in the loaded data, but no ``detect`` method reads
+it: the sdp and entropy routes use XX and ZZ only, and ``detect`` evaluates
+only the beta = 0 witness family, which has no YY term.
 """
 
 from __future__ import annotations

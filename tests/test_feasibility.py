@@ -197,21 +197,35 @@ def test_verdict_independent_of_batch():
     states = random_hs_stack(107, 200)
     pxx = np.clip(probabilities_stack(states, XX), 0, 1)
     pzz = np.clip(probabilities_stack(states, ZZ), 0, 1)
-    # the last row's rho_b has lambda_min = -5e-9: certified before any Newton
-    # step, with a clipped certificate
+    # fixed rows: the singlet and |+>|0> labelings, and a row whose rho_b has
+    # lambda_min = -5e-9: certified before any Newton step, with a clipped
+    # certificate.  Each appears three times, before, among and after the HS
+    # rows; fixed row j sits at pos[j]
     lam = 0.5 + 1e-8
     gap_row = (1 - lam) * np.full(4, 0.25) + lam * np.array([0, .5, .5, 0])
-    pxx = np.vstack([pxx, [0, .5, .5, 0], [.5, .5, 0, 0], gap_row])
-    pzz = np.vstack([pzz, [0, .5, .5, 0], [.5, 0, .5, 0], gap_row])
+    fixed_x = np.array([[0, .5, .5, 0], [.5, .5, 0, 0], gap_row])
+    fixed_z = np.array([[0, .5, .5, 0], [.5, 0, .5, 0], gap_row])
+    order = [2, 1, 0], [1, 0, 2], [0, 1, 2]
+    pxx = np.vstack([fixed_x[order[0]], pxx[:100], fixed_x[order[1]], pxx[100:], fixed_x[order[2]]])
+    pzz = np.vstack([fixed_z[order[0]], pzz[:100], fixed_z[order[1]], pzz[100:], fixed_z[order[2]]])
+    hs = np.r_[3:103, 106:206]
+    pos = np.array([[2, 104, 206], [1, 103, 207], [0, 105, 208]])
     statuses, certs, residuals, cycles = solve_batch(pxx, pzz)
     assert FeasibilityStatus.INFEASIBLE in statuses
-    assert statuses[202] is FeasibilityStatus.FEASIBLE and cycles[202] == 0
-    for i in list(range(0, 200, 3)) + [200, 201, 202]:  # sample 66 and the fixed rows
+    assert statuses[208] is FeasibilityStatus.FEASIBLE and cycles[208] == 0
+    for i in [*hs[::3], *pos[:, 2]]:  # sample 66 and the fixed rows
         s, c, r, k = solve_batch(pxx[i:i + 1], pzz[i:i + 1])
         assert s[0] is statuses[i] and k[0] == cycles[i]
         assert abs(r[0] - residuals[i]) <= 1e-15
         if certs[i] is not None:
             assert np.max(np.abs(c[0] - certs[i])) <= 1e-15
+    for j, copies in enumerate(pos):
+        assert [statuses[i] for i in copies] == [statuses[pos[j, 2]]] * 3
+        assert len(set(cycles[copies].tolist())) == 1
+        assert len({residuals[i].tobytes() for i in copies}) == 1
+        assert len({None if certs[i] is None else certs[i].tobytes() for i in copies}) == 1
+    assert statuses[pos[0, 2]] is FeasibilityStatus.INFEASIBLE
+    assert cycles[pos[1:, 2]].tolist() == [41, 0]
 
 
 def _scan_rows():
@@ -284,6 +298,81 @@ def test_ldl_screen_is_sound():
         assert np.all(cycles[late] == 0)
     assert screened.tolist() == [False, False, True, False, True]
     assert late.tolist() == [0, 1, 3]
+
+
+def _solved_bits(pxx, pzz):
+    """solve_batch's outputs per row, as comparable values and bytes."""
+    statuses, certs, residuals, cycles = solve_batch(pxx, pzz)
+    return [(s, None if c is None else c.tobytes(), r.tobytes(), int(k))
+            for s, c, r, k in zip(statuses, certs, residuals, cycles)]
+
+
+def test_duplicate_rows_are_solved_once_and_bit_for_bit(monkeypatch):
+    # five copies of the |+>|0> labeling (41 Newton steps, a rank-deficient
+    # rho_b the screen rejects), two of them adjacent, among scan rows around
+    # the infeasible sample 66 and every fifth row of the resolution-8 slice
+    # grid, which repeats rows of its own
+    states = random_hs_stack(107, 80)[60:80]
+    scan = (np.clip(probabilities_stack(states, XX), 0, 1),
+            np.clip(probabilities_stack(states, ZZ), 0, 1))
+    others = [np.vstack([q, s[::5]]) for q, s in zip(scan, _slice_rows(8))]
+    plus_zero = np.array([.5, .5, 0, 0]), np.array([.5, 0, .5, 0])
+    m = len(others[0])
+    at = [0, m // 3, m // 3, 2 * m // 3, m]
+    pxx, pzz = (np.insert(o, at, row, axis=0) for o, row in zip(others, plus_zero))
+    copies = np.array(at) + np.arange(len(at))
+    assert np.all(pxx[copies] == plus_zero[0]) and np.all(pzz[copies] == plus_zero[1])
+
+    batch = _solved_bits(pxx, pzz)
+    assert all(batch[i] == batch[copies[0]] for i in copies)
+    assert batch[copies[0]][0] is FeasibilityStatus.FEASIBLE and batch[copies[0]][3] == 41
+    for i in range(len(pxx)):
+        assert _solved_bits(pxx[i:i + 1], pzz[i:i + 1])[0] == batch[i], i
+
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        seen.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    solve_batch(pxx, pzz)
+    with_copies, seen[:] = seen[:], []
+    single = np.ones(len(pxx), dtype=bool)
+    single[copies[1:]] = False
+    solve_batch(pxx[single], pzz[single])
+    monkeypatch.undo()
+    rho_b = fz._base_state(pxx, pzz)
+    rejected = rho_b[~fz._ldl_positive(rho_b)].reshape(-1, 16)
+    assert with_copies[0] == len(np.unique(rejected, axis=0)) < len(rejected) - len(at)
+    assert with_copies == seen
+
+
+def test_screened_batch_runs_no_eigendecomposition(monkeypatch):
+    # uniform rows and the first HS rows that pass the LDL^T screen: each is
+    # certified by its own rho_b, with no eigvalsh or eigh call at all
+    states = random_hs_stack(107, 40)
+    pxx = np.clip(probabilities_stack(states, XX), 0, 1)
+    pzz = np.clip(probabilities_stack(states, ZZ), 0, 1)
+    keep = np.flatnonzero(fz._ldl_positive(fz._base_state(pxx, pzz)))[:20]
+    assert len(keep) == 20
+    uniform = np.full((2, 4), 0.25)
+    pxx, pzz = (np.vstack([uniform[:1], q[keep], uniform[1:]]) for q in (pxx, pzz))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigendecomposition on a screened batch")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    statuses, certs, residuals, cycles = solve_batch(pxx, pzz)
+    monkeypatch.undo()
+    assert statuses == [FeasibilityStatus.FEASIBLE] * 22
+    assert np.all(cycles == 0) and np.all(residuals == 0.0)
+    rho_b = fz._base_state(pxx, pzz)
+    exact = rho_b / np.trace(rho_b, axis1=1, axis2=2)[:, None, None]
+    for i in range(22):
+        assert np.array_equal(certs[i], exact[i]), i
 
 
 def test_solve_batch_on_zero_rows_and_status_identity():
