@@ -19,8 +19,15 @@ Newton log-barrier method (Boyd & Vandenberghe, ch. 11): it maximizes s
 subject to A(t) - sI > 0, minimizing -tau s - log det(A(t) - sI) and
 multiplying tau by a fixed factor once a problem is centered.  Steps of
 length 1/(1 + lambda), lambda the Newton decrement, keep every iterate
-strictly feasible, so there is no line search.  A problem stops as soon as
-one of two certificates checks:
+strictly feasible, so there is no line search.  XZ/4 and ZX/4 commute, and
+one fixed orthogonal q with entries +-1/2 diagonalizes both exactly, so each
+step works in q's frame: q^T (A(t) - sI) q = R + diag(B z), z = (t_1, t_2,
+s), R = q^T rho_b q rotated once per call.  With G = (R + diag(B z))^{-1}
+from one ``eigh``, the barrier has gradient -B^T diag(G) and Hessian
+B^T (G o G) B (o the elementwise product; Vandenberghe & Boyd,
+"Semidefinite programming", SIAM Review 38, 1996), and one 3x3 solve gives
+the step and its decrement.  A problem stops as soon as one of two
+certificates checks:
 
 * feasible: lambda_min(A(t)) >= -1e-8.  A(t), clipped to PSD and
   renormalized, is its own partial transpose and must reproduce the rows
@@ -142,6 +149,21 @@ def _lmi_frame() -> tuple[np.ndarray, np.ndarray]:
     return base, np.array([np.kron(x, z), np.kron(z, x)]) / 4.0
 
 
+@lru_cache(maxsize=1)
+def _diag_frame() -> tuple[np.ndarray, np.ndarray]:
+    """(q, B): the orthogonal q with entries +-1/2 that diagonalizes both free
+    directions, q^T F_k q = diag(B[:, k]) for F = (XZ/4, ZX/4), and B's third
+    column -1, so that q^T (A(t) - sI) q = q^T rho_b q + diag(B (t_1, t_2, s)).
+    Every product of these identities is exact in floating point."""
+    q = 0.5 * np.array([[-1.0, 1.0, -1.0, 1.0], [1.0, 1.0, 1.0, 1.0],
+                        [1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
+    b = np.array([[-0.25, -0.25, -1.0], [-0.25, 0.25, -1.0],
+                  [0.25, -0.25, -1.0], [0.25, 0.25, -1.0]])
+    q.setflags(write=False)
+    b.setflags(write=False)
+    return q, b
+
+
 def _base_state(p_xx: np.ndarray, p_zz: np.ndarray) -> np.ndarray:
     """rho_b of each row pair: trace one, no XZ, ZX or YY coordinate.
 
@@ -201,7 +223,9 @@ def _lmi(rho_b: np.ndarray):
     to the others.  That is exact: a row's arithmetic never reads another
     row, so each copy gets the bits it would have computed itself, and since
     :func:`_base_state` adds I/4 last, no entry is -0.0, so equal bytes means
-    equal values.  ``steps`` still counts every copy's steps.
+    equal values.  ``steps`` still counts every copy's steps.  The Newton
+    loop runs in the frame of :func:`_diag_frame`, but ``a`` and ``witness``
+    are returned in the computational basis.
     """
     n = rho_b.shape[0]
     code = np.zeros(n, dtype=np.int8)
@@ -223,7 +247,19 @@ def _lmi(rho_b: np.ndarray):
 def _newton(rho_b: np.ndarray):
     """:func:`_lmi`'s outputs for rows that the LDL^T screen rejected: the
     eigenvalues place each start, then the barrier's Newton loop runs on the
-    rows they do not certify."""
+    rows they do not certify.
+
+    The loop works in the frame q of :func:`_diag_frame`, where the free
+    directions are diagonal: M = q^T (A(t) - sI) q = R + diag(B z) with
+    R = q^T rho_b q and z = (t_1, t_2, s).  With G = M^{-1} from one ``eigh``
+    of M, the barrier -log det M has gradient -B^T diag(G) and Hessian
+    B^T (G o G) B (o the elementwise product), and one ``solve`` against
+    [gradient, e_s] gives the Newton step and its decrement for every
+    barrier weight.  The open rows' indices, z, tau, step counts, R and the
+    right-hand side are kept compacted and shrink only on a step where some
+    row finishes; a finished row's A(t) is formed in the computational basis.
+    """
+    q, b = _diag_frame()
     free = _lmi_frame()[1]
     n = rho_b.shape[0]
     code = np.zeros(n, dtype=np.int8)
@@ -232,82 +268,78 @@ def _newton(rho_b: np.ndarray):
     margin = np.zeros(n)
     steps = np.zeros(n, dtype=np.int64)
     lam0 = np.linalg.eigvalsh(rho_b)[:, 0]
-    z = np.zeros((n, 3))  # (t_1, t_2, s)
-    z[:, 2] = lam0 - _START_GAP
-    tau = np.zeros(n)
     psd = lam0 >= -_CERT_EIG_TOL
     code[psd] = 1
     margin[psd] = lam0[psd]
-    active = np.flatnonzero(~psd)
-    eye, e_s = np.eye(4), np.array([0.0, 0.0, 1.0])
-    while active.size:
-        za = z[active]
-        a = rho_b[active] + (za[:, :2, None, None] * free).sum(axis=1)
-        w, v = np.linalg.eigh(a - za[:, 2, None, None] * eye)
-        r = 1.0 / w  # the spectrum of G = (A - sI)^{-1}
-        # F_k in the eigenbasis, and Tr(G F_k) for F = (XZ/4, ZX/4)
-        u = np.swapaxes(v, 1, 2)[:, None] @ free @ v[:, None]
-        d = np.diagonal(u, axis1=2, axis2=3)
-        gf = (r[:, None, :] * d).sum(axis=2)
-        trace_g = r.sum(axis=1)
-        lam_min = za[:, 2] + w[:, 0]
-        # Tr(G rho_b) / Tr(G), since V^T (A - sI) V = diag(w); the witness
-        # margin is never below it
-        dual = (4.0 - (za[:, :2] * gf).sum(axis=1)) / trace_g + za[:, 2]
+    rows = np.flatnonzero(~psd)
+    z = np.zeros((rows.size, 3))  # (t_1, t_2, s)
+    z[:, 2] = lam0[rows] - _START_GAP
+    tau = np.zeros(rows.size)
+    taken = np.zeros(rows.size, dtype=np.int64)
+    r = q.T @ rho_b[rows] @ q
+    rhs = np.zeros((rows.size, 3, 2))  # [gradient of the barrier, e_s]
+    rhs[:, 2, 1] = 1.0
+    while rows.size:
+        m = r.copy()
+        m.reshape(-1, 16)[:, ::5] += z @ b.T
+        w, v = np.linalg.eigh(m)
+        g = (v * (1.0 / w)[:, None, :]) @ np.swapaxes(v, 1, 2)
+        # -B^T diag(G) = (-Tr(G F_1), -Tr(G F_2), Tr G)
+        g0 = -(np.diagonal(g, axis1=1, axis2=2) @ b)
+        lam_min = z[:, 2] + w[:, 0]
+        # Tr(G rho_b) / Tr(G), since Tr(G (A - sI)) = 4; the witness margin
+        # is never below it
+        dual = (4.0 + (z[:, :2] * g0[:, :2]).sum(axis=1)) / g0[:, 2] + z[:, 2]
 
         feasible = lam_min >= -_CERT_EIG_TOL
         infeasible = np.zeros_like(feasible)
-        maybe = np.nonzero(~feasible & (dual <= -TOL_INFEASIBLE))[0]
+        maybe = np.flatnonzero(~feasible & (dual <= -TOL_INFEASIBLE))
         if maybe.size:
-            wit = _dual_witness(v[maybe], r[maybe])
-            m = (wit * rho_b[active[maybe]]).sum(axis=(1, 2))
-            hit = m <= -TOL_INFEASIBLE
+            wit = _dual_witness(g[maybe])
+            mg = (wit * r[maybe]).sum(axis=(1, 2))
+            hit = mg <= -TOL_INFEASIBLE
             infeasible[maybe[hit]] = True
-            witness[active[maybe[hit]]] = wit[hit]
-            margin[active[maybe[hit]]] = m[hit]
-        done = feasible | infeasible | (steps[active] >= MAX_CYCLES)
-        code[active[done]] = np.where(feasible[done], 1, np.where(infeasible[done], -1, 0))
-        a_out[active[done]] = a[done]
-        margin[active[done & ~infeasible]] = lam_min[done & ~infeasible]
-        go = ~done
-        active = active[go]
-        if not active.size:
-            break
+            witness[rows[maybe[hit]]] = q @ wit[hit] @ q.T
+            margin[rows[maybe[hit]]] = mg[hit]
+        done = feasible | infeasible | (taken >= MAX_CYCLES)
+        if done.any():
+            out = rows[done]
+            code[out] = np.where(feasible[done], 1, np.where(infeasible[done], -1, 0))
+            a_out[out] = rho_b[out] + (z[done, :2, None, None] * free).sum(axis=1)
+            margin[rows[done & ~infeasible]] = lam_min[done & ~infeasible]
+            steps[out] = taken[done]
+            go = ~done
+            rows, z, tau, taken, r, rhs = rows[go], z[go], tau[go], taken[go], r[go], rhs[go]
+            if not rows.size:
+                break
+            g, g0 = g[go], g0[go]
 
-        # gradient of -log det(A - sI) and the Hessian Tr(G F_k G F_l), F_3 = -I
-        r, u, d, trace_g = r[go], u[go], d[go], trace_g[go]
-        g0 = np.concatenate([-gf[go], trace_g[:, None]], axis=1)
-        rr = r[:, :, None] * r[:, None, :]
-        h = np.empty((active.size, 3, 3))
-        h[:, :2, :2] = (rr[:, None, None] * u[:, :, None] * u[:, None, :]).sum(axis=(3, 4))
-        h[:, :2, 2] = h[:, 2, :2] = -((r * r)[:, None, :] * d).sum(axis=2)
-        h[:, 2, 2] = (r * r).sum(axis=1)
-        sol = np.linalg.solve(h, np.stack([g0, np.broadcast_to(e_s, g0.shape)], axis=2))
-
-        def newton(weight):
-            """Step -H^{-1} g for g = g0 - weight e_s, and its squared decrement."""
-            step = weight[:, None] * sol[:, :, 1] - sol[:, :, 0]
-            return step, -np.einsum("ij,ij->i", g0 - weight[:, None] * e_s, step)
-
-        # the first weight makes the s-component of the gradient vanish
-        weight = np.where(tau[active] == 0.0, trace_g, tau[active])
-        _, dec2 = newton(weight)
-        weight = np.where(dec2 <= _CENTERED, np.minimum(weight * _TAU_GROWTH, _TAU_MAX), weight)
-        tau[active] = weight
-        step, dec2 = newton(weight)
+        rhs[:, :, 0] = g0
+        sol = np.linalg.solve(b.T @ (g * g) @ b, rhs)
+        s0, s1 = sol[:, :, 0], sol[:, :, 1]
+        c = (g0 * s0).sum(axis=1)
+        # the squared decrement of g0 - weight e_s; the first weight makes
+        # the s-component of the gradient vanish
+        weight = np.where(tau == 0.0, g0[:, 2], tau)
+        dec2 = c - 2.0 * weight * s0[:, 2] + weight * weight * s1[:, 2]
+        tau = np.where(dec2 <= _CENTERED, np.minimum(weight * _TAU_GROWTH, _TAU_MAX), weight)
+        dec2 = c - 2.0 * tau * s0[:, 2] + tau * tau * s1[:, 2]
         alpha = np.where(dec2 > _FULL_STEP, 1.0 / (1.0 + np.sqrt(np.maximum(dec2, 0.0))), 1.0)
-        z[active] += alpha[:, None] * step
-        steps[active] += 1
+        z += alpha[:, None] * (tau[:, None] * s1 - s0)
+        taken += 1
     return code, a_out, witness, margin, steps
 
 
-def _dual_witness(v: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Normalized PSD W with no XZ or ZX coordinate from G = V diag(r) V^T."""
-    g = (v * (r / r.sum(axis=1, keepdims=True))[:, None, :]) @ np.swapaxes(v, 1, 2)
+def _dual_witness(g: np.ndarray) -> np.ndarray:
+    """Normalized PSD W with no XZ or ZX coordinate from G = (A - sI)^{-1},
+    both in the frame q of :func:`_diag_frame`, where the two directions are
+    the diagonals B[:, 0] and B[:, 1] (orthogonal, each of norm 1/2)."""
+    f = _diag_frame()[1][:, :2]
+    g = g / np.trace(g, axis1=1, axis2=2)[:, None, None]
     g = 0.5 * (g + np.swapaxes(g, 1, 2))
-    for f in _lmi_frame()[1]:
-        g = g - 4.0 * (g * f).sum(axis=(1, 2))[:, None, None] * f  # Tr(f f) = 1/4
-    g = g + np.maximum(0.0, -np.linalg.eigvalsh(g)[:, 0])[:, None, None] * np.eye(4)
+    d = g.reshape(-1, 16)[:, ::5]
+    d -= 4.0 * (d @ f) @ f.T
+    d += np.maximum(0.0, -np.linalg.eigvalsh(g)[:, 0])[:, None]
     return g / np.trace(g, axis1=1, axis2=2)[:, None, None]
 
 

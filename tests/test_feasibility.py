@@ -375,6 +375,85 @@ def test_screened_batch_runs_no_eigendecomposition(monkeypatch):
         assert np.array_equal(certs[i], exact[i]), i
 
 
+def test_diag_frame_is_exact():
+    # q is orthogonal and turns both free directions into diag(B[:, k]),
+    # with no rounding at all
+    q, b = fz._diag_frame()
+    assert np.array_equal(q.T @ q, np.eye(4))
+    for k, f in enumerate(fz._lmi_frame()[1]):
+        assert np.array_equal(q.T @ f @ q, np.diag(b[:, k]))
+    assert np.array_equal(b[:, 2], -np.ones(4))
+
+
+def test_barrier_derivatives_match_finite_differences():
+    # at interior points (t, s) of scan and slice rows, -B^T diag(G) and
+    # B^T (G o G) B, G = (q^T (A(t) - sI) q)^{-1}, are the gradient and
+    # Hessian of -log det(A(t) - sI), differenced in the computational basis.
+    # Only q comes from the solver; B is rebuilt here from the Paulis
+    q = fz._diag_frame()[0]
+    x, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    free = np.array([np.kron(x, z), np.kron(z, x)]) / 4.0
+    b = np.column_stack([*(np.diagonal(q.T @ f @ q) for f in free), -np.ones(4)])
+    pxx, pzz = next(_scan_rows())
+    sx, sz = _slice_rows(8)
+    rows = np.vstack([fz._base_state(pxx[:40:4], pzz[:40:4]), fz._base_state(sx[::97], sz[::97])])
+    rng = np.random.default_rng(11)
+    for rho in rows:
+        t = rng.normal(scale=0.3, size=2)
+        a = rho + t[0] * free[0] + t[1] * free[1]
+        gap = rng.uniform(0.05, 0.5)
+        point = np.array([*t, np.linalg.eigvalsh(a)[0] - gap])
+
+        def barrier(p):
+            return -np.linalg.slogdet(rho + p[0] * free[0] + p[1] * free[1] - p[2] * np.eye(4))[1]
+
+        g = np.linalg.inv(q.T @ (a - point[2] * np.eye(4)) @ q)
+        grad, hess = -b.T @ np.diagonal(g), b.T @ (g * g) @ b
+        h = 1e-4 * gap
+        e = h * np.eye(3)
+        fd_grad = np.array([barrier(point + e[k]) - barrier(point - e[k]) for k in range(3)]) / (2 * h)
+        fd_hess = np.array([[barrier(point + e[k] + e[l]) - barrier(point + e[k] - e[l])
+                             - barrier(point - e[k] + e[l]) + barrier(point - e[k] - e[l])
+                             for l in range(3)] for k in range(3)]) / (4 * h * h)
+        assert np.linalg.norm(fd_grad - grad) <= 1e-6 * np.linalg.norm(grad)
+        assert np.linalg.norm(fd_hess - hess) <= 1e-6 * np.linalg.norm(hess)
+
+
+def test_newton_step_counts():
+    # step counts do not depend on the machine: the resolution-8 slice grid,
+    # the rank-deficient |+>|0> labeling, and the true rows of 30 000 HS states
+    _, _, _, cycles = solve_batch(*_slice_rows(8))
+    assert (cycles.sum(), cycles.max()) == (1998, 41)
+    _, _, _, cycles = solve_batch(np.array([[.5, .5, 0, 0]]), np.array([[.5, 0, .5, 0]]))
+    assert cycles.tolist() == [41]
+    states = random_hs_stack(314159265, 30000)
+    statuses, _, _, cycles = solve_batch(np.clip(probabilities_stack(states, XX), 0, 1),
+                                         np.clip(probabilities_stack(states, ZZ), 0, 1))
+    assert (cycles.sum(), cycles.max()) == (3708, 15)
+    assert FeasibilityStatus.INCONCLUSIVE not in statuses
+
+
+def test_witnesses_of_infeasible_slice_rows():
+    # every witness _lmi returns, rotated back from the frame q, is a
+    # symmetric PSD trace-one W with no XZ or ZX coordinate, and Tr(W rho_b)
+    # is its margin
+    pxx, pzz = _slice_rows(8)
+    statuses, _, _, _ = solve_batch(pxx, pzz)
+    infeasible = np.array([s is FeasibilityStatus.INFEASIBLE for s in statuses])
+    assert infeasible.sum() == 452
+    rho_b = fz._base_state(pxx[infeasible], pzz[infeasible])
+    code, _, w, margin, _ = fz._lmi(rho_b)
+    assert np.all(code == -1)
+    assert np.max(np.abs(w - np.swapaxes(w, 1, 2))) <= 1e-15
+    assert np.min(np.linalg.eigvalsh(w)[:, 0]) >= -1e-15
+    assert np.max(np.abs(np.trace(w, axis1=1, axis2=2) - 1.0)) <= 1e-15
+    for f in fz._lmi_frame()[1]:
+        assert np.max(np.abs((w * f).sum(axis=(1, 2)))) <= 1e-15
+    value = (w * rho_b).sum(axis=(1, 2))
+    assert np.max(np.abs(value - margin)) <= 1e-15
+    assert np.max(value) <= -fz.TOL_INFEASIBLE
+
+
 def test_solve_batch_on_zero_rows_and_status_identity():
     statuses, states, residuals, cycles = solve_batch(np.empty((0, 4)), np.empty((0, 4)))
     assert statuses == [] and states == []
