@@ -62,10 +62,11 @@ def _cmd_robustness(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    if "rho_re" in fileio.read_json_object(args.infile):
-        inp = fileio.read_state(args.infile)
+    payload = fileio.read_json_object(args.infile)  # one read: the form tested is the form parsed
+    if "rho_re" in payload:
+        inp = fileio._state_from_payload(payload)
     else:
-        inp = fileio.read_probabilities(args.infile).data
+        inp = fileio._probabilities_from_payload(payload).data
     methods = ("sdp", "witness", "entropy") if args.method == "all" else (args.method,)
     spec_x = EntropySpec(args.entropy, args.qtilde)
     spec_z = EntropySpec(args.entropy, args.q)

@@ -93,8 +93,9 @@ def detect(inp, methods: Iterable[str] = _ALL_METHODS, *,
            spec_x: EntropySpec | None = None,
            spec_z: EntropySpec | None = None) -> DetectionReport:
     """Run the requested detection methods on a state or its scrambled data."""
-    wanted = [m for m in _ALL_METHODS if m in set(methods)]
-    unknown = set(methods) - set(_ALL_METHODS)
+    methods = set(methods)  # read a one-shot iterable once
+    wanted = [m for m in _ALL_METHODS if m in methods]
+    unknown = methods - set(_ALL_METHODS)
     if unknown or not wanted:
         raise DomainError(f"unknown detection methods {sorted(unknown)}")
     data = _as_scrambled(inp)

@@ -258,9 +258,11 @@ def _product_envelope(s: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec,
     target = np.tile(s, len(curves))
     angle_a = np.repeat([math.nan if a is None else a for a in curves], s.size)
     own = np.isnan(angle_a)  # the rows whose qubit A is phi_theta
+    fixed_a = _pair_probs(np.where(own, 0.0, angle_a))  # the other rows' qubit A
 
     def probs(theta):
-        return _pair_probs(np.where(own, theta, angle_a)), _pair_probs(theta)
+        b = _pair_probs(theta)
+        return tuple(np.where(own, pb, pa) for pb, pa in zip(b, fixed_a)), b
 
     def s_xx(theta):
         (_, _, xa0, xa1), (_, _, xb0, xb1) = probs(theta)

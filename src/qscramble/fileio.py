@@ -40,7 +40,10 @@ def read_json_object(path) -> dict:
 
 def read_state(path) -> DensityMatrix:
     """Parse and fully validate a state file; diagnostics name the violated invariant."""
-    payload = read_json_object(path)
+    return _state_from_payload(read_json_object(path))
+
+
+def _state_from_payload(payload: dict) -> DensityMatrix:
     for key in ("rho_re", "rho_im"):
         if key not in payload:
             raise DomainError(f"state file is missing the {key!r} field")
@@ -76,7 +79,10 @@ def write_probabilities(path, dists=None, data: ScrambledData | None = None) -> 
 
 
 def read_probabilities(path) -> ProbabilityFile:
-    payload = read_json_object(path)
+    return _probabilities_from_payload(read_json_object(path))
+
+
+def _probabilities_from_payload(payload: dict) -> ProbabilityFile:
     scrambled = payload.get("scrambled", False)
     if not isinstance(scrambled, bool):
         raise DomainError(f"field 'scrambled' must be true or false, got {scrambled!r}")

@@ -191,14 +191,11 @@ def _compose(a: Perm, b: Perm) -> Perm:
 def _induced_permutation(u: np.ndarray, label: str) -> Perm:
     """Outcome permutation sigma with U^dag Pi_i U = Pi_sigma(i)."""
     projs = setting(label).projectors
-    conj = np.einsum("ab,kbc,cd->kad", u.conj().T, projs, u)
-    perm = []
-    for i in range(4):
-        match = [j for j in range(4) if np.max(np.abs(conj[i] - projs[j])) < 1e-9]
-        if len(match) != 1:
-            raise ArithmeticError(f"relabeling does not permute {label} projectors")
-        perm.append(match[0])
-    return tuple(perm)  # type: ignore[return-value]
+    conj = u.conj().T @ projs @ u
+    match = np.max(np.abs(conj[:, None] - projs[None]), axis=(-2, -1)) < 1e-9
+    if not np.all(np.count_nonzero(match, axis=1) == 1):
+        raise ArithmeticError(f"relabeling does not permute {label} projectors")
+    return tuple(int(j) for j in np.argmax(match, axis=1))  # type: ignore[return-value]
 
 
 @lru_cache(maxsize=1)
@@ -238,12 +235,14 @@ def canonical_permutations() -> tuple[PermutationPair, ...]:
     problems related by a separability-preserving transformation.
     """
     group = [(g.pi_x, g.pi_z) for g in relabeling_group()]
-    reps: set[tuple[Perm, Perm]] = set()
-    for ax in itertools.permutations(range(4)):
-        for az in itertools.permutations(range(4)):
-            orbit_min = min((_compose(ax, hx), _compose(az, hz)) for hx, hz in group)
-            reps.add(orbit_min)
-    return tuple(PermutationPair(px, pz) for px, pz in sorted(reps))
+    # pairs come in lexicographic order, so the first pair met in an orbit is its minimum
+    seen: set[tuple[Perm, Perm]] = set()
+    reps = []
+    for ax, az in itertools.product(itertools.permutations(range(4)), repeat=2):
+        if (ax, az) not in seen:
+            reps.append(PermutationPair(ax, az))
+            seen.update((_compose(ax, hx), _compose(az, hz)) for hx, hz in group)
+    return tuple(reps)
 
 
 def apply_permutation(d: ScrambledData, pair: PermutationPair) -> list[OutcomeDistribution]:

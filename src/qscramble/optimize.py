@@ -15,10 +15,13 @@ every simplex that shrinks, in one call.  ``multistart_minimize`` raises
 ConvergenceFailure unless several starts of each group reproduce its best
 value, since a scattered field of minima signals an unreliable landscape.
 
-``bisect`` halves a batch of brackets a fixed number of times.  It serves
-every 1-D search of the package: the psi_t and product-state inverses of
-S_xx, the robustness root and the ray searches of the possibly-separable
-set, each with its own step count.
+``bisect`` halves a batch of brackets at most a fixed number of times.  It
+serves every 1-D search of the package: the psi_t and product-state
+inverses of S_xx, the robustness root and the ray searches of the
+possibly-separable set, each with its own step count.  It stops early at
+the first step that moves no bracket end: every later step would repeat
+the same midpoints and decisions, so the result is the full count's, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -106,13 +109,19 @@ def bisect(go_right: Callable[[np.ndarray], np.ndarray], lo, hi, steps: int):
     ``go_right(mid)`` receives the midpoints 0.5 (lo + hi) and returns where
     the sought point lies above them: there the bracket becomes [mid, hi],
     elsewhere [lo, mid].  ``go_right`` must be elementwise, so an entry
-    follows the same path alone as inside any batch.  Returns (lo, hi).
+    follows the same path alone as inside any batch, and deterministic: the
+    loop ends after the first step that leaves every lo and hi unchanged
+    (each midpoint has rounded onto a bracket end), since the remaining
+    steps would repeat it exactly.  Returns (lo, hi).
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         right = go_right(mid)
-        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+        new_lo, new_hi = np.where(right, mid, lo), np.where(right, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return lo, hi
 
 

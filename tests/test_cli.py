@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +107,24 @@ def test_cli_detect_probability_file(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["overall"] == "detected"
     assert doc["methods"]["sdp"] == "detected"
+
+
+@pytest.mark.parametrize("kind", ["state", "probabilities"])
+def test_cli_detect_reads_the_file_once(tmp_path, capsys, monkeypatch, kind):
+    path = tmp_path / "in.json"
+    if kind == "state":
+        write_state(path, singlet().density())
+    else:
+        path.write_text(json.dumps({"xx": [0.25] * 4, "zz": [0.25] * 4, "scrambled": True}))
+    reads = []
+    read_text = Path.read_text
+
+    def counted(self, *args, **kwargs):
+        reads.append(self)
+        return read_text(self, *args, **kwargs)
+    monkeypatch.setattr(Path, "read_text", counted)
+    assert main(["detect", "--in", str(path), "--method", "witness"]) == 0
+    assert reads == [path]
 
 
 def test_cli_detect_q_roles(tmp_path, capsys, monkeypatch):

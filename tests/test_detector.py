@@ -58,6 +58,14 @@ def test_detect_accepts_scrambled_data(boundary_22):
         detect(data, methods=["sdp", "nonsense"])
 
 
+def test_detect_reads_a_one_shot_methods_iterable_once():
+    data = scramble_state(singlet().density())
+    rep = detect(data, (m for m in ["witness", "sdp"]))
+    assert list(rep.methods) == ["sdp", "witness"]
+    with pytest.raises(DomainError, match="'bogus'"):
+        detect(data, iter(["entropy", "bogus"]))
+
+
 def test_detect_records_method_errors():
     from qscramble.entropy import SHANNON, EntropySpec
     rep = detect(scramble_state(singlet().density()), methods=["entropy"],

@@ -5,7 +5,7 @@ import pytest
 
 from qscramble.errors import DomainError, DuplicateSetting, SettingMismatch
 from qscramble.measurement import (XX, YY, ZZ, OutcomeDistribution, PermutationPair,
-                                   ScrambledData, apply_permutation,
+                                   ScrambledData, _induced_permutation, apply_permutation,
                                    canonical_permutations, probabilities,
                                    probabilities_stack, relabeling_group, scramble,
                                    scramble_equivalent, scramble_state, setting)
@@ -101,6 +101,14 @@ def test_relabeling_group_order():
     assert len(relabeling_group()) == 32
 
 
+def test_induced_permutation_rejects_a_non_permuting_unitary():
+    # H (x) 1 maps the XX projectors onto XZ ones, which match no XX projector
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    with pytest.raises(ArithmeticError, match="XX"):
+        _induced_permutation(np.kron(h, I2), XX)
+    assert _induced_permutation(np.kron(SIGMA_Z, I2), XX) == (2, 3, 0, 1)
+
+
 def test_canonical_permutations_count_and_cover():
     reps = canonical_permutations()
     assert len(reps) == 18
@@ -119,7 +127,7 @@ def test_canonical_permutations_count_and_cover():
             rep = min(orbit)
             seen.setdefault(rep, set()).update(orbit)
     assert len(seen) == 18
-    assert set(seen) == {(r.pi_x, r.pi_z) for r in reps}
+    assert [(r.pi_x, r.pi_z) for r in reps] == sorted(seen)
     all_pairs = set()
     for orbit in seen.values():
         assert not (all_pairs & orbit)  # disjoint

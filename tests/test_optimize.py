@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qscramble.entropy import (RENYI, SHANNON, TSALLIS, EntropySpec, get_separable_boundary,
-                               separable_bound)
+                               max_entropy, separable_bound, t_from_sxx_vec)
 from qscramble.errors import ConvergenceFailure
 from qscramble.optimize import bisect, multistart_minimize, nelder_mead
 
@@ -197,9 +197,54 @@ def test_capped_counts_the_starts_still_moving():
 def test_bisect_entry_alone_equals_entry_in_batch():
     # the cube root of each target, bracketed in [0, 4]
     targets = np.array([0.1, 2.0, 0.5, 7.3, 0.0])
-    lo, hi = bisect(lambda x: x ** 3 < targets, np.zeros(targets.size), 4.0, 40)
+    calls = []
+
+    def go_right(x):
+        calls.append(x.size)
+        return x ** 3 < targets
+
+    lo, hi = bisect(go_right, np.zeros(targets.size), 4.0, 40)
+    assert len(calls) == 40  # no bracket reaches adjacent floats
     assert np.all(hi - lo == 4.0 * 2.0 ** -40)
     assert np.all((lo <= np.cbrt(targets)) & (np.cbrt(targets) <= hi))
     for i, c in enumerate(targets):
         lo_i, hi_i = bisect(lambda x: x ** 3 < c, 0.0, 4.0, 40)
         assert (lo_i, hi_i) == (lo[i], hi[i])
+
+
+def _fixed_step_bisect(go_right, lo, hi, steps):
+    """Every one of the ``steps`` halvings, with no early exit."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        right = go_right(mid)
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    return lo, hi
+
+
+def test_bisect_fixed_point_exit_matches_every_step(monkeypatch):
+    # the T2/T2 boundary's 95 brackets and the psi_t inverse of S_xx return
+    # the bits of all 80 halvings; the boundary's stop moving after 56
+    runs = []
+
+    def spy(go_right, lo, hi, steps):
+        calls = []
+
+        def counted(mid):
+            calls.append(mid.size)
+            return go_right(mid)
+        got = bisect(counted, lo, hi, steps)
+        runs.append((got, _fixed_step_bisect(go_right, lo, hi, steps), len(calls), steps))
+        return got
+
+    monkeypatch.setattr(importlib.import_module("qscramble.entropy"), "bisect", spy)
+    t2 = EntropySpec(TSALLIS, 2.0)
+    get_separable_boundary.__wrapped__(t2, t2)
+    t_from_sxx_vec(np.linspace(0.0, max_entropy(t2), 97), t2)
+    assert len(runs) == 2
+    for (lo, hi), (ref_lo, ref_hi), calls, steps in runs:
+        assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+        assert steps == 80
+    assert runs[0][2] == 57  # the 57th halving is the first to move no bracket end
+    # [1, 1e8] needs about 78 halvings to reach the float spacing at t = 1
+    assert runs[1][2] == 80

@@ -8,13 +8,30 @@ from qscramble.measurement import (XX, YY, ZZ, OutcomeDistribution, ScrambledDat
                                    apply_permutation, canonical_permutations,
                                    probabilities, scramble, scramble_state)
 from qscramble.quantum import eig_hermitian, psi_t, random_hs_stack, singlet
-from qscramble.witness import (WitnessParams, _tangency_scales, correlation_witness_values,
+from qscramble.witness import (WitnessParams, _golden_min, _min_over_b, _qubit_probs,
+                               _tangency_scales, correlation_witness_values,
                                min_entropy_form, min_over_separable, optimize_params,
                                scrambled_correlation_min, scrambled_family_min,
                                scrambled_witness_min, tangent_curve, witness_matrix,
                                witness_min_eigvec, witness_value)
 
 TANGENT = 8.0 * math.sqrt(2.0) - 12.0  # alpha = gamma at the symmetric tangent point
+
+
+def reference_min_over_b(pa, k):
+    """<W> minimized over qubit B through np.sum and np.linalg.norm."""
+    u = k * pa
+    return 1.0 + 0.5 * np.sum(u, axis=-1) - 0.5 * np.linalg.norm(u, axis=-1)
+
+
+def curve_directions(num):
+    """The (alpha, 0, gamma) directions of optimize_params(0.0, num=num)
+    that get a separable minimum, and the circle grid it searches."""
+    omega = np.linspace(0.0, 0.5 * math.pi, num)
+    k = np.stack([-np.cos(omega), np.zeros(num), -np.sin(omega)], axis=-1)
+    k[np.abs(k) < 1e-15] = 0.0
+    t = np.linspace(-math.pi, math.pi, 4001, endpoint=False)
+    return k[k[:, 0] != 0.0], t
 
 
 def grid_min_separable(alpha: float, gamma: float, n: int = 1001) -> float:
@@ -146,6 +163,50 @@ def test_min_over_separable_rejects_non_finite():
     for abg in [(math.nan, 0.0, -1.0), (-1.0, math.inf, -1.0), (-1.0, 0.0, -math.inf)]:
         with pytest.raises(DomainError, match="finite"):
             min_over_separable(*abg)
+
+
+def test_min_over_b_matches_sum_and_norm_bit_for_bit():
+    k, t = curve_directions(17)
+    assert len(k) == 16
+    grid = _qubit_probs(t)
+    for row in k:
+        assert np.array_equal(_min_over_b(grid, row), reference_min_over_b(grid, row))
+    rng = np.random.default_rng(5)
+    for shape in ((5000, 3), (7, 33, 3)):  # the latter is Nelder-Mead's (m, k, d) at beta != 0
+        pa, kk = rng.uniform(size=shape), rng.normal(size=shape)
+        assert np.array_equal(_min_over_b(pa, kk), reference_min_over_b(pa, kk))
+
+
+def test_golden_min_matches_the_full_two_call_loop():
+    k, t = curve_directions(33)
+    grid = _qubit_probs(t)
+    i = np.array([np.argmin(reference_min_over_b(grid, row)) for row in k])
+    h = t[1] - t[0]
+    lo, hi = t[i] - h, t[i] + h
+
+    def f(x):
+        return reference_min_over_b(_qubit_probs(x), k)
+
+    r = 0.5 * (math.sqrt(5.0) - 1.0)
+    ref_lo, ref_hi = lo, hi
+    for _ in range(80):
+        c, d = ref_hi - r * (ref_hi - ref_lo), ref_lo + r * (ref_hi - ref_lo)
+        left = f(c) < f(d)
+        ref_lo, ref_hi = np.where(left, ref_lo, c), np.where(left, d, ref_hi)
+
+    calls = []
+
+    def stacked(x, kk=np.concatenate([k, k])):
+        calls.append(x.size)
+        return _min_over_b(_qubit_probs(x), kk)
+
+    assert np.array_equal(_golden_min(stacked, lo, hi), 0.5 * (ref_lo + ref_hi))
+    assert set(calls) == {2 * len(k)}
+    assert len(calls) < 80  # every bracket stopped moving before the cap
+    for j in range(len(k)):  # each direction alone stops at its own step
+        alone = _golden_min(lambda x: _min_over_b(_qubit_probs(x), k[j]), lo[j:j + 1],
+                            hi[j:j + 1])
+        assert alone[0] == 0.5 * (ref_lo[j] + ref_hi[j])
 
 
 def test_optimize_params_beta_zero():
