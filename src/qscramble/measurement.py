@@ -74,7 +74,11 @@ class OutcomeDistribution:
         if self.setting not in SETTING_LABELS:
             raise DomainError(f"unknown setting label {self.setting!r}")
         p = np.asarray(self.p, dtype=float).reshape(4)
-        if np.any(p < -PROB_ENTRY_ATOL) or np.any(p > 1.0 + PROB_ENTRY_ATOL):
+        # one in-range test that NaN fails; the message is chosen only on error
+        if not np.all((p >= -PROB_ENTRY_ATOL) & (p <= 1.0 + PROB_ENTRY_ATOL)):
+            if not np.all(np.isfinite(p)):
+                raise DomainError(
+                    f"non-finite probability entries for setting {self.setting}: {p}")
             raise DomainError(
                 f"probability outside [-1e-9, 1+1e-9] for setting {self.setting}: {p}")
         p = np.clip(p, 0.0, 1.0)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +78,16 @@ def test_probability_file_scrambled_must_be_boolean(tmp_path, capsys):
         read_probabilities(path)
     assert main(["detect", "--in", str(path), "--method", "sdp"]) == 2
     assert "scrambled" in capsys.readouterr().err
+
+
+def test_cli_detect_rejects_nan_probabilities(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"xx": [NaN, 0.5, 0.25, 0.25], "zz": [0.25, 0.25, 0.25, 0.25], '
+                    '"scrambled": true}')  # json.loads accepts the bare NaN literal
+    assert main(["detect", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "non-finite" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_table1(capsys):
@@ -267,3 +279,24 @@ def test_cli_verify(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+_NO_SCIPY = """
+import json, sys
+import qscramble, qscramble.cli as cli
+m = [0.6875] + [0.10416666666666667] * 3
+json.dump({"xx": m, "zz": m, "scrambled": True}, open(sys.argv[1], "w"))
+assert cli.main(["detect", "--in", sys.argv[1], "--entropy", "renyi", "--q", "3"]) == 0
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+assert qscramble.oracle_feasible([0.25] * 4, [0.25] * 4)
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_a_fresh_interpreter_loads_no_scipy(tmp_path):
+    # only the L-BFGS oracle imports scipy, on its first call
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path / "cx.json")],
+                          env={"PYTHONPATH": src}, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 
@@ -14,10 +15,13 @@ from qscramble.entropy import (RENYI, SHANNON, TSALLIS, EntropySpec, T_CAP,
                                psi_t_entropies, psi_t_xx_probs, psi_t_zz_probs, robustness,
                                separable_bound, separable_bound_closed_form,
                                t_from_sxx)
-from qscramble.entropy import _pair_probs, _product_envelope, _separable_values
+from qscramble.entropy import _logsumexp, _pair_probs, _product_envelope, _separable_values
 from qscramble.errors import DomainError
 from qscramble.measurement import XX, ZZ, probabilities, scramble, scramble_state
 from qscramble.optimize import nelder_mead
+
+# the package's entropy() function shadows the module's name as an attribute
+entropy_module = importlib.import_module("qscramble.entropy")
 
 T2 = EntropySpec(TSALLIS, 2.0)
 T15 = EntropySpec(TSALLIS, 1.5)
@@ -286,3 +290,77 @@ def test_robustness_solves_displayed_equation():
 def test_max_entropy():
     assert abs(max_entropy(T2) - 0.75) < 1e-15
     assert max_entropy(EntropySpec(SHANNON)) == 2.0
+
+
+# ---------------------------------------------------------------------------
+# The local log-sum-exp reproduces scipy 1.17's bits.
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_as_scipy(a, **kwargs):
+    from scipy.special import logsumexp
+    ours, theirs = _logsumexp(a, **kwargs), logsumexp(a, **kwargs)
+    assert type(ours) is type(theirs)
+    assert np.array_equal(ours, theirs, equal_nan=True)
+
+
+def _log_rows():
+    """Log-probability rows: random, tied maxima (the uniform row among
+    them) and zero entries (-inf), plus the all-zero and NaN rows that take
+    the direct fallback."""
+    rng = np.random.default_rng(1729)
+    p = rng.dirichlet(np.ones(4), 200)
+    p[:20, :2] = 0.0
+    p[:20] /= p[:20].sum(axis=-1, keepdims=True)
+    tied = np.array([[0.25] * 4, [0.4, 0.4, 0.1, 0.1], [0.3, 0.3, 0.3, 0.1],
+                     [0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.5]])
+    # two or three entries tied at a random maximum, the rest below it
+    top = rng.uniform(0.26, 1.0 / 3.0, 100)
+    k = np.where(np.arange(100) < 50, 2, 3)
+    rest = np.minimum((1.0 - k * top)[:, None] * rng.dirichlet(np.ones(2), 100), top[:, None] / 2)
+    ties = np.column_stack([top, top, np.where(k == 3, top, rest[:, 0]), rest[:, 1]])
+    p = np.concatenate([p, tied, ties, p[:8, ::-1]])
+    with np.errstate(divide="ignore"):
+        logp = np.log(p)
+    return np.concatenate([logp, np.full((1, 4), -np.inf), [[np.nan, -1.0, -2.0, -3.0]]])
+
+
+@pytest.mark.parametrize("q", [0.5, 3.0, 60.0])
+@pytest.mark.parametrize("axis", [-1, None])
+def test_logsumexp_matches_scipy_bit_for_bit(q, axis):
+    a = q * _log_rows()
+    _assert_same_as_scipy(a, axis=axis)
+    for row in a:
+        _assert_same_as_scipy(row, axis=axis)
+
+
+def test_logsumexp_weighted_calls_of_robustness_match_scipy():
+    s = 1.0 + math.sqrt(2.0)
+    rhs_bases = np.array([s * s / (1.0 + s * s), s / (1.0 + s * s), 1.0 / (1.0 + s * s)])
+    amp_big, amp_small = 3.0 / math.sqrt(12.0), 1.0 / math.sqrt(12.0)
+    for q in (2.0, 3.0, 5.0, 50.0, 1000.0):
+        _assert_same_as_scipy(2.0 * q * np.log(rhs_bases), b=np.array([1.0, 2.0, 1.0]))
+        for lam in np.linspace(0.0, 1.0, 17):
+            bases = np.array([(1.0 - lam) * amp_big + 0.25 * lam,
+                              (1.0 - lam) * amp_small + 0.25 * lam])
+            _assert_same_as_scipy(2.0 * q * np.log(bases), b=np.array([1.0, 3.0]))
+
+
+@pytest.mark.parametrize("spec_x, spec_z", [
+    (EntropySpec(RENYI, math.inf), EntropySpec(RENYI, 2.0)),
+    (EntropySpec(RENYI, 3.0), EntropySpec(RENYI, 2.0)),
+    (EntropySpec(RENYI, 0.5), EntropySpec(RENYI, 0.5)),
+    (EntropySpec(TSALLIS, 60.0), EntropySpec(TSALLIS, 60.0)),
+], ids=["Rinf-R2", "R3-R2", "R0.5-R0.5", "T60-T60"])
+def test_boundaries_are_those_of_scipy_logsumexp(spec_x, spec_z, monkeypatch):
+    from scipy.special import logsumexp
+    ours = get_separable_boundary.__wrapped__(spec_x, spec_z).values
+    monkeypatch.setattr(entropy_module, "_logsumexp", logsumexp)
+    assert np.array_equal(ours, get_separable_boundary.__wrapped__(spec_x, spec_z).values)
+
+
+def test_robustness_is_pinned():
+    # the values computed through scipy.special.logsumexp
+    assert robustness(2.0) == 0.013107913731346343
+    assert robustness(3.0) == 0.018931554437131126
+    assert robustness(5.0) == 0.020212660196648358

@@ -71,6 +71,15 @@ def test_outcome_distribution_validation():
     assert d.p[0] == 0.0  # clamped
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_outcome_distribution_rejects_non_finite_entries(bad):
+    # NaN fails every comparison, so only an in-range test catches it
+    with pytest.raises(DomainError, match="non-finite"):
+        OutcomeDistribution(XX, [bad, 0.5, 0.25, 0.25])
+    with pytest.raises(DomainError, match="non-finite"):
+        ScrambledData({XX: np.array([0.5, 0.25, 0.25, bad]), ZZ: np.full(4, 0.25)})
+
+
 def test_scramble_examples():
     s_data = scramble_state(singlet().density())
     assert np.allclose(s_data.multiset(XX), [0.5, 0.5, 0, 0], atol=1e-15)
