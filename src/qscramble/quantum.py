@@ -104,8 +104,9 @@ class PureState:
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex).reshape(4)
-        norm2 = float(np.real(a.conj() @ a))
-        if abs(norm2 - 1.0) > NORM_ATOL:
+        with np.errstate(invalid="ignore"):  # infinite amplitudes give NaN, rejected below
+            norm2 = float(np.real(a.conj() @ a))
+        if not abs(norm2 - 1.0) <= NORM_ATOL:
             raise DomainError(f"state vector norm^2 deviates from 1 by {norm2 - 1.0:.3e}")
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)

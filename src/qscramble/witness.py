@@ -30,6 +30,13 @@ from .quantum import PureState
 TANGENT_TOL = 1e-8
 
 
+def _require_finite(**coefficients) -> None:
+    """Raise DomainError unless every named coefficient (scalar or array) is finite."""
+    for name, value in coefficients.items():
+        if not np.all(np.isfinite(value)):
+            raise DomainError(f"witness coefficient {name} must be finite")
+
+
 @dataclass(frozen=True)
 class WitnessParams:
     """Coefficients and projector choices selecting one family member.
@@ -47,13 +54,13 @@ class WitnessParams:
     choice_z: int = 0
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            if not np.isfinite(getattr(self, name)):
-                raise DomainError(f"witness coefficient {name} must be finite")
+        _require_finite(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
+        if np.ndim(self.alpha) or np.ndim(self.beta) or np.ndim(self.gamma):
+            raise DomainError("witness coefficients must be numbers, not arrays")
         for name in ("choice_x", "choice_y", "choice_z"):
             c = getattr(self, name)
-            if c not in (0, 1, 2, 3):
-                raise DomainError(f"{name} must be an outcome index 0..3, got {c}")
+            if not (isinstance(c, (int, np.integer)) and not isinstance(c, bool) and 0 <= c <= 3):
+                raise DomainError(f"{name} must be an outcome index 0..3, got {c!r}")
 
 
 def witness_matrix(w: WitnessParams) -> np.ndarray:
@@ -93,6 +100,7 @@ def scrambled_witness_min(d: ScrambledData, alpha: float, beta: float,
     Each assignment corresponds to a valid family member, so a negative
     result certifies entanglement from the scrambled data alone.
     """
+    _require_finite(alpha=alpha, beta=beta, gamma=gamma)
     value = 1.0
     for coeff, label in ((alpha, XX), (beta, YY), (gamma, ZZ)):
         if coeff == 0.0:
@@ -110,6 +118,7 @@ def min_entropy_form(alpha: float, beta: float, gamma: float,
     which coincides with :func:`scrambled_witness_min` there.  Zero
     coefficients skip their setting.
     """
+    _require_finite(alpha=alpha, beta=beta, gamma=gamma)
     if alpha > 0.0 or beta > 0.0 or gamma > 0.0:
         raise DomainError("the min-entropy form needs nonpositive coefficients")
     value = 1.0
@@ -162,61 +171,57 @@ def _min_over_b(pa: np.ndarray, k: np.ndarray) -> np.ndarray:
     return 1.0 + 0.5 * (u0 + u1 + u2) - 0.5 * np.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
 
 
-def _golden_min(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Golden-section minimizer of the elementwise ``f`` in every bracket [lo, hi].
+def _symmetric_min(k: np.ndarray) -> np.ndarray:
+    """A's outcome probabilities (1 + a)/2 at the product-state minimum of <W>
+    for rows ``k`` (G, 3) with every k_i <= 0 and one < 0.
 
-    For n brackets, ``f`` receives the 2n points [c; d] of a step in one
-    call.  The loop ends after the first step that leaves every lo and hi
-    unchanged: the later steps would evaluate the same points and decide
-    the same way, so the result is the 80-step one, bit for bit.
+    k_i p_i q_i >= k_i (p_i^2 + q_i^2)/2 puts the minimum on a symmetric state
+    a (x) a, where <W> = 1 + sum_i k_i (1 + a_i)^2/4 on the unit sphere: a
+    trust-region subproblem (Gander, Golub & von Matt, Linear Algebra Appl.
+    114/115, 1989).  Its multiplier lam is the least real eigenvalue of
+    [[K, -I], [-k k^T, K]], K = diag(k), and a = -k/(k - lam); lam < min k, as
+    k has a component along K's least eigenvector, so no hard case arises.
+    Rows are scaled to max |k_i| = 1, which leaves a unchanged and avoids
+    underflow.
     """
-    r = 0.5 * (math.sqrt(5.0) - 1.0)
-    n = lo.shape[0]
-    for _ in range(80):  # shrinks a grid bracket far below double precision
-        c, d = hi - r * (hi - lo), lo + r * (hi - lo)
-        v = f(np.concatenate([c, d]))
-        left = v[:n] < v[n:]  # a minimizer lies in [lo, d], else in [c, hi]
-        new_lo, new_hi = np.where(left, lo, c), np.where(left, d, hi)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-    return 0.5 * (lo + hi)
+    k = k / np.max(np.abs(k), axis=1, keepdims=True)
+    kd, kk = k[:, :, None] * np.eye(3), -k[:, :, None] * k[:, None, :]
+    m = np.block([[kd, np.broadcast_to(-np.eye(3), kd.shape)], [kk, kd]])
+    ev = np.linalg.eigvals(m)
+    lam = np.min(np.where(ev.imag == 0.0, ev.real, np.inf), axis=1, keepdims=True)
+    a = -k / (k - lam)
+    return 0.5 * (1.0 + a / np.linalg.norm(a, axis=1, keepdims=True))
 
 
-def _separable_min(alpha, beta: float, gamma):
-    """Minimum of <W> over product states per entry of ``alpha`` and ``gamma``
-    (scalars or equal-length arrays): the values (G,), and the outcome
+def _separable_min(alpha, beta, gamma):
+    """Minimum of <W> over product states per entry of ``alpha``, ``beta`` and
+    ``gamma`` (broadcast together): the values (G,), and the outcome
     probabilities (p_x, p_y, p_z) of qubits A and B at the minimum, (G, 3) each.
 
-    B is minimized in closed form (:func:`_min_over_b`), which leaves a function
-    concave in A's Bloch vector: A runs over a fixed grid on its sphere, refined
-    from the grid minimum.  For beta = 0 only (a_x, a_z) matter, so the grid is
-    4 001 points on the circle phi = 0 and golden sections refine; otherwise it
-    is 101 x 200 points in (theta, phi) and Nelder-Mead refines.
+    B is minimized in closed form (:func:`_min_over_b`).  Rows with no positive
+    coefficient take A from :func:`_symmetric_min` (A = |0> for W = 1).  With
+    a positive one, what remains is concave in A's Bloch vector, and a 101 x 200
+    grid in (theta, phi) on A's sphere is refined by Nelder-Mead.
     """
+    _require_finite(alpha=alpha, beta=beta, gamma=gamma)
     k = np.atleast_2d(np.stack(np.broadcast_arrays(alpha, beta, gamma), axis=-1).astype(float))
-    if not np.all(np.isfinite(k)):
-        raise DomainError("witness coefficients alpha, beta, gamma must be finite")
-    if beta == 0.0:
-        t, phi = np.linspace(-math.pi, math.pi, 4001, endpoint=False), 0.0
-    else:
+    pa = np.tile([0.5, 0.5, 1.0], (len(k), 1))
+    pos = np.any(k > 0.0, axis=1)
+    neg = ~pos & np.any(k < 0.0, axis=1)
+    if neg.any():
+        pa[neg] = _symmetric_min(k[neg])
+    if pos.any():
         t, phi = (g.ravel() for g in np.meshgrid(
             np.linspace(0.0, math.pi, 101), np.linspace(-math.pi, math.pi, 200, endpoint=False)))
-    grid = _qubit_probs(t, phi)
-    # one group at a time: large short-lived temporaries would raise the
-    # allocator's threshold for returning freed memory, and the process stays larger
-    i = [np.argmin(_min_over_b(grid, row)) for row in k]
-    if beta == 0.0:
-        h = t[1] - t[0]
-        kk = np.concatenate([k, k])  # the coefficients of golden_min's 2n points
-        pa = _qubit_probs(_golden_min(lambda x: _min_over_b(_qubit_probs(x), kk),
-                                      t[i] - h, t[i] + h))
-    else:
+        grid = _qubit_probs(t, phi)
+        # one group at a time: large short-lived temporaries would raise the
+        # allocator's threshold for returning freed memory, and the process stays larger
+        i = [np.argmin(_min_over_b(grid, row)) for row in k[pos]]
         # points: A's Bloch angles, then the group's coefficients
         x = nelder_mead(lambda y: _min_over_b(_qubit_probs(y[..., 0], y[..., 1]), y[..., 2:]),
-                        np.stack([t[i], phi[i]], axis=-1), consts=k, step=math.pi / 100,
+                        np.stack([t[i], phi[i]], axis=-1), consts=k[pos], step=math.pi / 100,
                         xtol=1e-10, ftol=0.0, max_iter=500)[0]
-        pa = _qubit_probs(x[:, 0], x[:, 1])
+        pa[pos] = _qubit_probs(x[:, 0], x[:, 1])
     u = k * pa
     norm = np.linalg.norm(u, axis=-1, keepdims=True)
     # B's Bloch vector is -u/|u|; where u = 0 every b is minimal, so take b = 0
@@ -226,7 +231,8 @@ def _separable_min(alpha, beta: float, gamma):
 
 def min_over_separable(alpha: float, beta: float, gamma: float) -> float:
     """min over pure product states of <W>; >= 0 iff W is a witness.  Exact
-    over qubit B, then a fixed grid over qubit A, refined; no random starts."""
+    for nonpositive coefficients; with a positive one, exact over qubit B and
+    a refined grid search over qubit A; no random starts."""
     return float(_separable_min(alpha, beta, gamma)[0][0])
 
 
@@ -237,6 +243,7 @@ def witness_min_eigvec(alpha: float, gamma: float) -> tuple[float, PureState]:
     at least one negative coefficient; uses the closed form
     t = -(alpha - 2 gamma + 2 sqrt(alpha^2 - alpha gamma + gamma^2)) / alpha.
     """
+    _require_finite(alpha=alpha, gamma=gamma)
     if alpha == 0.0:
         raise DomainError("the t-formula requires alpha != 0")
     if alpha >= 0.0 and gamma >= 0.0:
@@ -251,17 +258,19 @@ def witness_min_eigvec(alpha: float, gamma: float) -> tuple[float, PureState]:
 
 
 def _tangency_scales(alpha0: np.ndarray, gamma0: np.ndarray, beta: float) -> np.ndarray:
-    """Scales c (G,) with min_sep(c alpha0, beta, c gamma0) = 0 for beta != 0,
-    NaN where none exists; one Newton loop for all directions."""
+    """Scales c (G,) with min_sep(c alpha0, beta, c gamma0) = 0, NaN where
+    none exists; one Newton loop for all directions."""
     scale = np.full(alpha0.shape, np.nan)
     if beta <= -1.0:
         return scale  # 1 + beta p_y is already nonpositive on a product state
     # Newton iteration on f(c) = min_prod <W_c>: f is concave and decreasing,
     # and its one-sided derivative at the minimizer x* is the linear term
     # alpha0 p_x(x*) + gamma0 p_z(x*), so the tangent-line update converges
-    # monotonically once it crosses the root.  A direction leaves the loop at
-    # its own first converged or hopeless step; _separable_min is elementwise
-    # per direction, so each follows the same path as alone.
+    # monotonically once it crosses the root.  At beta = 0, f is affine, so
+    # the first step lands on the root and the second confirms it.  A
+    # direction leaves the loop at its own first converged or hopeless step;
+    # _separable_min is elementwise per direction, so each follows the same
+    # path as alone.
     live = np.arange(alpha0.size)
     c = np.ones(alpha0.shape)
     for _ in range(40):
@@ -276,38 +285,27 @@ def _tangency_scales(alpha0: np.ndarray, gamma0: np.ndarray, beta: float) -> np.
         if live.size == 0:
             return scale
         c[live] = np.maximum(cl[moving] - val[moving] / slope[moving], 1e-12)
-    raise ConvergenceFailure("tangency scaling did not converge for beta != 0")
+    raise ConvergenceFailure("tangency scaling did not converge")
 
 
 def optimize_params(beta: float, *, num: int = 33) -> list[tuple[float, float]]:
     """Tangent-witness curve: (alpha, gamma) pairs with separable minimum zero.
 
     Directions (-cos w, -sin w) sweep from the pure-alpha to the pure-gamma
-    witness; ``num`` of them, at least 1.  For beta = 0, min <W> - 1 is
-    linear in a common rescaling of alpha and gamma, so one batched
-    separable minimum over all directions fixes every scale exactly; other
-    beta scale each direction by Newton's method.
+    witness; ``num`` of them, at least 1.  Newton's method scales every
+    direction at once (:func:`_tangency_scales`); directions with no
+    tangent scale are left out.
     """
-    if not np.isfinite(beta):
-        raise DomainError("beta must be finite")
+    _require_finite(beta=beta)
     if num < 1:
         raise DomainError(f"the curve resolution num must be at least 1, got {num}")
     omega = np.linspace(0.0, 0.5 * math.pi, num)
     a0, g0 = -np.cos(omega), -np.sin(omega)
     a0[np.abs(a0) < 1e-15] = 0.0
     g0[np.abs(g0) < 1e-15] = 0.0
-    if beta != 0.0:
-        scale = _tangency_scales(a0, g0, beta)
-        keep = ~np.isnan(scale)
-        return [(float(a), float(g)) for a, g in zip(scale[keep] * a0[keep],
-                                                     scale[keep] * g0[keep])]
-    live = a0 != 0.0  # a0 = 0 is the degenerate endpoint, tangent at |00>
-    # its linear minimum -1 (the |00> value of -|00><00|) gives scale 1 and (0, -1)
-    linear_min = np.full(num, -1.0)
-    linear_min[live] = _separable_min(a0[live], 0.0, g0[live])[0] - 1.0
-    keep = linear_min < -1e-12
-    scale = -1.0 / linear_min[keep]
-    return [(float(a), float(g)) for a, g in zip(scale * a0[keep], scale * g0[keep])]
+    scale = _tangency_scales(a0, g0, beta)
+    keep = ~np.isnan(scale)
+    return [(float(a), float(g)) for a, g in zip(scale[keep] * a0[keep], scale[keep] * g0[keep])]
 
 
 @lru_cache(maxsize=4)

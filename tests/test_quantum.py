@@ -210,3 +210,9 @@ def test_density_matrix_validation():
         DensityMatrix.from_matrix(bad)
     with pytest.raises(DomainError):
         PureState(np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+def test_pure_state_rejects_non_finite_amplitudes():
+    for amplitudes in (np.full(4, np.nan), [math.inf, 0.0, 0.0, 0.0]):
+        with pytest.raises(DomainError, match="norm"):
+            PureState(amplitudes)

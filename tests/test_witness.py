@@ -8,7 +8,7 @@ from qscramble.measurement import (XX, YY, ZZ, OutcomeDistribution, ScrambledDat
                                    apply_permutation, canonical_permutations,
                                    probabilities, scramble, scramble_state)
 from qscramble.quantum import eig_hermitian, psi_t, random_hs_stack, singlet
-from qscramble.witness import (WitnessParams, _golden_min, _min_over_b, _qubit_probs,
+from qscramble.witness import (WitnessParams, _min_over_b, _qubit_probs, _symmetric_min,
                                _tangency_scales, correlation_witness_values,
                                min_entropy_form, min_over_separable, optimize_params,
                                scrambled_correlation_min, scrambled_family_min,
@@ -26,7 +26,7 @@ def reference_min_over_b(pa, k):
 
 def curve_directions(num):
     """The (alpha, 0, gamma) directions of optimize_params(0.0, num=num)
-    that get a separable minimum, and the circle grid it searches."""
+    with alpha != 0, and 4 001 Bloch angles of qubit A on the circle phi = 0."""
     omega = np.linspace(0.0, 0.5 * math.pi, num)
     k = np.stack([-np.cos(omega), np.zeros(num), -np.sin(omega)], axis=-1)
     k[np.abs(k) < 1e-15] = 0.0
@@ -106,9 +106,12 @@ def test_min_entropy_form_matches_extremal_choice():
 
 def test_min_over_separable_values():
     assert abs(min_over_separable(0.0, 0.0, 0.0) - 1.0) < 1e-12
+    # 1 - |x x><x x| vanishes on the product state |x>|x>, exactly
+    for abg in [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0)]:
+        assert min_over_separable(*abg) == 0.0
     exact = (1.0 - 2.0 * math.sqrt(2.0)) / 4.0
     got = min_over_separable(-1.0, 0.0, -1.0)
-    assert abs(got - exact) < 1e-9
+    assert abs(got - exact) < 1e-15
     assert abs(got - grid_min_separable(-1.0, -1.0)) < 1e-5
     assert abs(min_over_separable(TANGENT, 0.0, TANGENT)) < 1e-6
 
@@ -165,6 +168,54 @@ def test_min_over_separable_rejects_non_finite():
             min_over_separable(*abg)
 
 
+def test_closed_form_equal_coefficients():
+    # alpha = gamma (and alpha = beta = gamma) give a repeated eigenvalue of
+    # diag(k); the minimizer is then the symmetric state a = (1, 0, 1)/sqrt(2)
+    # (resp. (1, 1, 1)/sqrt(3)), where <W> = 1 + c n (1 + 1/sqrt(n))^2 / 4
+    for c in (-0.3, TANGENT, -1.0, -2.0):
+        for n, abg in ((2, (c, 0.0, c)), (3, (c, c, c))):
+            exact = 1.0 + c * n * (1.0 + 1.0 / math.sqrt(n)) ** 2 / 4.0
+            assert abs(min_over_separable(*abg) - exact) < 2e-15, (c, n)
+
+
+def test_closed_form_is_scale_free():
+    # rows are scaled to max |k_i| = 1 before the eigenproblem, so a tiny row
+    # does not underflow to NaN, and power-of-two scales change no bit
+    tiny = np.array([[-1e-200, 0.0, 0.0]])
+    assert min_over_separable(*tiny[0]) == 1.0
+    assert np.array_equal(_symmetric_min(tiny), _symmetric_min(1e150 * tiny))
+    k = -np.random.default_rng(17).uniform(0.0, 2.0, size=(5, 3))
+    for scale in (2.0 ** -900, 2.0 ** 900):
+        assert np.array_equal(_symmetric_min(k), _symmetric_min(scale * k))
+
+
+def test_closed_form_against_a_dense_grid():
+    # the closed form is a true product-state value, at most the minimum
+    # over a dense (theta, phi) grid of qubit A with B exact, and close to it
+    th, ph = np.meshgrid(np.linspace(0.0, math.pi, 401),
+                         np.linspace(-math.pi, math.pi, 800, endpoint=False))
+    grid = _qubit_probs(th.ravel(), ph.ravel())
+    rng = np.random.default_rng(23)
+    for abg in -rng.uniform(0.0, 2.0, size=(50, 3)):
+        got = min_over_separable(*abg)
+        dense = reference_min_over_b(grid, abg).min()
+        assert got <= dense + 1e-12 and dense - got < 1e-4, abg
+
+
+def test_only_a_positive_coefficient_searches(monkeypatch):
+    import qscramble.witness as witness
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("nelder_mead called")
+
+    monkeypatch.setattr(witness, "nelder_mead", no_search)
+    for beta in (0.0, -0.3, -0.9):
+        assert len(optimize_params(beta, num=9)) == 9
+    assert min_over_separable(-1.0, -0.5, 0.0) < 1.0 and min_over_separable(0, 0, 0) == 1.0
+    with pytest.raises(AssertionError, match="nelder_mead"):
+        min_over_separable(-1.0, 0.0, 0.5)
+
+
 def test_min_over_b_matches_sum_and_norm_bit_for_bit():
     k, t = curve_directions(17)
     assert len(k) == 16
@@ -172,41 +223,9 @@ def test_min_over_b_matches_sum_and_norm_bit_for_bit():
     for row in k:
         assert np.array_equal(_min_over_b(grid, row), reference_min_over_b(grid, row))
     rng = np.random.default_rng(5)
-    for shape in ((5000, 3), (7, 33, 3)):  # the latter is Nelder-Mead's (m, k, d) at beta != 0
+    for shape in ((5000, 3), (7, 33, 3)):  # the latter is Nelder-Mead's (m, k, d) array
         pa, kk = rng.uniform(size=shape), rng.normal(size=shape)
         assert np.array_equal(_min_over_b(pa, kk), reference_min_over_b(pa, kk))
-
-
-def test_golden_min_matches_the_full_two_call_loop():
-    k, t = curve_directions(33)
-    grid = _qubit_probs(t)
-    i = np.array([np.argmin(reference_min_over_b(grid, row)) for row in k])
-    h = t[1] - t[0]
-    lo, hi = t[i] - h, t[i] + h
-
-    def f(x):
-        return reference_min_over_b(_qubit_probs(x), k)
-
-    r = 0.5 * (math.sqrt(5.0) - 1.0)
-    ref_lo, ref_hi = lo, hi
-    for _ in range(80):
-        c, d = ref_hi - r * (ref_hi - ref_lo), ref_lo + r * (ref_hi - ref_lo)
-        left = f(c) < f(d)
-        ref_lo, ref_hi = np.where(left, ref_lo, c), np.where(left, d, ref_hi)
-
-    calls = []
-
-    def stacked(x, kk=np.concatenate([k, k])):
-        calls.append(x.size)
-        return _min_over_b(_qubit_probs(x), kk)
-
-    assert np.array_equal(_golden_min(stacked, lo, hi), 0.5 * (ref_lo + ref_hi))
-    assert set(calls) == {2 * len(k)}
-    assert len(calls) < 80  # every bracket stopped moving before the cap
-    for j in range(len(k)):  # each direction alone stops at its own step
-        alone = _golden_min(lambda x: _min_over_b(_qubit_probs(x), k[j]), lo[j:j + 1],
-                            hi[j:j + 1])
-        assert alone[0] == 0.5 * (ref_lo[j] + ref_hi[j])
 
 
 def test_optimize_params_beta_zero():
@@ -215,8 +234,7 @@ def test_optimize_params_beta_zero():
     mid = curve[4]  # symmetric direction, ratio 1
     assert abs(mid[0] - TANGENT) < 1e-6 and abs(mid[1] - TANGENT) < 1e-6
     # endpoint: pure-gamma witness tangent at |00>
-    assert curve[-1] == (0.0, -1.0)
-    assert abs(curve[0][0] + 1.0) < 1e-6 and abs(curve[0][1]) < 1e-9
+    assert curve[-1] == (0.0, -1.0) and curve[0] == (-1.0, 0.0)
     # alpha <-> gamma symmetry of the emitted curve
     for (a1, g1), (a2, g2) in zip(curve, curve[::-1]):
         assert abs(a1 - g2) < 1e-6 and abs(g1 - a2) < 1e-6
@@ -224,8 +242,6 @@ def test_optimize_params_beta_zero():
 
 def test_optimize_params_tangency():
     for a, g in optimize_params(0.0, num=7):
-        if a == 0.0:  # degenerate endpoint, tangent at |00> by construction
-            continue
         assert abs(min_over_separable(a, 0.0, g)) < 1e-8
 
 
@@ -249,16 +265,41 @@ def test_optimize_params_beta_nonzero():
     assert optimize_params(-1.0, num=3) == []
 
 
-@pytest.mark.parametrize("beta", [-0.9, 0.4])
+@pytest.mark.parametrize("beta", [-0.9, 0.0, 0.4])
 def test_tangency_direction_alone_equals_batch(beta):
     # one Newton loop serves every direction, and each retires at its own
-    # step: at beta = -0.9 two of the nine directions take one more step
+    # step: at beta = -0.9 two of the nine directions take one more step; at
+    # beta = 0 the two endpoints retire at the first step, the rest at the second
     omega = np.linspace(0.0, 0.5 * math.pi, 9)
     a0, g0 = -np.cos(omega), -np.sin(omega)
     batch = _tangency_scales(a0, g0, beta)
     for k in range(9):
         alone = _tangency_scales(a0[k:k + 1], g0[k:k + 1], beta)
         assert np.array_equal(alone, batch[k:k + 1], equal_nan=True)
+
+
+def test_witness_entry_points_reject_non_finite():
+    d = scramble(singlet_dists())
+    calls = [lambda: scrambled_witness_min(d, math.nan, 0.0, -1.0),
+             lambda: scrambled_witness_min(d, -1.0, 0.0, math.inf),
+             lambda: min_entropy_form(math.nan, 0.0, -1.0, d),
+             lambda: witness_min_eigvec(math.nan, -1.0),
+             lambda: witness_min_eigvec(-1.0, -math.inf),
+             lambda: optimize_params(math.nan, num=3),
+             lambda: WitnessParams(-1.0, math.nan, 0.0)]
+    for call in calls:
+        with pytest.raises(DomainError, match="finite"):
+            call()
+
+
+def test_witness_params_take_numbers_and_outcome_indices():
+    for bad in (True, False, 1.0, -1, 4, "0", None):
+        with pytest.raises(DomainError, match="outcome index"):
+            WitnessParams(-1.0, 0.0, 0.0, choice_x=bad)
+    with pytest.raises(DomainError, match="not arrays"):
+        WitnessParams(np.array([-1.0, -2.0]), 0.0, 0.0)
+    w = WitnessParams(-1.0, 0.0, -1.0, choice_x=np.int64(3), choice_z=2)
+    assert witness_matrix(w).shape == (4, 4)
 
 
 def test_witness_min_eigvec():
