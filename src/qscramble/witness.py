@@ -37,6 +37,14 @@ def _require_finite(**coefficients) -> None:
             raise DomainError(f"witness coefficient {name} must be finite")
 
 
+def _require_numbers(**coefficients) -> None:
+    """Raise DomainError unless every named coefficient is one finite number."""
+    for name, value in coefficients.items():
+        if np.ndim(value):
+            raise DomainError(f"witness coefficients must be numbers, not arrays ({name})")
+    _require_finite(**coefficients)
+
+
 @dataclass(frozen=True)
 class WitnessParams:
     """Coefficients and projector choices selecting one family member.
@@ -54,9 +62,7 @@ class WitnessParams:
     choice_z: int = 0
 
     def __post_init__(self):
-        _require_finite(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
-        if np.ndim(self.alpha) or np.ndim(self.beta) or np.ndim(self.gamma):
-            raise DomainError("witness coefficients must be numbers, not arrays")
+        _require_numbers(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
         for name in ("choice_x", "choice_y", "choice_z"):
             c = getattr(self, name)
             if not (isinstance(c, (int, np.integer)) and not isinstance(c, bool) and 0 <= c <= 3):
@@ -100,7 +106,7 @@ def scrambled_witness_min(d: ScrambledData, alpha: float, beta: float,
     Each assignment corresponds to a valid family member, so a negative
     result certifies entanglement from the scrambled data alone.
     """
-    _require_finite(alpha=alpha, beta=beta, gamma=gamma)
+    _require_numbers(alpha=alpha, beta=beta, gamma=gamma)
     value = 1.0
     for coeff, label in ((alpha, XX), (beta, YY), (gamma, ZZ)):
         if coeff == 0.0:
@@ -118,7 +124,7 @@ def min_entropy_form(alpha: float, beta: float, gamma: float,
     which coincides with :func:`scrambled_witness_min` there.  Zero
     coefficients skip their setting.
     """
-    _require_finite(alpha=alpha, beta=beta, gamma=gamma)
+    _require_numbers(alpha=alpha, beta=beta, gamma=gamma)
     if alpha > 0.0 or beta > 0.0 or gamma > 0.0:
         raise DomainError("the min-entropy form needs nonpositive coefficients")
     value = 1.0
@@ -243,7 +249,7 @@ def witness_min_eigvec(alpha: float, gamma: float) -> tuple[float, PureState]:
     at least one negative coefficient; uses the closed form
     t = -(alpha - 2 gamma + 2 sqrt(alpha^2 - alpha gamma + gamma^2)) / alpha.
     """
-    _require_finite(alpha=alpha, gamma=gamma)
+    _require_numbers(alpha=alpha, gamma=gamma)
     if alpha == 0.0:
         raise DomainError("the t-formula requires alpha != 0")
     if alpha >= 0.0 and gamma >= 0.0:
@@ -296,7 +302,7 @@ def optimize_params(beta: float, *, num: int = 33) -> list[tuple[float, float]]:
     direction at once (:func:`_tangency_scales`); directions with no
     tangent scale are left out.
     """
-    _require_finite(beta=beta)
+    _require_numbers(beta=beta)
     if num < 1:
         raise DomainError(f"the curve resolution num must be at least 1, got {num}")
     omega = np.linspace(0.0, 0.5 * math.pi, num)

@@ -225,7 +225,7 @@ def test_verdict_independent_of_batch():
         assert len({residuals[i].tobytes() for i in copies}) == 1
         assert len({None if certs[i] is None else certs[i].tobytes() for i in copies}) == 1
     assert statuses[pos[0, 2]] is FeasibilityStatus.INFEASIBLE
-    assert cycles[pos[1:, 2]].tolist() == [41, 0]
+    assert cycles[pos[1:, 2]].tolist() == [29, 0]
 
 
 def _scan_rows():
@@ -308,7 +308,7 @@ def _solved_bits(pxx, pzz):
 
 
 def test_duplicate_rows_are_solved_once_and_bit_for_bit(monkeypatch):
-    # five copies of the |+>|0> labeling (41 Newton steps, a rank-deficient
+    # five copies of the |+>|0> labeling (29 Newton steps, a rank-deficient
     # rho_b the screen rejects), two of them adjacent, among scan rows around
     # the infeasible sample 66 and every fifth row of the resolution-8 slice
     # grid, which repeats rows of its own
@@ -325,25 +325,27 @@ def test_duplicate_rows_are_solved_once_and_bit_for_bit(monkeypatch):
 
     batch = _solved_bits(pxx, pzz)
     assert all(batch[i] == batch[copies[0]] for i in copies)
-    assert batch[copies[0]][0] is FeasibilityStatus.FEASIBLE and batch[copies[0]][3] == 41
+    assert batch[copies[0]][0] is FeasibilityStatus.FEASIBLE and batch[copies[0]][3] == 29
     for i in range(len(pxx)):
         assert _solved_bits(pxx[i:i + 1], pzz[i:i + 1])[0] == batch[i], i
 
+    # _lmi's eigendecompositions, the start's first, run on the distinct
+    # rejected rows only, so the copies add none
     seen = []
-    eigvalsh = np.linalg.eigvalsh
+    eigh = np.linalg.eigh
 
     def spy(a, *args, **kwargs):
         seen.append(len(a))
-        return eigvalsh(a, *args, **kwargs)
+        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    solve_batch(pxx, pzz)
-    with_copies, seen[:] = seen[:], []
+    rho_b = fz._base_state(pxx, pzz)
     single = np.ones(len(pxx), dtype=bool)
     single[copies[1:]] = False
-    solve_batch(pxx[single], pzz[single])
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    fz._lmi(rho_b)
+    with_copies, seen[:] = seen[:], []
+    fz._lmi(rho_b[single])
     monkeypatch.undo()
-    rho_b = fz._base_state(pxx, pzz)
     rejected = rho_b[~fz._ldl_positive(rho_b)].reshape(-1, 16)
     assert with_copies[0] == len(np.unique(rejected, axis=0)) < len(rejected) - len(at)
     assert with_copies == seen
@@ -419,18 +421,42 @@ def test_barrier_derivatives_match_finite_differences():
         assert np.linalg.norm(fd_hess - hess) <= 1e-6 * np.linalg.norm(hess)
 
 
+def _status_counts(statuses):
+    return tuple(sum(s is m for s in statuses) for m in FeasibilityStatus)
+
+
 def test_newton_step_counts():
     # step counts do not depend on the machine: the resolution-8 slice grid,
-    # the rank-deficient |+>|0> labeling, and the true rows of 30 000 HS states
-    _, _, _, cycles = solve_batch(*_slice_rows(8))
-    assert (cycles.sum(), cycles.max()) == (1998, 41)
-    _, _, _, cycles = solve_batch(np.array([[.5, .5, 0, 0]]), np.array([[.5, 0, .5, 0]]))
-    assert cycles.tolist() == [41]
+    # the rank-deficient |+>|0> labeling, and the true rows of 30 000 HS
+    # states, each with its (feasible, infeasible, inconclusive) counts
+    statuses, _, _, cycles = solve_batch(*_slice_rows(8))
+    assert (cycles.sum(), cycles.max()) == (1432, 29)
+    assert _status_counts(statuses) == (196, 452, 0)
+    statuses, _, _, cycles = solve_batch(np.array([[.5, .5, 0, 0]]), np.array([[.5, 0, .5, 0]]))
+    assert cycles.tolist() == [29]
+    assert _status_counts(statuses) == (1, 0, 0)
     states = random_hs_stack(314159265, 30000)
     statuses, _, _, cycles = solve_batch(np.clip(probabilities_stack(states, XX), 0, 1),
                                          np.clip(probabilities_stack(states, ZZ), 0, 1))
-    assert (cycles.sum(), cycles.max()) == (3708, 15)
-    assert FeasibilityStatus.INCONCLUSIVE not in statuses
+    assert (cycles.sum(), cycles.max()) == (2733, 10)
+    assert _status_counts(statuses) == (29664, 336, 0)
+
+
+def test_verdicts_do_not_depend_on_the_barrier_schedule(monkeypatch):
+    # the weight factor moves iterates and step counts, never a verdict: the
+    # resolution-8 slice rows, the |+>|0> labeling and the true rows of
+    # random_hs_stack(107, 3000) get the same statuses at the old factor 8
+    states = random_hs_stack(107, 3000)
+    rows = [_slice_rows(8), (np.array([[.5, .5, 0, 0]]), np.array([[.5, 0, .5, 0]])),
+            (np.clip(probabilities_stack(states, XX), 0, 1),
+             np.clip(probabilities_stack(states, ZZ), 0, 1))]
+    solved = [solve_batch(pxx, pzz) for pxx, pzz in rows]
+    monkeypatch.setattr(fz, "_TAU_GROWTH", 8.0)
+    for (pxx, pzz), (statuses, _, _, cycles) in zip(rows, solved):
+        slow_statuses, _, _, slow_cycles = solve_batch(pxx, pzz)
+        assert slow_statuses == statuses
+        assert slow_cycles.sum() > cycles.sum()
+    assert _status_counts(solved[2][0]) == (2959, 41, 0)
 
 
 def test_witnesses_of_infeasible_slice_rows():
@@ -486,7 +512,7 @@ def test_slightly_negative_base_state_gets_a_clipped_certificate():
     statuses, certs, residuals, cycles = solve_batch(p, p)
     assert statuses == [FeasibilityStatus.FEASIBLE] * 4
     assert np.all(cycles == 0)
-    lam0 = np.linalg.eigvalsh(fz._base_state(p, p))[:, 0]
+    lam0 = fz._frame_eigh(fz._base_state(p, p))[1][:, 0]
     assert np.array_equal(residuals, -lam0)  # the margin is the start eigenvalue
     assert np.max(np.abs(residuals - gaps)) <= 1e-15
     for i in range(4):

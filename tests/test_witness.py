@@ -292,6 +292,27 @@ def test_witness_entry_points_reject_non_finite():
             call()
 
 
+_PAIR = np.array([-1.0, -2.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: scrambled_witness_min(d, _PAIR, 0.0, -1.0),
+    lambda d: scrambled_witness_min(d, -1.0, 0.0, _PAIR),
+    lambda d: min_entropy_form(_PAIR, 0.0, -1.0, d),
+    lambda d: min_entropy_form(-1.0, 0.0, _PAIR, d),
+    lambda d: witness_min_eigvec(_PAIR, -1.0),
+    lambda d: witness_min_eigvec(-1.0, _PAIR),
+    lambda d: optimize_params(np.zeros(2), num=3),
+], ids=["scrambled_witness_min-alpha", "scrambled_witness_min-gamma",
+        "min_entropy_form-alpha", "min_entropy_form-gamma",
+        "witness_min_eigvec-alpha", "witness_min_eigvec-gamma", "optimize_params-beta"])
+def test_scalar_entry_points_reject_array_coefficients(call):
+    # the check WitnessParams uses: an array is a DomainError, never numpy's
+    # "truth value of an array is ambiguous"
+    with pytest.raises(DomainError, match="not arrays"):
+        call(scramble(singlet_dists()))
+
+
 def test_witness_params_take_numbers_and_outcome_indices():
     for bad in (True, False, 1.0, -1, 4, "0", None):
         with pytest.raises(DomainError, match="outcome index"):
