@@ -14,47 +14,55 @@ so the midpoint of rho and rho^{T_B} is feasible with YY = 0, where
 rho^{T_B} = rho.  Hence the data are separable-compatible exactly when the
 2-variable LMI A(t) = rho_b + t_1 XZ/4 + t_2 ZX/4 >= 0 has a solution.
 
-:func:`solve_batch` decides the LMI for a stack of rows with a damped
-Newton log-barrier method (Boyd & Vandenberghe, ch. 11): it maximizes s
-subject to A(t) - sI > 0, minimizing -tau s - log det(A(t) - sI) and
-multiplying tau by 256 once a problem is centered.  Steps of length
-1/(1 + lambda), lambda the Newton decrement, keep every iterate strictly
-feasible, so there is no line search.  XZ/4 and ZX/4 commute, and
-one fixed orthogonal q with entries +-1/2 diagonalizes both exactly, so each
-step works in q's frame: q^T (A(t) - sI) q = R + diag(B z), z = (t_1, t_2,
-s), R = q^T rho_b q rotated once per call.  With G = (R + diag(B z))^{-1}
-from one ``eigh``, the barrier has gradient -B^T diag(G) and Hessian
-B^T (G o G) B (o the elementwise product; Vandenberghe & Boyd,
-"Semidefinite programming", SIAM Review 38, 1996), and one 3x3 solve gives
-the step and its decrement.  A problem stops as soon as one of two
-certificates checks:
+:func:`solve_batch` decides it in closed form.  In the Bell frame T, whose
+columns are Phi-, Psi+, Phi+ and Psi-, M = T^T A(t) T has eight entries
+fixed by the data (its diagonal and M_02, M_03, M_12, M_13) and two free
+ones, x = M_01 = (t_1 + t_2)/4 and y = M_23 = (t_2 - t_1)/4.  The LMI asks
+for a PSD completion of a partial matrix whose specified graph is the
+4-cycle 0-2-1-3-0.  With x fixed the graph is chordal, with cliques {0,1,2}
+and {0,1,3}, and the matrix is completable exactly when both 3x3 blocks are
+PSD (Grone, Johnson, Sa & Wolkowicz, Linear Algebra Appl. 58, 1984; Barrett,
+Johnson & Tarazaga, Linear Algebra Appl. 192, 1993, state the same test in
+angle form).  Block k is PSD exactly when its edges (0, k) and (1, k), 2x2
+principal blocks, are PSD and x lies in the interval
 
-* feasible: lambda_min(A(t)) >= -1e-8.  A(t), clipped to PSD and
-  renormalized, is its own partial transpose and must reproduce the rows
-  within ``TOL_FEASIBLE`` (1e-7), checked in one product with the eight
-  measured projectors.  At t = 0 this is rho_b itself, and zero Newton
-  steps means exactly that rho_b is certified: either an LDL^T of rho_b,
-  written out over the stack, has every pivot above 1e-12 times the trace
-  (positive definite), or, for the rows it rejects, the eigenvalues that
-  place the first iterate are >= -1e-8.  That is 95-98 % of the rows of
-  the fixed-seed scans, nearly all of them passing the LDL^T, so only the
-  few rejected rows pay for an eigendecomposition before the Newton loop.
-  Rejected rows whose rho_b are equal byte for byte are solved once and the
-  result copied, which is exact because no row's arithmetic reads another
-  row: the 18 assignments of a multiset with a tie, as on the non-convexity
-  slice, repeat rows;
-* infeasible: W = (A(t) - sI)^{-1}, with its XZ and ZX parts projected out,
-  shifted to PSD and trace-normalized, has Tr(W rho_b) <= -``TOL_INFEASIBLE``
-  = -1e-6.  Tr(W A(t)) = Tr(W rho_b) for every t, and (W + W^{T_B})/2 is a
-  decomposable witness in the span of the measured projectors.
+    M_0k M_1k / e +- sqrt((M_00 e - M_0k^2)(M_11 e - M_1k^2)) / e,  e = M_kk,
 
-Neither within ``MAX_CYCLES`` (200) Newton steps is inconclusive.  The three
-values are fixed, not options: on 27 848 rows (the true labelings of the
-first 20 000 states of scan seed 314159265, the 18 assignments of the first
-300 states of scrambled-scan seed 1, and the 2 448 rows of the default slice
-grid) no row comes near them, with certificate residuals up to 4.2e-9,
-witness margins from 7.7e-6 and at most 29 Newton steps.  A row's
-arithmetic never mixes with another row's, so verdicts do not depend on the
+which becomes |x| <= sqrt(M_00 M_11) as e -> 0.  So a row is feasible when
+its four edges are PSD and the two intervals meet: a few dozen flops, no
+iteration and no eigendecomposition.  The test runs on M + 1e-8 I, so a row
+is feasible when s* = max_t lambda_min(A(t)) >= -1e-8.  Each verdict carries
+a certificate that is checked apart from the test:
+
+* feasible: x is the midpoint of the two intervals and y the max-determinant
+  choice M_{2,01} S^+ M_{01,3}, S = [[M_00, x], [x, M_11]]; M(x, y) is PSD,
+  and A = T M(x, y) T^T, renormalized, must reproduce the rows within
+  ``TOL_FEASIBLE`` (1e-7), checked in one product with the eight measured
+  projectors.  A row that passes only on M + 1e-8 I gets the completion of
+  that matrix, whose negative eigenvalues (at least -1e-8) are clipped;
+* infeasible: a PSD, trace-one W with W_01 = W_23 = 0 exactly, so with no XZ
+  or ZX part, and Tr(W rho_b) = Tr(W M) <= -``TOL_INFEASIBLE`` = -1e-6; (W +
+  W^{T_B})/2 is then a decomposable witness in the span of the measured
+  projectors.  When an edge is not PSD, W = v v^T for its least eigenvector.
+  When the intervals are disjoint, v and w are the least eigenvectors of the
+  two blocks at an x between them; each lambda_min is concave in x and grows
+  towards its own interval, so the slopes 2 v_0 v_1 and 2 w_0 w_1 have
+  opposite signs and W = |2 w_0 w_1| v v^T + |2 v_0 v_1| w w^T, trace-
+  normalized, has W_01 = 0 (a W_01 that rounding leaves nonzero voids the
+  witness).  The x between the intervals of M + 1e-8 I comes first.  A row whose margin misses -1e-6 there gets s*, bisected on the
+  test of M - sI (monotone in s), and W is rebuilt from the test just above
+  s*, where its margin is within rounding of s*, the least any such witness
+  reaches.
+
+Neither is inconclusive: a row with s* between -1e-6 and -1e-8, which
+reports -s*, or one whose certificate misses its check.  The three values
+are fixed, not options: on 27 848 rows (the true labelings of the first
+20 000 states of scan seed 314159265, the 18 assignments of the first 300
+states of scrambled-scan seed 1, and the 2 448 rows of the default slice
+grid) no row comes near them, with certificate residuals up to 4.5e-16 and
+witness margins no shallower than -7.7e-5.  There is no iteration count:
+:func:`solve_batch`'s ``cycles`` are all zero.  A row's arithmetic never
+mixes with another row's, so neither its verdict nor its bits depend on the
 batch.  Scrambled data is decided along one path: :func:`assignment_rows`
 expands sorted multisets into their 18 canonical outcome assignments, one
 :func:`solve_batch` call decides them, and :func:`reduce_assignments` folds
@@ -83,20 +91,49 @@ from .quantum import DensityMatrix, _ginibre, derive_seed, maximally_mixed, mix
 
 TOL_FEASIBLE = 1e-7
 TOL_INFEASIBLE = 1e-6
-MAX_CYCLES = 200
-
 _CERT_EIG_TOL = 1e-8
-_START_GAP = 0.25          # the first iterate has s = lambda_min(rho_b) - _START_GAP
-# barrier weight factor per centering.  -log det of a 4x4 has parameter 4, so a
-# centered iterate's s is within 4/tau of the optimum, and each centering cuts
-# that gap 256-fold.  On the 27 848 rows of the module docstring and the true and
-# scrambled rows of `scan --samples 20000 --seed 1`, 52 114 in all, the Newton
-# steps fall from 20 998 at factor 8 to 15 506 at 256 and stay flat up to 4096,
-# with the same verdicts at every factor
-_TAU_GROWTH = 256.0
-_CENTERED = 1e-4           # squared Newton decrement that counts as centered
-_FULL_STEP = 0.25          # undamped Newton steps below this squared decrement
-_TAU_MAX = 4e12            # gap 4/tau below every tolerance; larger tau makes H singular
+
+
+def _frozen(a) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+# sqrt(2) T: the Bell states Phi-, Psi+, Phi+, Psi- as columns, in the
+# computational basis; T M T^T = _BELL M _BELL^T / 2 with no rounding in T
+_BELL = _frozen([[1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 0, -1], [-1, 0, 1, 0]])
+# M's fixed entries m = (M_00, M_11, M_22, M_33, M_02, M_03, M_12, M_13) are
+# _ENTRY_BASE + [p_xx | p_zz] @ _ENTRY_MAP, with X = <XX> and Z = <ZZ>:
+# diag M = (1 - X + Z, 1 + X - Z, 1 + X + Z, 1 - X - Z) / 4, and each setting
+# fixes two edges, XX (1, 2) and (0, 3), ZZ (0, 2) and (1, 3)
+_ENTRY_MAP = _frozen(np.array([[-1, 1, 1, -1, 0, 0, 2, 0],
+                               [1, -1, -1, 1, 0, -2, 0, 0],
+                               [1, -1, -1, 1, 0, 2, 0, 0],
+                               [-1, 1, 1, -1, 0, 0, -2, 0],
+                               [1, -1, 1, -1, 2, 0, 0, 0],
+                               [-1, 1, -1, 1, 0, 0, 0, 2],
+                               [-1, 1, -1, 1, 0, 0, 0, -2],
+                               [1, -1, 1, -1, -2, 0, 0, 0]]) / 4.0)
+_ENTRY_BASE = _frozen([0.25] * 4 + [0.0] * 4)
+# M(x, y) flattened, from m extended by x (column 8) and y (column 9)
+_M_INDEX = np.array([0, 8, 4, 5, 8, 1, 6, 7, 4, 6, 2, 9, 5, 7, 9, 3])
+# row c: where column c of [m, x, y] sits in M(x, y), flattened
+_PATTERN = _frozen(np.arange(10)[:, None] == _M_INDEX)
+# vec(T W T^T) = vec(W) @ _TO_COMPUTATIONAL, for W in the Bell frame
+_TO_COMPUTATIONAL = _frozen(0.5 * np.kron(_BELL, _BELL).T)
+# A = T M(x, y) T^T flattened is [m, x, y] @ _CERT_MAP; exact, as entries are
+# multiples of 1/2
+_CERT_MAP = _frozen(_PATTERN @ _TO_COMPUTATIONAL)
+# the blocks {0,1,2} and {0,1,3} of M at x (column 8), flattened
+_BLOCK_INDEX = np.array([[0, 8, 4, 8, 1, 6, 4, 6, 2], [0, 8, 5, 8, 1, 7, 5, 7, 3]])
+# (2, 3, 3) blocks of outer products, flattened, to their places in a 4x4
+_BLOCK_EMBED = _frozen(np.arange(16) == np.array([[0, 1, 2], [4, 5, 6], [8, 9, 10],
+                                                  [0, 1, 3], [4, 5, 7], [12, 13, 15]])
+                       .reshape(18, 1))
+# below every lambda_min(M(0, 0)), by Gershgorin: M_ii >= -1/4, and each row
+# has two off-diagonal entries, each at most 1/2 in size
+_SHIFT_FLOOR = -1.5
 
 
 class FeasibilityStatus(str, Enum):
@@ -142,226 +179,145 @@ def _projectors() -> np.ndarray:
     return projs
 
 
-@lru_cache(maxsize=1)
-def _lmi_frame() -> tuple[np.ndarray, np.ndarray]:
-    """(base, free): rho_b = I/4 + sum_k p_k base[k] over the eight raw
-    probabilities (XX then ZZ), and the free directions (XZ/4, ZX/4)."""
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    z = np.array([[1.0, 0.0], [0.0, -1.0]])
-    i = np.eye(2)
-    paulis = np.array([np.kron(a, b) for a, b in
-                       ((x, i), (i, x), (x, x), (z, i), (i, z), (z, z))])
-    base = np.einsum("kab,pba,pcd->kcd", _projectors(), paulis, paulis) / 4.0
-    return base, np.array([np.kron(x, z), np.kron(z, x)]) / 4.0
+def _apply(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """rows @ table, each row summed in one fixed order: BLAS may round a row
+    differently with the size of its batch, and no row's bits may depend on
+    the batch it comes in."""
+    return np.einsum("nk,kj->nj", rows, table)
 
 
-@lru_cache(maxsize=1)
-def _diag_frame() -> tuple[np.ndarray, np.ndarray]:
-    """(q, B): the orthogonal q with entries +-1/2 that diagonalizes both free
-    directions, q^T F_k q = diag(B[:, k]) for F = (XZ/4, ZX/4), and B's third
-    column -1, so that q^T (A(t) - sI) q = q^T rho_b q + diag(B (t_1, t_2, s)).
-    Every product of these identities is exact in floating point."""
-    q = 0.5 * np.array([[-1.0, 1.0, -1.0, 1.0], [1.0, 1.0, 1.0, 1.0],
-                        [1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
-    b = np.array([[-0.25, -0.25, -1.0], [-0.25, 0.25, -1.0],
-                  [0.25, -0.25, -1.0], [0.25, 0.25, -1.0]])
-    q.setflags(write=False)
-    b.setflags(write=False)
-    return q, b
+def _bell_entries(p: np.ndarray) -> np.ndarray:
+    """M's eight fixed entries (see ``_ENTRY_MAP``) for rows [p_xx | p_zz]."""
+    return _apply(p, _ENTRY_MAP) + _ENTRY_BASE
 
 
-def _base_state(p_xx: np.ndarray, p_zz: np.ndarray) -> np.ndarray:
-    """rho_b of each row pair: trace one, no XZ, ZX or YY coordinate.
+def _edge_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """lambda_min of each row's four edges [[M_ii, M_ik], [M_ik, M_kk]], as
+    (n, 2, 2) over i = 0, 1 and k = 2, 3."""
+    di, dk = m[:, :2, None], m[:, None, 2:4]
+    return 0.5 * (di + dk) - np.hypot(0.5 * (di - dk), m[:, 4:].reshape(-1, 2, 2))
 
-    The eight terms are summed in order, then I/4 is added; no (n, 8, 4, 4)
-    temporary is built.
+
+def _x_interval(m: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): the x at which both 3x3 blocks of M - sI are PSD, for rows
+    whose edges are; lo > hi when there is none.  ``s`` is a scalar or one
+    shift per row, shape (n, 1).  A block whose diagonal entry e is 0 is
+    computed with e = 1: its edges are PSD only when M_0k = M_1k = 0, and
+    then the interval is the e -> 0 limit |x| <= sqrt(M_00 M_11)."""
+    d = m[:, :4] - s
+    e = np.where(d[:, 2:] > 0.0, d[:, 2:], 1.0)
+    a, b = m[:, 4:6], m[:, 6:]
+    h = np.sqrt(np.maximum((d[:, :1] * e - a * a) * (d[:, 1:2] * e - b * b), 0.0))
+    ab = a * b
+    return ((ab - h) / e).max(axis=1), ((ab + h) / e).min(axis=1)
+
+
+def _completes(m: np.ndarray, lam_min: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows whose M - sI has a PSD completion, one shift per row."""
+    lo, hi = _x_interval(m, s[:, None])
+    return (lam_min >= s) & (lo <= hi)
+
+
+def _completion(m: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A = T M(x, y) T^T, y the max-determinant completion of M - sI at x:
+    y = u^T S^+ w with u = (M_02, M_12), w = (M_03, M_13) and S = [[M_00 - s,
+    x], [x, M_11 - s]]; S^+ = adj(S) / det S, or S / Tr(S)^2 where S has
+    rank one."""
+    d = m[:, :2] - s[:, None]
+    u, w, xc = m[:, 4::2], m[:, 5::2], x[:, None]
+    det = d[:, 0] * d[:, 1] - x * x
+    full = det > 0.0
+    y = (u * (d[:, ::-1] * w - xc * w[:, ::-1])).sum(axis=1) / np.where(full, det, 1.0)
+    r = np.flatnonzero(~full)
+    if r.size:
+        tr2 = d[r].sum(axis=1) ** 2
+        y[r] = ((u[r] * (d[r] * w[r] + xc[r] * w[r, ::-1])).sum(axis=1)
+                / np.where(tr2 > 0.0, tr2, 1.0))
+    return _apply(np.concatenate([m, xc, y[:, None]], axis=1), _CERT_MAP).reshape(-1, 4, 4)
+
+
+def _witness(m: np.ndarray, lam: np.ndarray, lam_min: np.ndarray, s: np.ndarray,
+             x: np.ndarray):
+    """(W, Tr(W M)) for rows whose M - sI has no PSD completion, one shift s
+    per row, and x between the intervals of the rows whose edges pass.
+
+    W, flattened and in the Bell frame, is PSD with trace one and W_01 =
+    W_23 = 0: v v^T for the least eigenvector v of an edge that fails, else
+    |2 w_0 w_1| v v^T + |2 v_0 v_1| w w^T for the least eigenvectors v, w of
+    the blocks {0,1,2} and {0,1,3} at x.  The margin is +inf where W_01 came
+    out nonzero, which the slopes' opposite signs rule out up to rounding.
     """
-    p = np.concatenate([p_xx, p_zz], axis=1)
-    base = _lmi_frame()[0]
-    acc = p[:, 0, None, None] * base[0]
-    for k in range(1, 8):
-        acc = acc + p[:, k, None, None] * base[k]
-    return np.eye(4) / 4.0 + acc
+    k = len(m)
+    vecs = np.zeros((k, 2, 3))  # one vector on each block, its third entry vertex 2 or 3
+    weight = np.zeros((k, 2))
+    on_edge = lam_min < s
+    r = np.flatnonzero(on_edge)
+    if r.size:
+        edge = lam[r].reshape(-1, 4).argmin(axis=1)
+        i, block = edge >> 1, edge & 1
+        theta = 0.5 * np.arctan2(2.0 * m[r, 4 + edge], m[r, i] - m[r, 2 + block])
+        vecs[r, block, i], vecs[r, block, 2] = -np.sin(theta), np.cos(theta)
+        weight[r, block] = 1.0
+    g = np.flatnonzero(~on_edge)
+    if g.size:
+        ext = np.concatenate([m[g], x[g, None]], axis=1)
+        vecs[g] = np.linalg.eigh(ext[:, _BLOCK_INDEX].reshape(-1, 2, 3, 3))[1][..., 0]
+        weight[g] = np.abs(2.0 * vecs[g, ::-1, 0] * vecs[g, ::-1, 1])
+    w = (weight[:, :, None, None] * (vecs[:, :, :, None] * vecs[:, :, None, :])).reshape(k, 18)
+    w = w @ _BLOCK_EMBED
+    w /= np.maximum(w[:, ::5].sum(axis=1), np.finfo(float).tiny)[:, None]
+    margin = np.einsum("nk,jk,nj->n", w, _PATTERN[:8], m)
+    return w, np.where(w[:, 1] == 0.0, margin, np.inf)
 
 
-def _ldl_positive(rho_b: np.ndarray) -> np.ndarray:
-    """Rows whose symmetric 4x4 matrix is positive definite by an LDL^T test.
+def _lmi(m: np.ndarray):
+    """Decide the completion problem for each row of fixed entries ``m``.
 
-    The factorization is written out entry by entry over the stack, from the
-    lower triangle; a row passes when every pivot exceeds 1e-12 times its
-    trace (Golub & Van Loan, *Matrix Computations*, sec. 4.2).  A NaN pivot
-    fails.  Every row that passes on the scan, slice and boundary rows of the
-    test suite has ``eigvalsh`` lambda_min > 0, so it gets the unclipped
-    certificate that the eigenvalue rule would give it.  The floor is what
-    makes that hold: on rows whose lambda_min is 0 up to rounding, a floor
-    of 1e-14 times the trace passes one with lambda_min <= 0.
+    Returns (code, a, witness, value): code 1 for feasible rows, -1 where a
+    witness checked and 0 otherwise; ``a`` holds A = T M(x, y) T^T of the
+    rows with code 1 and ``witness`` the computational-basis W of those with
+    code -1, each in row order.  ``value`` is 0 for feasible rows that pass
+    the test on M itself and -1e-8, a bound on lambda_min(A), for those that
+    need the shift; Tr(W rho_b) for infeasible rows, and s* for the others.
     """
-    a = rho_b
-    with np.errstate(all="ignore"):
-        d0 = a[:, 0, 0]
-        l1, l2, l3 = a[:, 1, 0] / d0, a[:, 2, 0] / d0, a[:, 3, 0] / d0
-        d1 = a[:, 1, 1] - l1 * a[:, 1, 0]
-        s21 = a[:, 2, 1] - l2 * a[:, 1, 0]
-        s31 = a[:, 3, 1] - l3 * a[:, 1, 0]
-        m2, m3 = s21 / d1, s31 / d1
-        d2 = a[:, 2, 2] - l2 * a[:, 2, 0] - m2 * s21
-        s32 = a[:, 3, 2] - l3 * a[:, 2, 0] - m3 * s21
-        d3 = a[:, 3, 3] - l3 * a[:, 3, 0] - m3 * s31 - s32 * s32 / d2
-        floor = 1e-12 * (a[:, 0, 0] + a[:, 1, 1] + a[:, 2, 2] + a[:, 3, 3])
-        return (d0 > floor) & (d1 > floor) & (d2 > floor) & (d3 > floor)
-
-
-def _lmi(rho_b: np.ndarray):
-    """Decide A(t) = rho_b + t_1 XZ/4 + t_2 ZX/4 >= 0 for a stack of rho_b.
-
-    Returns (code, a, witness, margin, steps): code is 1 when the primal
-    certificate checked, -1 when the dual one did and 0 when the budget ran
-    out; ``a`` holds the last A(t) and ``witness`` the normalized PSD W of
-    each infeasible row (zero elsewhere); ``margin`` is lambda_min(A(t)) for
-    primal and open rows, 0 for rows that :func:`_ldl_positive` passes, and
-    Tr(W rho_b) for dual ones; ``steps`` counts Newton steps.  A row is
-    decided with A = rho_b and no Newton step when rho_b passes the LDL^T
-    screen, or else when the eigenvalues that place its start pass the
-    primal rule; only the rows the screen rejects are eigendecomposed.
-
-    Rejected rows that are equal byte for byte are solved once, by
-    :func:`_newton` on one representative, and its five outputs are copied
-    to the others.  That is exact: a row's arithmetic never reads another
-    row, so each copy gets the bits it would have computed itself, and since
-    :func:`_base_state` adds I/4 last, no entry is -0.0, so equal bytes means
-    equal values.  ``steps`` still counts every copy's steps.  The Newton
-    loop runs in the frame of :func:`_diag_frame`, but ``a`` and ``witness``
-    are returned in the computational basis.
-    """
-    n = rho_b.shape[0]
+    n = len(m)
     code = np.zeros(n, dtype=np.int8)
-    a_out = rho_b.copy()
-    witness = np.zeros_like(rho_b)
-    margin = np.zeros(n)
-    steps = np.zeros(n, dtype=np.int64)
-    code[_ldl_positive(rho_b)] = 1
-    rest = np.flatnonzero(code == 0)
+    value = np.zeros(n)
+    lam = _edge_eigenvalues(m)
+    lam_min = lam.min(axis=(1, 2))
+    lo, hi = _x_interval(m, 0.0)
+    ok = (lam_min >= 0.0) & (lo <= hi)
+    x, shift = 0.5 * (lo + hi), np.zeros(n)
+    redo = np.flatnonzero(~ok)
+    if redo.size:
+        # the decision: M + 1e-8 I
+        lo, hi = _x_interval(m[redo], -_CERT_EIG_TOL)
+        x[redo], shift[redo] = 0.5 * (lo + hi), -_CERT_EIG_TOL
+        ok[redo] = (lam_min[redo] >= -_CERT_EIG_TOL) & (lo <= hi)
+    hit = np.flatnonzero(ok)
+    code[hit] = 1
+    value[hit] = shift[hit]
+    a = _completion(m[hit], shift[hit], x[hit]) if hit.size else np.zeros((0, 4, 4))
+    rest = np.flatnonzero(~ok)
     if not rest.size:
-        return code, a_out, witness, margin, steps
-    keys = rho_b[rest].reshape(rest.size, 16).view(np.dtype((np.void, 128)))[:, 0]
-    _, first, back = np.unique(keys, return_index=True, return_inverse=True)
-    for out, solved in zip((code, a_out, witness, margin, steps), _newton(rho_b[rest[first]])):
-        out[rest] = solved[back]
-    return code, a_out, witness, margin, steps
-
-
-def _frame_eigh(rho_b: np.ndarray):
-    """(R, w, v): R = q^T rho_b q in the frame q of :func:`_diag_frame`, and
-    its ``eigh``.  w[:, 0] is lambda_min(rho_b), the value the eigenvalue
-    rule of :func:`_lmi` tests; it places the first iterate."""
-    q = _diag_frame()[0]
-    r = q.T @ rho_b @ q
-    w, v = np.linalg.eigh(r)
-    return r, w, v
-
-
-def _newton(rho_b: np.ndarray):
-    """:func:`_lmi`'s outputs for rows that the LDL^T screen rejected: one
-    ``eigh`` of R = q^T rho_b q places each start, then the barrier's Newton
-    loop runs on the rows its eigenvalues do not certify.
-
-    The loop works in the frame q of :func:`_diag_frame`, where the free
-    directions are diagonal: M = q^T (A(t) - sI) q = R + diag(B z) with
-    z = (t_1, t_2, s).  The first iterate, M = R - s_0 I, shares R's
-    eigenvectors, so step 0 reuses R's ``eigh``; every later step takes one
-    ``eigh`` of M.  With G = M^{-1}, the barrier -log det M has gradient
-    -B^T diag(G) and Hessian B^T (G o G) B (o the elementwise product), and
-    one ``solve`` against [gradient, e_s] gives the Newton step and its
-    decrement for every barrier weight.  All rows start together, so one
-    step counter serves them all; the open rows' indices, z, tau and R shrink
-    only on a step where some row finishes, and a finished row's A(t) is
-    formed in the computational basis.
-    """
-    q, b = _diag_frame()
-    neg_b = -b
-    diag_b = np.zeros((3, 16))
-    diag_b[:, ::5] = b.T  # z @ diag_b is diag(B z), flattened
-    free = _lmi_frame()[1]
-    n = rho_b.shape[0]
-    code = np.zeros(n, dtype=np.int8)
-    a_out = rho_b.copy()
-    witness = np.zeros_like(rho_b)
-    margin = np.zeros(n)
-    steps = np.zeros(n, dtype=np.int64)
-    r, w, v = _frame_eigh(rho_b)
-    psd = w[:, 0] >= -_CERT_EIG_TOL
-    code[psd] = 1
-    margin[psd] = w[psd, 0]
-    rows = np.flatnonzero(~psd)
-    z = np.zeros((rows.size, 3))  # (t_1, t_2, s)
-    z[:, 2] = w[rows, 0] - _START_GAP
-    r, w, v = r[rows], w[rows] - z[:, 2:], v[rows]
-    tau = np.zeros(rows.size)
-    taken = 0
-    while rows.size:
-        g = (v * (1.0 / w)[:, None, :]) @ v.transpose(0, 2, 1)
-        # the barrier's gradient -B^T diag(G) = (-Tr(G F_1), -Tr(G F_2), Tr G)
-        g0 = g.diagonal(0, 1, 2) @ neg_b
-        # lambda_min(A(t)), or Tr(W rho_b) once the row's witness checks
-        value = z[:, 2] + w[:, 0]
-        feasible = value >= -_CERT_EIG_TOL
-        # Tr(G rho_b) / Tr(G), since Tr(G (A - sI)) = 4; the witness margin
-        # is never below it
-        maybe = (4.0 + (z * g0).sum(axis=1)) / g0[:, 2] <= -TOL_INFEASIBLE
-        if taken == MAX_CYCLES or (feasible | maybe).any():
-            verdict = feasible.astype(np.int8)
-            cand = np.flatnonzero(maybe & ~feasible)
-            if cand.size:
-                wit, mg = _dual_witness(g[cand], r[cand])
-                ok = mg <= -TOL_INFEASIBLE
-                hit = cand[ok]
-                verdict[hit] = -1
-                value[hit] = mg[ok]
-                witness[rows[hit]] = q @ wit[ok] @ q.T
-            done = (verdict != 0) | (taken == MAX_CYCLES)
-            if done.any():
-                out = rows[done]
-                code[out] = verdict[done]
-                margin[out] = value[done]
-                steps[out] = taken
-                a_out[out] = rho_b[out] + (z[done, :2, None, None] * free).sum(axis=1)
-                go = ~done
-                rows, z, tau, r = rows[go], z[go], tau[go], r[go]
-                if not rows.size:
-                    break
-                g, g0 = g[go], g0[go]
-
-        rhs = np.zeros((rows.size, 3, 2))  # [gradient of the barrier, e_s]
-        rhs[:, :, 0] = g0
-        rhs[:, 2, 1] = 1.0
-        s0, s1 = np.linalg.solve(neg_b.T @ (g * g) @ neg_b, rhs).transpose(2, 0, 1)
-        c, a2, b2 = (g0 * s0).sum(axis=1), 2.0 * s0[:, 2], s1[:, 2]
-        # the squared decrement of g0 - x e_s is c - x (a2 - x b2); the first
-        # weight makes the s-component of the gradient vanish
-        weight = tau if taken else g0[:, 2]
-        tau = np.where(c - weight * (a2 - weight * b2) <= _CENTERED,
-                       np.minimum(weight * _TAU_GROWTH, _TAU_MAX), weight)
-        dec2 = c - tau * (a2 - tau * b2)
-        alpha = np.where(dec2 > _FULL_STEP, 1.0 / (1.0 + np.sqrt(np.maximum(dec2, 0.0))), 1.0)
-        z += alpha[:, None] * (tau[:, None] * s1 - s0)
-        w, v = np.linalg.eigh(r + (z @ diag_b).reshape(-1, 4, 4))
-        taken += 1
-    return code, a_out, witness, margin, steps
-
-
-def _dual_witness(g: np.ndarray, r: np.ndarray):
-    """(W, Tr(W R)): the PSD, trace-one W with no XZ or ZX coordinate made
-    from G = (A - sI)^{-1}, and its value on R, all in the frame q of
-    :func:`_diag_frame`, where the two directions are the diagonals B[:, 0]
-    and B[:, 1]: orthogonal, each of norm 1/2 and with zero sum, so that
-    removing them keeps the trace and W is scaled once, at the end."""
-    f = _diag_frame()[1][:, :2]
-    w = g + g.transpose(0, 2, 1)
-    d = w.reshape(-1, 16)[:, ::5]
-    d -= 4.0 * (d @ f) @ f.T
-    d -= np.minimum(np.linalg.eigvalsh(w)[:, :1], 0.0)
-    w /= d.sum(axis=1)[:, None, None]
-    return w, (w * r).sum(axis=(1, 2))
+        return code, a, np.zeros((0, 4, 4)), value
+    m, lam, lam_min, s = m[rest], lam[rest], lam_min[rest], shift[rest]
+    w, margin = _witness(m, lam, lam_min, s, x[rest])
+    found = margin <= -TOL_INFEASIBLE
+    short = np.flatnonzero(~found)
+    if short.size:
+        # rebuild W just above s*, bisected between a shift at which every
+        # M - sI is PSD at x = y = 0 and the failing -1e-8
+        m, lam, lam_min = m[short], lam[short], lam_min[short]
+        s_lo, s_hi = bisect(lambda t: _completes(m, lam_min, t),
+                            np.full(short.size, _SHIFT_FLOOR), s[short], 50)
+        lo, hi = _x_interval(m, s_hi[:, None])
+        w[short], rebuilt = _witness(m, lam, lam_min, s_hi, 0.5 * (lo + hi))
+        found[short] = rebuilt <= -TOL_INFEASIBLE
+        margin[short] = np.where(found[short], rebuilt, 0.5 * (s_lo + s_hi))
+    code[rest[found]] = -1
+    value[rest] = margin
+    return code, a, _apply(w[found], _TO_COMPUTATIONAL).reshape(-1, 4, 4), value
 
 
 def _checked_rows(p, name: str) -> np.ndarray:
@@ -380,6 +336,26 @@ def _checked_rows(p, name: str) -> np.ndarray:
     return p
 
 
+def _checked_pair(p_xx, p_zz) -> np.ndarray:
+    """[p_xx | p_zz], shape (n, 8), once both pass :func:`_checked_rows`.
+
+    Valid rows take one combined pass of the same conditions (a NaN fails
+    each of them); any failure reruns the checks one input at a time for
+    their error."""
+    p_xx = np.asarray(p_xx, dtype=float)
+    p_zz = np.asarray(p_zz, dtype=float)
+    if p_xx.ndim == 2 and p_xx.shape[1] == 4 and p_zz.shape == p_xx.shape and p_xx.size:
+        p = np.concatenate([p_xx, p_zz], axis=1)
+        if (p.min() >= -PROB_ENTRY_ATOL and p.max() <= 1.0 + PROB_ENTRY_ATOL
+                and np.abs(p.reshape(-1, 2, 4).sum(axis=2) - 1.0).max() <= PROB_SUM_ATOL):
+            return p
+    p_xx = _checked_rows(p_xx, "p_xx")
+    p_zz = _checked_rows(p_zz, "p_zz")
+    if p_xx.shape != p_zz.shape:
+        raise DomainError(f"p_xx and p_zz shapes differ: {p_xx.shape} vs {p_zz.shape}")
+    return np.concatenate([p_xx, p_zz], axis=1)
+
+
 # indexed by code: 0 inconclusive, 1 feasible, -1 infeasible
 _STATUS_OF_CODE = np.array([FeasibilityStatus.INCONCLUSIVE, FeasibilityStatus.FEASIBLE,
                             FeasibilityStatus.INFEASIBLE], dtype=object)
@@ -391,53 +367,58 @@ def solve_batch(p_xx: np.ndarray, p_zz: np.ndarray):
     Parameters are target probability rows ``p_xx``, ``p_zz`` of shape (n, 4);
     rows with non-finite entries, entries outside [-1e-9, 1 + 1e-9] or a sum
     off 1 by more than 1e-9 raise :class:`DomainError`.  Rows are solved as
-    given, without renormalization.  The certificate state's row residual is
-    bounded by ``TOL_FEASIBLE`` (1e-7), the least witness margin is
-    ``TOL_INFEASIBLE`` (1e-6) and the Newton-step budget per problem is
-    ``MAX_CYCLES`` (200); the module docstring gives the measured headroom.
+    given, without renormalization, by the closed-form completion test of the
+    module docstring: feasible when max_t lambda_min(A(t)) >= -1e-8.  A
+    certificate state must reproduce its rows within ``TOL_FEASIBLE`` (1e-7)
+    and a witness must have margin at most -``TOL_INFEASIBLE`` (-1e-6); a row
+    for which neither checks is inconclusive.
 
     Returns (statuses, states, residuals, cycles): statuses a list of
     :class:`FeasibilityStatus`; states real certificate matrices for feasible
-    rows and None otherwise; residuals max(0, -lambda_min(A(t))) for feasible
-    and inconclusive rows and the witness margin -Tr(W rho_b) for infeasible
-    ones; cycles the Newton steps taken, zero exactly for the rows whose
-    rho_b is its own certificate: positive definite by the LDL^T screen, or
-    else PSD within 1e-8 by its eigenvalues.  Every status is one of the
-    three :class:`FeasibilityStatus` members itself, so ``is`` compares them.
+    rows and None otherwise; residuals max(0, -lambda_min(A)) for feasible
+    rows (0 when the test passes on M itself, so that A needs no clipping),
+    the witness margin -Tr(W rho_b) for infeasible ones and -s* for
+    inconclusive ones; cycles an int array of zeros, since nothing iterates.
+    Every status is one of the three :class:`FeasibilityStatus` members
+    itself, so ``is`` compares them.
     """
-    p_xx = _checked_rows(p_xx, "p_xx")
-    p_zz = _checked_rows(p_zz, "p_zz")
-    if p_xx.shape != p_zz.shape:
-        raise DomainError(f"p_xx and p_zz shapes differ: {p_xx.shape} vs {p_zz.shape}")
-    code, a, _, margin, steps = _lmi(_base_state(p_xx, p_zz))
-
+    p = _checked_pair(p_xx, p_zz)
+    code, a, _, value = _lmi(_bell_entries(p))
     states: list[np.ndarray | None] = [None] * len(code)
     hit = np.flatnonzero(code == 1)
-    certs = _certificate(a[hit], margin[hit])
-    rows = np.concatenate([p_xx[hit], p_zz[hit]], axis=1)
-    res = np.abs(certs.reshape(-1, 16) @ _projectors().reshape(8, 16).T - rows).max(axis=1)
-    ok = res <= TOL_FEASIBLE
+    certs, value[hit] = _certificate(a, value[hit])
+    rows = _apply(certs.reshape(-1, 16), _projectors().reshape(8, 16).T)
+    ok = np.abs(rows - p[hit]).max(axis=1) <= TOL_FEASIBLE
     code[hit[~ok]] = 0
     for i, cert in zip(hit[ok].tolist(), certs[ok]):
         states[i] = cert
-    residuals = np.where(code == -1, -margin, np.maximum(0.0, -margin))
-    return _STATUS_OF_CODE[code].tolist(), states, residuals, steps
+    residuals = np.where(code == -1, -value, np.maximum(0.0, -value))
+    return _STATUS_OF_CODE[code].tolist(), states, residuals, np.zeros(len(code), dtype=np.int64)
 
 
-def _certificate(a: np.ndarray, lam_min: np.ndarray) -> np.ndarray:
-    """Clip residual negative eigenvalues of the rows with ``lam_min < 0`` and
-    renormalize the trace of every row."""
-    cert = a.copy()
-    neg = np.nonzero(lam_min < 0.0)[0]
+def _certificate(a: np.ndarray, low: np.ndarray):
+    """(cert, lam): every A renormalized to trace one, those with ``low < 0``
+    first clipped to their PSD part; lam is their lambda_min, and ``low``
+    for the others."""
+    neg = np.flatnonzero(low < 0.0)
     if neg.size:
+        a, low = a.copy(), low.copy()
         w, v = np.linalg.eigh(a[neg])
         clipped = (v * np.maximum(w, 0.0)[:, None, :]) @ np.swapaxes(v, -1, -2)
-        cert[neg] = np.where(w[:, :1, None] < 0.0, clipped, a[neg])
-    return cert / np.trace(cert, axis1=1, axis2=2)[:, None, None]
+        a[neg] = np.where(w[:, :1, None] < 0.0, clipped, a[neg])
+        low[neg] = w[:, 0]
+    return a / np.trace(a, axis1=1, axis2=2)[:, None, None], low
+
+
+def _require(value, kind: type, caller: str) -> None:
+    """:class:`DomainError` unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{caller} expects a {kind.__name__}, got {type(value)!r}")
 
 
 def feasible_for_probabilities(problem: FeasibilityProblem) -> FeasibilityResult:
     """Decide one labeled-probability instance; see the module docstring."""
+    _require(problem, FeasibilityProblem, "feasible_for_probabilities")
     statuses, states, viol, cycles = solve_batch(problem.p_xx[None], problem.p_zz[None])
     state = DensityMatrix(states[0]) if states[0] is not None else None
     return FeasibilityResult(statuses[0], state, float(viol[0]), int(cycles[0]))
@@ -473,8 +454,12 @@ def assignment_rows(mx: np.ndarray, mz: np.ndarray) -> tuple[np.ndarray, np.ndar
     return mx[:, ix].reshape(-1, 4), mz[:, iz].reshape(-1, 4)
 
 
-_CODE_OF_STATUS = {FeasibilityStatus.INFEASIBLE: 1, FeasibilityStatus.FEASIBLE: 0,
-                   FeasibilityStatus.INCONCLUSIVE: -1}
+# a sample's verdict is its assignments' greatest rank: any feasible row makes
+# it possibly separable (code 0), else any inconclusive one inconclusive (-1),
+# and only infeasible rows detected (1)
+_RANK_OF_STATUS = {FeasibilityStatus.INFEASIBLE: 0, FeasibilityStatus.INCONCLUSIVE: 1,
+                   FeasibilityStatus.FEASIBLE: 2}
+_CODE_OF_RANK = np.array([1, -1, 0], dtype=np.int8)
 
 
 def reduce_assignments(statuses, k: int) -> np.ndarray:
@@ -483,10 +468,9 @@ def reduce_assignments(statuses, k: int) -> np.ndarray:
     1 when all ``k`` assignments are infeasible (detected), 0 when any is
     feasible (possibly separable), -1 otherwise (inconclusive).
     """
-    codes = np.fromiter((_CODE_OF_STATUS[s] for s in statuses), dtype=np.int8,
-                        count=len(statuses)).reshape(-1, k)
-    # any feasible (0) wins; otherwise the least code, 1 only if all are 1
-    return np.where(np.any(codes == 0, axis=1), 0, codes.min(axis=1)).astype(np.int8)
+    ranks = np.fromiter(map(_RANK_OF_STATUS.__getitem__, statuses), dtype=np.int8,
+                        count=len(statuses))
+    return _CODE_OF_RANK[ranks.reshape(-1, k).max(axis=1)]
 
 
 _VERDICT_OF_CODE = {1: Verdict.DETECTED, 0: Verdict.POSSIBLY_SEPARABLE,
@@ -500,6 +484,7 @@ def scrambled_possibly_separable(d: ScrambledData) -> tuple[Verdict, Separabilit
     the first (lowest canonical index) feasible one, detected when all are
     infeasible, inconclusive otherwise.
     """
+    _require(d, ScrambledData, "scrambled_possibly_separable")
     p_xx, p_zz = assignment_rows(d.multiset(XX)[None], d.multiset(ZZ)[None])
     statuses, states, viol, _ = solve_batch(p_xx, p_zz)
     verdict = _VERDICT_OF_CODE[int(reduce_assignments(statuses, len(statuses))[0])]
@@ -524,6 +509,7 @@ def star_convexity_ray(rho: DensityMatrix, resolution: int = 256) -> float:
     Inconclusive verdicts count as not detected, which can only push the
     reported boundary outward.
     """
+    _require(rho, DensityMatrix, "star_convexity_ray")
     resolution = check_count("resolution", resolution, 2)
 
     def detected(lam: float) -> bool:
@@ -542,7 +528,7 @@ def star_convexity_ray(rho: DensityMatrix, resolution: int = 256) -> float:
 # ---------------------------------------------------------------------------
 # Independent oracle: direct minimization of the constraint violation over a
 # parametrized family of PPT states.  Kept deliberately separate from the
-# barrier solver so the two routes share no machinery.
+# closed-form solver so the two routes share no machinery.
 # ---------------------------------------------------------------------------
 
 ORACLE_FEASIBLE_TOL = 1e-10

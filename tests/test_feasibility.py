@@ -30,20 +30,52 @@ def certificate_checks(cert, p_xx, p_zz):
             and max(np.max(np.abs(rows[0] - p_xx)), np.max(np.abs(rows[1] - p_zz))) <= 1e-7)
 
 
+_PX, _PZ, _I2 = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0]), np.eye(2)
+# XZ/4 and ZX/4, the free directions of the LMI
+_FREE = np.array([np.kron(_PX, _PZ), np.kron(_PZ, _PX)]) / 4.0
+# the Bell states Phi-, Psi+, Phi+, Psi- as columns
+_T = np.array([[1, 0, 0, -1], [0, 1, 1, 0], [1, 0, 0, 1], [0, 1, -1, 0]]).T / np.sqrt(2.0)
+
+
+def reference_base_state(pxx, pzz):
+    """rho_b from its seven fixed Pauli coordinates, built apart from the solver:
+    I/4 plus c_P P / 4 with c_P = sum_k p_k Tr(Pi_k P) over the eight
+    measured projectors."""
+    projs = np.concatenate([setting(XX).projectors, setting(ZZ).projectors]).real
+    p = np.concatenate([np.atleast_2d(pxx), np.atleast_2d(pzz)], axis=1)
+    rho = np.broadcast_to(np.eye(4) / 4.0, (len(p), 4, 4)).copy()
+    for a, b in ((_PX, _I2), (_I2, _PX), (_PX, _PX), (_PZ, _I2), (_I2, _PZ), (_PZ, _PZ)):
+        pauli = np.kron(a, b)
+        rho += (p @ np.einsum("kab,ba->k", projs, pauli))[:, None, None] * pauli / 4.0
+    return rho
+
+
 def test_lmi_reduction_reproduces_rows():
+    # rho_b reproduces the rows, the free directions are invisible to the
+    # projectors and to the partial transpose, and in the Bell frame M =
+    # T^T A(t) T the data fix the eight entries _bell_entries returns while
+    # t moves only M_01 = (t_1 + t_2)/4 and M_23 = (t_2 - t_1)/4
     states = random_hs_stack(99, 20)
     pxx = probabilities_stack(states, XX)
     pzz = probabilities_stack(states, ZZ)
-    rho_b = fz._base_state(pxx, pzz)
+    rho_b = reference_base_state(pxx, pzz)
     assert np.max(np.abs(np.trace(rho_b, axis1=1, axis2=2) - 1.0)) <= 1e-15
     assert np.max(np.abs(probabilities_stack(rho_b, XX) - pxx)) <= 1e-15
     assert np.max(np.abs(probabilities_stack(rho_b, ZZ) - pzz)) <= 1e-15
-    _, free = fz._lmi_frame()
     projs = np.concatenate([setting(XX).projectors, setting(ZZ).projectors])
-    assert np.max(np.abs(np.einsum("kab,fba->kf", projs, free))) <= 1e-15
+    assert np.max(np.abs(np.einsum("kab,fba->kf", projs, _FREE))) <= 1e-15
     t = np.random.default_rng(5).normal(size=(20, 2))
-    a = rho_b + t[:, 0, None, None] * free[0] + t[:, 1, None, None] * free[1]
+    a = rho_b + t[:, 0, None, None] * _FREE[0] + t[:, 1, None, None] * _FREE[1]
     assert np.array_equal(partial_transpose_stack(a), a)
+    m = _T.T @ a @ _T
+    x, y = (t[:, 0] + t[:, 1]) / 4.0, (t[:, 1] - t[:, 0]) / 4.0
+    fixed = np.concatenate([np.diagonal(m, axis1=1, axis2=2),
+                            m[:, [0, 0, 1, 1], [2, 3, 2, 3]]], axis=1)
+    entries = fz._bell_entries(np.concatenate([pxx, pzz], axis=1))
+    assert np.max(np.abs(entries - fixed)) <= 1e-15
+    assert np.max(np.abs(m[:, 0, 1] - x)) <= 1e-15 and np.max(np.abs(m[:, 2, 3] - y)) <= 1e-15
+    ext = np.concatenate([entries, x[:, None], y[:, None]], axis=1)
+    assert np.max(np.abs((ext @ fz._CERT_MAP).reshape(-1, 4, 4) - a)) <= 1e-15
 
 
 def test_uniform_is_feasible():
@@ -165,18 +197,16 @@ def test_certificates_check_on_mixed_rows():
     for i, s in enumerate(statuses):
         if s is FeasibilityStatus.FEASIBLE:
             assert certificate_checks(certs[i], pxx[i], pzz[i]), i
-    rho_b = fz._base_state(pxx, pzz)
-    code, _, wit, _, _ = fz._lmi(rho_b)
+    rho_b = reference_base_state(pxx, pzz)
+    code, _, wit, _ = fz._lmi(fz._bell_entries(np.concatenate([pxx, pzz], axis=1)))
     infeasible = [i for i, s in enumerate(statuses) if s is FeasibilityStatus.INFEASIBLE]
     assert np.nonzero(code == -1)[0].tolist() == infeasible
     assert infeasible[-2:] == [25, 26]
-    _, free = fz._lmi_frame()
-    for i in infeasible:
-        w = wit[i]
-        assert np.linalg.eigvalsh(w)[0] >= 0.0
+    for w, i in zip(wit, infeasible):
+        assert np.linalg.eigvalsh(w)[0] >= -1e-15
         assert abs(np.trace(w) - 1.0) <= 1e-15
-        assert np.max(np.abs(np.einsum("fab,ba->f", free, w))) <= 1e-15
-        assert np.sum(w * rho_b[i]) < 0.0
+        assert np.max(np.abs(np.einsum("fab,ba->f", _FREE, w))) <= 1e-16
+        assert np.sum(w * rho_b[i]) <= -fz.TOL_INFEASIBLE
     oracle = [i for i in range(len(pxx)) if not oracle_feasible(pxx[i], pzz[i])]
     assert oracle == infeasible
 
@@ -198,7 +228,7 @@ def test_verdict_independent_of_batch():
     pxx = np.clip(probabilities_stack(states, XX), 0, 1)
     pzz = np.clip(probabilities_stack(states, ZZ), 0, 1)
     # fixed rows: the singlet and |+>|0> labelings, and a row whose rho_b has
-    # lambda_min = -5e-9: certified before any Newton step, with a clipped
+    # lambda_min = -5e-9: certified on M + 1e-8 I, with a clipped
     # certificate.  Each appears three times, before, among and after the HS
     # rows; fixed row j sits at pos[j]
     lam = 0.5 + 1e-8
@@ -212,7 +242,7 @@ def test_verdict_independent_of_batch():
     pos = np.array([[2, 104, 206], [1, 103, 207], [0, 105, 208]])
     statuses, certs, residuals, cycles = solve_batch(pxx, pzz)
     assert FeasibilityStatus.INFEASIBLE in statuses
-    assert statuses[208] is FeasibilityStatus.FEASIBLE and cycles[208] == 0
+    assert statuses[208] is FeasibilityStatus.FEASIBLE and abs(residuals[208] - 5e-9) <= 1e-15
     for i in [*hs[::3], *pos[:, 2]]:  # sample 66 and the fixed rows
         s, c, r, k = solve_batch(pxx[i:i + 1], pzz[i:i + 1])
         assert s[0] is statuses[i] and k[0] == cycles[i]
@@ -225,7 +255,7 @@ def test_verdict_independent_of_batch():
         assert len({residuals[i].tobytes() for i in copies}) == 1
         assert len({None if certs[i] is None else certs[i].tobytes() for i in copies}) == 1
     assert statuses[pos[0, 2]] is FeasibilityStatus.INFEASIBLE
-    assert cycles[pos[1:, 2]].tolist() == [29, 0]
+    assert cycles.dtype.kind == "i" and not cycles.any()
 
 
 def _scan_rows():
@@ -240,20 +270,30 @@ def _scan_rows():
 
 
 def test_psd_base_states_need_no_newton_step():
-    # a PSD rho_b is its own certificate, found by the eigenvalues that place
-    # the first iterate; only the other rows take Newton steps
-    for pxx, pzz in _scan_rows():
+    # no row takes a Newton step.  x = y = 0 completes M when rho_b is PSD, so
+    # the test passes on M itself and the certificate needs no clipping:
+    # residual 0.  Rows whose rho_b has lambda_min >= -1e-8 pass on M + 1e-8 I.  Boundary rows: the true rows of
+    # random_hs_stack(5, 3000) whose rho_b is not PSD, moved along the ray
+    # from I/4 to where lambda_min(rho_b) = 0 up to rounding; segment rows:
+    # from uniform towards the singlet labeling, lambda_min(rho_b) = -gap
+    states = random_hs_stack(5, 3000)
+    pxx = np.clip(probabilities_stack(states, XX), 0, 1)
+    pzz = np.clip(probabilities_stack(states, ZZ), 0, 1)
+    lam0 = np.linalg.eigvalsh(reference_base_state(pxx, pzz))[:, 0]
+    t = 1.0 / (1.0 - 4.0 * lam0[lam0 < 0.0, None])
+    boundary = [(1 - t) * np.full(4, 0.25) + t * q[lam0 < 0.0] for q in (pxx, pzz)]
+    lam = 0.5 + 2.0 * np.array([1e-12, -1e-12, 1e-9, -1e-9])[:, None]
+    segment = [(1 - lam) * np.full(4, 0.25) + lam * np.array([0, .5, .5, 0])] * 2
+    for pxx, pzz in [*_scan_rows(), boundary, segment]:
         statuses, certs, residuals, cycles = solve_batch(pxx, pzz)
-        rho_b = fz._base_state(pxx, pzz)
-        lam0 = np.linalg.eigvalsh(rho_b)[:, 0]
-        screened = lam0 >= -fz._CERT_EIG_TOL
-        assert 0 < screened.sum() < len(lam0)
-        assert np.array_equal(cycles == 0, screened)
-        assert all(statuses[i] is FeasibilityStatus.FEASIBLE for i in np.nonzero(screened)[0])
-        assert np.array_equal(residuals[screened], np.maximum(0.0, -lam0[screened]))
-        exact = rho_b / np.trace(rho_b, axis1=1, axis2=2)[:, None, None]
-        for i in np.nonzero(lam0 >= 0.0)[0]:
-            assert np.array_equal(certs[i], exact[i]), i
+        lam0 = np.linalg.eigvalsh(reference_base_state(pxx, pzz))[:, 0]
+        psd = lam0 >= -fz._CERT_EIG_TOL
+        assert 0 < psd.sum() and not cycles.any()
+        assert all(statuses[i] is FeasibilityStatus.FEASIBLE for i in np.flatnonzero(psd))
+        assert np.all(residuals[psd] <= fz._CERT_EIG_TOL)
+        assert np.all(residuals[lam0 > 1e-12] == 0.0)
+        for i in np.flatnonzero(psd)[::7]:
+            assert certificate_checks(certs[i], pxx[i], pzz[i]), i
 
 
 def _slice_rows(resolution):
@@ -268,38 +308,6 @@ def _slice_rows(resolution):
     return fz.assignment_rows(m, m)
 
 
-def test_ldl_screen_is_sound():
-    # a row the LDL^T screen passes is positive definite by eigvalsh, so its
-    # certificate is rho_b unclipped, as the eigenvalue rule gives it; a row
-    # it rejects that is PSD within 1e-8 is still certified with no step.
-    # Boundary rows: the true rows of random_hs_stack(5, 3000) whose rho_b is
-    # not PSD, moved along the ray from I/4 to where lambda_min(rho_b) = 0 up
-    # to rounding; a pivot floor of 1e-14 x trace would pass one of them with
-    # lambda_min <= 0.  Edge rows: the rank-1 rho_b of the |00> labeling, and
-    # singlet-segment rows with lambda_min(rho_b) = -gap
-    states = random_hs_stack(5, 3000)
-    pxx = np.clip(probabilities_stack(states, XX), 0, 1)
-    pzz = np.clip(probabilities_stack(states, ZZ), 0, 1)
-    lam0 = np.linalg.eigvalsh(fz._base_state(pxx, pzz))[:, 0]
-    t = 1.0 / (1.0 - 4.0 * lam0[lam0 < 0.0, None])
-    boundary = [(1 - t) * np.full(4, 0.25) + t * q[lam0 < 0.0] for q in (pxx, pzz)]
-    gaps = np.array([1e-12, -1e-12, 1e-9, -1e-9])
-    lam = 0.5 + 2.0 * gaps[:, None]
-    p = (1 - lam) * np.full(4, 0.25) + lam * np.array([0, .5, .5, 0])
-    edge = np.vstack([[.25] * 4, p]), np.vstack([[1.0, 0, 0, 0], p])
-    for pxx, pzz in [*_scan_rows(), _slice_rows(16), boundary, edge]:
-        rho_b = fz._base_state(pxx, pzz)
-        screened = fz._ldl_positive(rho_b)
-        lam0 = np.linalg.eigvalsh(rho_b)[:, 0]
-        assert np.all(lam0[screened] > 0.0)
-        statuses, _, _, cycles = solve_batch(pxx, pzz)
-        late = np.flatnonzero(~screened & (lam0 >= -fz._CERT_EIG_TOL))
-        assert all(statuses[i] is FeasibilityStatus.FEASIBLE for i in late)
-        assert np.all(cycles[late] == 0)
-    assert screened.tolist() == [False, False, True, False, True]
-    assert late.tolist() == [0, 1, 3]
-
-
 def _solved_bits(pxx, pzz):
     """solve_batch's outputs per row, as comparable values and bytes."""
     statuses, certs, residuals, cycles = solve_batch(pxx, pzz)
@@ -307,11 +315,11 @@ def _solved_bits(pxx, pzz):
             for s, c, r, k in zip(statuses, certs, residuals, cycles)]
 
 
-def test_duplicate_rows_are_solved_once_and_bit_for_bit(monkeypatch):
-    # five copies of the |+>|0> labeling (29 Newton steps, a rank-deficient
-    # rho_b the screen rejects), two of them adjacent, among scan rows around
-    # the infeasible sample 66 and every fifth row of the resolution-8 slice
-    # grid, which repeats rows of its own
+def test_duplicate_rows_are_solved_bit_for_bit():
+    # five copies of the rank-deficient |+>|0> labeling, two of them
+    # adjacent, among scan rows around the infeasible sample 66 and every
+    # fifth row of the resolution-8 slice grid, which repeats rows of its own:
+    # each row gets the same bits alone as in the batch
     states = random_hs_stack(107, 80)[60:80]
     scan = (np.clip(probabilities_stack(states, XX), 0, 1),
             np.clip(probabilities_stack(states, ZZ), 0, 1))
@@ -325,39 +333,20 @@ def test_duplicate_rows_are_solved_once_and_bit_for_bit(monkeypatch):
 
     batch = _solved_bits(pxx, pzz)
     assert all(batch[i] == batch[copies[0]] for i in copies)
-    assert batch[copies[0]][0] is FeasibilityStatus.FEASIBLE and batch[copies[0]][3] == 29
+    assert batch[copies[0]][0] is FeasibilityStatus.FEASIBLE
+    assert {b[0] for b in batch} == {FeasibilityStatus.FEASIBLE, FeasibilityStatus.INFEASIBLE}
     for i in range(len(pxx)):
         assert _solved_bits(pxx[i:i + 1], pzz[i:i + 1])[0] == batch[i], i
 
-    # _lmi's eigendecompositions, the start's first, run on the distinct
-    # rejected rows only, so the copies add none
-    seen = []
-    eigh = np.linalg.eigh
-
-    def spy(a, *args, **kwargs):
-        seen.append(len(a))
-        return eigh(a, *args, **kwargs)
-
-    rho_b = fz._base_state(pxx, pzz)
-    single = np.ones(len(pxx), dtype=bool)
-    single[copies[1:]] = False
-    monkeypatch.setattr(np.linalg, "eigh", spy)
-    fz._lmi(rho_b)
-    with_copies, seen[:] = seen[:], []
-    fz._lmi(rho_b[single])
-    monkeypatch.undo()
-    rejected = rho_b[~fz._ldl_positive(rho_b)].reshape(-1, 16)
-    assert with_copies[0] == len(np.unique(rejected, axis=0)) < len(rejected) - len(at)
-    assert with_copies == seen
-
 
 def test_screened_batch_runs_no_eigendecomposition(monkeypatch):
-    # uniform rows and the first HS rows that pass the LDL^T screen: each is
-    # certified by its own rho_b, with no eigvalsh or eigh call at all
+    # uniform rows and HS rows whose rho_b is positive definite pass the
+    # completion test on M itself: each is certified by its completion, with
+    # no eigvalsh or eigh call at all
     states = random_hs_stack(107, 40)
     pxx = np.clip(probabilities_stack(states, XX), 0, 1)
     pzz = np.clip(probabilities_stack(states, ZZ), 0, 1)
-    keep = np.flatnonzero(fz._ldl_positive(fz._base_state(pxx, pzz)))[:20]
+    keep = np.flatnonzero(np.linalg.eigvalsh(reference_base_state(pxx, pzz))[:, 0] > 1e-3)[:20]
     assert len(keep) == 20
     uniform = np.full((2, 4), 0.25)
     pxx, pzz = (np.vstack([uniform[:1], q[keep], uniform[1:]]) for q in (pxx, pzz))
@@ -371,111 +360,102 @@ def test_screened_batch_runs_no_eigendecomposition(monkeypatch):
     monkeypatch.undo()
     assert statuses == [FeasibilityStatus.FEASIBLE] * 22
     assert np.all(cycles == 0) and np.all(residuals == 0.0)
-    rho_b = fz._base_state(pxx, pzz)
-    exact = rho_b / np.trace(rho_b, axis1=1, axis2=2)[:, None, None]
     for i in range(22):
-        assert np.array_equal(certs[i], exact[i]), i
+        assert certificate_checks(certs[i], pxx[i], pzz[i]), i
+        assert np.linalg.eigvalsh(certs[i])[0] >= 0.0
+    assert np.max(np.abs(certs[0] - np.eye(4) / 4.0)) <= 1e-16
 
 
 def test_diag_frame_is_exact():
-    # q is orthogonal and turns both free directions into diag(B[:, k]),
-    # with no rounding at all
-    q, b = fz._diag_frame()
-    assert np.array_equal(q.T @ q, np.eye(4))
-    for k, f in enumerate(fz._lmi_frame()[1]):
-        assert np.array_equal(q.T @ f @ q, np.diag(b[:, k]))
-    assert np.array_equal(b[:, 2], -np.ones(4))
-
-
-def test_barrier_derivatives_match_finite_differences():
-    # at interior points (t, s) of scan and slice rows, -B^T diag(G) and
-    # B^T (G o G) B, G = (q^T (A(t) - sI) q)^{-1}, are the gradient and
-    # Hessian of -log det(A(t) - sI), differenced in the computational basis.
-    # Only q comes from the solver; B is rebuilt here from the Paulis
-    q = fz._diag_frame()[0]
-    x, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
-    free = np.array([np.kron(x, z), np.kron(z, x)]) / 4.0
-    b = np.column_stack([*(np.diagonal(q.T @ f @ q) for f in free), -np.ones(4)])
-    pxx, pzz = next(_scan_rows())
-    sx, sz = _slice_rows(8)
-    rows = np.vstack([fz._base_state(pxx[:40:4], pzz[:40:4]), fz._base_state(sx[::97], sz[::97])])
-    rng = np.random.default_rng(11)
-    for rho in rows:
-        t = rng.normal(scale=0.3, size=2)
-        a = rho + t[0] * free[0] + t[1] * free[1]
-        gap = rng.uniform(0.05, 0.5)
-        point = np.array([*t, np.linalg.eigvalsh(a)[0] - gap])
-
-        def barrier(p):
-            return -np.linalg.slogdet(rho + p[0] * free[0] + p[1] * free[1] - p[2] * np.eye(4))[1]
-
-        g = np.linalg.inv(q.T @ (a - point[2] * np.eye(4)) @ q)
-        grad, hess = -b.T @ np.diagonal(g), b.T @ (g * g) @ b
-        h = 1e-4 * gap
-        e = h * np.eye(3)
-        fd_grad = np.array([barrier(point + e[k]) - barrier(point - e[k]) for k in range(3)]) / (2 * h)
-        fd_hess = np.array([[barrier(point + e[k] + e[l]) - barrier(point + e[k] - e[l])
-                             - barrier(point - e[k] + e[l]) + barrier(point - e[k] - e[l])
-                             for l in range(3)] for k in range(3)]) / (4 * h * h)
-        assert np.linalg.norm(fd_grad - grad) <= 1e-6 * np.linalg.norm(grad)
-        assert np.linalg.norm(fd_hess - hess) <= 1e-6 * np.linalg.norm(hess)
+    # sqrt(2) T has entries 0 and +-1: T^T T = I, T diagonalizes the measured
+    # correlators XX and ZZ (and YY), and takes XZ/4 and ZX/4 to the free
+    # entries (0, 1) and (2, 3) of M, with no rounding at all; the tables
+    # built from it are exact multiples of 1/4
+    b = fz._BELL
+    assert np.array_equal(b.T @ b, 2.0 * np.eye(4))
+    assert np.max(np.abs(b / np.sqrt(2.0) - _T)) <= 1e-16
+    for pauli in (np.kron(_PX, _PX), np.kron(_PZ, _PZ), np.kron(_PX @ _PZ, _PX @ _PZ)):
+        d = b.T @ pauli @ b / 2.0
+        assert np.array_equal(d, np.diag(np.diagonal(d)))
+    for f, sign in zip(_FREE, (-1.0, 1.0)):
+        free = np.zeros((4, 4))
+        free[0, 1] = free[1, 0] = 0.25
+        free[2, 3] = free[3, 2] = 0.25 * sign
+        assert np.array_equal(b.T @ f @ b / 2.0, free)
+    for table in (fz._ENTRY_MAP, fz._CERT_MAP, fz._TO_COMPUTATIONAL):
+        assert np.array_equal(table * 4.0, np.round(table * 4.0))
 
 
 def _status_counts(statuses):
     return tuple(sum(s is m for s in statuses) for m in FeasibilityStatus)
 
 
+def _hs_true_rows(seed, count):
+    states = random_hs_stack(seed, count)
+    return (np.clip(probabilities_stack(states, XX), 0, 1),
+            np.clip(probabilities_stack(states, ZZ), 0, 1))
+
+
 def test_newton_step_counts():
-    # step counts do not depend on the machine: the resolution-8 slice grid,
-    # the rank-deficient |+>|0> labeling, and the true rows of 30 000 HS
-    # states, each with its (feasible, infeasible, inconclusive) counts
-    statuses, _, _, cycles = solve_batch(*_slice_rows(8))
-    assert (cycles.sum(), cycles.max()) == (1432, 29)
-    assert _status_counts(statuses) == (196, 452, 0)
-    statuses, _, _, cycles = solve_batch(np.array([[.5, .5, 0, 0]]), np.array([[.5, 0, .5, 0]]))
-    assert cycles.tolist() == [29]
-    assert _status_counts(statuses) == (1, 0, 0)
-    states = random_hs_stack(314159265, 30000)
-    statuses, _, _, cycles = solve_batch(np.clip(probabilities_stack(states, XX), 0, 1),
-                                         np.clip(probabilities_stack(states, ZZ), 0, 1))
-    assert (cycles.sum(), cycles.max()) == (2733, 10)
-    assert _status_counts(statuses) == (29664, 336, 0)
+    # the closed form takes no Newton step, so every cycle count is 0; the
+    # (feasible, infeasible, inconclusive) counts of the resolution-8 slice
+    # grid, the rank-deficient |+>|0> labeling and the true rows of 30 000
+    # and 3 000 HS states are those the earlier barrier solver reached
+    plus_zero = np.array([[.5, .5, 0, 0]]), np.array([[.5, 0, .5, 0]])
+    for (pxx, pzz), counts in [(_slice_rows(8), (196, 452, 0)), (plus_zero, (1, 0, 0)),
+                               (_hs_true_rows(314159265, 30000), (29664, 336, 0)),
+                               (_hs_true_rows(107, 3000), (2959, 41, 0))]:
+        statuses, _, _, cycles = solve_batch(pxx, pzz)
+        assert _status_counts(statuses) == counts
+        assert cycles.shape == (len(pxx),) and cycles.dtype.kind == "i" and not cycles.any()
 
 
-def test_verdicts_do_not_depend_on_the_barrier_schedule(monkeypatch):
-    # the weight factor moves iterates and step counts, never a verdict: the
-    # resolution-8 slice rows, the |+>|0> labeling and the true rows of
-    # random_hs_stack(107, 3000) get the same statuses at the old factor 8
-    states = random_hs_stack(107, 3000)
-    rows = [_slice_rows(8), (np.array([[.5, .5, 0, 0]]), np.array([[.5, 0, .5, 0]])),
-            (np.clip(probabilities_stack(states, XX), 0, 1),
-             np.clip(probabilities_stack(states, ZZ), 0, 1))]
-    solved = [solve_batch(pxx, pzz) for pxx, pzz in rows]
-    monkeypatch.setattr(fz, "_TAU_GROWTH", 8.0)
-    for (pxx, pzz), (statuses, _, _, cycles) in zip(rows, solved):
-        slow_statuses, _, _, slow_cycles = solve_batch(pxx, pzz)
-        assert slow_statuses == statuses
-        assert slow_cycles.sum() > cycles.sum()
-    assert _status_counts(solved[2][0]) == (2959, 41, 0)
+def test_docstring_rows_headroom():
+    # the 27 848 rows of the module docstring: the true labelings of the
+    # first 20 000 states of scan seed 314159265, the 18 assignments of the
+    # first 300 states of scrambled-scan seed 1 and the resolution-16 slice
+    # grid.  Certificates reproduce their rows within 1e-12, far inside
+    # TOL_FEASIBLE = 1e-7, and every witness margin is at most -1e-6
+    scr = random_hs_stack(1, 300)
+    sx = np.sort(np.clip(probabilities_stack(scr, XX), 0, 1), axis=1)[:, ::-1]
+    sz = np.sort(np.clip(probabilities_stack(scr, ZZ), 0, 1), axis=1)[:, ::-1]
+    sets = [(_hs_true_rows(314159265, 20000), (19769, 231, 0)),
+            (fz.assignment_rows(sx, sz), (5366, 34, 0)),
+            (_slice_rows(16), (1048, 1400, 0))]
+    assert sum(len(rows[0]) for rows, _ in sets) == 27848
+    projs = np.concatenate([setting(XX).projectors, setting(ZZ).projectors]).real
+    for (pxx, pzz), counts in sets:
+        statuses, certs, residuals, _ = solve_batch(pxx, pzz)
+        assert _status_counts(statuses) == counts
+        hit = [i for i, s in enumerate(statuses) if s is FeasibilityStatus.FEASIBLE]
+        c = np.array([certs[i] for i in hit])
+        rows = np.einsum("kab,nba->nk", projs, c)
+        assert np.max(np.abs(rows - np.concatenate([pxx[hit], pzz[hit]], axis=1))) <= 1e-12
+        assert np.max(np.abs(np.trace(c, axis1=1, axis2=2) - 1.0)) <= 1e-15
+        assert np.min(np.linalg.eigvalsh(c)[:, 0]) >= -1e-15
+        assert np.min(np.linalg.eigvalsh(partial_transpose_stack(c))[:, 0]) >= -1e-15
+        infeasible = np.array([s is FeasibilityStatus.INFEASIBLE for s in statuses])
+        assert np.min(residuals[infeasible]) >= fz.TOL_INFEASIBLE
+        assert np.max(residuals[~infeasible]) <= 1e-15
 
 
 def test_witnesses_of_infeasible_slice_rows():
-    # every witness _lmi returns, rotated back from the frame q, is a
+    # every witness _lmi returns, rotated back from the Bell frame, is a
     # symmetric PSD trace-one W with no XZ or ZX coordinate, and Tr(W rho_b)
     # is its margin
     pxx, pzz = _slice_rows(8)
     statuses, _, _, _ = solve_batch(pxx, pzz)
     infeasible = np.array([s is FeasibilityStatus.INFEASIBLE for s in statuses])
     assert infeasible.sum() == 452
-    rho_b = fz._base_state(pxx[infeasible], pzz[infeasible])
-    code, _, w, margin, _ = fz._lmi(rho_b)
-    assert np.all(code == -1)
+    pxx, pzz = pxx[infeasible], pzz[infeasible]
+    code, _, w, margin = fz._lmi(fz._bell_entries(np.concatenate([pxx, pzz], axis=1)))
+    assert np.all(code == -1) and len(w) == 452
     assert np.max(np.abs(w - np.swapaxes(w, 1, 2))) <= 1e-15
     assert np.min(np.linalg.eigvalsh(w)[:, 0]) >= -1e-15
     assert np.max(np.abs(np.trace(w, axis1=1, axis2=2) - 1.0)) <= 1e-15
-    for f in fz._lmi_frame()[1]:
-        assert np.max(np.abs((w * f).sum(axis=(1, 2)))) <= 1e-15
-    value = (w * rho_b).sum(axis=(1, 2))
+    for f in _FREE:
+        assert np.max(np.abs((w * f).sum(axis=(1, 2)))) <= 1e-16
+    value = (w * reference_base_state(pxx, pzz)).sum(axis=(1, 2))
     assert np.max(np.abs(value - margin)) <= 1e-15
     assert np.max(value) <= -fz.TOL_INFEASIBLE
 
@@ -504,16 +484,17 @@ def test_star_convexity_ray_rejects_bad_resolution(resolution):
 
 
 def test_slightly_negative_base_state_gets_a_clipped_certificate():
-    # on the segment from uniform to the singlet labeling lambda_min(rho_b) is
-    # (1 - 2 lam)/4 = -gap, inside the primal rule's 1e-8
+    # on the segment from uniform to the singlet labeling M is diagonal and
+    # lambda_min(rho_b) = (1 - 2 lam)/4 = -gap, inside the 1e-8 shift: the
+    # completion is rho_b itself, and its least eigenvalue is clipped
     gaps = np.array([1e-12, 1e-9, 5e-9, 9e-9])
     lam = 0.5 + 2.0 * gaps[:, None]
     p = (1 - lam) * np.full(4, 0.25) + lam * np.array([0, .5, .5, 0])
     statuses, certs, residuals, cycles = solve_batch(p, p)
     assert statuses == [FeasibilityStatus.FEASIBLE] * 4
     assert np.all(cycles == 0)
-    lam0 = fz._frame_eigh(fz._base_state(p, p))[1][:, 0]
-    assert np.array_equal(residuals, -lam0)  # the margin is the start eigenvalue
+    lam0 = np.linalg.eigvalsh(reference_base_state(p, p))[:, 0]
+    assert np.max(np.abs(residuals + lam0)) <= 1e-16  # the margin is lambda_min(rho_b)
     assert np.max(np.abs(residuals - gaps)) <= 1e-15
     for i in range(4):
         assert certificate_checks(certs[i], p[i], p[i])
@@ -523,14 +504,131 @@ def test_slightly_negative_base_state_gets_a_clipped_certificate():
 def test_rows_between_the_certificates_are_inconclusive():
     # on the segment from uniform to the singlet labeling, max_t lambda_min(A(t))
     # is (1 - 2 lam)/4: here -3.5e-8 to -5e-7, below the primal rule's -1e-8
-    # and above the witness margin floor -1e-6, so neither certificate can check
+    # and above the witness margin floor -1e-6, so neither certificate can
+    # check, and the residual is -s*, bisected on the completion test
     gaps = np.array([3.5e-8, 1e-7, 1.5e-7, 5e-7])
     lam = 0.5 + 2.0 * gaps[:, None]
     p = (1 - lam) * np.full(4, 0.25) + lam * np.array([0, .5, .5, 0])
     statuses, states, residuals, cycles = solve_batch(p, p)
     assert statuses == [FeasibilityStatus.INCONCLUSIVE] * 4 and states == [None] * 4
-    assert np.all(cycles == fz.MAX_CYCLES)
-    assert np.max(np.abs(residuals - gaps)) < 1e-9
+    assert np.all(cycles == 0)
+    assert np.max(np.abs(residuals - gaps)) < 1e-15
+
+
+def _grid_s_star(m):
+    """max_t lambda_min(A(t)) for a Bell-frame M (4x4, any M_01 and M_23).
+
+    M - sI has a PSD completion at x exactly when its blocks {0,1,2} and
+    {0,1,3} are PSD there, so s* = max_x min_k lambda_min(B_k(x)), a concave
+    function of x: ``eigvalsh`` on a grid over x, zoomed in five times."""
+    blocks = np.array([m[np.ix_(b, b)] for b in ([0, 1, 2], [0, 1, 3])])
+    lo, hi = -1.0, 1.0
+    for _ in range(5):
+        x = np.linspace(lo, hi, 401)
+        b = np.repeat(blocks[None], len(x), axis=0)
+        b[:, :, 0, 1] = b[:, :, 1, 0] = x[:, None]
+        value = np.linalg.eigvalsh(b)[:, :, 0].min(axis=1)
+        best, step = np.argmax(value), x[1] - x[0]
+        lo, hi = x[best] - 2 * step, x[best] + 2 * step
+    return value[best]
+
+
+# rows that a closed-form solver must handle with care, each with its
+# verdict under the earlier barrier solver
+_EDGE_BANK = [
+    # the multiset (1, 0, 0, 0) of the slice grid: M_33 = -1/4
+    ([1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], "infeasible"),
+    # mirror slice rows, resolution 8, whose two blocks have equal spectra for every x
+    ([5 / 14, 5 / 14, 2 / 7, 0.0], [5 / 14, 0.0, 5 / 14, 2 / 7], "infeasible"),
+    ([5 / 14, 5 / 14, 0.0, 2 / 7], [5 / 14, 2 / 7, 5 / 14, 0.0], "infeasible"),
+    ([0.5, 0.5, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0], "feasible"),
+    # the |00> labeling: M_11 = M_33 = 0 exactly, the e -> 0 limit of an interval
+    ([0.25] * 4, [1.0, 0.0, 0.0, 0.0], "feasible"),
+    # Dirichlet(0.1) rows with a diagonal entry of M within 3.3e-7 of 0
+    ([0.12659561133704883, 0.5832757550614878, 1.7778335730248156e-05, 0.2901108552657332],
+     [0.47537377517958707, 0.018996336476453417, 0.06429724728160816, 0.44133264106235137],
+     "infeasible"),
+    ([0.9121502665457378, 0.0011325750465920974, 0.08666566244124958, 5.149596642049754e-05],
+     [4.338673519328858e-15, 3.9765214924540964e-17, 0.5877978247146709, 0.4122021752853249],
+     "infeasible"),
+    ([7.537812828402098e-08, 0.5931379727028051, 2.265679091643468e-09, 0.40686194965338757],
+     [6.345258138089606e-20, 0.09313681126100483, 1.8263779710218215e-06, 0.9068613623610242],
+     "infeasible"),
+    # Dirichlet(0.1) and (0.3) rows whose first witness, between the
+    # intervals of M + 1e-8 I, misses -1e-6: only the one rebuilt at s* checks
+    ([7.427843145105436e-12, 4.228927506592029e-19, 0.21839939166696906, 0.7816006083256031],
+     [0.40681438189041075, 0.2659845846358521, 0.23480825791829038, 0.09239277555544666],
+     "infeasible"),
+    ([0.7634889549756539, 0.23648605358285807, 2.4927249276933958e-05, 6.419221097607936e-08],
+     [0.12716945165281307, 0.3124018574354698, 0.18869702209918132, 0.3717316688125359],
+     "infeasible"),
+    ([0.09346014153591946, 0.43651766521571406, 0.06429894360974567, 0.4057232496386209],
+     [5.539535411389459e-12, 2.799238990959346e-06, 0.40508181585226216, 0.5949153849032074],
+     "infeasible"),
+    ([0.014039594577775608, 0.23390602553783316, 0.32843400135179596, 0.4236203785325953],
+     [0.5623206059576868, 0.002506699041059451, 0.3874762548958834, 0.04769644010537018],
+     "infeasible"),
+    ([0.13338416148025373, 0.5417886685975474, 2.584896059423418e-05, 0.3248013209616045],
+     [0.02040851000276209, 0.45677236750353983, 0.03568982336900022, 0.4871292991246978],
+     "infeasible"),
+    ([0.48494727985901, 0.00033915126697646724, 0.5147134383652264, 1.3050878720930916e-07],
+     [0.44525415212199065, 0.49639757021645214, 0.004712848134979686, 0.05363542952657759],
+     "infeasible"),
+    # a Dirichlet(0.3) row with s* = -5.9e-7, between the two rules
+    ([0.09171596966220431, 0.4199521341107593, 0.08152305401856683, 0.4068088422084695],
+     [8.884739785639892e-08, 0.0013368599361039757, 0.1995631618438033, 0.7990998893726949],
+     "inconclusive"),
+]
+
+
+def test_edge_rows_keep_their_verdicts():
+    pxx = np.array([r[0] for r in _EDGE_BANK])
+    pzz = np.array([r[1] for r in _EDGE_BANK])
+    statuses, certs, residuals, _ = solve_batch(pxx, pzz)
+    assert [s.value for s in statuses] == [r[2] for r in _EDGE_BANK]
+    m = _T.T @ reference_base_state(pxx, pzz) @ _T
+    assert abs(m[0, 3, 3] + 0.25) <= 1e-15
+    for i in (1, 2, 3):  # equal blocks: B_3 is B_2 with M_03 = -M_02, M_13 = -M_12
+        assert abs(m[i, 2, 2] - m[i, 3, 3]) <= 1e-15
+        assert np.max(np.abs(m[i, [0, 1], 2] + m[i, [0, 1], 3])) <= 1e-15
+    assert np.abs(np.diagonal(m[5:8], axis1=1, axis2=2)).min(axis=1).max() <= 3.4e-7
+    entries = fz._bell_entries(np.concatenate([pxx, pzz], axis=1))
+    lam = fz._edge_eigenvalues(entries)
+    for i, s in enumerate(statuses):
+        if s is FeasibilityStatus.FEASIBLE:
+            assert certificate_checks(certs[i], pxx[i], pzz[i]) and residuals[i] == 0.0
+            continue
+        s_star = _grid_s_star(m[i])
+        if s is FeasibilityStatus.INCONCLUSIVE:
+            assert abs(residuals[i] + s_star) <= 1e-9
+            continue
+        # a witness never beats s*; it reaches it when rebuilt at s*, or when
+        # the edge it sits on binds.  Rows 6 and 7 get the witness of their
+        # failing edge, whose margin, that edge's lambda_min, lies above s*
+        assert -residuals[i] >= s_star - 1e-12
+        if i in (6, 7):
+            edge = min(np.linalg.eigvalsh(m[i][np.ix_(e, e)])[0]
+                       for e in ([0, 2], [0, 3], [1, 2], [1, 3]))
+            assert abs(residuals[i] + edge) <= 1e-15 and -residuals[i] > s_star + 1e-3
+        else:
+            assert -residuals[i] <= s_star + 1e-9, i
+    # the rebuilt rows: the witness between the intervals of M + 1e-8 I misses
+    # the -1e-6 floor, so their verdicts rest on the rebuild
+    rows = entries[8:14]
+    lo, hi = fz._x_interval(rows, -fz._CERT_EIG_TOL)
+    shift = np.full(6, -fz._CERT_EIG_TOL)
+    _, first = fz._witness(rows, lam[8:14], lam[8:14].min(axis=(1, 2)), shift, 0.5 * (lo + hi))
+    assert np.all((first > -fz.TOL_INFEASIBLE) & (first < 0.0))
+    assert np.all(residuals[8:14] > 1e-4)
+
+
+@pytest.mark.parametrize("call", [feasible_for_probabilities, scrambled_possibly_separable,
+                                  star_convexity_ray])
+@pytest.mark.parametrize("bad", [None, np.full((4, 4), 0.25), "feasible"])
+def test_entry_points_raise_typed_errors(call, bad):
+    from qscramble.errors import DomainError
+    with pytest.raises(DomainError, match="expects a"):
+        call(bad)
 
 
 def test_star_convexity_ray():
