@@ -17,22 +17,25 @@ import numpy as np
 from .entropy import (TSALLIS, EntropySpec, entropy as entropy_of, entropy_detect,
                       get_separable_boundary)
 from .errors import DomainError, check_count
-from .feasibility import (Verdict, assignment_rows, reduce_assignments,
-                          scrambled_possibly_separable, solve_batch)
+from .feasibility import (Verdict, _solve_codes, assignment_rows, fold_codes,
+                          reduce_assignments, scrambled_possibly_separable, solve_batch)
 from .measurement import (XX, ZZ, OutcomeDistribution, ScrambledData,
-                          apply_permutation, canonical_permutations, probabilities,
-                          probabilities_stack, scramble, scramble_state)
+                          apply_permutation, canonical_permutations, ginibre_probabilities,
+                          probabilities, scramble, scramble_state)
 from .optimize import bisect
-from .quantum import (SIGMA_X, SIGMA_Z, I2, DensityMatrix, mix, phi_plus,
-                      random_hs_stack)
-# tangent_curve is not called here; it is re-exported because bench/spans.py
-# traces calls looked up as detector.tangent_curve
+from .quantum import SIGMA_X, SIGMA_Z, I2, DensityMatrix, ginibre_stack, mix, phi_plus
+# random_hs_stack, probabilities_stack and tangent_curve are not called here;
+# they are re-exported because bench/spans.py traces calls looked up as
+# detector.<name>
+from .measurement import probabilities_stack  # noqa: F401
+from .quantum import random_hs_stack  # noqa: F401
 from .witness import (correlation_witness_values, scrambled_family_min,  # noqa: F401
                       tangent_curve)
 
 WITNESS_DETECT_TOL = 1e-8
-# samples drawn per chunk; a chunk solves its true labelings in one solve_batch
-# call and, when scrambled, the 18 assignments of the rest in a second
+# samples drawn per chunk; a chunk decides its true labelings in one
+# _solve_codes call and, when scrambled, the 18 assignments of the rest in a
+# second
 _SCAN_CHUNK = 8192
 _ALL_METHODS = ("sdp", "witness", "entropy")
 
@@ -167,12 +170,13 @@ class ScanStats:
                 "seed": self.seed}
 
 
-def _scan_codes(states: np.ndarray, scrambled: bool) -> np.ndarray:
-    """Scan outcome codes of a stack of states (see :func:`scan_details`)."""
-    pxx = np.clip(probabilities_stack(states, XX), 0.0, 1.0)
-    pzz = np.clip(probabilities_stack(states, ZZ), 0.0, 1.0)
-    statuses, _, _, _ = solve_batch(pxx, pzz)
-    codes = reduce_assignments(statuses, 1)
+def _scan_codes(h: np.ndarray, scrambled: bool) -> np.ndarray:
+    """Scan outcome codes of a stack of Ginibre matrices (see
+    :func:`scan_details`), given as :func:`~qscramble.quantum.ginibre_stack`
+    returns them."""
+    p = ginibre_probabilities(h)
+    pxx, pzz = p[:, :4], p[:, 4:]
+    codes = fold_codes(_solve_codes(pxx, pzz)[0], 1)
     if scrambled:
         # the true labeling is one of the relabelings, so a feasible true row
         # already makes the sample possibly separable
@@ -180,28 +184,36 @@ def _scan_codes(states: np.ndarray, scrambled: bool) -> np.ndarray:
         if uncertified.size:
             rows = assignment_rows(np.sort(pxx[uncertified], axis=1)[:, ::-1],
                                    np.sort(pzz[uncertified], axis=1)[:, ::-1])
-            statuses, _, _, _ = solve_batch(*rows)
-            codes[uncertified] = reduce_assignments(statuses, len(canonical_permutations()))
+            codes[uncertified] = fold_codes(_solve_codes(*rows)[0],
+                                            len(canonical_permutations()))
     return codes
 
 
 def scan_details(samples: int, seed: int, scrambled: bool) -> np.ndarray:
     """Per-sample scan outcomes: 1 detected, 0 not detected, -1 inconclusive.
 
-    Sample ``i`` is ``random_hs_state(derive_seed(seed, i))``.  Every sample's
-    true labeling is solved first; that decides unscrambled mode.  Scrambled
+    Sample ``i`` is ``random_hs_state(derive_seed(seed, i))``, though no
+    state is formed: its eight probabilities come straight from its Ginibre
+    matrix G, as p_k = ||u_k^T G||^2 / ||G||^2, and go to the solver's int8
+    codes, which fold per sample with one reduction.  Every sample's true
+    labeling is decided first; that decides unscrambled mode.  Scrambled
     mode keeps the samples whose true row is certified feasible (the true
     labeling is one of the relabelings) and decides the rest, the infeasible
     and inconclusive ones, on all 18 canonical assignments of their sorted
     multisets.  Samples are drawn ``_SCAN_CHUNK`` at a time; a sample's
     outcome does not depend on the chunk it falls in.
+
+    ``samples`` must be an integer of at least 1, ``seed`` an integer and
+    ``scrambled`` a bool; anything else raises :class:`DomainError`.
     """
     samples = check_count("samples", samples, 1)
+    if not isinstance(scrambled, (bool, np.bool_)):
+        raise DomainError(f"scrambled must be a bool, got {scrambled!r}")
     out = np.zeros(samples, dtype=np.int8)
     for start in range(0, samples, _SCAN_CHUNK):
         count = min(_SCAN_CHUNK, samples - start)
         out[start:start + count] = _scan_codes(
-            random_hs_stack(seed, count, start_index=start), scrambled)
+            ginibre_stack(seed, count, start_index=start), bool(scrambled))
     return out
 
 
@@ -211,11 +223,11 @@ def scan(samples: int, seed: int, scrambled: bool) -> ScanStats:
     detected = int(np.sum(outcomes == 1))
     inconclusive = int(np.sum(outcomes == -1))
     return ScanStats(
-        samples=samples,
+        samples=int(samples),
         detected_unscrambled=0 if scrambled else detected,
         detected_scrambled=detected if scrambled else 0,
         inconclusive=inconclusive,
-        seed=seed,
+        seed=int(seed),
     )
 
 

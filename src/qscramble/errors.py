@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer-argument check."""
+"""Exception types shared across the package, and the integer-argument checks."""
 
 from numbers import Integral
 
@@ -37,11 +37,18 @@ class ConvergenceFailure(QScrambleError, RuntimeError):
     minimum."""
 
 
+def check_integer(name: str, value) -> int:
+    """``value`` as an int; :class:`DomainError` naming ``name`` unless it is an
+    integer (a numpy integer is, a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_count(name: str, value, minimum: int) -> int:
     """``value`` as an int; :class:`DomainError` naming ``name`` unless it is an
     integer (a bool is not) of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
+    value = check_integer(name, value)
     if value < minimum:
         raise DomainError(f"{name} must be at least {minimum}, got {value}")
-    return int(value)
+    return value

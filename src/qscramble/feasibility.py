@@ -63,12 +63,17 @@ grid) no row comes near them, with certificate residuals up to 4.5e-16 and
 witness margins no shallower than -7.7e-5.  There is no iteration count:
 :func:`solve_batch`'s ``cycles`` are all zero.  A row's arithmetic never
 mixes with another row's, so neither its verdict nor its bits depend on the
-batch.  Scrambled data is decided along one path: :func:`assignment_rows`
-expands sorted multisets into their 18 canonical outcome assignments, one
-:func:`solve_batch` call decides them, and :func:`reduce_assignments` folds
-each sample's statuses into one verdict; all infeasible certifies
-entanglement.  A scan, which knows each sample's true labeling, expands only
-the samples whose true labeling is not certified feasible.
+batch.  Every decision goes through ``_solve_codes``: the input check, the
+test and the certificate check, returning int8 codes (1 certified feasible,
+-1 witnessed infeasible, 0 inconclusive) and the certificates.
+:func:`solve_batch` turns them into statuses, states and residuals; a scan
+uses the codes as they are.  Scrambled data is decided along one path:
+:func:`assignment_rows` expands sorted multisets into their 18 canonical
+outcome assignments, one call decides them, and :func:`fold_codes` folds
+each sample's codes into one verdict with one int8 reduction (through
+:func:`reduce_assignments` when they come as statuses); all infeasible
+certifies entanglement.  A scan, which knows each sample's true labeling,
+expands only the samples whose true labeling is not certified feasible.
 :func:`solve_batch` rejects non-finite, misshaped, out-of-range or
 unnormalized rows and never renormalizes them.
 """
@@ -209,7 +214,9 @@ def _x_interval(m: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
     a, b = m[:, 4:6], m[:, 6:]
     h = np.sqrt(np.maximum((d[:, :1] * e - a * a) * (d[:, 1:2] * e - b * b), 0.0))
     ab = a * b
-    return ((ab - h) / e).max(axis=1), ((ab + h) / e).min(axis=1)
+    lo, hi = (ab - h) / e, (ab + h) / e
+    # two columns each: numpy reduces so short an axis many times slower
+    return np.maximum(lo[:, 0], lo[:, 1]), np.minimum(hi[:, 0], hi[:, 1])
 
 
 def _completes(m: np.ndarray, lam_min: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -361,6 +368,22 @@ _STATUS_OF_CODE = np.array([FeasibilityStatus.INCONCLUSIVE, FeasibilityStatus.FE
                             FeasibilityStatus.INFEASIBLE], dtype=object)
 
 
+def _solve_codes(p_xx, p_zz):
+    """(codes, certs, value): :func:`solve_batch`'s decision as int8 codes, 1
+    for rows certified feasible, -1 for rows witnessed infeasible and 0 for
+    inconclusive ones; ``certs`` the certificate states of the rows with code
+    1, in row order; ``value`` as ``_lmi`` returns it, except that rows the
+    test passes hold :func:`_certificate`'s lambda_min."""
+    p = _checked_pair(p_xx, p_zz)
+    code, a, _, value = _lmi(_bell_entries(p))
+    hit = np.flatnonzero(code == 1)
+    certs, value[hit] = _certificate(a, value[hit])
+    rows = _apply(certs.reshape(-1, 16), _projectors().reshape(8, 16).T)
+    ok = np.abs(rows - p[hit]).max(axis=1) <= TOL_FEASIBLE
+    code[hit[~ok]] = 0
+    return code, certs[ok], value
+
+
 def solve_batch(p_xx: np.ndarray, p_zz: np.ndarray):
     """Decide a stack of feasibility problems.
 
@@ -382,15 +405,9 @@ def solve_batch(p_xx: np.ndarray, p_zz: np.ndarray):
     Every status is one of the three :class:`FeasibilityStatus` members
     itself, so ``is`` compares them.
     """
-    p = _checked_pair(p_xx, p_zz)
-    code, a, _, value = _lmi(_bell_entries(p))
+    code, certs, value = _solve_codes(p_xx, p_zz)
     states: list[np.ndarray | None] = [None] * len(code)
-    hit = np.flatnonzero(code == 1)
-    certs, value[hit] = _certificate(a, value[hit])
-    rows = _apply(certs.reshape(-1, 16), _projectors().reshape(8, 16).T)
-    ok = np.abs(rows - p[hit]).max(axis=1) <= TOL_FEASIBLE
-    code[hit[~ok]] = 0
-    for i, cert in zip(hit[ok].tolist(), certs[ok]):
+    for i, cert in zip(np.flatnonzero(code == 1).tolist(), certs):
         states[i] = cert
     residuals = np.where(code == -1, -value, np.maximum(0.0, -value))
     return _STATUS_OF_CODE[code].tolist(), states, residuals, np.zeros(len(code), dtype=np.int64)
@@ -454,23 +471,30 @@ def assignment_rows(mx: np.ndarray, mz: np.ndarray) -> tuple[np.ndarray, np.ndar
     return mx[:, ix].reshape(-1, 4), mz[:, iz].reshape(-1, 4)
 
 
-# a sample's verdict is its assignments' greatest rank: any feasible row makes
-# it possibly separable (code 0), else any inconclusive one inconclusive (-1),
-# and only infeasible rows detected (1)
-_RANK_OF_STATUS = {FeasibilityStatus.INFEASIBLE: 0, FeasibilityStatus.INCONCLUSIVE: 1,
-                   FeasibilityStatus.FEASIBLE: 2}
-_CODE_OF_RANK = np.array([1, -1, 0], dtype=np.int8)
+_CODE_OF_STATUS = {FeasibilityStatus.FEASIBLE: 1, FeasibilityStatus.INCONCLUSIVE: 0,
+                   FeasibilityStatus.INFEASIBLE: -1}
+# a sample's verdict is its assignments' greatest code: any feasible row (1)
+# makes it possibly separable (0), else any inconclusive row (0) inconclusive
+# (-1), and only infeasible rows (-1) detected (1); indexed by that code,
+# -1 reaching the last entry
+_VERDICT_OF_MAX_CODE = np.array([-1, 0, 1], dtype=np.int8)
 
 
-def reduce_assignments(statuses, k: int) -> np.ndarray:
-    """Fold consecutive blocks of ``k`` statuses into one int8 code per sample.
+def fold_codes(codes: np.ndarray, k: int) -> np.ndarray:
+    """Fold consecutive blocks of ``k`` int8 solver codes (as
+    :func:`_solve_codes` returns them) into one int8 code per sample.
 
     1 when all ``k`` assignments are infeasible (detected), 0 when any is
     feasible (possibly separable), -1 otherwise (inconclusive).
     """
-    ranks = np.fromiter(map(_RANK_OF_STATUS.__getitem__, statuses), dtype=np.int8,
+    return _VERDICT_OF_MAX_CODE[codes.reshape(-1, k).max(axis=1)]
+
+
+def reduce_assignments(statuses, k: int) -> np.ndarray:
+    """:func:`fold_codes` of a sequence of :class:`FeasibilityStatus`."""
+    codes = np.fromiter(map(_CODE_OF_STATUS.__getitem__, statuses), dtype=np.int8,
                         count=len(statuses))
-    return _CODE_OF_RANK[ranks.reshape(-1, k).max(axis=1)]
+    return fold_codes(codes, k)
 
 
 _VERDICT_OF_CODE = {1: Verdict.DETECTED, 0: Verdict.POSSIBLY_SEPARABLE,

@@ -107,6 +107,35 @@ def probabilities_stack(rhos: np.ndarray, label: str) -> np.ndarray:
     return np.real(terms.sum(axis=(-2, -1)))
 
 
+@lru_cache(maxsize=1)
+def _measured_kets() -> np.ndarray:
+    """The eight measured kets u_k, XX then ZZ outcomes in outcome-label
+    order, as the rows of a real (8, 4) matrix; its entries are 0, 1 and
+    +-1/2 exactly."""
+    kets = [np.kron(a, b).real for label in (XX, ZZ)
+            for a in _LOCAL_BASES[label] for b in _LOCAL_BASES[label]]
+    k = np.array(kets)
+    k.setflags(write=False)
+    return k
+
+
+def ginibre_probabilities(h: np.ndarray) -> np.ndarray:
+    """[p_xx | p_zz], shape (n, 4 + 4), of the states rho = G G^dag / Tr(G G^dag)
+    for Ginibre matrices G given as real (n, 4, 8) arrays H = [Re G | Im G]
+    (in any column order; see :func:`qscramble.quantum.ginibre_stack`).
+
+    p_k = <u_k|rho|u_k> = ||u_k^T G||^2 / ||G||^2 for the real kets u_k, so
+    one matmul K H with the (8, 4) ket matrix K gives every numerator, and no
+    rho is formed.  The ZZ kets are the computational basis, so the ZZ
+    numerators sum to ||G||^2.  numpy's matmul multiplies a stack one matrix
+    at a time, and the einsum sums each row of K H in one fixed order, so a
+    sample's row has the same bits alone as in any stack.
+    """
+    kh = _measured_kets() @ h
+    num = np.einsum("nkj,nkj->nk", kh, kh)
+    return num / num[:, 4:].sum(axis=1, keepdims=True)
+
+
 @dataclass(frozen=True)
 class ScrambledData:
     """Per-setting multisets of outcome probabilities, stored sorted descending.

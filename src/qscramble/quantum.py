@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidState, NotHermitian
+from .errors import DomainError, InvalidState, NotHermitian, check_count, check_integer
 
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-9
@@ -290,23 +290,33 @@ def _uniforms(keys, count: int) -> np.ndarray:
     return (raw >> np.uint64(11)) * 2.0 ** -53
 
 
-def _box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Gaussian pairs (r cos 2 pi u2, r sin 2 pi u2), r = sqrt(-2 log(1 - u1)),
+    on a new last axis."""
     r = np.sqrt(-2.0 * np.log1p(-u1))  # 1 - u1 in (0, 1], avoids log(0)
     ang = 2.0 * math.pi * u2
-    return r * np.cos(ang), r * np.sin(ang)
+    z = np.empty(u1.shape + (2,))
+    np.multiply(r, np.cos(ang), out=z[..., 0])
+    np.multiply(r, np.sin(ang), out=z[..., 1])
+    return z
+
+
+def _gaussians(keys) -> np.ndarray:
+    """The Ginibre matrix G of every Philox key (as in :func:`_uniforms`) as a
+    real (4, 8) matrix [Re G | Im G] with the columns interleaved: row a holds
+    Re G_a0, Im G_a0, Re G_a1, ..., Im G_a3.  Shape (number of keys, 4, 8)."""
+    u = _uniforms(keys, 32)
+    return _box_muller(u[:, :16], u[:, 16:]).reshape(-1, 4, 8)
 
 
 def _ginibre(keys) -> np.ndarray:
     """Complex Ginibre matrices, one per Philox key (as in :func:`_uniforms`);
-    shape (number of keys, 4, 4)."""
-    u = _uniforms(keys, 32)
-    za, zb = _box_muller(u[:, :16], u[:, 16:])
-    return (za + 1j * zb).reshape(-1, 4, 4)
+    shape (number of keys, 4, 4).  A view of :func:`_gaussians`."""
+    return _gaussians(keys).view(complex)
 
 
-def _hs_matrices(keys) -> np.ndarray:
-    """G G^dag / Tr(G G^dag) for the Ginibre matrix G of every key."""
-    g = _ginibre(keys)
+def _hs_matrices(g: np.ndarray) -> np.ndarray:
+    """G G^dag / Tr(G G^dag) for every matrix G of a complex stack."""
     s = g @ g.conj().swapaxes(-1, -2)
     return s / np.trace(s, axis1=-2, axis2=-1).real[:, None, None]
 
@@ -314,11 +324,12 @@ def _hs_matrices(keys) -> np.ndarray:
 def random_hs_state(seed: int) -> DensityMatrix:
     """Draw rho = G G^dag / Tr(G G^dag) with G a complex Ginibre matrix.
 
-    The map from ``seed`` to the state is deterministic and bit-stable:
-    a Philox stream keyed by ``seed`` modulo 2^64 feeds a Box-Muller
-    transform.
+    The map from ``seed`` (an integer, or :class:`DomainError`) to the state
+    is deterministic and bit-stable: a Philox stream keyed by ``seed`` modulo
+    2^64 feeds a Box-Muller transform.
     """
-    return DensityMatrix(_hs_matrices(int(seed) & _MASK64)[0])
+    seed = check_integer("seed", seed)
+    return DensityMatrix(_hs_matrices(_ginibre(seed & _MASK64))[0])
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -337,11 +348,27 @@ def _derive_keys(seed: int, index: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def ginibre_stack(seed: int, count: int, start_index: int = 0) -> np.ndarray:
+    """The Ginibre matrices of :func:`random_hs_stack`'s samples as real
+    (count, 4, 8) arrays, laid out as in :func:`_gaussians`.
+
+    Sample ``i`` is keyed by ``derive_seed(seed, start_index + i)``.  A
+    ``seed`` or ``start_index`` that is not an integer (numpy integers are,
+    bools are not), or a ``count`` that is not a nonnegative one, raises
+    :class:`DomainError`.
+    """
+    seed = check_integer("seed", seed)
+    count = check_count("count", count, 0)
+    start_index = check_integer("start_index", start_index)
+    index = np.arange(count, dtype=np.uint64) + np.uint64(start_index & _MASK64)
+    return _gaussians(_derive_keys(seed, index))
+
+
 def random_hs_stack(seed: int, count: int, start_index: int = 0) -> np.ndarray:
     """Stack of ``count`` Hilbert-Schmidt random states as raw matrices.
 
     Sample ``i`` equals ``random_hs_state(derive_seed(seed, start_index + i))``;
-    all of them are drawn in one pass.
+    all of them are drawn in one pass.  Arguments are checked as in
+    :func:`ginibre_stack`.
     """
-    index = np.arange(count, dtype=np.uint64) + np.uint64(start_index & _MASK64)
-    return _hs_matrices(_derive_keys(seed, index))
+    return _hs_matrices(ginibre_stack(seed, count, start_index).view(complex))

@@ -7,12 +7,12 @@ from qscramble.detector import (classify_slice_point, counterexample_mixture, de
                                 verify_counterexample)
 from qscramble.entropy import entropy_detected_stack
 from qscramble.errors import DomainError
-from qscramble.feasibility import (FeasibilityStatus, assignment_rows, reduce_assignments,
-                                   solve_batch)
+from qscramble.feasibility import (FeasibilityStatus, _solve_codes, assignment_rows,
+                                   reduce_assignments, solve_batch)
 from qscramble.measurement import (XX, ZZ, apply_permutation, canonical_permutations,
                                    probabilities, probabilities_stack, scramble_state)
-from qscramble.quantum import (DensityMatrix, is_ppt, maximally_mixed, psi_t,
-                               random_hs_stack, singlet)
+from qscramble.quantum import (DensityMatrix, ginibre_stack, is_ppt, maximally_mixed,
+                               psi_t, random_hs_stack, singlet)
 from qscramble.witness import witness_min_stack
 
 
@@ -108,10 +108,22 @@ def test_scan_details_do_not_depend_on_the_chunk(monkeypatch, scrambled):
         assert np.flatnonzero(whole == 1).tolist() == [6, 40, 44]
 
 
+def _true_rows(states):
+    return (np.clip(probabilities_stack(states, XX), 0.0, 1.0),
+            np.clip(probabilities_stack(states, ZZ), 0.0, 1.0))
+
+
+def _true_codes(states):
+    """Unscrambled outcomes from solve_batch on the true labeling of every state."""
+    statuses, _, _, _ = solve_batch(*_true_rows(states))
+    return reduce_assignments(statuses, 1)
+
+
 def _all_assignment_codes(states):
     """Scrambled outcomes from all 18 canonical assignments of every sample."""
-    mx = np.sort(np.clip(probabilities_stack(states, XX), 0.0, 1.0), axis=1)[:, ::-1]
-    mz = np.sort(np.clip(probabilities_stack(states, ZZ), 0.0, 1.0), axis=1)[:, ::-1]
+    pxx, pzz = _true_rows(states)
+    mx = np.sort(pxx, axis=1)[:, ::-1]
+    mz = np.sort(pzz, axis=1)[:, ::-1]
     statuses, _, _, _ = solve_batch(*assignment_rows(mx, mz))
     return reduce_assignments(statuses, len(canonical_permutations()))
 
@@ -128,31 +140,43 @@ def test_scrambled_scan_matches_all_assignments():
     assert (unscrambled[101], scrambled[101]) == (1, 0)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 107])
+def test_scan_outcomes_equal_the_density_matrix_route(seed):
+    # the scan never forms rho; its outcomes must equal those decided from
+    # rho = G G^dag / Tr, its probabilities_stack rows and solve_batch
+    n = 3000
+    states = random_hs_stack(seed, n)
+    unscrambled = scan_details(n, seed, False)
+    assert np.array_equal(unscrambled, _true_codes(states))
+    assert np.count_nonzero(unscrambled == 1) > 20
+    assert np.array_equal(scan_details(n, seed, True), _all_assignment_codes(states))
+
+
 def test_scrambled_scan_detects_sample_14816_of_seed_1():
     # samples 14816, 101 and 244 of seed 1 are detected on their true
     # labeling, and 14816 alone stays detected scrambled; sample 0 is
     # certified on its true labeling
-    states = np.concatenate([random_hs_stack(1, 1, start_index=i)
-                             for i in (0, 14816, 101, 244)])
-    assert det._scan_codes(states, False).tolist() == [0, 1, 1, 1]
-    assert det._scan_codes(states, True).tolist() == [0, 1, 0, 0]
+    index = (0, 14816, 101, 244)
+    gaussians = np.concatenate([ginibre_stack(1, 1, start_index=i) for i in index])
+    assert det._scan_codes(gaussians, False).tolist() == [0, 1, 1, 1]
+    assert det._scan_codes(gaussians, True).tolist() == [0, 1, 0, 0]
+    states = np.concatenate([random_hs_stack(1, 1, start_index=i) for i in index])
+    assert _true_codes(states).tolist() == [0, 1, 1, 1]
     assert _all_assignment_codes(states).tolist() == [0, 1, 0, 0]
 
 
 def test_scrambled_scan_expands_only_uncertified_samples(monkeypatch):
     n, seed = 400, 1
-    states = random_hs_stack(seed, n)
-    statuses, _, _, _ = solve_batch(np.clip(probabilities_stack(states, XX), 0.0, 1.0),
-                                    np.clip(probabilities_stack(states, ZZ), 0.0, 1.0))
+    statuses, _, _, _ = solve_batch(*_true_rows(random_hs_stack(seed, n)))
     uncertified = sum(s is not FeasibilityStatus.FEASIBLE for s in statuses)
     assert uncertified >= 2
     rows = []
 
     def counting(p_xx, p_zz):
         rows.append(len(p_xx))
-        return solve_batch(p_xx, p_zz)
+        return _solve_codes(p_xx, p_zz)
 
-    monkeypatch.setattr(det, "solve_batch", counting)
+    monkeypatch.setattr(det, "_solve_codes", counting)
     scan_details(n, seed, True)
     assert rows == [n, 18 * uncertified]
 
@@ -219,8 +243,15 @@ def test_nonconvex_slice_rejects_bad_rays(rays):
     (lambda: nonconvex_slice(4), "resolution must be at least 8, got 4"),
     (lambda: classify_slice_point(float("nan"), 0.1), "non-finite"),
     (lambda: classify_slice_point(0.5, float("inf")), "non-finite"),
+    (lambda: scan_details(10, 0, "false"), "scrambled must be a bool, got 'false'"),
+    (lambda: scan_details(10, 0, None), "scrambled must be a bool, got None"),
+    (lambda: scan(10, 0, 1), "scrambled must be a bool, got 1"),
+    (lambda: scan_details(10, 1.5, False), "seed must be an integer, got 1.5"),
+    (lambda: scan_details(10, None, True), "seed must be an integer, got None"),
+    (lambda: scan(10, True, False), "seed must be an integer, got True"),
 ], ids=["scan_details-float", "scan_details-bool", "scan-float", "scan-zero",
-        "slice-float", "slice-small", "point-nan", "point-inf"])
+        "slice-float", "slice-small", "point-nan", "point-inf", "scrambled-str",
+        "scrambled-none", "scrambled-int", "seed-float", "seed-none", "seed-bool"])
 def test_detector_entry_points_raise_typed_errors(call, message):
     with pytest.raises(DomainError, match=message):
         call()
@@ -228,6 +259,12 @@ def test_detector_entry_points_raise_typed_errors(call, message):
 
 def test_integer_arguments_accept_numpy_integers():
     assert scan_details(np.int64(3), 1, False).shape == (3,)
+    # a seed is taken modulo 2^64, from a numpy integer as from an int
+    assert np.array_equal(scan_details(20, np.int64(-1), np.bool_(True)),
+                          scan_details(20, -1, True))
+    assert np.array_equal(scan_details(20, np.uint64(2**64 - 1), False),
+                          scan_details(20, -1, False))
+    assert type(scan(5, np.int32(4), False).seed) is int
     assert len(nonconvex_slice(np.int32(8), rays=np.int8(1))) == 37
 
 

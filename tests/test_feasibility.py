@@ -720,6 +720,29 @@ def test_reduce_assignments_every_block_of_three():
     assert fz.reduce_assignments([], 18).shape == (0,)
 
 
+def test_fold_codes_matches_reduce_assignments():
+    # every block of k = 3 solver codes, and each code alone, folded directly
+    # and through statuses
+    codes = np.array(list(itertools.product([1, 0, -1], repeat=3)), dtype=np.int8).ravel()
+    statuses = fz._STATUS_OF_CODE[codes].tolist()
+    for k in (1, 3):
+        folded = fz.fold_codes(codes, k)
+        assert folded.dtype == np.int8
+        assert np.array_equal(folded, fz.reduce_assignments(statuses, k))
+
+
+def test_solve_codes_is_solve_batch_as_codes():
+    for pxx, pzz in _scan_rows():
+        code, certs, _ = fz._solve_codes(pxx, pzz)
+        statuses, states, _, _ = solve_batch(pxx, pzz)
+        assert code.dtype == np.int8
+        assert fz._STATUS_OF_CODE[code].tolist() == statuses
+        assert {-1, 1} <= set(code.tolist())
+        hit = np.flatnonzero(code == 1)
+        assert len(certs) == len(hit)
+        assert all(np.array_equal(states[i], c) for i, c in zip(hit, certs))
+
+
 def test_solve_batch_rejects_invalid_rows():
     from qscramble.errors import DomainError
     good = np.full((2, 4), 0.25)

@@ -6,11 +6,11 @@ import pytest
 from qscramble.errors import DomainError, DuplicateSetting, SettingMismatch
 from qscramble.measurement import (XX, YY, ZZ, OutcomeDistribution, PermutationPair,
                                    ScrambledData, _induced_permutation, apply_permutation,
-                                   canonical_permutations, probabilities,
+                                   canonical_permutations, ginibre_probabilities, probabilities,
                                    probabilities_stack, relabeling_group, scramble,
                                    scramble_equivalent, scramble_state, setting)
-from qscramble.quantum import (I2, SIGMA_X, SIGMA_Z, DensityMatrix, plus_zero, psi_t,
-                               random_hs_stack, singlet)
+from qscramble.quantum import (I2, SIGMA_X, SIGMA_Z, DensityMatrix, ginibre_stack, plus_zero,
+                               psi_t, random_hs_stack, singlet)
 
 
 def test_projector_invariants():
@@ -58,6 +58,29 @@ def test_probabilities_do_not_depend_on_the_batch():
         for i in range(0, 1000, 7):
             assert np.array_equal(probabilities_stack(states[i:i + 1], label)[0], stack[i])
             assert np.array_equal(probabilities(DensityMatrix(states[i]), label).p, stack[i])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 107, 314159265])
+def test_ginibre_probabilities_match_the_density_matrix_route(seed):
+    p = ginibre_probabilities(ginibre_stack(seed, 4000))
+    states = random_hs_stack(seed, 4000)
+    assert p.shape == (4000, 8)
+    assert np.max(np.abs(p[:, :4] - probabilities_stack(states, XX))) <= 1e-15
+    assert np.max(np.abs(p[:, 4:] - probabilities_stack(states, ZZ))) <= 1e-15
+
+
+def test_ginibre_probabilities_do_not_depend_on_the_batch():
+    # a sample's row is the same bits alone, in any slice of a stack, and in
+    # a stack drawn from any start index, as the scan's chunks are
+    h = ginibre_stack(2, 1000)
+    stack = ginibre_probabilities(h)
+    for a, b in ((0, 1), (5, 700), (7, 14), (999, 1000), (0, 1000)):
+        assert np.array_equal(ginibre_probabilities(h[a:b]), stack[a:b])
+        assert np.array_equal(ginibre_probabilities(h[a:b].copy()), stack[a:b])
+        assert np.array_equal(ginibre_probabilities(ginibre_stack(2, b - a, start_index=a)),
+                              stack[a:b])
+    for i in range(0, 1000, 37):
+        assert np.array_equal(ginibre_probabilities(h[i:i + 1])[0], stack[i])
 
 
 def test_outcome_distribution_validation():

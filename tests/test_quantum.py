@@ -5,8 +5,8 @@ import pytest
 
 from qscramble.errors import DomainError, InvalidState, NotHermitian
 from qscramble.quantum import (DensityMatrix, ProductStateParams, PureState,
-                               _derive_keys, _philox4x64, _uniforms, derive_seed,
-                               eig_hermitian, is_ppt, maximally_mixed,
+                               _derive_keys, _ginibre, _philox4x64, _uniforms, derive_seed,
+                               eig_hermitian, ginibre_stack, is_ppt, maximally_mixed,
                                min_eigval_stack, mix, partial_transpose, phi_plus,
                                plus_zero, product_state, psi_t, random_hs_stack,
                                random_hs_state, singlet)
@@ -158,6 +158,44 @@ def test_random_hs_stack_does_not_depend_on_the_batch():
     whole = random_hs_stack(31, 300)
     for a, b in ((0, 1), (0, 300), (17, 18), (99, 256), (250, 300)):
         assert np.array_equal(whole[a:b], random_hs_stack(31, b - a, start_index=a))
+
+
+def test_ginibre_stack_is_the_ginibre_matrix_of_each_sample():
+    # real and imaginary parts side by side, so that viewed as complex it is
+    # the G behind random_hs_stack, bit for bit
+    seed, start = 314159265, 70
+    h = ginibre_stack(seed, 40, start_index=start)
+    assert h.shape == (40, 4, 8) and h.dtype == np.float64
+    g = _ginibre(_derive_keys(seed, np.arange(40, dtype=np.uint64) + np.uint64(start)))
+    assert np.array_equal(h[..., 0::2], g.real) and np.array_equal(h[..., 1::2], g.imag)
+    s = g @ g.conj().swapaxes(1, 2)
+    assert np.array_equal(random_hs_stack(seed, 40, start_index=start),
+                          s / np.trace(s, axis1=1, axis2=2).real[:, None, None])
+
+
+@pytest.mark.parametrize("seed", [1.5, None, True, "7", np.float64(2.0)])
+def test_samplers_reject_a_seed_that_is_not_an_integer(seed):
+    for call in (lambda: random_hs_stack(seed, 3), lambda: ginibre_stack(seed, 3),
+                 lambda: random_hs_state(seed)):
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            call()
+
+
+@pytest.mark.parametrize("count, start, message", [
+    (1.5, 0, "count must be an integer, got 1.5"),
+    (-1, 0, "count must be at least 0, got -1"),
+    (3, 2.0, "start_index must be an integer, got 2.0"),
+])
+def test_samplers_reject_bad_counts_and_start_indices(count, start, message):
+    with pytest.raises(DomainError, match=message):
+        random_hs_stack(1, count, start_index=start)
+
+
+def test_samplers_take_numpy_integer_seeds_modulo_2_64():
+    assert np.array_equal(random_hs_stack(np.int64(-1), 3), random_hs_stack(2**64 - 1, 3))
+    assert np.array_equal(ginibre_stack(np.uint8(7), 3), ginibre_stack(7, 3))
+    assert np.array_equal(random_hs_state(np.int64(-1)).matrix,
+                          random_hs_state(2**64 - 1).matrix)
 
 
 def test_psi_t_values():
