@@ -7,8 +7,9 @@ bounds, scrambling-invariant witness families, and exhaustive convex
 feasibility over the canonical outcome assignments.
 """
 
-from .detector import (DetectionReport, ScanStats, SlicePoint, counterexample_mixture,
-                       detect, nonconvex_slice, rho1, scan, verify_counterexample)
+from .detector import (DetectionReport, ScanStats, SlicePoint, Verdict,
+                       counterexample_mixture, detect, nonconvex_slice, rho1, scan,
+                       scrambled_possibly_separable, star_convexity_ray, verify_counterexample)
 from .entropy import (EntropyPoint, EntropySpec, all_states_bound,
                       all_states_bound_closed_form, entropy, entropy_detect,
                       psi_t_entropies, robustness, separable_bound,
@@ -16,8 +17,7 @@ from .entropy import (EntropyPoint, EntropySpec, all_states_bound,
 from .errors import (ConvergenceFailure, DomainError, DuplicateSetting, InvalidState,
                      MissingSetting, NotHermitian, QScrambleError, SettingMismatch)
 from .feasibility import (FeasibilityProblem, FeasibilityResult, FeasibilityStatus,
-                          Verdict, feasible_for_probabilities, oracle_feasible,
-                          scrambled_possibly_separable, star_convexity_ray)
+                          feasible_for_probabilities, oracle_feasible)
 from .measurement import (MeasurementSetting, OutcomeDistribution, PermutationPair,
                           ScrambledData, apply_permutation, canonical_permutations,
                           probabilities, relabeling_group, scramble, scramble_equivalent,

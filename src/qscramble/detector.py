@@ -1,15 +1,25 @@
-"""Orchestration: multi-method detection reports, scans, and the paper checks.
+"""Orchestration: scrambled-data verdicts, multi-method detection reports,
+scans, and the paper checks.
 
 The three detection routes are ordered by strength on this data: the
 feasibility engine (sdp) is complete, so anything the witness family or the
 entropy pair detects must also be sdp-detected.  Reports keep the verdicts
 side by side.
+
+Scrambled data is decided here, labeled rows in :mod:`~qscramble.feasibility`.
+``_decide`` expands sorted multisets into their 18 canonical assignments,
+solves them in one ``solve_batch`` call and folds each sample's statuses into
+one code; it backs the sdp method, the slice grid and ``_ray_search``, the one
+bisection behind :func:`nonconvex_slice` and :func:`star_convexity_ray`.  The
+sorted multiset of (1 - lambda) I/4 + lambda rho is 0.25 + lambda (m - 0.25),
+m that of rho, so rays are searched in data space.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from enum import Enum
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -17,13 +27,14 @@ import numpy as np
 from .entropy import (TSALLIS, EntropySpec, entropy as entropy_of, entropy_detect,
                       get_separable_boundary)
 from .errors import DomainError, check_count
-from .feasibility import (Verdict, _solve_codes, assignment_rows, fold_codes,
-                          reduce_assignments, scrambled_possibly_separable, solve_batch)
-from .measurement import (XX, ZZ, OutcomeDistribution, ScrambledData,
-                          apply_permutation, canonical_permutations, ginibre_probabilities,
-                          probabilities, scramble, scramble_state)
+from .feasibility import (FeasibilityStatus, _require, _solve_codes, assignment_rows,
+                          fold_codes, reduce_assignments, solve_batch)
+from .measurement import (XX, ZZ, PermutationPair, ScrambledData, apply_permutation,
+                          canonical_permutations, ginibre_probabilities, probabilities,
+                          scramble_equivalent, scramble_state)
 from .optimize import bisect
-from .quantum import SIGMA_X, SIGMA_Z, I2, DensityMatrix, ginibre_stack, mix, phi_plus
+from .quantum import (SIGMA_X, SIGMA_Z, I2, DensityMatrix, ginibre_stack, is_ppt, mix,
+                      phi_plus, plus_zero)
 # random_hs_stack, probabilities_stack and tangent_curve are not called here;
 # they are re-exported because bench/spans.py traces calls looked up as
 # detector.<name>
@@ -62,6 +73,84 @@ def counterexample_mixture() -> DensityMatrix:
     """5/6 rho1 + 1/6 |Phi+><Phi+|, the detectable mixture of two
     possibly-separable states."""
     return mix(rho1(), phi_plus().density(), 1.0 / 6.0)
+
+
+# ---------------------------------------------------------------------------
+# Scrambled data: the 18 assignments, and rays from the maximally mixed state.
+# ---------------------------------------------------------------------------
+
+
+class Verdict(str, Enum):
+    DETECTED = "detected"
+    POSSIBLY_SEPARABLE = "possibly_separable"
+    INCONCLUSIVE = "inconclusive"
+
+
+@dataclass(frozen=True)
+class SeparabilityEvidence:
+    """Per-assignment solver outcomes backing a scrambled-data verdict."""
+
+    statuses: tuple[FeasibilityStatus, ...]
+    permutation: PermutationPair | None = None
+    state: DensityMatrix | None = None
+    residuals: tuple[float, ...] = field(default=())
+
+
+_VERDICT_OF_CODE = {1: Verdict.DETECTED, 0: Verdict.POSSIBLY_SEPARABLE, -1: Verdict.INCONCLUSIVE}
+
+
+def _decide(mx: np.ndarray, mz: np.ndarray):
+    """(codes, statuses, states, residuals): ``solve_batch`` on the 18 n
+    assignment rows of sorted multisets (n, 4), and one code per sample."""
+    statuses, states, residuals, _ = solve_batch(*assignment_rows(mx, mz))
+    codes = reduce_assignments(statuses, len(canonical_permutations()))
+    return codes, statuses, states, residuals
+
+
+def _ray_search(mx: np.ndarray, mz: np.ndarray, resolution: int):
+    """(lo, hi): [0, 1] halved ceil(log2(resolution)) times towards the
+    detection threshold of lambda on each ray (1 - lambda) I/4 + lambda rho,
+    given by the sorted multisets of its rho; inconclusive is not detected."""
+    def undetected(lam):
+        lam = lam[:, None]
+        return _decide(0.25 + lam * (mx - 0.25), 0.25 + lam * (mz - 0.25))[0] != 1
+
+    steps = max(1, math.ceil(math.log2(resolution)))
+    return bisect(undetected, np.zeros(len(mx)), 1.0, steps)
+
+
+def scrambled_possibly_separable(d: ScrambledData) -> tuple[Verdict, SeparabilityEvidence]:
+    """Decide whether any separable state reproduces some assignment of ``d``:
+    possibly separable on the first (lowest canonical index) feasible one of
+    the 18, detected when all are infeasible, inconclusive otherwise."""
+    _require(d, ScrambledData, "scrambled_possibly_separable")
+    codes, statuses, states, viol = _decide(d.multiset(XX)[None], d.multiset(ZZ)[None])
+    verdict = _VERDICT_OF_CODE[int(codes[0])]
+    evidence = dict(statuses=tuple(statuses), residuals=tuple(float(v) for v in viol))
+    if verdict is Verdict.POSSIBLY_SEPARABLE:
+        i = statuses.index(FeasibilityStatus.FEASIBLE)
+        evidence.update(permutation=canonical_permutations()[i],
+                        state=DensityMatrix(states[i]))
+    return verdict, SeparabilityEvidence(**evidence)
+
+
+def star_convexity_ray(rho: DensityMatrix, resolution: int = 256) -> float:
+    """Detectability threshold along the ray from the maximally mixed state.
+
+    Bisects the weight lambda of ``mix(I/4, rho, lambda)`` (``_ray_search``;
+    by star-convexity the verdict flips once) and returns the upper end of the
+    final bracket, the least weight shown detected, or 1.0 when ``rho`` is not
+    detected or the threshold lies in the top bracket: the counterexample
+    mixture gives 1.0 at resolution 2 and 0.859375 at 64.  Inconclusive counts
+    as not detected, which can only push the reported threshold outward.
+    """
+    _require(rho, DensityMatrix, "star_convexity_ray")
+    resolution = check_count("resolution", resolution, 2)
+    data = scramble_state(rho)
+    mx, mz = data.multiset(XX)[None], data.multiset(ZZ)[None]
+    if _decide(mx, mz)[0][0] != 1:
+        return 1.0
+    return float(_ray_search(mx, mz, resolution)[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +229,8 @@ def detect(inp, methods: Iterable[str] = _ALL_METHODS, *,
 
     if any(v == "detected" for v in verdicts.values()):
         overall = Verdict.DETECTED.value
-    elif verdicts.get("sdp") == Verdict.INCONCLUSIVE.value:
-        overall = Verdict.INCONCLUSIVE.value
-    elif any(v.startswith("error") for v in verdicts.values()):
+    elif (verdicts.get("sdp") == Verdict.INCONCLUSIVE.value
+          or any(v.startswith("error") for v in verdicts.values())):
         overall = Verdict.INCONCLUSIVE.value
     else:
         overall = Verdict.POSSIBLY_SEPARABLE.value
@@ -163,11 +251,7 @@ class ScanStats:
     seed: int
 
     def as_dict(self) -> dict:
-        return {"samples": self.samples,
-                "detected_unscrambled": self.detected_unscrambled,
-                "detected_scrambled": self.detected_scrambled,
-                "inconclusive": self.inconclusive,
-                "seed": self.seed}
+        return asdict(self)
 
 
 def _scan_codes(h: np.ndarray, scrambled: bool) -> np.ndarray:
@@ -176,6 +260,7 @@ def _scan_codes(h: np.ndarray, scrambled: bool) -> np.ndarray:
     returns them."""
     p = ginibre_probabilities(h)
     pxx, pzz = p[:, :4], p[:, 4:]
+    # _solve_codes, not _decide: _decide's status lists exist only for bench/spans.py
     codes = fold_codes(_solve_codes(pxx, pzz)[0], 1)
     if scrambled:
         # the true labeling is one of the relabelings, so a feasible true row
@@ -250,13 +335,15 @@ def _in_slice(p_pp, p_pm):
     return (p_pp >= -1e-12) & (p_pm >= -1e-12) & (1.0 - p_pp - 2.0 * p_pm >= -1e-12)
 
 
-def _classify_slice_batch(p_pp: np.ndarray, p_pm: np.ndarray) -> np.ndarray:
-    """possibly_separable flags for symmetric slice points, batched over the
-    18 assignments of every point; see :func:`nonconvex_slice` for the policy."""
+def _slice_multisets(p_pp: np.ndarray, p_pm: np.ndarray) -> np.ndarray:
+    """The sorted multiset, XX and ZZ alike, of each symmetric slice point."""
     m = np.stack([p_pp, p_pm, p_pm, np.maximum(1.0 - p_pp - 2.0 * p_pm, 0.0)], axis=1)
-    m = np.sort(m, axis=1)[:, ::-1]
-    statuses, _, _, _ = solve_batch(*assignment_rows(m, m))
-    return reduce_assignments(statuses, len(canonical_permutations())) != 1
+    return np.sort(m, axis=1)[:, ::-1]
+
+
+def _classify_slice_batch(m: np.ndarray) -> np.ndarray:
+    """possibly_separable flags of slice points' sorted multisets; see :func:`nonconvex_slice`."""
+    return _decide(m, m)[0] != 1
 
 
 def classify_slice_point(p_pp: float, p_pm: float) -> SlicePoint:
@@ -264,7 +351,7 @@ def classify_slice_point(p_pp: float, p_pm: float) -> SlicePoint:
         raise DomainError(f"slice point ({p_pp}, {p_pm}) is non-finite")
     if not _in_slice(p_pp, p_pm):
         raise DomainError(f"slice point ({p_pp}, {p_pm}) has negative probabilities")
-    flag = _classify_slice_batch(np.array([p_pp]), np.array([p_pm]))[0]
+    flag = _classify_slice_batch(_slice_multisets(np.array([p_pp]), np.array([p_pm])))[0]
     return SlicePoint(p_pp, p_pm, bool(flag))
 
 
@@ -272,16 +359,15 @@ def nonconvex_slice(resolution: int, *, rays: int = 64) -> list[SlicePoint]:
     """Classified grid of the symmetric slice plus ray-traced boundary points.
 
     The grid covers the valid triangle p_pp in [0, 1], p_pm in [0, (1-p_pp)/2];
-    the boundary is found by bisecting, ceil(log2(resolution)) times, along
-    ``rays`` (at least 1) evenly spaced rays from the uniform point
-    (1/4, 1/4), which is sound because the possibly-separable set is
-    star-convex around the maximally mixed state.  The ray ends come last.
+    the boundary is bisected (``_ray_search``) along ``rays`` (at least 1)
+    evenly spaced rays from the uniform point (1/4, 1/4), which is sound as the
+    possibly-separable set is star-convex around I/4.  The ray ends come last.
 
     A point is flagged possibly separable unless all 18 of its assignments
     are proven infeasible: a point with no feasible assignment but an
     inconclusive one counts as possibly separable, as in
-    :func:`~qscramble.feasibility.star_convexity_ray`.  Solver doubt can
-    therefore only move the reported boundary outward.
+    :func:`star_convexity_ray`.  Solver doubt can therefore only move the
+    reported boundary outward.
     """
     resolution = check_count("resolution", resolution, 8)
     rays = check_count("rays", rays, 1)
@@ -289,7 +375,7 @@ def nonconvex_slice(resolution: int, *, rays: int = 64) -> list[SlicePoint]:
                              np.linspace(0.0, 0.5, resolution), indexing="ij")
     inside = _in_slice(p_pp, p_pm)
     p_pp, p_pm = p_pp[inside], p_pm[inside]
-    flags = _classify_slice_batch(p_pp, p_pm)
+    flags = _classify_slice_batch(_slice_multisets(p_pp, p_pm))
     points = [SlicePoint(float(pp), float(pm), bool(f)) for pp, pm, f in zip(p_pp, p_pm, flags)]
 
     center = np.array([0.25, 0.25])
@@ -300,12 +386,8 @@ def nonconvex_slice(resolution: int, *, rays: int = 64) -> list[SlicePoint]:
     denom = np.stack([-d[:, 0], -d[:, 1], d[:, 0] + 2.0 * d[:, 1]], axis=1)
     tmax = np.min(np.where(denom > 1e-15, 0.25 / np.maximum(denom, 1e-15), np.inf), axis=1)
     dirs = d * tmax[:, None]
-
-    def separable(lam):
-        pts = center + lam[:, None] * dirs
-        return _classify_slice_batch(pts[:, 0], pts[:, 1])
-
-    lam_lo, _ = bisect(separable, np.zeros(rays), 1.0, max(1, math.ceil(math.log2(resolution))))
+    ends = _slice_multisets(*(center + dirs).T)
+    lam_lo, _ = _ray_search(ends, ends, resolution)
     boundary = center + lam_lo[:, None] * dirs
     points.extend(SlicePoint(float(pp), float(pm), True) for pp, pm in boundary)
     return points
@@ -346,13 +428,9 @@ def verify_counterexample() -> CounterexampleReport:
         add("rho1 is a valid state", False, str(exc))
         return CounterexampleReport(tuple(checks))
 
-    from .quantum import is_ppt
     add("rho1 is PPT (separable)", is_ppt(r1))
 
-    r2 = phi_plus().density()
-    from .quantum import plus_zero
-    from .measurement import scramble_equivalent
-    d2 = scramble_state(r2)
+    d2 = scramble_state(phi_plus().density())
     d_prod = scramble_state(plus_zero().density())
     add("rho2 scrambled data equals that of |+>|0>",
         scramble_equivalent(d2, d_prod, 1e-12))
@@ -361,22 +439,17 @@ def verify_counterexample() -> CounterexampleReport:
     p_x = probabilities(mixture, XX).p
     p_z = probabilities(mixture, ZZ).p
     expected = np.array([5.0, 5.0, 5.0, 33.0]) / 48.0
-    exact = (np.max(np.abs(p_x - expected)) <= 1e-12
-             and np.max(np.abs(p_z - expected)) <= 1e-12)
+    exact = np.max(np.abs([p_x - expected, p_z - expected])) <= 1e-12
     add("mixture probabilities equal the (5/48 x6, 33/48 x2) pattern", exact,
         f"xx={p_x.tolist()}")
 
-    d_mix = scramble([OutcomeDistribution(XX, p_x), OutcomeDistribution(ZZ, p_z)])
+    d_mix = scramble_state(mixture)
     verdict, _ = scrambled_possibly_separable(d_mix)
     add("mixture scrambled data is detected", verdict is Verdict.DETECTED,
         f"verdict={verdict.value}")
 
-    refuted = True
-    for pair in canonical_permutations():
-        vals = correlation_witness_values(apply_permutation(d_mix, pair))
-        if np.min(vals) >= 0.0:
-            refuted = False
-            break
+    refuted = all(np.min(correlation_witness_values(apply_permutation(d_mix, pair))) < 0.0
+                  for pair in canonical_permutations())
     add("a correlation witness refutes every canonical assignment", refuted)
 
     v1, _ = scrambled_possibly_separable(scramble_state(r1))

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError
+from .errors import ConvergenceFailure, DomainError, check_count
 from .measurement import XX, ZZ, OutcomeDistribution, ScrambledData
 from .optimize import bisect
 # multistart_minimize is not called here; bench/spans.py traces entropy.multistart_minimize
@@ -142,6 +142,8 @@ def entropy_nd(p: np.ndarray, spec: EntropySpec, axis: int = -1) -> np.ndarray:
 def entropy(p, spec: EntropySpec) -> float:
     """Entropy of one outcome distribution; invariant under permutations."""
     arr = p.p if isinstance(p, OutcomeDistribution) else np.asarray(p, dtype=float)
+    if not math.isfinite(arr.sum()):  # entropy_nd would drop a NaN entry
+        raise DomainError(f"entropy needs finite probabilities, got {arr!r}")
     return float(entropy_nd(arr, spec))
 
 
@@ -212,7 +214,7 @@ def t_from_sxx_vec(s: np.ndarray, spec_x: EntropySpec) -> np.ndarray:
     shape = s.shape
     s = np.atleast_1d(s).astype(float)
     smax = max_entropy(spec_x)
-    if np.any(s < -1e-12) or np.any(s > smax + 1e-12):
+    if not np.all((s >= -1e-12) & (s <= smax + 1e-12)):  # NaN fails too
         raise DomainError(f"target entropy outside the attainable range [0, {smax!r}]")
     s = np.clip(s, 0.0, smax)
     s_at_cap = float(entropy_nd(psi_t_xx_probs(T_CAP), spec_x))
@@ -377,12 +379,12 @@ class SeparableBoundary:
         return np.interp(s, self.grid, self.values)
 
 
-@lru_cache(maxsize=8)
+# typed: n=9.0 must reach the count check, not hit n=9's entry
+@lru_cache(maxsize=8, typed=True)
 def get_separable_boundary(spec_x: EntropySpec, spec_z: EntropySpec,
                            n: int = 97) -> SeparableBoundary:
     """The separable boundary on ``n`` evenly spaced S_xx from 0 to the maximum."""
-    if n < 2:
-        raise DomainError(f"the boundary resolution n must be at least 2, got {n}")
+    n = check_count("the boundary resolution n", n, 2)
     grid = np.linspace(0.0, max_entropy(spec_x), n)
     return SeparableBoundary(spec_x, spec_z, grid, _separable_values(grid, spec_x, spec_z))
 

@@ -49,10 +49,10 @@ a certificate that is checked apart from the test:
   towards its own interval, so the slopes 2 v_0 v_1 and 2 w_0 w_1 have
   opposite signs and W = |2 w_0 w_1| v v^T + |2 v_0 v_1| w w^T, trace-
   normalized, has W_01 = 0 (a W_01 that rounding leaves nonzero voids the
-  witness).  The x between the intervals of M + 1e-8 I comes first.  A row whose margin misses -1e-6 there gets s*, bisected on the
-  test of M - sI (monotone in s), and W is rebuilt from the test just above
-  s*, where its margin is within rounding of s*, the least any such witness
-  reaches.
+  witness).  The x between the intervals of M + 1e-8 I comes first.  A row
+  whose margin misses -1e-6 there gets s*, bisected on the test of M - sI
+  (monotone in s), and W is rebuilt from the test just above s*, where its
+  margin is within rounding of s*, the least any such witness reaches.
 
 Neither is inconclusive: a row with s* between -1e-6 and -1e-8, which
 reports -s*, or one whose certificate misses its check.  The three values
@@ -67,32 +67,24 @@ batch.  Every decision goes through ``_solve_codes``: the input check, the
 test and the certificate check, returning int8 codes (1 certified feasible,
 -1 witnessed infeasible, 0 inconclusive) and the certificates.
 :func:`solve_batch` turns them into statuses, states and residuals; a scan
-uses the codes as they are.  Scrambled data is decided along one path:
-:func:`assignment_rows` expands sorted multisets into their 18 canonical
-outcome assignments, one call decides them, and :func:`fold_codes` folds
-each sample's codes into one verdict with one int8 reduction (through
-:func:`reduce_assignments` when they come as statuses); all infeasible
-certifies entanglement.  A scan, which knows each sample's true labeling,
-expands only the samples whose true labeling is not certified feasible.
-:func:`solve_batch` rejects non-finite, misshaped, out-of-range or
-unnormalized rows and never renormalizes them.
+uses the codes as they are.  This module decides labeled rows only;
+:mod:`~qscramble.detector` decides scrambled data with :func:`assignment_rows`
+and :func:`fold_codes` (:func:`reduce_assignments` for statuses).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, check_count
-from .measurement import (PROB_ENTRY_ATOL, PROB_SUM_ATOL, XX, ZZ, PermutationPair,
-                          ScrambledData, canonical_permutations, probabilities, scramble,
-                          setting)
+from .errors import DomainError
+from .measurement import PROB_ENTRY_ATOL, PROB_SUM_ATOL, XX, ZZ, canonical_permutations, setting
 from .optimize import bisect
-from .quantum import DensityMatrix, _ginibre, derive_seed, maximally_mixed, mix
+from .quantum import DensityMatrix, _ginibre, derive_seed
 
 TOL_FEASIBLE = 1e-7
 TOL_INFEASIBLE = 1e-6
@@ -144,12 +136,6 @@ _SHIFT_FLOOR = -1.5
 class FeasibilityStatus(str, Enum):
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
-    INCONCLUSIVE = "inconclusive"
-
-
-class Verdict(str, Enum):
-    DETECTED = "detected"
-    POSSIBLY_SEPARABLE = "possibly_separable"
     INCONCLUSIVE = "inconclusive"
 
 
@@ -282,8 +268,8 @@ def _lmi(m: np.ndarray):
 
     Returns (code, a, witness, value): code 1 for feasible rows, -1 where a
     witness checked and 0 otherwise; ``a`` holds A = T M(x, y) T^T of the
-    rows with code 1 and ``witness`` the computational-basis W of those with
-    code -1, each in row order.  ``value`` is 0 for feasible rows that pass
+    rows with code 1 and ``witness`` the Bell-frame W of those with code -1,
+    each in row order.  ``value`` is 0 for feasible rows that pass
     the test on M itself and -1e-8, a bound on lambda_min(A), for those that
     need the shift; Tr(W rho_b) for infeasible rows, and s* for the others.
     """
@@ -324,7 +310,7 @@ def _lmi(m: np.ndarray):
         margin[short] = np.where(found[short], rebuilt, 0.5 * (s_lo + s_hi))
     code[rest[found]] = -1
     value[rest] = margin
-    return code, a, _apply(w[found], _TO_COMPUTATIONAL).reshape(-1, 4, 4), value
+    return code, a, w[found].reshape(-1, 4, 4), value
 
 
 def _checked_rows(p, name: str) -> np.ndarray:
@@ -441,16 +427,6 @@ def feasible_for_probabilities(problem: FeasibilityProblem) -> FeasibilityResult
     return FeasibilityResult(statuses[0], state, float(viol[0]), int(cycles[0]))
 
 
-@dataclass(frozen=True)
-class SeparabilityEvidence:
-    """Per-assignment solver outcomes backing a scrambled-data verdict."""
-
-    statuses: tuple[FeasibilityStatus, ...]
-    permutation: PermutationPair | None = None
-    state: DensityMatrix | None = None
-    residuals: tuple[float, ...] = field(default=())
-
-
 @lru_cache(maxsize=1)
 def _assignment_index() -> tuple[np.ndarray, np.ndarray]:
     """(18, 4) index arrays: row j holds canonical assignment j's pi_x / pi_z."""
@@ -495,58 +471,6 @@ def reduce_assignments(statuses, k: int) -> np.ndarray:
     codes = np.fromiter(map(_CODE_OF_STATUS.__getitem__, statuses), dtype=np.int8,
                         count=len(statuses))
     return fold_codes(codes, k)
-
-
-_VERDICT_OF_CODE = {1: Verdict.DETECTED, 0: Verdict.POSSIBLY_SEPARABLE,
-                    -1: Verdict.INCONCLUSIVE}
-
-
-def scrambled_possibly_separable(d: ScrambledData) -> tuple[Verdict, SeparabilityEvidence]:
-    """Decide whether any separable state reproduces some assignment of ``d``.
-
-    Solves the 18 canonical permutation assignments; possibly separable on
-    the first (lowest canonical index) feasible one, detected when all are
-    infeasible, inconclusive otherwise.
-    """
-    _require(d, ScrambledData, "scrambled_possibly_separable")
-    p_xx, p_zz = assignment_rows(d.multiset(XX)[None], d.multiset(ZZ)[None])
-    statuses, states, viol, _ = solve_batch(p_xx, p_zz)
-    verdict = _VERDICT_OF_CODE[int(reduce_assignments(statuses, len(statuses))[0])]
-    evidence = dict(statuses=tuple(statuses), residuals=tuple(float(v) for v in viol))
-    if verdict is Verdict.POSSIBLY_SEPARABLE:
-        i = statuses.index(FeasibilityStatus.FEASIBLE)
-        evidence.update(permutation=canonical_permutations()[i],
-                        state=DensityMatrix(states[i]))
-    return verdict, SeparabilityEvidence(**evidence)
-
-
-def star_convexity_ray(rho: DensityMatrix, resolution: int = 256) -> float:
-    """Detectability threshold along the ray from the maximally mixed state.
-
-    Bisects the mixing weight lambda of ``mix(I/4, rho, lambda)`` over
-    [0, 1], ceil(log2(resolution)) times; by star-convexity of the
-    possibly-separable set the verdict flips exactly once.  Returns the upper
-    end of the final bracket, the smallest weight shown to be detected, and
-    1.0 when ``rho`` itself is not detected.  The upper end is 1.0 also for a
-    detected ``rho`` whose threshold lies in the top bracket: at resolution 2
-    the counterexample mixture gives 1.0, at 64 it gives 0.859375.
-    Inconclusive verdicts count as not detected, which can only push the
-    reported boundary outward.
-    """
-    _require(rho, DensityMatrix, "star_convexity_ray")
-    resolution = check_count("resolution", resolution, 2)
-
-    def detected(lam: float) -> bool:
-        state = mix(maximally_mixed(), rho, lam)
-        data = scramble([probabilities(state, XX), probabilities(state, ZZ)])
-        verdict, _ = scrambled_possibly_separable(data)
-        return verdict is Verdict.DETECTED
-
-    if not detected(1.0):
-        return 1.0
-    _, hi = bisect(lambda lam: not detected(float(lam)), 0.0, 1.0,
-                   max(1, math.ceil(math.log2(resolution))))
-    return float(hi)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError, MissingSetting
+from .errors import ConvergenceFailure, DomainError, MissingSetting, check_count
 from .measurement import XX, YY, ZZ, OutcomeDistribution, ScrambledData, setting
 # multistart_minimize is not called here; bench/spans.py traces witness.multistart_minimize
 from .optimize import multistart_minimize, nelder_mead  # noqa: F401
@@ -303,8 +303,7 @@ def optimize_params(beta: float, *, num: int = 33) -> list[tuple[float, float]]:
     tangent scale are left out.
     """
     _require_numbers(beta=beta)
-    if num < 1:
-        raise DomainError(f"the curve resolution num must be at least 1, got {num}")
+    num = check_count("the curve resolution num", num, 1)
     omega = np.linspace(0.0, 0.5 * math.pi, num)
     a0, g0 = -np.cos(omega), -np.sin(omega)
     a0[np.abs(a0) < 1e-15] = 0.0
@@ -314,7 +313,8 @@ def optimize_params(beta: float, *, num: int = 33) -> list[tuple[float, float]]:
     return [(float(a), float(g)) for a, g in zip(scale[keep] * a0[keep], scale[keep] * g0[keep])]
 
 
-@lru_cache(maxsize=4)
+# typed: num=3.0 must reach the count check, not hit num=3's entry
+@lru_cache(maxsize=4, typed=True)
 def tangent_curve(beta: float = 0.0, num: int = 17) -> tuple[tuple[float, float], ...]:
     """Cached tangent curve used by the detector's witness method."""
     return tuple(optimize_params(beta, num=num))

@@ -149,7 +149,7 @@ def test_criterion_6_witness_optimality():
 
 def test_criterion_7_permutation_machinery():
     import itertools
-    from qscramble.feasibility import scrambled_possibly_separable
+    from qscramble.detector import scrambled_possibly_separable
     from qscramble.measurement import PermutationPair, apply_permutation, scramble
 
     ok_count = len(canonical_permutations()) == 18

@@ -209,7 +209,8 @@ def test_slice_counts_inconclusive_as_possibly_separable(monkeypatch):
         return statuses, [None] * len(p_xx), np.zeros(len(p_xx)), np.zeros(len(p_xx), int)
 
     monkeypatch.setattr(det, "solve_batch", solve_stub)
-    flags = det._classify_slice_batch(np.array([5 / 48, 0.3]), np.array([5 / 48, 0.1]))
+    flags = det._classify_slice_batch(det._slice_multisets(np.array([5 / 48, 0.3]),
+                                                           np.array([5 / 48, 0.1])))
     assert flags.tolist() == [False, True]
     assert calls == [36]
 
@@ -359,3 +360,37 @@ def test_star_convexity_single_flip_on_detected_states():
         decided = [f for f in flags if f is not None]
         assert decided == sorted(decided)
         assert decided[-1]  # the state itself is detected
+
+
+def test_star_convexity_ray_matches_the_state_route():
+    # the ray search bisects multisets in data space; the reference forms
+    # every state on the ray, measures and scrambles it, and bisects the same
+    # predicate with the same steps
+    import math
+    from qscramble.detector import Verdict, scrambled_possibly_separable, star_convexity_ray
+    from qscramble.optimize import bisect
+    from qscramble.quantum import mix
+
+    def state_route(rho, resolution):
+        def detected(lam):
+            data = scramble_state(mix(maximally_mixed(), rho, lam))
+            return scrambled_possibly_separable(data)[0] is Verdict.DETECTED
+
+        if not detected(1.0):
+            return 1.0
+        steps = max(1, math.ceil(math.log2(resolution)))
+        return float(bisect(lambda lam: not detected(float(lam)), 0.0, 1.0, steps)[1])
+
+    states = [maximally_mixed(), rho1(), counterexample_mixture()]
+    states += [psi_t(t).density() for t in (1.5, 3.0, 10.0)]
+    for rho in states:
+        for resolution in (2, 64, 2 ** 20):
+            assert star_convexity_ray(rho, resolution) == state_route(rho, resolution)
+
+    data = [scramble_state(rho) for rho in states]
+    mx = np.array([d.multiset(XX) for d in data])
+    mz = np.array([d.multiset(ZZ) for d in data])
+    lo, hi = det._ray_search(mx, mz, 2 ** 20)
+    for k in range(len(states)):
+        alone = det._ray_search(mx[k:k + 1], mz[k:k + 1], 2 ** 20)
+        assert (lo[k], hi[k]) == (alone[0][0], alone[1][0])

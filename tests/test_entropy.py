@@ -109,6 +109,13 @@ def test_t_from_sxx():
         t_from_sxx(0.1, EntropySpec(TSALLIS, 1.5))
     with pytest.raises(DomainError):
         t_from_sxx(0.1, EntropySpec(SHANNON))
+    # NaN fails the range check rather than passing it
+    for call in (lambda: t_from_sxx(math.nan, T2), lambda: all_states_bound(math.nan, T2, T2),
+                 lambda: entropy_module.t_from_sxx_vec(np.array([0.1, math.nan]), T2),
+                 lambda: all_states_bound_vec(np.array([math.nan, 0.1]), T2, T2),
+                 lambda: entropy([math.nan, 0.5, 0.5, 0.0], T2)):
+        with pytest.raises(DomainError):
+            call()
 
 
 @pytest.mark.parametrize("spec_x", [T2, EntropySpec(TSALLIS, 3.0)])
@@ -228,7 +235,8 @@ def test_envelope_is_the_symmetric_curve_in_the_bound_regime(spec_x, spec_z):
 
 
 def test_boundary_resolution_must_be_at_least_two():
-    for n in (1, 0, -3):
+    get_separable_boundary(T2, T2, n=9)  # n=9.0 must not be served from this entry
+    for n in (1, 0, -3, 9.0, True):
         with pytest.raises(DomainError, match="resolution"):
             get_separable_boundary(T2, T2, n=n)
     assert get_separable_boundary(SH, SH, n=2).values.tolist() == [2.0, 0.0]

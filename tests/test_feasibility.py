@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import qscramble.feasibility as fz
-from qscramble.feasibility import (FeasibilityProblem, FeasibilityStatus, Verdict,
+from qscramble.detector import Verdict, scrambled_possibly_separable, star_convexity_ray
+from qscramble.feasibility import (FeasibilityProblem, FeasibilityStatus,
                                    feasible_for_probabilities, oracle_feasible,
-                                   oracle_min_violation, scrambled_possibly_separable,
-                                   solve_batch, star_convexity_ray)
+                                   oracle_min_violation, solve_batch)
 from qscramble.measurement import (XX, ZZ, ScrambledData, probabilities,
                                    probabilities_stack, scramble, scramble_state, setting)
 from qscramble.quantum import (DensityMatrix, is_ppt, maximally_mixed, mix,
@@ -199,6 +199,7 @@ def test_certificates_check_on_mixed_rows():
             assert certificate_checks(certs[i], pxx[i], pzz[i]), i
     rho_b = reference_base_state(pxx, pzz)
     code, _, wit, _ = fz._lmi(fz._bell_entries(np.concatenate([pxx, pzz], axis=1)))
+    wit = fz._apply(wit.reshape(-1, 16), fz._TO_COMPUTATIONAL).reshape(-1, 4, 4)
     infeasible = [i for i, s in enumerate(statuses) if s is FeasibilityStatus.INFEASIBLE]
     assert np.nonzero(code == -1)[0].tolist() == infeasible
     assert infeasible[-2:] == [25, 26]
@@ -450,6 +451,7 @@ def test_witnesses_of_infeasible_slice_rows():
     pxx, pzz = pxx[infeasible], pzz[infeasible]
     code, _, w, margin = fz._lmi(fz._bell_entries(np.concatenate([pxx, pzz], axis=1)))
     assert np.all(code == -1) and len(w) == 452
+    w = fz._apply(w.reshape(-1, 16), fz._TO_COMPUTATIONAL).reshape(-1, 4, 4)
     assert np.max(np.abs(w - np.swapaxes(w, 1, 2))) <= 1e-15
     assert np.min(np.linalg.eigvalsh(w)[:, 0]) >= -1e-15
     assert np.max(np.abs(np.trace(w, axis1=1, axis2=2) - 1.0)) <= 1e-15

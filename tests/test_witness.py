@@ -246,7 +246,8 @@ def test_optimize_params_tangency():
 
 
 def test_curve_resolution_must_be_positive():
-    for num in (0, -1):
+    tangent_curve(0.0, 3)  # num=3.0 must not be served from this entry
+    for num in (0, -1, 3.0, True):
         with pytest.raises(DomainError, match="resolution"):
             optimize_params(0.0, num=num)
         with pytest.raises(DomainError, match="resolution"):
