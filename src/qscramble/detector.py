@@ -7,12 +7,13 @@ entropy pair detects must also be sdp-detected.  Reports keep the verdicts
 side by side.
 
 Scrambled data is decided here, labeled rows in :mod:`~qscramble.feasibility`.
-``_decide`` expands sorted multisets into their 18 canonical assignments,
-solves them in one ``solve_batch`` call and folds each sample's statuses into
-one code; it backs the sdp method, the slice grid and ``_ray_search``, the one
-bisection behind :func:`nonconvex_slice` and :func:`star_convexity_ray`.  The
-sorted multiset of (1 - lambda) I/4 + lambda rho is 0.25 + lambda (m - 0.25),
-m that of rho, so rays are searched in data space.
+``_decide`` alone expands sorted multisets into their 18 canonical
+assignments, solves them in one ``solve_batch`` call and folds each sample's
+statuses into one code; it backs the sdp method, the slice grid, the scans'
+second stage and ``_ray_search``, the one bisection behind
+:func:`nonconvex_slice` and :func:`star_convexity_ray`.  The sorted multiset
+of (1 - lambda) I/4 + lambda rho is 0.25 + lambda (m - 0.25), m that of rho,
+so rays are searched in data space.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -27,8 +29,7 @@ import numpy as np
 from .entropy import (TSALLIS, EntropySpec, entropy as entropy_of, entropy_detect,
                       get_separable_boundary)
 from .errors import DomainError, check_count
-from .feasibility import (FeasibilityStatus, _require, _solve_codes, assignment_rows,
-                          fold_codes, reduce_assignments, solve_batch)
+from .feasibility import FeasibilityStatus, _require, _solve_codes, solve_batch
 from .measurement import (XX, ZZ, PermutationPair, ScrambledData, apply_permutation,
                           canonical_permutations, ginibre_probabilities, probabilities,
                           scramble_equivalent, scramble_state)
@@ -45,8 +46,7 @@ from .witness import (correlation_witness_values, scrambled_family_min,  # noqa:
 
 WITNESS_DETECT_TOL = 1e-8
 # samples drawn per chunk; a chunk decides its true labelings in one
-# _solve_codes call and, when scrambled, the 18 assignments of the rest in a
-# second
+# _solve_codes call and, when scrambled, the rest in one _decide call
 _SCAN_CHUNK = 8192
 _ALL_METHODS = ("sdp", "witness", "entropy")
 
@@ -97,14 +97,38 @@ class SeparabilityEvidence:
 
 
 _VERDICT_OF_CODE = {1: Verdict.DETECTED, 0: Verdict.POSSIBLY_SEPARABLE, -1: Verdict.INCONCLUSIVE}
+_CODE_OF_STATUS = {FeasibilityStatus.FEASIBLE: 1, FeasibilityStatus.INCONCLUSIVE: 0,
+                   FeasibilityStatus.INFEASIBLE: -1}
+# a sample's verdict is its assignments' greatest code: any feasible row (1)
+# makes it possibly separable (0), else any inconclusive row (0) inconclusive
+# (-1), and only infeasible rows (-1) detected (1); indexed by that code,
+# -1 reaching the last entry
+_VERDICT_OF_MAX_CODE = np.array([-1, 0, 1], dtype=np.int8)
+
+
+@lru_cache(maxsize=1)
+def _assignment_index() -> tuple[np.ndarray, np.ndarray]:
+    """(18, 4) index arrays: row j holds canonical assignment j's pi_x / pi_z."""
+    perms = canonical_permutations()
+    return np.array([p.pi_x for p in perms]), np.array([p.pi_z for p in perms])
+
+
+def _fold(codes: np.ndarray, k: int) -> np.ndarray:
+    """One int8 verdict code per consecutive block of ``k`` int8 solver codes."""
+    return _VERDICT_OF_MAX_CODE[codes.reshape(-1, k).max(axis=1)]
 
 
 def _decide(mx: np.ndarray, mz: np.ndarray):
     """(codes, statuses, states, residuals): ``solve_batch`` on the 18 n
-    assignment rows of sorted multisets (n, 4), and one code per sample."""
-    statuses, states, residuals, _ = solve_batch(*assignment_rows(mx, mz))
-    codes = reduce_assignments(statuses, len(canonical_permutations()))
-    return codes, statuses, states, residuals
+    assignment rows of sorted (descending) multisets (n, 4), and one code per
+    sample.  Row ``18 i + j`` gives outcome ``k`` of sample ``i`` the
+    ``pi[k]``-th largest entry, pi canonical assignment ``j``."""
+    ix, iz = _assignment_index()
+    statuses, states, residuals, _ = solve_batch(mx[:, ix].reshape(-1, 4),
+                                                 mz[:, iz].reshape(-1, 4))
+    codes = np.fromiter(map(_CODE_OF_STATUS.__getitem__, statuses), dtype=np.int8,
+                        count=len(statuses))
+    return _fold(codes, len(ix)), statuses, states, residuals
 
 
 def _ray_search(mx: np.ndarray, mz: np.ndarray, resolution: int):
@@ -260,17 +284,14 @@ def _scan_codes(h: np.ndarray, scrambled: bool) -> np.ndarray:
     returns them."""
     p = ginibre_probabilities(h)
     pxx, pzz = p[:, :4], p[:, 4:]
-    # _solve_codes, not _decide: _decide's status lists exist only for bench/spans.py
-    codes = fold_codes(_solve_codes(pxx, pzz)[0], 1)
+    codes = _fold(_solve_codes(pxx, pzz)[0], 1)
     if scrambled:
         # the true labeling is one of the relabelings, so a feasible true row
         # already makes the sample possibly separable
         uncertified = np.flatnonzero(codes != 0)
         if uncertified.size:
-            rows = assignment_rows(np.sort(pxx[uncertified], axis=1)[:, ::-1],
-                                   np.sort(pzz[uncertified], axis=1)[:, ::-1])
-            codes[uncertified] = fold_codes(_solve_codes(*rows)[0],
-                                            len(canonical_permutations()))
+            codes[uncertified] = _decide(np.sort(pxx[uncertified], axis=1)[:, ::-1],
+                                         np.sort(pzz[uncertified], axis=1)[:, ::-1])[0]
     return codes
 
 

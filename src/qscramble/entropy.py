@@ -58,6 +58,8 @@ class EntropySpec:
     parameter: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise DomainError(f"entropy kind must be a string, got {self.kind!r}")
         kind = self.kind.lower()
         if kind not in (SHANNON, TSALLIS, RENYI):
             raise DomainError(f"unknown entropy kind {self.kind!r}")

@@ -67,9 +67,9 @@ batch.  Every decision goes through ``_solve_codes``: the input check, the
 test and the certificate check, returning int8 codes (1 certified feasible,
 -1 witnessed infeasible, 0 inconclusive) and the certificates.
 :func:`solve_batch` turns them into statuses, states and residuals; a scan
-uses the codes as they are.  This module decides labeled rows only;
-:mod:`~qscramble.detector` decides scrambled data with :func:`assignment_rows`
-and :func:`fold_codes` (:func:`reduce_assignments` for statuses).
+uses the codes for its true rows.  This module decides labeled rows only;
+:mod:`~qscramble.detector` alone expands scrambled data into its 18
+canonical assignments and folds their verdicts.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .measurement import PROB_ENTRY_ATOL, PROB_SUM_ATOL, XX, ZZ, canonical_permutations, setting
+from .measurement import PROB_ENTRY_ATOL, PROB_SUM_ATOL, XX, ZZ, setting
 from .optimize import bisect
 from .quantum import DensityMatrix, _ginibre, derive_seed
 
@@ -395,7 +395,8 @@ def solve_batch(p_xx: np.ndarray, p_zz: np.ndarray):
     states: list[np.ndarray | None] = [None] * len(code)
     for i, cert in zip(np.flatnonzero(code == 1).tolist(), certs):
         states[i] = cert
-    residuals = np.where(code == -1, -value, np.maximum(0.0, -value))
+    # np.maximum returns its second operand on a tie, so value 0 reports +0.0
+    residuals = np.where(code == -1, -value, np.maximum(-value, 0.0))
     return _STATUS_OF_CODE[code].tolist(), states, residuals, np.zeros(len(code), dtype=np.int64)
 
 
@@ -425,52 +426,6 @@ def feasible_for_probabilities(problem: FeasibilityProblem) -> FeasibilityResult
     statuses, states, viol, cycles = solve_batch(problem.p_xx[None], problem.p_zz[None])
     state = DensityMatrix(states[0]) if states[0] is not None else None
     return FeasibilityResult(statuses[0], state, float(viol[0]), int(cycles[0]))
-
-
-@lru_cache(maxsize=1)
-def _assignment_index() -> tuple[np.ndarray, np.ndarray]:
-    """(18, 4) index arrays: row j holds canonical assignment j's pi_x / pi_z."""
-    perms = canonical_permutations()
-    return np.array([p.pi_x for p in perms]), np.array([p.pi_z for p in perms])
-
-
-def assignment_rows(mx: np.ndarray, mz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Expand sorted (descending) multisets of shape (n, 4) into labeled rows.
-
-    Returns (p_xx, p_zz) of shape (18 n, 4), sample-major: row ``18 i + j``
-    assigns sample ``i``'s multisets to outcomes by canonical assignment
-    ``j``, so that outcome ``k`` receives the ``pi[k]``-th largest entry.
-    """
-    ix, iz = _assignment_index()
-    mx = np.asarray(mx, dtype=float)
-    mz = np.asarray(mz, dtype=float)
-    return mx[:, ix].reshape(-1, 4), mz[:, iz].reshape(-1, 4)
-
-
-_CODE_OF_STATUS = {FeasibilityStatus.FEASIBLE: 1, FeasibilityStatus.INCONCLUSIVE: 0,
-                   FeasibilityStatus.INFEASIBLE: -1}
-# a sample's verdict is its assignments' greatest code: any feasible row (1)
-# makes it possibly separable (0), else any inconclusive row (0) inconclusive
-# (-1), and only infeasible rows (-1) detected (1); indexed by that code,
-# -1 reaching the last entry
-_VERDICT_OF_MAX_CODE = np.array([-1, 0, 1], dtype=np.int8)
-
-
-def fold_codes(codes: np.ndarray, k: int) -> np.ndarray:
-    """Fold consecutive blocks of ``k`` int8 solver codes (as
-    :func:`_solve_codes` returns them) into one int8 code per sample.
-
-    1 when all ``k`` assignments are infeasible (detected), 0 when any is
-    feasible (possibly separable), -1 otherwise (inconclusive).
-    """
-    return _VERDICT_OF_MAX_CODE[codes.reshape(-1, k).max(axis=1)]
-
-
-def reduce_assignments(statuses, k: int) -> np.ndarray:
-    """:func:`fold_codes` of a sequence of :class:`FeasibilityStatus`."""
-    codes = np.fromiter(map(_CODE_OF_STATUS.__getitem__, statuses), dtype=np.int8,
-                        count=len(statuses))
-    return fold_codes(codes, k)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, DuplicateSetting, MissingSetting, SettingMismatch
+from .errors import DomainError, DuplicateSetting, MissingSetting, SettingMismatch, check_integer
 from .quantum import I2, SIGMA_X, SIGMA_Z, DensityMatrix
 
 XX, YY, ZZ = "XX", "YY", "ZZ"
@@ -63,6 +63,14 @@ def setting(label: str) -> MeasurementSetting:
     return MeasurementSetting(label, projs, _OUTCOME_LABELS[label])
 
 
+def _four_probabilities(p, label: str) -> np.ndarray:
+    """``p`` as a float array; :class:`DomainError` unless its shape is (4,)."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (4,):
+        raise DomainError(f"setting {label} needs probabilities of shape (4,), got {p.shape}")
+    return p
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Four outcome probabilities for one setting, in outcome-label order."""
@@ -73,7 +81,7 @@ class OutcomeDistribution:
     def __post_init__(self):
         if self.setting not in SETTING_LABELS:
             raise DomainError(f"unknown setting label {self.setting!r}")
-        p = np.asarray(self.p, dtype=float).reshape(4)
+        p = _four_probabilities(self.p, self.setting)
         # one in-range test that NaN fails; the message is chosen only on error
         if not np.all((p >= -PROB_ENTRY_ATOL) & (p <= 1.0 + PROB_ENTRY_ATOL)):
             if not np.all(np.isfinite(p)):
@@ -152,7 +160,7 @@ class ScrambledData:
         for label in SETTING_LABELS:
             if label not in self.multisets:
                 continue
-            m = np.sort(np.asarray(self.multisets[label], dtype=float).reshape(4))[::-1]
+            m = np.sort(_four_probabilities(self.multisets[label], label))[::-1]
             canon[label] = OutcomeDistribution(label, m).p
         unknown = set(self.multisets) - set(SETTING_LABELS)
         if unknown:
@@ -205,15 +213,22 @@ _IDENTITY: Perm = (0, 1, 2, 3)
 
 @dataclass(frozen=True, order=True)
 class PermutationPair:
-    """An outcome relabeling: one permutation for XX, one for ZZ."""
+    """An outcome relabeling: one permutation for XX, one for ZZ, each stored
+    as a tuple of ints."""
 
     pi_x: Perm
     pi_z: Perm
 
     def __post_init__(self):
-        for name, pi in (("pi_x", self.pi_x), ("pi_z", self.pi_z)):
-            if sorted(pi) != [0, 1, 2, 3]:
+        for name in ("pi_x", "pi_z"):
+            pi = getattr(self, name)
+            try:
+                entries = tuple(check_integer(f"{name} entry", v) for v in pi)
+            except TypeError:
+                raise DomainError(f"{name} = {pi!r} is not a sequence") from None
+            if sorted(entries) != [0, 1, 2, 3]:
                 raise DomainError(f"{name} = {pi} is not a permutation of 0..3")
+            object.__setattr__(self, name, entries)
 
 
 def _compose(a: Perm, b: Perm) -> Perm:

@@ -103,7 +103,9 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex).reshape(4)
+        a = np.asarray(self.amplitudes, dtype=complex)
+        if a.shape != (4,):
+            raise DomainError(f"a state vector has shape (4,), got {a.shape}")
         with np.errstate(invalid="ignore"):  # infinite amplitudes give NaN, rejected below
             norm2 = float(np.real(a.conj() @ a))
         if not abs(norm2 - 1.0) <= NORM_ATOL:

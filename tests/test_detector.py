@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,7 @@ from qscramble.detector import (classify_slice_point, counterexample_mixture, de
                                 verify_counterexample)
 from qscramble.entropy import entropy_detected_stack
 from qscramble.errors import DomainError
-from qscramble.feasibility import (FeasibilityStatus, _solve_codes, assignment_rows,
-                                   reduce_assignments, solve_batch)
+from qscramble.feasibility import FeasibilityStatus, _solve_codes, solve_batch
 from qscramble.measurement import (XX, ZZ, apply_permutation, canonical_permutations,
                                    probabilities, probabilities_stack, scramble_state)
 from qscramble.quantum import (DensityMatrix, ginibre_stack, is_ppt, maximally_mixed,
@@ -113,10 +114,19 @@ def _true_rows(states):
             np.clip(probabilities_stack(states, ZZ), 0.0, 1.0))
 
 
+def _verdicts(statuses, k):
+    """The verdict of each block of k statuses, by definition: 1 (detected)
+    when all are infeasible, 0 (possibly separable) when any is feasible,
+    -1 (inconclusive) otherwise."""
+    blocks = [statuses[i:i + k] for i in range(0, len(statuses), k)]
+    return np.array([1 if all(s is FeasibilityStatus.INFEASIBLE for s in b) else
+                     0 if FeasibilityStatus.FEASIBLE in b else -1 for b in blocks], dtype=np.int8)
+
+
 def _true_codes(states):
     """Unscrambled outcomes from solve_batch on the true labeling of every state."""
     statuses, _, _, _ = solve_batch(*_true_rows(states))
-    return reduce_assignments(statuses, 1)
+    return _verdicts(statuses, 1)
 
 
 def _all_assignment_codes(states):
@@ -124,8 +134,11 @@ def _all_assignment_codes(states):
     pxx, pzz = _true_rows(states)
     mx = np.sort(pxx, axis=1)[:, ::-1]
     mz = np.sort(pzz, axis=1)[:, ::-1]
-    statuses, _, _, _ = solve_batch(*assignment_rows(mx, mz))
-    return reduce_assignments(statuses, len(canonical_permutations()))
+    perms = canonical_permutations()
+    rows_x = mx[:, [p.pi_x for p in perms]].reshape(-1, 4)
+    rows_z = mz[:, [p.pi_z for p in perms]].reshape(-1, 4)
+    statuses, _, _, _ = solve_batch(rows_x, rows_z)
+    return _verdicts(statuses, len(perms))
 
 
 def test_scrambled_scan_matches_all_assignments():
@@ -172,13 +185,63 @@ def test_scrambled_scan_expands_only_uncertified_samples(monkeypatch):
     assert uncertified >= 2
     rows = []
 
-    def counting(p_xx, p_zz):
-        rows.append(len(p_xx))
-        return _solve_codes(p_xx, p_zz)
+    def counting(solve):
+        def counted(p_xx, p_zz):
+            rows.append(len(p_xx))
+            return solve(p_xx, p_zz)
+        return counted
 
-    monkeypatch.setattr(det, "_solve_codes", counting)
+    # the true rows go to _solve_codes, the 18 assignments of the rest to
+    # solve_batch through _decide
+    monkeypatch.setattr(det, "_solve_codes", counting(_solve_codes))
+    monkeypatch.setattr(det, "solve_batch", counting(solve_batch))
     scan_details(n, seed, True)
     assert rows == [n, 18 * uncertified]
+
+
+_F, _I, _U = (FeasibilityStatus.FEASIBLE, FeasibilityStatus.INFEASIBLE,
+              FeasibilityStatus.INCONCLUSIVE)
+_STATUS_OF_CODE = {1: _F, 0: _U, -1: _I}
+
+
+def _decide_on(monkeypatch, statuses):
+    """_decide's codes when solve_batch returns ``statuses`` for its rows."""
+    def solve_stub(p_xx, p_zz):
+        assert len(p_xx) == len(statuses)
+        return list(statuses), [None] * len(statuses), np.zeros(len(statuses)), None
+
+    monkeypatch.setattr(det, "solve_batch", solve_stub)
+    n = len(statuses) // 18
+    return det._decide(np.full((n, 4), 0.25), np.full((n, 4), 0.25))[0]
+
+
+def test_fold_and_decide_verdicts(monkeypatch):
+    codes = det._fold(np.array([1, -1, 0], dtype=np.int8), 1)
+    assert codes.dtype == np.int8
+    assert codes.tolist() == [0, 1, -1]
+    blocks = [[_I] * 18, [_I] * 17 + [_F], [_U] + [_I] * 17, [_U] * 17 + [_F]]
+    codes = _decide_on(monkeypatch, [s for b in blocks for s in b])
+    assert codes.dtype == np.int8
+    assert codes.tolist() == [1, 0, -1, 0]
+
+
+def test_fold_every_block_of_three():
+    # every block of k = 3 solver codes, against the definition applied per
+    # block of statuses
+    blocks = list(itertools.product([1, 0, -1], repeat=3))
+    codes = det._fold(np.array(blocks, dtype=np.int8).ravel(), 3)
+    assert codes.dtype == np.int8
+    assert codes.tolist() == _verdicts([_STATUS_OF_CODE[c] for b in blocks for c in b], 3).tolist()
+    assert det._fold(np.zeros(0, dtype=np.int8), 18).shape == (0,)
+    assert det._decide(np.zeros((0, 4)), np.zeros((0, 4)))[0].shape == (0,)
+
+
+def test_decide_folds_statuses_as_fold_folds_codes(monkeypatch):
+    # every block of 3 statuses, repeated six times to fill 18 assignments:
+    # _decide's status map and fold give the fold of the three codes
+    blocks = list(itertools.product([1, 0, -1], repeat=3))
+    codes = _decide_on(monkeypatch, [_STATUS_OF_CODE[c] for b in blocks for c in b * 6])
+    assert np.array_equal(codes, det._fold(np.array(blocks, dtype=np.int8).ravel(), 3))
 
 
 def test_scan_details_consistent_with_scan():

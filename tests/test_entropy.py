@@ -43,6 +43,9 @@ def test_entropy_spec_normalization():
         EntropySpec(TSALLIS, math.inf)
     with pytest.raises(DomainError):
         EntropySpec("boltzmann", 2.0)
+    for kind in (2.0, None, (TSALLIS,)):
+        with pytest.raises(DomainError, match="string"):
+            EntropySpec(kind)
     assert EntropySpec(RENYI, math.inf).parameter == math.inf
 
 

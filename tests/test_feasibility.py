@@ -3,13 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
+import qscramble.detector as det
 import qscramble.feasibility as fz
 from qscramble.detector import Verdict, scrambled_possibly_separable, star_convexity_ray
 from qscramble.feasibility import (FeasibilityProblem, FeasibilityStatus,
                                    feasible_for_probabilities, oracle_feasible,
                                    oracle_min_violation, solve_batch)
-from qscramble.measurement import (XX, ZZ, ScrambledData, probabilities,
-                                   probabilities_stack, scramble, scramble_state, setting)
+from qscramble.measurement import (XX, ZZ, ScrambledData, apply_permutation,
+                                   canonical_permutations, probabilities, probabilities_stack,
+                                   scramble, scramble_state, setting)
 from qscramble.quantum import (DensityMatrix, is_ppt, maximally_mixed, mix,
                                partial_transpose_stack, random_hs_stack, singlet)
 
@@ -17,6 +19,15 @@ from qscramble.quantum import (DensityMatrix, is_ppt, maximally_mixed, mix,
 _PLUS, _MINUS = np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([1.0, -1.0]) / np.sqrt(2.0)
 _KETS = (np.array([np.kron(a, b) for a in (_PLUS, _MINUS) for b in (_PLUS, _MINUS)]),
          np.array([np.kron(a, b) for a in np.eye(2) for b in np.eye(2)]))
+
+
+def _assignment_rows(mx, mz):
+    """The 18 canonical assignments of sorted multisets (n, 4) as labeled
+    rows (18 n, 4), sample-major: outcome k of row 18 i + j receives the
+    pi[k]-th largest entry of sample i, pi canonical assignment j."""
+    perms = canonical_permutations()
+    return (mx[:, [p.pi_x for p in perms]].reshape(-1, 4),
+            mz[:, [p.pi_z for p in perms]].reshape(-1, 4))
 
 
 def certificate_checks(cert, p_xx, p_zz):
@@ -106,7 +117,6 @@ def test_scrambled_verdicts_on_paper_instances():
     assert v is Verdict.POSSIBLY_SEPARABLE
     assert ev.permutation is not None and ev.state is not None
     # the certificate reproduces the claimed assignment of the multisets
-    from qscramble.measurement import apply_permutation
     dists = apply_permutation(scramble_state(singlet().density()), ev.permutation)
     assert np.max(np.abs(probabilities(ev.state, XX).p - dists[0].p)) < 1e-6
 
@@ -136,9 +146,7 @@ def test_feasible_certificates_on_random_states(random_states_2k):
 
 
 def test_verdict_invariant_under_relabelings(random_states_2k):
-    import itertools
-    from qscramble.measurement import (PermutationPair, apply_permutation,
-                                       scramble_equivalent)
+    from qscramble.measurement import PermutationPair, scramble_equivalent
     rng = np.random.default_rng(0)
     perms = [PermutationPair(px, pz)
              for px in itertools.permutations(range(4))
@@ -267,7 +275,7 @@ def _scan_rows():
     sx = np.sort(np.clip(probabilities_stack(scr, XX), 0, 1), axis=1)[:, ::-1]
     sz = np.sort(np.clip(probabilities_stack(scr, ZZ), 0, 1), axis=1)[:, ::-1]
     yield np.clip(probabilities_stack(hs, XX), 0, 1), np.clip(probabilities_stack(hs, ZZ), 0, 1)
-    yield fz.assignment_rows(sx, sz)
+    yield _assignment_rows(sx, sz)
 
 
 def test_psd_base_states_need_no_newton_step():
@@ -293,6 +301,8 @@ def test_psd_base_states_need_no_newton_step():
         assert all(statuses[i] is FeasibilityStatus.FEASIBLE for i in np.flatnonzero(psd))
         assert np.all(residuals[psd] <= fz._CERT_EIG_TOL)
         assert np.all(residuals[lam0 > 1e-12] == 0.0)
+        # max(0, -lambda_min) is +0.0 where the test passes on M itself
+        assert not np.signbit(residuals[psd]).any()
         for i in np.flatnonzero(psd)[::7]:
             assert certificate_checks(certs[i], pxx[i], pzz[i]), i
 
@@ -306,7 +316,7 @@ def _slice_rows(resolution):
     p_pp, p_pm = p_pp[inside], p_pm[inside]
     m = np.stack([p_pp, p_pm, p_pm, np.maximum(1.0 - p_pp - 2.0 * p_pm, 0.0)], axis=1)
     m = np.sort(m, axis=1)[:, ::-1]
-    return fz.assignment_rows(m, m)
+    return _assignment_rows(m, m)
 
 
 def _solved_bits(pxx, pzz):
@@ -421,7 +431,7 @@ def test_docstring_rows_headroom():
     sx = np.sort(np.clip(probabilities_stack(scr, XX), 0, 1), axis=1)[:, ::-1]
     sz = np.sort(np.clip(probabilities_stack(scr, ZZ), 0, 1), axis=1)[:, ::-1]
     sets = [(_hs_true_rows(314159265, 20000), (19769, 231, 0)),
-            (fz.assignment_rows(sx, sz), (5366, 34, 0)),
+            (_assignment_rows(sx, sz), (5366, 34, 0)),
             (_slice_rows(16), (1048, 1400, 0))]
     assert sum(len(rows[0]) for rows, _ in sets) == 27848
     projs = np.concatenate([setting(XX).projectors, setting(ZZ).projectors]).real
@@ -679,18 +689,26 @@ def test_scrambled_data_solves_the_rows_the_scans_solve():
     # and the scan path decide the same 18 rows
     mx, mz = np.array([0.4, 0.3, 0.2, 0.1 + 5e-10]), np.array([0.5, 0.5, 0.0, 0.0])
     verdict, ev = scrambled_possibly_separable(ScrambledData({XX: mx, ZZ: mz}))
-    statuses, _, residuals, _ = solve_batch(*fz.assignment_rows(mx[None], mz[None]))
+    statuses, _, residuals, _ = solve_batch(*_assignment_rows(mx[None], mz[None]))
     assert verdict is Verdict.DETECTED
     assert ev.statuses == tuple(statuses)
     assert ev.residuals == tuple(float(r) for r in residuals)
 
 
-def test_assignment_rows_match_apply_permutation(random_states_2k):
-    from qscramble.measurement import apply_permutation, canonical_permutations
+def test_assignment_rows_match_apply_permutation(random_states_2k, monkeypatch):
+    # the rows _decide hands to solve_batch are apply_permutation's, sample-major
     data = [scramble_state(DensityMatrix(m)) for m in random_states_2k[:3]]
     mx = np.array([d.multiset(XX) for d in data])
     mz = np.array([d.multiset(ZZ) for d in data])
-    rows_x, rows_z = fz.assignment_rows(mx, mz)
+    seen = []
+
+    def capture(p_xx, p_zz):
+        seen.append((p_xx, p_zz))
+        return solve_batch(p_xx, p_zz)
+
+    monkeypatch.setattr(det, "solve_batch", capture)
+    det._decide(mx, mz)
+    [(rows_x, rows_z)] = seen
     perms = canonical_permutations()
     assert rows_x.shape == rows_z.shape == (len(data) * 18, 4)
     for i, d in enumerate(data):
@@ -698,39 +716,6 @@ def test_assignment_rows_match_apply_permutation(random_states_2k):
             dx, dz = apply_permutation(d, pair)
             assert np.array_equal(rows_x[18 * i + j], dx.p)
             assert np.array_equal(rows_z[18 * i + j], dz.p)
-
-
-def test_reduce_assignments():
-    F, I, U = (FeasibilityStatus.FEASIBLE, FeasibilityStatus.INFEASIBLE,
-               FeasibilityStatus.INCONCLUSIVE)
-    codes = fz.reduce_assignments([F, I, U], 1)
-    assert codes.dtype == np.int8
-    assert codes.tolist() == [0, 1, -1]
-    blocks = [[I] * 18, [I] * 17 + [F], [U] + [I] * 17, [U] * 17 + [F]]
-    codes = fz.reduce_assignments([s for b in blocks for s in b], 18)
-    assert codes.tolist() == [1, 0, -1, 0]
-
-
-def test_reduce_assignments_every_block_of_three():
-    # every block of k = 3 statuses, against the definition applied per block
-    blocks = list(itertools.product(list(FeasibilityStatus), repeat=3))
-    codes = fz.reduce_assignments(tuple(s for b in blocks for s in b), 3)
-    expected = [1 if all(s is FeasibilityStatus.INFEASIBLE for s in b) else
-                0 if FeasibilityStatus.FEASIBLE in b else -1 for b in blocks]
-    assert codes.dtype == np.int8
-    assert codes.tolist() == expected
-    assert fz.reduce_assignments([], 18).shape == (0,)
-
-
-def test_fold_codes_matches_reduce_assignments():
-    # every block of k = 3 solver codes, and each code alone, folded directly
-    # and through statuses
-    codes = np.array(list(itertools.product([1, 0, -1], repeat=3)), dtype=np.int8).ravel()
-    statuses = fz._STATUS_OF_CODE[codes].tolist()
-    for k in (1, 3):
-        folded = fz.fold_codes(codes, k)
-        assert folded.dtype == np.int8
-        assert np.array_equal(folded, fz.reduce_assignments(statuses, k))
 
 
 def test_solve_codes_is_solve_batch_as_codes():

@@ -92,6 +92,12 @@ def test_outcome_distribution_validation():
     assert np.array_equal(d.p, [0.25 + 2e-10, 0.25, 0.25, 0.25])  # stored as given
     d = OutcomeDistribution(ZZ, [-1e-10, 0.5, 0.5, 1e-10])
     assert d.p[0] == 0.0  # clamped
+    # misshaped: neither flattened nor left to numpy's reshape error
+    for bad in ([0.5, 0.5, 0.0], np.full((2, 2), 0.25), np.full((1, 4), 0.25), 0.25):
+        with pytest.raises(DomainError, match="shape"):
+            OutcomeDistribution(XX, bad)
+        with pytest.raises(DomainError, match="shape"):
+            ScrambledData({XX: bad, ZZ: np.full(4, 0.25)})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -165,6 +171,21 @@ def test_canonical_permutations_count_and_cover():
         assert not (all_pairs & orbit)  # disjoint
         all_pairs |= orbit
     assert len(all_pairs) == 576
+
+
+def test_permutation_pair_stores_tuples_of_ints():
+    ident = PermutationPair((0, 1, 2, 3), (0, 1, 2, 3))
+    for given in ([0, 1, 2, 3], np.arange(4), range(4)):
+        pair = PermutationPair(given, given)
+        assert pair == ident and hash(pair) == hash(ident)
+        assert type(pair.pi_x) is tuple and all(type(v) is int for v in pair.pi_x)
+    assert canonical_permutations().index(PermutationPair([0, 1, 2, 3], [0, 1, 2, 3])) == 0
+    for bad in ((0, 1, 2, 3.0), (0, 1, 2, True), ("0", 1, 2, 3), "0123", 3, None,
+                (0, 1, 2, 2), (0, 1, 2)):
+        with pytest.raises(DomainError):
+            PermutationPair(bad, (0, 1, 2, 3))
+        with pytest.raises(DomainError):
+            PermutationPair((0, 1, 2, 3), bad)
 
 
 def test_apply_permutation_round_trip():

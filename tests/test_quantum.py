@@ -248,6 +248,10 @@ def test_density_matrix_validation():
         DensityMatrix.from_matrix(bad)
     with pytest.raises(DomainError):
         PureState(np.array([1.0, 1.0, 0.0, 0.0]))
+    # misshaped: neither flattened nor left to numpy's reshape error
+    for amplitudes in ([1.0, 0.0, 0.0], np.eye(2) / math.sqrt(2.0), [[1.0, 0.0, 0.0, 0.0]]):
+        with pytest.raises(DomainError, match="shape"):
+            PureState(amplitudes)
 
 
 def test_pure_state_rejects_non_finite_amplitudes():
