@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the integer-argument checks."""
+"""Exception types shared across the package, and the integer- and array-argument checks."""
 
 from numbers import Integral
+
+import numpy as np
 
 
 class QScrambleError(Exception):
@@ -52,3 +54,12 @@ def check_count(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise DomainError(f"{name} must be at least {minimum}, got {value}")
     return value
+
+
+def check_numbers(name: str, value, dtype=float) -> np.ndarray:
+    """``value`` as a numpy array of ``dtype``; :class:`DomainError` naming
+    ``name`` where numpy cannot make one of it (non-numeric or ragged input)."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be a rectangular array of numbers ({exc})") from None

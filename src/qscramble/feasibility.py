@@ -81,7 +81,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_numbers
 from .measurement import PROB_ENTRY_ATOL, PROB_SUM_ATOL, XX, ZZ, setting
 from .optimize import bisect
 from .quantum import DensityMatrix, _ginibre, derive_seed
@@ -149,7 +149,8 @@ class FeasibilityProblem:
 
     def __post_init__(self):
         for name in ("p_xx", "p_zz"):
-            p = _checked_rows(np.array(getattr(self, name), dtype=float)[None], name)[0]
+            # the list makes a copy, so the stored rows are not the caller's
+            p = _checked_rows([getattr(self, name)], name)[0]
             p.setflags(write=False)
             object.__setattr__(self, name, p)
 
@@ -314,7 +315,7 @@ def _lmi(m: np.ndarray):
 
 
 def _checked_rows(p, name: str) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
+    p = check_numbers(name, p)
     if p.ndim != 2 or p.shape[1] != 4:
         raise DomainError(f"{name} must have shape (n, 4), got {p.shape}")
     if not np.all(np.isfinite(p)):
@@ -335,8 +336,8 @@ def _checked_pair(p_xx, p_zz) -> np.ndarray:
     Valid rows take one combined pass of the same conditions (a NaN fails
     each of them); any failure reruns the checks one input at a time for
     their error."""
-    p_xx = np.asarray(p_xx, dtype=float)
-    p_zz = np.asarray(p_zz, dtype=float)
+    p_xx = check_numbers("p_xx", p_xx)
+    p_zz = check_numbers("p_zz", p_zz)
     if p_xx.ndim == 2 and p_xx.shape[1] == 4 and p_zz.shape == p_xx.shape and p_xx.size:
         p = np.concatenate([p_xx, p_zz], axis=1)
         if (p.min() >= -PROB_ENTRY_ATOL and p.max() <= 1.0 + PROB_ENTRY_ATOL

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_numbers
 from .measurement import XX, YY, ZZ, OutcomeDistribution, ScrambledData, scramble
 from .quantum import DensityMatrix
 
@@ -47,8 +47,8 @@ def _state_from_payload(payload: dict) -> DensityMatrix:
     for key in ("rho_re", "rho_im"):
         if key not in payload:
             raise DomainError(f"state file is missing the {key!r} field")
-    re = np.asarray(payload["rho_re"], dtype=float)
-    im = np.asarray(payload["rho_im"], dtype=float)
+    re = check_numbers("field 'rho_re'", payload["rho_re"])
+    im = check_numbers("field 'rho_im'", payload["rho_im"])
     if re.shape != (4, 4) or im.shape != (4, 4):
         raise DomainError(f"state file arrays must be 4x4, got {re.shape} and {im.shape}")
     return DensityMatrix.from_matrix(re + 1j * im)
@@ -89,7 +89,7 @@ def _probabilities_from_payload(payload: dict) -> ProbabilityFile:
     arrays: dict[str, np.ndarray] = {}
     for key, label in _KEY_FOR.items():
         if key in payload:
-            arr = np.asarray(payload[key], dtype=float)
+            arr = check_numbers(f"field {key!r}", payload[key])
             if arr.shape != (4,):
                 raise DomainError(f"field {key!r} must hold 4 probabilities")
             arrays[label] = arr

@@ -18,7 +18,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, DuplicateSetting, MissingSetting, SettingMismatch, check_integer
+from .errors import (DomainError, DuplicateSetting, MissingSetting, SettingMismatch, check_integer,
+                     check_numbers)
 from .quantum import I2, SIGMA_X, SIGMA_Z, DensityMatrix
 
 XX, YY, ZZ = "XX", "YY", "ZZ"
@@ -65,7 +66,7 @@ def setting(label: str) -> MeasurementSetting:
 
 def _four_probabilities(p, label: str) -> np.ndarray:
     """``p`` as a float array; :class:`DomainError` unless its shape is (4,)."""
-    p = np.asarray(p, dtype=float)
+    p = check_numbers(f"setting {label} probabilities", p)
     if p.shape != (4,):
         raise DomainError(f"setting {label} needs probabilities of shape (4,), got {p.shape}")
     return p

@@ -5,8 +5,8 @@ and stable ordering, on an active set: each iteration sorts, tests and steps
 only the simplices still moving, and a simplex that meets its own stop test
 is written back once and never evaluated again.  The objective maps points
 (m, k, d) to values (m, k) and must be elementwise, so a simplex follows the
-same path alone as inside any batch.  Constants of a start (a witness's
-coefficients) travel with its points as trailing columns, points
+same path alone as inside any batch.  Constants of a start (an objective's
+parameters) travel with its points as trailing columns, points
 (m, k, d + c), because a call holds only the active points.
 Each call after the first holds one point per active simplex, or per
 simplex that needs it: the reflection, then the expansion after a new best
@@ -14,6 +14,9 @@ or the contraction after a rejected reflection, then the d shrink points of
 every simplex that shrinks, in one call.  ``multistart_minimize`` raises
 ConvergenceFailure unless several starts of each group reproduce its best
 value, since a scattered field of minima signals an unreliable landscape.
+Neither has a caller in the package's numerics: ``multistart_minimize`` is
+kept while the benchmark traces it, and ``nelder_mead`` serves only it and
+one entropy test.
 
 ``bisect`` halves a batch of brackets at most a fixed number of times.  It
 serves every 1-D search of the package: the psi_t and product-state

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidState, NotHermitian, check_count, check_integer
+from .errors import (DomainError, InvalidState, NotHermitian, check_count, check_integer,
+                     check_numbers)
 
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-9
@@ -32,7 +33,7 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _as_matrix4(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
+    a = check_numbers("a 4x4 matrix", m, complex)
     if a.shape != (4, 4):
         raise DomainError(f"expected a 4x4 matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(float))):
@@ -103,7 +104,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex)
+        a = check_numbers("a state vector", self.amplitudes, complex)
         if a.shape != (4,):
             raise DomainError(f"a state vector has shape (4,), got {a.shape}")
         with np.errstate(invalid="ignore"):  # infinite amplitudes give NaN, rejected below

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConvergenceFailure, DomainError, MissingSetting, check_count
 from .measurement import XX, YY, ZZ, OutcomeDistribution, ScrambledData, setting
 # multistart_minimize is not called here; bench/spans.py traces witness.multistart_minimize
-from .optimize import multistart_minimize, nelder_mead  # noqa: F401
+from .optimize import multistart_minimize  # noqa: F401
 from .quantum import PureState
 
 TANGENT_TOL = 1e-8
@@ -158,13 +158,6 @@ def correlation_witness_values(
 # ---------------------------------------------------------------------------
 
 
-def _qubit_probs(theta, phi=0.0) -> np.ndarray:
-    """Probabilities (p_x, p_y, p_z) of the +, +i and 0 outcomes of a qubit
-    with Bloch angles (theta, phi), along a new last axis."""
-    s = np.sin(theta)
-    return 0.5 * (1.0 + np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)], axis=-1))
-
-
 def _min_over_b(pa: np.ndarray, k: np.ndarray) -> np.ndarray:
     """<W> minimized over qubit B, for qubit A's outcome probabilities ``pa``
     and coefficients ``k`` = (alpha, beta, gamma) along the last axis: with
@@ -177,26 +170,46 @@ def _min_over_b(pa: np.ndarray, k: np.ndarray) -> np.ndarray:
     return 1.0 + 0.5 * (u0 + u1 + u2) - 0.5 * np.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
 
 
-def _symmetric_min(k: np.ndarray) -> np.ndarray:
-    """A's outcome probabilities (1 + a)/2 at the product-state minimum of <W>
-    for rows ``k`` (G, 3) with every k_i <= 0 and one < 0.
+def _candidates(k: np.ndarray) -> np.ndarray:
+    """A's outcome probabilities (1 + a)/2, (G, 24, 3), at every KKT point of
+    <W> = 1 + sum_i k_i (1 + a_i)(1 + b_i)/4 over Bloch vectors |a| = |b| = 1,
+    plus the six signed axes, for rows ``k`` (G, 3) with max |k_i| = 1.
 
-    k_i p_i q_i >= k_i (p_i^2 + q_i^2)/2 puts the minimum on a symmetric state
-    a (x) a, where <W> = 1 + sum_i k_i (1 + a_i)^2/4 on the unit sphere: a
-    trust-region subproblem (Gander, Golub & von Matt, Linear Algebra Appl.
-    114/115, 1989).  Its multiplier lam is the least real eigenvalue of
-    [[K, -I], [-k k^T, K]], K = diag(k), and a = -k/(k - lam); lam < min k, as
-    k has a component along K's least eigenvector, so no hard case arises.
-    Rows are scaled to max |k_i| = 1, which leaves a unchanged and avoids
-    underflow.
+    Stationarity reads k_i (1 + b_i) = mu a_i and k_i (1 + a_i) = nu b_i.  So
+    (a_i - b_i)(mu + k_i) = 0 if mu = nu, and a_i = v_i (nu + k_i) with
+    v_i = k_i/(mu nu - k_i^2) if not.  Three branches cover every case:
+
+    - a = b: a = -k/(k - lam) at each root lam of |a| = 1, an eigenvalue of
+      [[K, -I], [-k k^T, K]], K = diag(k) (Gander, Golub & von Matt, Linear
+      Algebra Appl. 114/115, 1989);
+    - mu != nu: |a| = |b| = 1 reduce to sum_i k_i^2/(k_i^2 - mu nu) = 1, so v
+      is an eigenvector of diag(k^2) - k k^T.  Taken of unit length, with
+      w = v^2, it gives nu + k_i = s_i + r, s_i = k_i - w.k and
+      r = sqrt((k.v)^2 - w.s^2), with no division by the mu nu - k_i^2 that
+      vanish near the hard case; a keeps both signs, as v's is arbitrary;
+    - the hard case mu = nu = -k_i = -k_j: a_o = -k_o/(k_i + k_o) for the
+      third index o, and a_i, a_j = -1/2 +- sqrt((1/2 - a_o^2)/2), built for
+      every pair from its mean.
+
+    Each candidate is normalized, so whatever rounding or an unequal pair
+    does to it, it is a product state and cannot lower the minimum; one that
+    divides by zero comes out NaN.
     """
-    k = k / np.max(np.abs(k), axis=1, keepdims=True)
-    kd, kk = k[:, :, None] * np.eye(3), -k[:, :, None] * k[:, None, :]
-    m = np.block([[kd, np.broadcast_to(-np.eye(3), kd.shape)], [kk, kd]])
-    ev = np.linalg.eigvals(m)
-    lam = np.min(np.where(ev.imag == 0.0, ev.real, np.inf), axis=1, keepdims=True)
-    a = -k / (k - lam)
-    return 0.5 * (1.0 + a / np.linalg.norm(a, axis=1, keepdims=True))
+    eye = np.eye(3)
+    kd, kk = k[:, :, None] * eye, -k[:, :, None] * k[:, None, :]
+    lam = np.linalg.eigvals(np.block([[kd, np.broadcast_to(-eye, kd.shape)], [kk, kd]])).real
+    v = np.swapaxes(np.linalg.eigh(k[:, :, None] * kd + kk)[1], 1, 2)
+    w = v * v
+    s = k[:, None] - w @ k[:, :, None]
+    r = np.sqrt(np.maximum(np.sum(v * k[:, None], axis=-1) ** 2 - np.sum(w * s * s, axis=-1), 0.0))
+    i, j, o = [0, 0, 1], [1, 2, 2], [2, 1, 0]
+    ao = (-k[:, o] / (0.5 * (k[:, i] + k[:, j]) + k[:, o]))[..., None]
+    t = np.sqrt(np.maximum(0.5 - ao * ao, 0.0) / 2.0)
+    hard = [ao * eye[o] + (t - 0.5) * eye[p] - (t + 0.5) * eye[q] for p, q in ((i, j), (j, i))]
+    a = np.concatenate([-k[:, None] / (k[:, None] - lam[:, :, None]), v * (s + r[..., None]),
+                        -v * (s + r[..., None]), *hard,
+                        np.broadcast_to(np.concatenate([eye, -eye]), (len(k), 6, 3))], axis=1)
+    return 0.5 * (1.0 + a / np.linalg.norm(a, axis=-1, keepdims=True))
 
 
 def _separable_min(alpha, beta, gamma):
@@ -204,30 +217,17 @@ def _separable_min(alpha, beta, gamma):
     ``gamma`` (broadcast together): the values (G,), and the outcome
     probabilities (p_x, p_y, p_z) of qubits A and B at the minimum, (G, 3) each.
 
-    B is minimized in closed form (:func:`_min_over_b`).  Rows with no positive
-    coefficient take A from :func:`_symmetric_min` (A = |0> for W = 1).  With
-    a positive one, what remains is concave in A's Bloch vector, and a 101 x 200
-    grid in (theta, phi) on A's sphere is refined by Nelder-Mead.
+    B is minimized in closed form (:func:`_min_over_b`) and A is the best of
+    :func:`_candidates`, ranked on the row scaled to max |k_i| = 1, which moves
+    no candidate and avoids underflow.
     """
     _require_finite(alpha=alpha, beta=beta, gamma=gamma)
     k = np.atleast_2d(np.stack(np.broadcast_arrays(alpha, beta, gamma), axis=-1).astype(float))
-    pa = np.tile([0.5, 0.5, 1.0], (len(k), 1))
-    pos = np.any(k > 0.0, axis=1)
-    neg = ~pos & np.any(k < 0.0, axis=1)
-    if neg.any():
-        pa[neg] = _symmetric_min(k[neg])
-    if pos.any():
-        t, phi = (g.ravel() for g in np.meshgrid(
-            np.linspace(0.0, math.pi, 101), np.linspace(-math.pi, math.pi, 200, endpoint=False)))
-        grid = _qubit_probs(t, phi)
-        # one group at a time: large short-lived temporaries would raise the
-        # allocator's threshold for returning freed memory, and the process stays larger
-        i = [np.argmin(_min_over_b(grid, row)) for row in k[pos]]
-        # points: A's Bloch angles, then the group's coefficients
-        x = nelder_mead(lambda y: _min_over_b(_qubit_probs(y[..., 0], y[..., 1]), y[..., 2:]),
-                        np.stack([t[i], phi[i]], axis=-1), consts=k[pos], step=math.pi / 100,
-                        xtol=1e-10, ftol=0.0, max_iter=500)[0]
-        pa[pos] = _qubit_probs(x[:, 0], x[:, 1])
+    top = np.max(np.abs(k), axis=1, keepdims=True)
+    unit = k / np.where(top > 0.0, top, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cand = _candidates(unit)
+        pa = cand[np.arange(len(k)), np.nanargmin(_min_over_b(cand, unit[:, None]), axis=1)]
     u = k * pa
     norm = np.linalg.norm(u, axis=-1, keepdims=True)
     # B's Bloch vector is -u/|u|; where u = 0 every b is minimal, so take b = 0
@@ -236,9 +236,8 @@ def _separable_min(alpha, beta, gamma):
 
 
 def min_over_separable(alpha: float, beta: float, gamma: float) -> float:
-    """min over pure product states of <W>; >= 0 iff W is a witness.  Exact
-    for nonpositive coefficients; with a positive one, exact over qubit B and
-    a refined grid search over qubit A; no random starts."""
+    """min over pure product states of <W>; >= 0 iff W is a witness.  Exact for
+    every sign pattern: the least <W> over the KKT points, with no search."""
     return float(_separable_min(alpha, beta, gamma)[0][0])
 
 

@@ -3,14 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
+from qscramble import fileio
 from qscramble.errors import DomainError, DuplicateSetting, SettingMismatch
+from qscramble.feasibility import FeasibilityProblem, solve_batch
 from qscramble.measurement import (XX, YY, ZZ, OutcomeDistribution, PermutationPair,
                                    ScrambledData, _induced_permutation, apply_permutation,
                                    canonical_permutations, ginibre_probabilities, probabilities,
                                    probabilities_stack, relabeling_group, scramble,
                                    scramble_equivalent, scramble_state, setting)
-from qscramble.quantum import (I2, SIGMA_X, SIGMA_Z, DensityMatrix, ginibre_stack, plus_zero,
-                               psi_t, random_hs_stack, singlet)
+from qscramble.quantum import (I2, SIGMA_X, SIGMA_Z, DensityMatrix, PureState, ginibre_stack,
+                               plus_zero, psi_t, random_hs_stack, singlet)
 
 
 def test_projector_invariants():
@@ -107,6 +109,30 @@ def test_outcome_distribution_rejects_non_finite_entries(bad):
         OutcomeDistribution(XX, [bad, 0.5, 0.25, 0.25])
     with pytest.raises(DomainError, match="non-finite"):
         ScrambledData({XX: np.array([0.5, 0.25, 0.25, bad]), ZZ: np.full(4, 0.25)})
+
+
+UNIFORM = [0.25] * 4
+
+
+@pytest.mark.parametrize("build", [
+    lambda: OutcomeDistribution(XX, ["a", 0.5, 0.25, 0.25]),
+    lambda: OutcomeDistribution(XX, [[0.5], [0.5, 0.0, 0.0]]),
+    lambda: ScrambledData({XX: ["a", 0.5, 0.25, 0.25], ZZ: UNIFORM}),
+    lambda: PureState(["x", 0, 0, 0]),
+    lambda: DensityMatrix([["a"] * 4] * 4),
+    lambda: DensityMatrix([[1.0], [0.0, 0.0]]),
+    lambda: FeasibilityProblem([[0.5], [0.5, 0.0, 0.0]], UNIFORM),
+    lambda: solve_batch([["a", 0.5, 0.25, 0.25]], [UNIFORM]),
+    lambda: solve_batch([UNIFORM], [[0.5], [0.5, 0.0, 0.0]]),
+    lambda: fileio._probabilities_from_payload({"xx": ["a", 0.5, 0.25, 0.25], "zz": UNIFORM}),
+    lambda: fileio._probabilities_from_payload({"xx": UNIFORM, "zz": [[0.5], [0.5, 0.0]]}),
+    lambda: fileio._state_from_payload({"rho_re": [["a"] * 4] * 4, "rho_im": [[0.0] * 4] * 4}),
+    lambda: fileio._state_from_payload({"rho_re": np.eye(4).tolist(), "rho_im": [[0.0], []]}),
+])
+def test_non_numeric_or_ragged_input_is_a_domain_error(build):
+    # numpy's own conversion error would be a bare ValueError
+    with pytest.raises(DomainError, match="rectangular array of numbers"):
+        build()
 
 
 def test_scramble_examples():

@@ -8,7 +8,7 @@ from qscramble.measurement import (XX, YY, ZZ, OutcomeDistribution, ScrambledDat
                                    apply_permutation, canonical_permutations,
                                    probabilities, scramble, scramble_state)
 from qscramble.quantum import eig_hermitian, psi_t, random_hs_stack, singlet
-from qscramble.witness import (WitnessParams, _min_over_b, _qubit_probs, _symmetric_min,
+from qscramble.witness import (WitnessParams, _min_over_b, _separable_min,
                                _tangency_scales, correlation_witness_values,
                                min_entropy_form, min_over_separable, optimize_params,
                                scrambled_correlation_min, scrambled_family_min,
@@ -16,6 +16,13 @@ from qscramble.witness import (WitnessParams, _min_over_b, _qubit_probs, _symmet
                                witness_min_eigvec, witness_value)
 
 TANGENT = 8.0 * math.sqrt(2.0) - 12.0  # alpha = gamma at the symmetric tangent point
+
+
+def qubit_probs(theta, phi=0.0) -> np.ndarray:
+    """Probabilities (p_x, p_y, p_z) of the +, +i and 0 outcomes of a qubit
+    with Bloch angles (theta, phi), along a new last axis."""
+    s = np.sin(theta)
+    return 0.5 * (1.0 + np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)], axis=-1))
 
 
 def reference_min_over_b(pa, k):
@@ -178,15 +185,34 @@ def test_closed_form_equal_coefficients():
             assert abs(min_over_separable(*abg) - exact) < 2e-15, (c, n)
 
 
+def mixed_rows(rng, n: int) -> np.ndarray:
+    """n coefficient rows (alpha, beta, gamma) of every sign pattern, with
+    exactly equal pairs, the one-ulp-apart pair of the curve's diagonal
+    direction, and zero coefficients among them."""
+    k = rng.uniform(-2.0, 2.0, size=(n, 3))
+    k[::4, 2] = k[::4, 0]
+    k[1::4, 1] = k[1::4, 2]
+    k[::5, 1] = 0.0
+    k[2::7, 0] = 0.0
+    k[3::9] = -math.cos(math.pi / 4), 0.4, -math.sin(math.pi / 4)
+    k[4::9] = 1.0, 1.0, 1.0
+    k[5::9] = -0.7, -0.7, 0.3
+    return k
+
+
 def test_closed_form_is_scale_free():
-    # rows are scaled to max |k_i| = 1 before the eigenproblem, so a tiny row
-    # does not underflow to NaN, and power-of-two scales change no bit
-    tiny = np.array([[-1e-200, 0.0, 0.0]])
-    assert min_over_separable(*tiny[0]) == 1.0
-    assert np.array_equal(_symmetric_min(tiny), _symmetric_min(1e150 * tiny))
-    k = -np.random.default_rng(17).uniform(0.0, 2.0, size=(5, 3))
-    for scale in (2.0 ** -900, 2.0 ** 900):
-        assert np.array_equal(_symmetric_min(k), _symmetric_min(scale * k))
+    # rows are scaled to max |k_i| = 1 before the candidates are built and
+    # ranked, so a tiny row does not underflow to NaN, and power-of-two
+    # scales change no bit of A's probabilities
+    tiny = np.array([-1e-200, 0.0, 0.0])
+    assert min_over_separable(*tiny) == 1.0
+    assert np.array_equal(_separable_min(*tiny)[1], _separable_min(*1e150 * tiny)[1])
+    k = mixed_rows(np.random.default_rng(17), 40)
+    pa = _separable_min(*k.T)[1]
+    # the values overflow at 2^900; A's probabilities do not
+    with np.errstate(over="ignore", invalid="ignore"):
+        for scale in (2.0 ** -900, 2.0 ** 900):
+            assert np.array_equal(pa, _separable_min(*(scale * k).T)[1])
 
 
 def test_closed_form_against_a_dense_grid():
@@ -194,36 +220,55 @@ def test_closed_form_against_a_dense_grid():
     # over a dense (theta, phi) grid of qubit A with B exact, and close to it
     th, ph = np.meshgrid(np.linspace(0.0, math.pi, 401),
                          np.linspace(-math.pi, math.pi, 800, endpoint=False))
-    grid = _qubit_probs(th.ravel(), ph.ravel())
+    grid = qubit_probs(th.ravel(), ph.ravel())
     rng = np.random.default_rng(23)
-    for abg in -rng.uniform(0.0, 2.0, size=(50, 3)):
-        got = min_over_separable(*abg)
+    rows = np.concatenate([-rng.uniform(0.0, 2.0, size=(30, 3)), mixed_rows(rng, 60)])
+    got = _separable_min(*rows.T)[0]
+    for abg, value in zip(rows, got):
         dense = reference_min_over_b(grid, abg).min()
-        assert got <= dense + 1e-12 and dense - got < 1e-4, abg
+        assert value <= dense + 1e-12 and dense - value < 1e-4, abg
 
 
-def test_only_a_positive_coefficient_searches(monkeypatch):
+def test_near_equal_pairs_survive_alternating_refinement():
+    # as k_2 -> k_0 the asymmetric KKT point runs into the hard case, where a
+    # formula dividing by mu nu - k_i^2 loses up to 1e-12; a hundred exact
+    # alternating steps (A given B, then B given A) lower no value found
+    rng = np.random.default_rng(41)
+    k = rng.uniform(-1.0, 1.0, size=(60, 3))
+    k[:, 2] = k[:, 0] * (1.0 - 10.0 ** rng.uniform(-8.0, -3.0, size=60))
+    value, _, pb = _separable_min(*k.T)
+    b = 2.0 * pb - 1.0
+    for _ in range(100):
+        u = k * (1.0 + b)
+        a = -u / np.linalg.norm(u, axis=1, keepdims=True)
+        u = k * (1.0 + a)
+        b = -u / np.linalg.norm(u, axis=1, keepdims=True)
+    refined = 1.0 + 0.25 * np.sum(k * (1.0 + a) * (1.0 + b), axis=1)
+    assert np.all(value <= refined + 1e-15)
+
+
+def test_no_sign_pattern_searches(monkeypatch):
+    import qscramble.optimize as optimize
     import qscramble.witness as witness
 
     def no_search(*args, **kwargs):
         raise AssertionError("nelder_mead called")
 
-    monkeypatch.setattr(witness, "nelder_mead", no_search)
-    for beta in (0.0, -0.3, -0.9):
+    monkeypatch.setattr(optimize, "nelder_mead", no_search)
+    assert not hasattr(witness, "nelder_mead")
+    for beta in (0.4, -0.3, 0.0):
         assert len(optimize_params(beta, num=9)) == 9
-    assert min_over_separable(-1.0, -0.5, 0.0) < 1.0 and min_over_separable(0, 0, 0) == 1.0
-    with pytest.raises(AssertionError, match="nelder_mead"):
-        min_over_separable(-1.0, 0.0, 0.5)
+    assert min_over_separable(-1.0, 0.0, 0.5) < 1.0 and min_over_separable(0, 0, 0) == 1.0
 
 
 def test_min_over_b_matches_sum_and_norm_bit_for_bit():
     k, t = curve_directions(17)
     assert len(k) == 16
-    grid = _qubit_probs(t)
+    grid = qubit_probs(t)
     for row in k:
         assert np.array_equal(_min_over_b(grid, row), reference_min_over_b(grid, row))
     rng = np.random.default_rng(5)
-    for shape in ((5000, 3), (7, 33, 3)):  # the latter is Nelder-Mead's (m, k, d) array
+    for shape in ((5000, 3), (7, 24, 3)):  # the latter is _separable_min's candidate array
         pa, kk = rng.uniform(size=shape), rng.normal(size=shape)
         assert np.array_equal(_min_over_b(pa, kk), reference_min_over_b(pa, kk))
 
