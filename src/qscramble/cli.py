@@ -11,7 +11,6 @@ import json
 # argparse translates its messages through gettext, which imports locale on
 # its first call; importing it here keeps that 1-2 ms out of the first command
 import locale  # noqa: F401
-import math
 import sys
 from pathlib import Path
 
@@ -59,8 +58,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_robustness(args) -> int:
-    q = math.inf if str(args.q).lower() in ("inf", "infinity") else float(args.q)
-    print(_fmt(robustness(q)))
+    print(_fmt(robustness(float(args.q))))  # float() reads "inf" and "infinity"
     return 0
 
 

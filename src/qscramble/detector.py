@@ -19,17 +19,16 @@ so rays are searched in data space.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Mapping
 
 import numpy as np
 
-from .entropy import (TSALLIS, EntropySpec, entropy as entropy_of, entropy_detect,
-                      get_separable_boundary)
-from .errors import DomainError, check_count
-from .feasibility import FeasibilityStatus, _require, _solve_codes, solve_batch
+from .entropy import TSALLIS, EntropySpec, entropy_detect, entropy_nd, get_separable_boundary
+from .errors import DomainError, check_count, check_instance, check_real
+from .feasibility import FeasibilityStatus, _solve_codes, solve_batch
 from .measurement import (XX, ZZ, PermutationPair, ScrambledData, apply_permutation,
                           canonical_permutations, ginibre_probabilities, probabilities,
                           scramble_equivalent, scramble_state)
@@ -49,6 +48,7 @@ WITNESS_DETECT_TOL = 1e-8
 # _solve_codes call and, when scrambled, the rest in one _decide call
 _SCAN_CHUNK = 8192
 _ALL_METHODS = ("sdp", "witness", "entropy")
+_TSALLIS2 = EntropySpec(TSALLIS, 2.0)  # the default of both entropy axes
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def scrambled_possibly_separable(d: ScrambledData) -> tuple[Verdict, Separabilit
     """Decide whether any separable state reproduces some assignment of ``d``:
     possibly separable on the first (lowest canonical index) feasible one of
     the 18, detected when all are infeasible, inconclusive otherwise."""
-    _require(d, ScrambledData, "scrambled_possibly_separable")
+    check_instance("scrambled_possibly_separable", d, ScrambledData)
     codes, statuses, states, viol = _decide(d.multiset(XX)[None], d.multiset(ZZ)[None])
     verdict = _VERDICT_OF_CODE[int(codes[0])]
     evidence = dict(statuses=tuple(statuses), residuals=tuple(float(v) for v in viol))
@@ -168,7 +168,7 @@ def star_convexity_ray(rho: DensityMatrix, resolution: int = 256) -> float:
     mixture gives 1.0 at resolution 2 and 0.859375 at 64.  Inconclusive counts
     as not detected, which can only push the reported threshold outward.
     """
-    _require(rho, DensityMatrix, "star_convexity_ray")
+    check_instance("star_convexity_ray", rho, DensityMatrix)
     resolution = check_count("resolution", resolution, 2)
     data = scramble_state(rho)
     mx, mz = data.multiset(XX)[None], data.multiset(ZZ)[None]
@@ -197,26 +197,19 @@ class DetectionReport:
     evidence: Mapping[str, object] = field(default_factory=dict)
 
 
-def _as_scrambled(inp) -> ScrambledData:
-    if isinstance(inp, ScrambledData):
-        return inp
-    if isinstance(inp, DensityMatrix):
-        return scramble_state(inp)
-    raise DomainError(f"detect expects a DensityMatrix or ScrambledData, got {type(inp)!r}")
-
-
 def detect(inp, methods: Iterable[str] = _ALL_METHODS, *,
            spec_x: EntropySpec | None = None,
            spec_z: EntropySpec | None = None) -> DetectionReport:
     """Run the requested detection methods on a state or its scrambled data."""
-    methods = set(methods)  # read a one-shot iterable once
+    methods = set(map(str, check_instance("detect (methods)", methods, Iterable)))  # read once
     wanted = [m for m in _ALL_METHODS if m in methods]
     unknown = methods - set(_ALL_METHODS)
     if unknown or not wanted:
         raise DomainError(f"unknown detection methods {sorted(unknown)}")
-    data = _as_scrambled(inp)
-    spec_x = spec_x or EntropySpec(TSALLIS, 2.0)
-    spec_z = spec_z or EntropySpec(TSALLIS, 2.0)
+    data = check_instance("detect", inp, (DensityMatrix, ScrambledData))
+    data = scramble_state(data) if isinstance(data, DensityMatrix) else data
+    spec_x = check_instance("detect (spec_x)", _TSALLIS2 if spec_x is None else spec_x, EntropySpec)
+    spec_z = check_instance("detect (spec_z)", _TSALLIS2 if spec_z is None else spec_z, EntropySpec)
 
     verdicts: dict[str, str] = {}
     evidence: dict[str, object] = {}
@@ -240,8 +233,8 @@ def detect(inp, methods: Iterable[str] = _ALL_METHODS, *,
                 evidence[method] = {"value": value,
                                     "alpha": params[0], "gamma": params[1]}
             else:
-                s_x = entropy_of(data.multiset(XX), spec_x)
-                s_z = entropy_of(data.multiset(ZZ), spec_z)
+                s_x = float(entropy_nd(data.multiset(XX), spec_x))
+                s_z = float(entropy_nd(data.multiset(ZZ), spec_z))
                 detected = entropy_detect(data, spec_x, spec_z)
                 verdicts[method] = "detected" if detected else "not_detected"
                 bound = get_separable_boundary(spec_x, spec_z)
@@ -368,8 +361,7 @@ def _classify_slice_batch(m: np.ndarray) -> np.ndarray:
 
 
 def classify_slice_point(p_pp: float, p_pm: float) -> SlicePoint:
-    if not (math.isfinite(p_pp) and math.isfinite(p_pm)):
-        raise DomainError(f"slice point ({p_pp}, {p_pm}) is non-finite")
+    p_pp, p_pm = check_real("p_pp", p_pp), check_real("p_pm", p_pm)
     if not _in_slice(p_pp, p_pm):
         raise DomainError(f"slice point ({p_pp}, {p_pm}) has negative probabilities")
     flag = _classify_slice_batch(_slice_multisets(np.array([p_pp]), np.array([p_pm])))[0]

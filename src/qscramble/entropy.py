@@ -28,10 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError, check_count
+from .errors import (ConvergenceFailure, DomainError, check_count, check_instance,
+                     check_probabilities, check_real)
 from .measurement import XX, ZZ, OutcomeDistribution, ScrambledData
 from .optimize import bisect
 # multistart_minimize is not called here; bench/spans.py traces entropy.multistart_minimize
@@ -63,7 +65,8 @@ class EntropySpec:
         kind = self.kind.lower()
         if kind not in (SHANNON, TSALLIS, RENYI):
             raise DomainError(f"unknown entropy kind {self.kind!r}")
-        par = float(self.parameter)
+        inf = isinstance(self.parameter, Real) and self.parameter == math.inf  # Renyi's min-entropy
+        par = math.inf if inf else check_real("entropy parameter", self.parameter)
         if kind != SHANNON:
             if not par > 0:
                 raise DomainError(f"entropy parameter must be positive, got {par}")
@@ -126,6 +129,7 @@ def entropy_nd(p: np.ndarray, spec: EntropySpec, axis: int = -1) -> np.ndarray:
     Entries are summed in sorted order, which makes the result bit-exact
     under permutations of the input.
     """
+    check_instance("an entropy function", spec, EntropySpec)
     p = np.sort(np.asarray(p, dtype=float), axis=axis)
     if spec.kind == SHANNON:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -142,16 +146,15 @@ def entropy_nd(p: np.ndarray, spec: EntropySpec, axis: int = -1) -> np.ndarray:
 
 
 def entropy(p, spec: EntropySpec) -> float:
-    """Entropy of one outcome distribution; invariant under permutations."""
-    arr = p.p if isinstance(p, OutcomeDistribution) else np.asarray(p, dtype=float)
-    if not math.isfinite(arr.sum()):  # entropy_nd would drop a NaN entry
-        raise DomainError(f"entropy needs finite probabilities, got {arr!r}")
+    """Entropy of an :class:`OutcomeDistribution`, or of a row that passes
+    :func:`~qscramble.errors.check_probabilities`; invariant under permutations."""
+    arr = p.p if isinstance(p, OutcomeDistribution) else check_probabilities("entropy's p", p, 1)
     return float(entropy_nd(arr, spec))
 
 
 def max_entropy(spec: EntropySpec) -> float:
     """Entropy of the uniform distribution over four outcomes."""
-    return entropy(np.full(4, 0.25), spec)
+    return float(entropy_nd(np.full(4, 0.25), spec))
 
 
 @dataclass(frozen=True)
@@ -160,8 +163,8 @@ class EntropyPoint:
     s_zz: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.s_xx) and np.isfinite(self.s_zz)):
-            raise DomainError("entropy point must be finite")
+        for name in ("s_xx", "s_zz"):
+            object.__setattr__(self, name, check_real(f"entropy point {name}", getattr(self, name)))
         if self.s_xx < -1e-12 or self.s_zz < -1e-12:
             raise DomainError("entropies cannot be negative")
 
@@ -189,7 +192,7 @@ def psi_t_xx_probs(t) -> np.ndarray:
 
 def psi_t_entropies(t: float, spec_x: EntropySpec, spec_z: EntropySpec) -> EntropyPoint:
     """Exact (S_xx, S_zz) entropies of psi_t for t >= 1."""
-    if not (np.isfinite(t) and t >= 1.0):
+    if not check_real("t", t) >= 1.0:
         raise DomainError(f"psi_t family requires t >= 1, got {t}")
     s_xx = float(entropy_nd(psi_t_xx_probs(t), spec_x))
     s_zz = float(entropy_nd(psi_t_zz_probs(t), spec_z))
@@ -197,7 +200,7 @@ def psi_t_entropies(t: float, spec_x: EntropySpec, spec_z: EntropySpec) -> Entro
 
 
 def _require_bound_regime(spec: EntropySpec, role: str) -> None:
-    if not spec.bound_capable:
+    if not check_instance("an entropy function", spec, EntropySpec).bound_capable:
         raise DomainError(
             f"{role} entropy must be Tsallis or Renyi with parameter >= 2 "
             f"for the bound operations, got {spec.kind}-{spec.parameter}")
@@ -233,7 +236,7 @@ def t_from_sxx_vec(s: np.ndarray, spec_x: EntropySpec) -> np.ndarray:
 
 def t_from_sxx(s: float, spec_x: EntropySpec) -> float:
     """The unique t >= 1 with S_xx(psi_t) = s, by bisection on the monotone map."""
-    return float(t_from_sxx_vec(np.asarray(float(s)), spec_x))
+    return float(t_from_sxx_vec(np.asarray(check_real("S_xx", s)), spec_x))
 
 
 def all_states_bound_vec(s_xx: np.ndarray, spec_x: EntropySpec,
@@ -246,12 +249,12 @@ def all_states_bound_vec(s_xx: np.ndarray, spec_x: EntropySpec,
 
 def all_states_bound(s_xx: float, spec_x: EntropySpec, spec_z: EntropySpec) -> float:
     """Minimal S_zz over all states at the given S_xx: the psi_t curve."""
-    return float(all_states_bound_vec(np.asarray(float(s_xx)), spec_x, spec_z))
+    return float(all_states_bound_vec(np.asarray(check_real("S_xx", s_xx)), spec_x, spec_z))
 
 
 def all_states_bound_closed_form(s_xx: float) -> float:
     """Closed form of the all-states bound for q = qtilde = 2."""
-    if not (-1e-12 <= s_xx <= 0.75 + 1e-12):
+    if not (-1e-12 <= check_real("S_xx", s_xx) <= 0.75 + 1e-12):
         raise DomainError(f"S_xx^(2) = {s_xx} outside [0, 3/4]")
     s_xx = min(max(s_xx, 0.0), 0.75)
     big_t = math.sqrt(9.0 - 12.0 * s_xx)
@@ -348,16 +351,16 @@ def separable_bound(s_xx: float, spec_x: EntropySpec, spec_z: EntropySpec) -> fl
     theta found by bisection.  For Tsallis or Renyi parameters >= 2 on both
     axes the symmetric state phi_theta (x) phi_theta alone attains it.
     """
-    smax = max_entropy(spec_x)
+    s_xx, smax = check_real("S_xx", s_xx), max_entropy(spec_x)
     if not (-1e-12 <= s_xx <= smax + 1e-12):
         raise DomainError(f"S_xx = {s_xx} outside the attainable range [0, {smax!r}]")
-    s = min(max(float(s_xx), 0.0), smax)
+    s = min(max(s_xx, 0.0), smax)
     return float(_separable_values(np.array([s]), spec_x, spec_z)[0])
 
 
 def separable_bound_closed_form(s_xx: float) -> float:
     """The q = qtilde = 2 separable boundary: -9/4 + 3 sqrt(1 - S_xx) + S_xx."""
-    if not (-1e-12 <= s_xx <= 0.75 + 1e-12):
+    if not (-1e-12 <= check_real("S_xx", s_xx) <= 0.75 + 1e-12):
         raise DomainError(f"S_xx^(2) = {s_xx} outside [0, 3/4]")
     s_xx = min(max(s_xx, 0.0), 0.75)
     return -2.25 + 3.0 * math.sqrt(1.0 - s_xx) + s_xx
@@ -416,6 +419,7 @@ def entropy_detected_stack(pxx: np.ndarray, pzz: np.ndarray,
 
 def entropy_detect(d: ScrambledData, spec_x: EntropySpec, spec_z: EntropySpec) -> bool:
     """True when the entropy pair certifies entanglement of the scrambled data."""
+    check_instance("entropy_detect", d, ScrambledData)
     return bool(entropy_detected_stack(d.multiset(XX)[None], d.multiset(ZZ)[None],
                                        spec_x, spec_z)[0])
 
@@ -431,9 +435,9 @@ def robustness(q: float) -> float:
     those of the symmetric product state with amplitude ratio 1 + sqrt(2);
     ``q = inf`` returns the closed form (10 - sqrt(2) - sqrt(12) - sqrt(24))/11.
     """
-    if math.isinf(q):
+    if isinstance(q, Real) and q == math.inf:
         return (10.0 - math.sqrt(2.0) - math.sqrt(12.0) - math.sqrt(24.0)) / 11.0
-    if not q >= 2.0:
+    if not check_real("q", q) >= 2.0:
         raise DomainError(f"robustness requires q >= 2 or q = inf, got {q}")
     t = _ROBUST_T
     s = _ROBUST_S

@@ -74,6 +74,7 @@ canonical assignments and folds their verdicts.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -81,8 +82,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, check_numbers
-from .measurement import PROB_ENTRY_ATOL, PROB_SUM_ATOL, XX, ZZ, setting
+from .errors import (DomainError, check_count, check_instance, check_integer, check_numbers,
+                     check_probabilities)
+from .measurement import XX, ZZ, setting
 from .optimize import bisect
 from .quantum import DensityMatrix, _ginibre, derive_seed
 
@@ -141,18 +143,15 @@ class FeasibilityStatus(str, Enum):
 
 @dataclass(frozen=True)
 class FeasibilityProblem:
-    """Target labeled probabilities for the XX and ZZ settings, checked by
-    the rule of :func:`solve_batch` and stored as given."""
+    """Target labeled probabilities for the XX and ZZ settings, stored as
+    :func:`~qscramble.errors.check_probabilities` returns them, not the caller's."""
 
     p_xx: np.ndarray
     p_zz: np.ndarray
 
     def __post_init__(self):
         for name in ("p_xx", "p_zz"):
-            # the list makes a copy, so the stored rows are not the caller's
-            p = _checked_rows([getattr(self, name)], name)[0]
-            p.setflags(write=False)
-            object.__setattr__(self, name, p)
+            object.__setattr__(self, name, check_probabilities(name, getattr(self, name), 1))
 
 
 @dataclass(frozen=True)
@@ -314,40 +313,19 @@ def _lmi(m: np.ndarray):
     return code, a, w[found].reshape(-1, 4, 4), value
 
 
-def _checked_rows(p, name: str) -> np.ndarray:
-    p = check_numbers(name, p)
-    if p.ndim != 2 or p.shape[1] != 4:
-        raise DomainError(f"{name} must have shape (n, 4), got {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise DomainError(f"{name} has non-finite entries")
-    if np.any(p < -PROB_ENTRY_ATOL) or np.any(p > 1.0 + PROB_ENTRY_ATOL):
-        raise DomainError(f"{name} has entries outside [-1e-9, 1+1e-9]")
-    unnormalized = np.abs(p.sum(axis=1) - 1.0) > PROB_SUM_ATOL
-    if np.any(unnormalized):
-        i = int(np.argmax(unnormalized))
-        raise DomainError(f"{name} row {i} sums to {float(p[i].sum())!r}, "
-                          "violating |sum-1| <= 1e-9")
-    return p
-
-
 def _checked_pair(p_xx, p_zz) -> np.ndarray:
-    """[p_xx | p_zz], shape (n, 8), once both pass :func:`_checked_rows`.
-
-    Valid rows take one combined pass of the same conditions (a NaN fails
-    each of them); any failure reruns the checks one input at a time for
-    their error."""
-    p_xx = check_numbers("p_xx", p_xx)
-    p_zz = check_numbers("p_zz", p_zz)
-    if p_xx.ndim == 2 and p_xx.shape[1] == 4 and p_zz.shape == p_xx.shape and p_xx.size:
-        p = np.concatenate([p_xx, p_zz], axis=1)
-        if (p.min() >= -PROB_ENTRY_ATOL and p.max() <= 1.0 + PROB_ENTRY_ATOL
-                and np.abs(p.reshape(-1, 2, 4).sum(axis=2) - 1.0).max() <= PROB_SUM_ATOL):
-            return p
-    p_xx = _checked_rows(p_xx, "p_xx")
-    p_zz = _checked_rows(p_zz, "p_zz")
-    if p_xx.shape != p_zz.shape:
-        raise DomainError(f"p_xx and p_zz shapes differ: {p_xx.shape} vs {p_zz.shape}")
-    return np.concatenate([p_xx, p_zz], axis=1)
+    """[p_xx | p_zz], shape (n, 8), each checked as (n, 4) rows by
+    :func:`~qscramble.errors.check_probabilities`: in one pass when their shapes
+    match, and again one input at a time on failure, for an error naming it."""
+    p_xx, p_zz = check_numbers("p_xx", p_xx), check_numbers("p_zz", p_zz)
+    if p_xx.ndim == 2 and p_xx.shape[1] == 4 and p_zz.shape == p_xx.shape:
+        p = np.concatenate([p_xx, p_zz], axis=1).reshape(-1, 4)
+        with contextlib.suppress(DomainError):
+            return check_probabilities("rows", p, 2).reshape(-1, 8)
+    check_probabilities("p_xx", p_xx, 2)
+    check_probabilities("p_zz", p_zz, 2)
+    # both pass, so only their shapes can differ
+    raise DomainError(f"p_xx and p_zz shapes differ: {p_xx.shape} vs {p_zz.shape}")
 
 
 # indexed by code: 0 inconclusive, 1 feasible, -1 infeasible
@@ -375,9 +353,9 @@ def solve_batch(p_xx: np.ndarray, p_zz: np.ndarray):
     """Decide a stack of feasibility problems.
 
     Parameters are target probability rows ``p_xx``, ``p_zz`` of shape (n, 4);
-    rows with non-finite entries, entries outside [-1e-9, 1 + 1e-9] or a sum
-    off 1 by more than 1e-9 raise :class:`DomainError`.  Rows are solved as
-    given, without renormalization, by the closed-form completion test of the
+    rows that fail :func:`~qscramble.errors.check_probabilities` raise
+    :class:`DomainError`.  Rows are solved as that check returns them, clipped
+    to [0, 1] and not renormalized, by the closed-form completion test of the
     module docstring: feasible when max_t lambda_min(A(t)) >= -1e-8.  A
     certificate state must reproduce its rows within ``TOL_FEASIBLE`` (1e-7)
     and a witness must have margin at most -``TOL_INFEASIBLE`` (-1e-6); a row
@@ -415,15 +393,9 @@ def _certificate(a: np.ndarray, low: np.ndarray):
     return a / np.trace(a, axis1=1, axis2=2)[:, None, None], low
 
 
-def _require(value, kind: type, caller: str) -> None:
-    """:class:`DomainError` unless ``value`` is a ``kind``."""
-    if not isinstance(value, kind):
-        raise DomainError(f"{caller} expects a {kind.__name__}, got {type(value)!r}")
-
-
 def feasible_for_probabilities(problem: FeasibilityProblem) -> FeasibilityResult:
     """Decide one labeled-probability instance; see the module docstring."""
-    _require(problem, FeasibilityProblem, "feasible_for_probabilities")
+    check_instance("feasible_for_probabilities", problem, FeasibilityProblem)
     statuses, states, viol, cycles = solve_batch(problem.p_xx[None], problem.p_zz[None])
     state = DensityMatrix(states[0]) if states[0] is not None else None
     return FeasibilityResult(statuses[0], state, float(viol[0]), int(cycles[0]))
@@ -480,9 +452,11 @@ def oracle_min_violation(p_xx: np.ndarray, p_zz: np.ndarray, *,
     eigenvalue-negativity penalty, minimized by L-BFGS with an analytic
     gradient from several starts.
     """
+    targets = np.concatenate([check_probabilities("p_xx", p_xx, 1),
+                              check_probabilities("p_zz", p_zz, 1)])
+    n_starts, seed = check_count("n_starts", n_starts, 1), check_integer("seed", seed)
     from scipy.optimize import minimize
 
-    targets = np.concatenate([np.asarray(p_xx, float), np.asarray(p_zz, float)])
     best = math.inf
     for k in range(n_starts):
         if k == 0:

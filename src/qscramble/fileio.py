@@ -15,8 +15,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DomainError, check_numbers
 from .measurement import XX, YY, ZZ, OutcomeDistribution, ScrambledData, scramble
 from .quantum import DensityMatrix
@@ -86,13 +84,8 @@ def _probabilities_from_payload(payload: dict) -> ProbabilityFile:
     scrambled = payload.get("scrambled", False)
     if not isinstance(scrambled, bool):
         raise DomainError(f"field 'scrambled' must be true or false, got {scrambled!r}")
-    arrays: dict[str, np.ndarray] = {}
-    for key, label in _KEY_FOR.items():
-        if key in payload:
-            arr = check_numbers(f"field {key!r}", payload[key])
-            if arr.shape != (4,):
-                raise DomainError(f"field {key!r} must hold 4 probabilities")
-            arrays[label] = arr
+    # checked as probability rows by ScrambledData or OutcomeDistribution
+    arrays = {label: payload[key] for key, label in _KEY_FOR.items() if key in payload}
     if XX not in arrays or ZZ not in arrays:
         raise DomainError("probability file needs at least the 'xx' and 'zz' fields")
     if scrambled:

@@ -12,14 +12,14 @@ down to 18 canonical representatives.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import (DomainError, DuplicateSetting, MissingSetting, SettingMismatch, check_integer,
-                     check_numbers)
+from .errors import (DomainError, DuplicateSetting, MissingSetting, SettingMismatch, check_instance,
+                     check_integer, check_probabilities, check_real)
 from .quantum import I2, SIGMA_X, SIGMA_Z, DensityMatrix
 
 XX, YY, ZZ = "XX", "YY", "ZZ"
@@ -39,10 +39,6 @@ _LOCAL_BASES = {
     ZZ: (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
 }
 
-PROB_SUM_ATOL = 1e-9
-PROB_ENTRY_ATOL = 1e-9
-
-
 @dataclass(frozen=True)
 class MeasurementSetting:
     """One local two-qubit measurement: label, rank-1 projectors, outcome names."""
@@ -52,11 +48,15 @@ class MeasurementSetting:
     outcome_labels: tuple[str, str, str, str]
 
 
-@lru_cache(maxsize=None)
 def setting(label: str) -> MeasurementSetting:
-    """The measurement setting for ``label`` in {"XX", "YY", "ZZ"}."""
-    if label not in SETTING_LABELS:
+    """The measurement setting for ``label`` in {"XX", "YY", "ZZ"}, else :class:`DomainError`."""
+    if not (isinstance(label, str) and label in SETTING_LABELS):
         raise DomainError(f"unknown setting label {label!r}")
+    return _setting(label)
+
+
+@lru_cache(maxsize=None)
+def _setting(label: str) -> MeasurementSetting:
     va, vb = _LOCAL_BASES[label]
     kets = [np.kron(a, b) for a in (va, vb) for b in (va, vb)]
     projs = np.stack([np.outer(k, k.conj()) for k in kets])
@@ -64,44 +64,23 @@ def setting(label: str) -> MeasurementSetting:
     return MeasurementSetting(label, projs, _OUTCOME_LABELS[label])
 
 
-def _four_probabilities(p, label: str) -> np.ndarray:
-    """``p`` as a float array; :class:`DomainError` unless its shape is (4,)."""
-    p = check_numbers(f"setting {label} probabilities", p)
-    if p.shape != (4,):
-        raise DomainError(f"setting {label} needs probabilities of shape (4,), got {p.shape}")
-    return p
-
-
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Four outcome probabilities for one setting, in outcome-label order."""
+    """Four outcome probabilities for one setting, in outcome-label order,
+    stored as :func:`~qscramble.errors.check_probabilities` returns them."""
 
     setting: str
     p: np.ndarray
 
     def __post_init__(self):
-        if self.setting not in SETTING_LABELS:
-            raise DomainError(f"unknown setting label {self.setting!r}")
-        p = _four_probabilities(self.p, self.setting)
-        # one in-range test that NaN fails; the message is chosen only on error
-        if not np.all((p >= -PROB_ENTRY_ATOL) & (p <= 1.0 + PROB_ENTRY_ATOL)):
-            if not np.all(np.isfinite(p)):
-                raise DomainError(
-                    f"non-finite probability entries for setting {self.setting}: {p}")
-            raise DomainError(
-                f"probability outside [-1e-9, 1+1e-9] for setting {self.setting}: {p}")
-        p = np.clip(p, 0.0, 1.0)
-        total = float(p.sum())
-        if abs(total - 1.0) > PROB_SUM_ATOL:
-            raise DomainError(
-                f"probabilities for {self.setting} sum to {total!r}, violating |sum-1| <= 1e-9")
-        p.setflags(write=False)
+        p = check_probabilities(f"setting {setting(self.setting).label} probabilities", self.p, 1)
         object.__setattr__(self, "p", p)
 
 
 def probabilities(rho: DensityMatrix, s: MeasurementSetting | str) -> OutcomeDistribution:
     """Outcome probabilities p_i = Tr(rho Pi_i) for one setting."""
-    label = s if isinstance(s, str) else s.label
+    check_instance("probabilities", rho, DensityMatrix)
+    label = s.label if isinstance(s, MeasurementSetting) else s
     return OutcomeDistribution(label, probabilities_stack(rho.matrix, label))
 
 
@@ -149,23 +128,23 @@ def ginibre_probabilities(h: np.ndarray) -> np.ndarray:
 class ScrambledData:
     """Per-setting multisets of outcome probabilities, stored sorted descending.
 
-    Each multiset is validated and clipped to [0, 1] by the same rule as
-    :class:`OutcomeDistribution` and otherwise stored as given, so its
-    assignments are the rows that the scans decide for the same multisets.
+    Each multiset is stored as :func:`~qscramble.errors.check_probabilities`
+    returns it, sorted, so its assignments are the rows that the scans decide
+    for the same multisets.
     """
 
     multisets: Mapping[str, np.ndarray]
 
     def __post_init__(self):
-        canon = {}
-        for label in SETTING_LABELS:
-            if label not in self.multisets:
-                continue
-            m = np.sort(_four_probabilities(self.multisets[label], label))[::-1]
-            canon[label] = OutcomeDistribution(label, m).p
-        unknown = set(self.multisets) - set(SETTING_LABELS)
+        multisets = check_instance("ScrambledData", self.multisets, Mapping)
+        unknown = set(multisets) - set(SETTING_LABELS)
         if unknown:
-            raise DomainError(f"unknown setting labels {sorted(unknown)}")
+            raise DomainError(f"unknown setting labels {sorted(unknown, key=repr)}")
+        canon = {}
+        for label in [lab for lab in SETTING_LABELS if lab in multisets]:
+            m = check_probabilities(f"setting {label} probabilities", multisets[label], 1)
+            canon[label] = np.sort(m)[::-1]
+            canon[label].setflags(write=False)
         object.__setattr__(self, "multisets", canon)
 
     @property
@@ -182,7 +161,8 @@ class ScrambledData:
 def scramble(dists: Iterable[OutcomeDistribution]) -> ScrambledData:
     """Forget outcome labels, keeping one sorted multiset per setting."""
     multisets: dict[str, np.ndarray] = {}
-    for d in dists:
+    for d in check_instance("scramble", dists, Iterable):
+        check_instance("scramble", d, OutcomeDistribution)
         if d.setting in multisets:
             raise DuplicateSetting(f"two distributions given for setting {d.setting}")
         multisets[d.setting] = d.p
@@ -191,11 +171,15 @@ def scramble(dists: Iterable[OutcomeDistribution]) -> ScrambledData:
 
 def scramble_state(rho: DensityMatrix, labels: Iterable[str] = (XX, ZZ)) -> ScrambledData:
     """Measure ``rho`` in the given settings and scramble the outcomes."""
+    labels = check_instance("scramble_state (labels)", labels, Iterable)
     return scramble([probabilities(rho, lab) for lab in labels])
 
 
 def scramble_equivalent(d1: ScrambledData, d2: ScrambledData, tol: float = 1e-9) -> bool:
     """Whether two scrambled-data objects agree elementwise within ``tol``."""
+    check_instance("scramble_equivalent (d1)", d1, ScrambledData)
+    check_instance("scramble_equivalent (d2)", d2, ScrambledData)
+    tol = check_real("tol", tol)
     if d1.settings != d2.settings:
         raise SettingMismatch(f"settings {d1.settings} vs {d2.settings}")
     return all(
@@ -300,6 +284,8 @@ def apply_permutation(d: ScrambledData, pair: PermutationPair) -> list[OutcomeDi
     Outcome ``i`` of XX receives the ``pair.pi_x[i]``-th largest probability,
     and likewise for ZZ.
     """
+    check_instance("apply_permutation (d)", d, ScrambledData)
+    check_instance("apply_permutation (pair)", pair, PermutationPair)
     mx = d.multiset(XX)
     mz = d.multiset(ZZ)
     return [

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, InvalidState, NotHermitian, check_count, check_integer,
-                     check_numbers)
+from .errors import (DomainError, InvalidState, NotHermitian, check_count, check_instance,
+                     check_integer, check_numbers, check_real)
 
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-9
@@ -167,11 +167,11 @@ class ProductStateParams:
 
     def __post_init__(self):
         for name in ("theta_a", "theta_b"):
-            t = getattr(self, name)
+            t = check_real(name, getattr(self, name))
             if not (0.0 <= t <= math.pi):
                 raise DomainError(f"{name} = {t} outside [0, pi]")
         for name in ("phi_a", "phi_b"):
-            p = getattr(self, name)
+            p = check_real(name, getattr(self, name))
             if not (0.0 <= p < 2.0 * math.pi):
                 raise DomainError(f"{name} = {p} outside [0, 2*pi)")
 
@@ -189,6 +189,7 @@ def qubit_state(theta: float, phi: float = 0.0) -> np.ndarray:
 
 def product_state(params: ProductStateParams) -> PureState:
     """Tensor product of the two single-qubit states described by ``params``."""
+    check_instance("product_state", params, ProductStateParams)
     ket = np.kron(qubit_state(params.theta_a, params.phi_a),
                   qubit_state(params.theta_b, params.phi_b))
     return PureState(ket)
@@ -196,14 +197,16 @@ def product_state(params: ProductStateParams) -> PureState:
 
 def psi_t(t: float) -> PureState:
     """The boundary family (t|00> + |01> + |10> + |11>) / sqrt(3 + t^2), t >= 1."""
-    if not (np.isfinite(t) and t >= 1.0):
+    if not check_real("t", t) >= 1.0:
         raise DomainError(f"psi_t requires t >= 1, got {t}")
     return PureState(np.array([t, 1.0, 1.0, 1.0], dtype=complex) / math.sqrt(3.0 + t * t))
 
 
 def mix(rho1: DensityMatrix, rho2: DensityMatrix, w: float) -> DensityMatrix:
     """Convex combination (1-w) rho1 + w rho2 with w in [0, 1]."""
-    if not (0.0 <= w <= 1.0):
+    check_instance("mix (rho1)", rho1, DensityMatrix)
+    check_instance("mix (rho2)", rho2, DensityMatrix)
+    if not (0.0 <= check_real("mixing weight", w) <= 1.0):
         raise DomainError(f"mixing weight {w} outside [0, 1]")
     return DensityMatrix((1.0 - w) * rho1.matrix + w * rho2.matrix)
 

@@ -15,13 +15,14 @@ entanglement.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError, MissingSetting, check_count
+from .errors import (ConvergenceFailure, DomainError, MissingSetting, check_count, check_instance,
+                     check_real)
 from .measurement import XX, YY, ZZ, OutcomeDistribution, ScrambledData, setting
 # multistart_minimize is not called here; bench/spans.py traces witness.multistart_minimize
 from .optimize import multistart_minimize  # noqa: F401
@@ -30,19 +31,9 @@ from .quantum import PureState
 TANGENT_TOL = 1e-8
 
 
-def _require_finite(**coefficients) -> None:
-    """Raise DomainError unless every named coefficient (scalar or array) is finite."""
-    for name, value in coefficients.items():
-        if not np.all(np.isfinite(value)):
-            raise DomainError(f"witness coefficient {name} must be finite")
-
-
-def _require_numbers(**coefficients) -> None:
-    """Raise DomainError unless every named coefficient is one finite number."""
-    for name, value in coefficients.items():
-        if np.ndim(value):
-            raise DomainError(f"witness coefficients must be numbers, not arrays ({name})")
-    _require_finite(**coefficients)
+def _coefficients(**coefficients) -> list[float]:
+    """Each named witness coefficient through :func:`~qscramble.errors.check_real`."""
+    return [check_real(f"witness coefficient {name}", v) for name, v in coefficients.items()]
 
 
 @dataclass(frozen=True)
@@ -62,7 +53,7 @@ class WitnessParams:
     choice_z: int = 0
 
     def __post_init__(self):
-        _require_numbers(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
+        _coefficients(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
         for name in ("choice_x", "choice_y", "choice_z"):
             c = getattr(self, name)
             if not (isinstance(c, (int, np.integer)) and not isinstance(c, bool) and 0 <= c <= 3):
@@ -71,6 +62,7 @@ class WitnessParams:
 
 def witness_matrix(w: WitnessParams) -> np.ndarray:
     """1 + alpha Pi_x + beta Pi_y + gamma Pi_z with the chosen projectors."""
+    check_instance("witness_matrix", w, WitnessParams)
     m = np.eye(4, dtype=complex)
     m = m + w.alpha * setting(XX).projectors[w.choice_x]
     m = m + w.beta * setting(YY).projectors[w.choice_y]
@@ -78,16 +70,17 @@ def witness_matrix(w: WitnessParams) -> np.ndarray:
     return m
 
 
-def _dist_map(dists) -> Mapping[str, OutcomeDistribution]:
-    if isinstance(dists, Mapping):
-        return dists
-    return {d.setting: d for d in dists}
+def _dist_map(dists, caller: str) -> Mapping[str, OutcomeDistribution]:
+    items = dists.values() if isinstance(dists, Mapping) else dists
+    return {check_instance(caller, d, OutcomeDistribution).setting: d
+            for d in check_instance(caller, items, Iterable)}
 
 
 def witness_value(dists: Iterable[OutcomeDistribution] | Mapping[str, OutcomeDistribution],
                   w: WitnessParams) -> float:
     """<W> = 1 + alpha p_x + beta p_y + gamma p_z for labeled distributions."""
-    dmap = _dist_map(dists)
+    check_instance("witness_value", w, WitnessParams)
+    dmap = _dist_map(dists, "witness_value")
     value = 1.0
     for coeff, label, choice in ((w.alpha, XX, w.choice_x), (w.beta, YY, w.choice_y),
                                  (w.gamma, ZZ, w.choice_z)):
@@ -106,7 +99,8 @@ def scrambled_witness_min(d: ScrambledData, alpha: float, beta: float,
     Each assignment corresponds to a valid family member, so a negative
     result certifies entanglement from the scrambled data alone.
     """
-    _require_numbers(alpha=alpha, beta=beta, gamma=gamma)
+    check_instance("scrambled_witness_min", d, ScrambledData)
+    alpha, beta, gamma = _coefficients(alpha=alpha, beta=beta, gamma=gamma)
     value = 1.0
     for coeff, label in ((alpha, XX), (beta, YY), (gamma, ZZ)):
         if coeff == 0.0:
@@ -124,7 +118,8 @@ def min_entropy_form(alpha: float, beta: float, gamma: float,
     which coincides with :func:`scrambled_witness_min` there.  Zero
     coefficients skip their setting.
     """
-    _require_numbers(alpha=alpha, beta=beta, gamma=gamma)
+    alpha, beta, gamma = _coefficients(alpha=alpha, beta=beta, gamma=gamma)
+    check_instance("min_entropy_form", d, ScrambledData)
     if alpha > 0.0 or beta > 0.0 or gamma > 0.0:
         raise DomainError("the min-entropy form needs nonpositive coefficients")
     value = 1.0
@@ -142,7 +137,7 @@ def correlation_witness_values(
 
     E = p0 - p1 - p2 + p3 in outcome-label order; sign order (++, +-, -+, --).
     """
-    dmap = _dist_map(dists)
+    dmap = _dist_map(dists, "correlation_witness_values")
     for label in (XX, ZZ):
         if label not in dmap:
             raise MissingSetting(f"correlation witnesses need the {label} distribution")
@@ -221,7 +216,6 @@ def _separable_min(alpha, beta, gamma):
     :func:`_candidates`, ranked on the row scaled to max |k_i| = 1, which moves
     no candidate and avoids underflow.
     """
-    _require_finite(alpha=alpha, beta=beta, gamma=gamma)
     k = np.atleast_2d(np.stack(np.broadcast_arrays(alpha, beta, gamma), axis=-1).astype(float))
     top = np.max(np.abs(k), axis=1, keepdims=True)
     unit = k / np.where(top > 0.0, top, 1.0)
@@ -238,7 +232,7 @@ def _separable_min(alpha, beta, gamma):
 def min_over_separable(alpha: float, beta: float, gamma: float) -> float:
     """min over pure product states of <W>; >= 0 iff W is a witness.  Exact for
     every sign pattern: the least <W> over the KKT points, with no search."""
-    return float(_separable_min(alpha, beta, gamma)[0][0])
+    return float(_separable_min(*_coefficients(alpha=alpha, beta=beta, gamma=gamma))[0][0])
 
 
 def witness_min_eigvec(alpha: float, gamma: float) -> tuple[float, PureState]:
@@ -248,7 +242,7 @@ def witness_min_eigvec(alpha: float, gamma: float) -> tuple[float, PureState]:
     at least one negative coefficient; uses the closed form
     t = -(alpha - 2 gamma + 2 sqrt(alpha^2 - alpha gamma + gamma^2)) / alpha.
     """
-    _require_numbers(alpha=alpha, gamma=gamma)
+    alpha, gamma = _coefficients(alpha=alpha, gamma=gamma)
     if alpha == 0.0:
         raise DomainError("the t-formula requires alpha != 0")
     if alpha >= 0.0 and gamma >= 0.0:
@@ -301,7 +295,7 @@ def optimize_params(beta: float, *, num: int = 33) -> list[tuple[float, float]]:
     direction at once (:func:`_tangency_scales`); directions with no
     tangent scale are left out.
     """
-    _require_numbers(beta=beta)
+    beta = check_real("witness coefficient beta", beta)
     num = check_count("the curve resolution num", num, 1)
     omega = np.linspace(0.0, 0.5 * math.pi, num)
     a0, g0 = -np.cos(omega), -np.sin(omega)
@@ -339,6 +333,7 @@ def scrambled_correlation_min(d: ScrambledData) -> float:
     of the four sign witnesses; negative means every assignment is refuted,
     which certifies entanglement.
     """
+    check_instance("scrambled_correlation_min", d, ScrambledData)
     return float(1.0 - _least_pairing_delta(d.multiset(XX))
                  - _least_pairing_delta(d.multiset(ZZ)))
 
@@ -373,6 +368,7 @@ def scrambled_family_min(d: ScrambledData, *, curve=None) -> tuple[float, tuple[
     Ties go to the first curve point, and to the curve over the correlation
     family.
     """
+    check_instance("scrambled_family_min", d, ScrambledData)
     curve = tuple(curve if curve is not None else tangent_curve())
     values = _family_values(d.multiset(XX)[None], d.multiset(ZZ)[None], curve)[0]
     j = int(np.argmin(values))
