@@ -3,8 +3,10 @@ scans, and the paper checks.
 
 The three detection routes are ordered by strength on this data: the
 feasibility engine (sdp) is complete, so anything the witness family or the
-entropy pair detects must also be sdp-detected.  Reports keep the verdicts
-side by side.
+entropy pair detects must also be sdp-detected.  Each route decides stacks
+of sorted multisets in one function: sdp in ``_decide`` below, the witness
+family in ``witness._family_values`` and the entropy pair in
+``entropy._decide_pairs``.  :func:`detect` keeps their verdicts side by side.
 
 Scrambled data is decided here, labeled rows in :mod:`~qscramble.feasibility`.
 ``_decide`` alone expands sorted multisets into their 18 canonical
@@ -26,7 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entropy import TSALLIS, EntropySpec, entropy_detect, entropy_nd, get_separable_boundary
+from . import witness
+from .entropy import TSALLIS, EntropySpec, _decide_pairs
 from .errors import DomainError, check_count, check_instance, check_real
 from .feasibility import FeasibilityStatus, _solve_codes, solve_batch
 from .measurement import (XX, ZZ, PermutationPair, ScrambledData, apply_permutation,
@@ -35,15 +38,15 @@ from .measurement import (XX, ZZ, PermutationPair, ScrambledData, apply_permutat
 from .optimize import bisect
 from .quantum import (SIGMA_X, SIGMA_Z, I2, DensityMatrix, ginibre_stack, is_ppt, mix,
                       phi_plus, plus_zero)
-# random_hs_stack, probabilities_stack and tangent_curve are not called here;
-# they are re-exported because bench/spans.py traces calls looked up as
-# detector.<name>
+# random_hs_stack, probabilities_stack, get_separable_boundary and tangent_curve
+# are not called here; they are re-exported because bench/spans.py traces calls
+# looked up as detector.<name>
+from .entropy import get_separable_boundary  # noqa: F401
 from .measurement import probabilities_stack  # noqa: F401
 from .quantum import random_hs_stack  # noqa: F401
 from .witness import (correlation_witness_values, scrambled_family_min,  # noqa: F401
                       tangent_curve)
 
-WITNESS_DETECT_TOL = 1e-8
 # samples drawn per chunk; a chunk decides its true labelings in one
 # _solve_codes call and, when scrambled, the rest in one _decide call
 _SCAN_CHUNK = 8192
@@ -200,16 +203,24 @@ class DetectionReport:
 def detect(inp, methods: Iterable[str] = _ALL_METHODS, *,
            spec_x: EntropySpec | None = None,
            spec_z: EntropySpec | None = None) -> DetectionReport:
-    """Run the requested detection methods on a state or its scrambled data."""
+    """Run the requested detection methods on a state or its scrambled data.
+
+    Bad methods, inputs, specs and missing settings raise before any method runs.
+    """
+    if isinstance(methods, str):
+        raise DomainError(f"methods must be a list such as [{methods!r}], not a string")
     methods = set(map(str, check_instance("detect (methods)", methods, Iterable)))  # read once
-    wanted = [m for m in _ALL_METHODS if m in methods]
     unknown = methods - set(_ALL_METHODS)
-    if unknown or not wanted:
+    if unknown:
         raise DomainError(f"unknown detection methods {sorted(unknown)}")
+    if not methods:
+        raise DomainError(f"no detection method requested; choose from {list(_ALL_METHODS)}")
+    wanted = [m for m in _ALL_METHODS if m in methods]
     data = check_instance("detect", inp, (DensityMatrix, ScrambledData))
     data = scramble_state(data) if isinstance(data, DensityMatrix) else data
     spec_x = check_instance("detect (spec_x)", _TSALLIS2 if spec_x is None else spec_x, EntropySpec)
     spec_z = check_instance("detect (spec_z)", _TSALLIS2 if spec_z is None else spec_z, EntropySpec)
+    mx, mz = data.multiset(XX)[None], data.multiset(ZZ)[None]  # every method needs both
 
     verdicts: dict[str, str] = {}
     evidence: dict[str, object] = {}
@@ -228,18 +239,15 @@ def detect(inp, methods: Iterable[str] = _ALL_METHODS, *,
                     evidence[method]["state"] = ev.state.matrix.tolist()
             elif method == "witness":
                 value, params = scrambled_family_min(data)
-                detected = value < -WITNESS_DETECT_TOL
+                detected = value < -witness.WITNESS_DETECT_TOL
                 verdicts[method] = "detected" if detected else "not_detected"
                 evidence[method] = {"value": value,
                                     "alpha": params[0], "gamma": params[1]}
             else:
-                s_x = float(entropy_nd(data.multiset(XX), spec_x))
-                s_z = float(entropy_nd(data.multiset(ZZ), spec_z))
-                detected = entropy_detect(data, spec_x, spec_z)
-                verdicts[method] = "detected" if detected else "not_detected"
-                bound = get_separable_boundary(spec_x, spec_z)
-                evidence[method] = {"s_xx": s_x, "s_zz": s_z,
-                                    "separable_bound": float(bound.value(s_x))}
+                s_x, s_z, bound, detected = _decide_pairs(mx, mz, spec_x, spec_z)
+                verdicts[method] = "detected" if detected[0] else "not_detected"
+                evidence[method] = {"s_xx": float(s_x[0]), "s_zz": float(s_z[0]),
+                                    "separable_bound": float(bound[0])}
         except Exception as exc:  # recorded per method, never fatal to the report
             verdicts[method] = f"error: {exc}"
             evidence[method] = {"error": type(exc).__name__, "message": str(exc)}

@@ -399,29 +399,28 @@ def get_separable_boundary(spec_x: EntropySpec, spec_z: EntropySpec,
 # ---------------------------------------------------------------------------
 
 
-def entropy_detected_stack(pxx: np.ndarray, pzz: np.ndarray,
-                           spec_x: EntropySpec, spec_z: EntropySpec) -> np.ndarray:
-    """Entropy-method verdicts for stacks of XX and ZZ probability rows.
+def _decide_pairs(mx: np.ndarray, mz: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec):
+    """(s_xx, s_zz, bound, detected) for sorted multisets ``mx``, ``mz`` (n, 4):
+    the entropy pairs, the separable boundary at s_xx, and the verdicts.
 
-    A row is detected when its entropy pair lies below the separable boundary
-    in either orientation (the XX/ZZ roles can be swapped by a local
-    Hadamard, which preserves separability).
+    A row is detected when its pair lies more than ``DETECT_MARGIN`` below
+    the separable boundary in either orientation (the XX/ZZ roles can be
+    swapped by a local Hadamard, which preserves separability).
     """
     _require_bound_regime(spec_x, "horizontal")
     _require_bound_regime(spec_z, "vertical")
-    s_x = entropy_nd(np.asarray(pxx, dtype=float), spec_x)
-    s_z = entropy_nd(np.asarray(pzz, dtype=float), spec_z)
-    detected = s_z < get_separable_boundary(spec_x, spec_z).value(s_x) - DETECT_MARGIN
-    if np.all(detected):
-        return detected
-    return detected | (s_x < get_separable_boundary(spec_z, spec_x).value(s_z) - DETECT_MARGIN)
+    s_x, s_z = entropy_nd(mx, spec_x), entropy_nd(mz, spec_z)
+    bound = get_separable_boundary(spec_x, spec_z).value(s_x)
+    detected = s_z < bound - DETECT_MARGIN
+    if not np.all(detected):
+        detected |= s_x < get_separable_boundary(spec_z, spec_x).value(s_z) - DETECT_MARGIN
+    return s_x, s_z, bound, detected
 
 
 def entropy_detect(d: ScrambledData, spec_x: EntropySpec, spec_z: EntropySpec) -> bool:
     """True when the entropy pair certifies entanglement of the scrambled data."""
     check_instance("entropy_detect", d, ScrambledData)
-    return bool(entropy_detected_stack(d.multiset(XX)[None], d.multiset(ZZ)[None],
-                                       spec_x, spec_z)[0])
+    return bool(_decide_pairs(d.multiset(XX)[None], d.multiset(ZZ)[None], spec_x, spec_z)[3][0])
 
 
 _ROBUST_T = 3.0

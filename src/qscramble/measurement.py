@@ -155,7 +155,7 @@ class ScrambledData:
         try:
             return self.multisets[label]
         except KeyError:
-            raise MissingSetting(label) from None
+            raise MissingSetting(f"the scrambled data has no {label} multiset") from None
 
 
 def scramble(dists: Iterable[OutcomeDistribution]) -> ScrambledData:

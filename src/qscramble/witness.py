@@ -29,6 +29,7 @@ from .optimize import multistart_minimize  # noqa: F401
 from .quantum import PureState
 
 TANGENT_TOL = 1e-8
+WITNESS_DETECT_TOL = 1e-8
 
 
 def _coefficients(**coefficients) -> list[float]:
@@ -339,7 +340,9 @@ def scrambled_correlation_min(d: ScrambledData) -> float:
 
 
 def _family_values(mx: np.ndarray, mz: np.ndarray, curve) -> np.ndarray:
-    """Certified witness values of sorted (descending) multisets of shape (n, 4).
+    """Certified witness values of sorted (descending) multisets of shape (n, 4),
+    the witness route's decision: a row whose least value is below
+    -WITNESS_DETECT_TOL is detected.
 
     Column j < len(curve) is :func:`scrambled_witness_min` at curve point j
     (beta = 0); the last column is :func:`scrambled_correlation_min`.
@@ -352,27 +355,16 @@ def _family_values(mx: np.ndarray, mz: np.ndarray, curve) -> np.ndarray:
     return np.concatenate([1.0 + a * px + g * pz, corr[:, None]], axis=1)
 
 
-def witness_min_stack(pxx: np.ndarray, pzz: np.ndarray) -> np.ndarray:
-    """Best certified scrambled witness value per sample over the tangent
-    curve plus the correlation family, for stacks of probability rows."""
-    mx = np.sort(np.asarray(pxx, float), axis=1)[:, ::-1]
-    mz = np.sort(np.asarray(pzz, float), axis=1)[:, ::-1]
-    return np.min(_family_values(mx, mz, tangent_curve()), axis=1)
-
-
-def scrambled_family_min(d: ScrambledData, *, curve=None) -> tuple[float, tuple[float, float]]:
+def scrambled_family_min(d: ScrambledData) -> tuple[float, tuple[float, float]]:
     """Best certified witness value over the tangent curve plus correlation family.
 
     Returns (value, (alpha, gamma)); for the correlation witnesses the pair
-    is reported as the (-1, -1) sentinel.  Negative value means detected.
-    Ties go to the first curve point, and to the curve over the correlation
-    family.
+    is reported as the (-1, -1) sentinel.  A value below -WITNESS_DETECT_TOL
+    means detected.  Ties go to the first curve point, and to the curve over
+    the correlation family.
     """
     check_instance("scrambled_family_min", d, ScrambledData)
-    curve = tuple(curve if curve is not None else tangent_curve())
+    curve = tangent_curve()
     values = _family_values(d.multiset(XX)[None], d.multiset(ZZ)[None], curve)[0]
     j = int(np.argmin(values))
-    if j == len(curve):
-        return float(values[j]), (-1.0, -1.0)
-    a, g = curve[j]
-    return float(values[j]), (a, g)
+    return float(values[j]), curve[j] if j < len(curve) else (-1.0, -1.0)

@@ -12,15 +12,16 @@ import pytest
 import qscramble.quantum as qm
 from qscramble.detector import counterexample_mixture, scan_details, verify_counterexample
 from qscramble.entropy import (TSALLIS, EntropySpec, all_states_bound_closed_form,
-                               all_states_bound_vec, entropy_detected_stack, entropy_nd,
+                               _decide_pairs, all_states_bound_vec, entropy_nd,
                                psi_t_entropies, robustness, separable_bound,
                                separable_bound_closed_form)
 from qscramble.feasibility import (FeasibilityStatus, oracle_feasible, solve_batch)
 from qscramble.measurement import (XX, ZZ, canonical_permutations, probabilities,
                                    probabilities_stack, scramble_equivalent,
                                    scramble_state)
-from qscramble.witness import (min_over_separable, optimize_params, witness_matrix,
-                               witness_min_eigvec, witness_min_stack, WitnessParams)
+from qscramble.witness import (WITNESS_DETECT_TOL, _family_values, min_over_separable,
+                               optimize_params, tangent_curve, witness_matrix,
+                               witness_min_eigvec, WitnessParams)
 
 SEED = 314159265
 T2 = EntropySpec(TSALLIS, 2.0)
@@ -195,11 +196,12 @@ def test_criterion_9_detection_rate_and_hierarchy(big_stack, boundary_22, tsalli
     ok_rate = 0.009 <= fraction <= 0.015
 
     _, pxx, pzz = big_stack
-    wvals = witness_min_stack(pxx, pzz)
-    wdet = wvals < -1e-8
+    mx, mz = (np.sort(p, axis=1)[:, ::-1] for p in (pxx, pzz))
+    wvals = np.min(_family_values(mx, mz, tangent_curve()), axis=1)
+    wdet = wvals < -WITNESS_DETECT_TOL
     ok_hierarchy = not np.any(wdet & (outcomes != 1))
 
-    edet = entropy_detected_stack(pxx, pzz, tsallis2, tsallis2)
+    edet = _decide_pairs(mx, mz, tsallis2, tsallis2)[3]
     ok_entropy_zero = int(np.sum(edet)) == 0
     report("criterion 9: 1e5-state scan rate, witness hierarchy, entropy null result",
            ok_rate and ok_hierarchy and ok_entropy_zero,

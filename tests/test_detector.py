@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -7,14 +9,27 @@ import qscramble.detector as det
 from qscramble.detector import (classify_slice_point, counterexample_mixture, detect,
                                 nonconvex_slice, rho1, scan, scan_details,
                                 verify_counterexample)
-from qscramble.entropy import entropy_detected_stack
-from qscramble.errors import DomainError
+from qscramble.entropy import (RENYI, TSALLIS, EntropySpec, _decide_pairs, entropy_detect,
+                               entropy_nd, get_separable_boundary)
+from qscramble.errors import DomainError, MissingSetting
 from qscramble.feasibility import FeasibilityStatus, _solve_codes, solve_batch
-from qscramble.measurement import (XX, ZZ, apply_permutation, canonical_permutations,
-                                   probabilities, probabilities_stack, scramble_state)
+from qscramble.measurement import (XX, ZZ, ScrambledData, apply_permutation,
+                                   canonical_permutations, probabilities, probabilities_stack,
+                                   scramble_state)
 from qscramble.quantum import (DensityMatrix, ginibre_stack, is_ppt, maximally_mixed,
                                psi_t, random_hs_stack, singlet)
-from qscramble.witness import witness_min_stack
+from qscramble.witness import WITNESS_DETECT_TOL, _family_values, tangent_curve
+
+# the package's `entropy` attribute is the function, not the module
+entropy_module = importlib.import_module("qscramble.entropy")
+SPEC_PAIRS = [(EntropySpec(TSALLIS, 2.0), EntropySpec(TSALLIS, 2.0)),
+              (EntropySpec(RENYI, 3.0), EntropySpec(TSALLIS, 2.5))]
+
+
+def _multisets(states):
+    """The sorted (descending) XX and ZZ multisets of a stack of states."""
+    return tuple(np.sort(np.clip(probabilities_stack(states, label), 0, 1), axis=1)[:, ::-1]
+                 for label in (XX, ZZ))
 
 
 def test_rho1_construction():
@@ -75,6 +90,53 @@ def test_detect_records_method_errors():
     assert rep.evidence["entropy"]["error"] == "DomainError"
     assert rep.evidence["entropy"]["message"] == rep.methods["entropy"][len("error: "):]
     assert rep.overall == "inconclusive"
+
+
+def test_detect_needs_both_settings_before_any_method():
+    m = [0.7, 0.1, 0.1, 0.1]
+    for data, missing in ((ScrambledData({XX: m}), "ZZ"), (ScrambledData({ZZ: m}), "XX")):
+        for methods in (["sdp"], ["witness"], ["entropy"], ["sdp", "witness", "entropy"]):
+            with pytest.raises(MissingSetting, match=missing):
+                detect(data, methods)
+
+
+@pytest.mark.parametrize("specs", SPEC_PAIRS, ids=["tsallis2-tsallis2", "renyi3-tsallis2.5"])
+def test_detect_entropy_evidence_is_the_route_decision(specs):
+    spec_x, spec_z = specs
+    for rho in (singlet().density(), psi_t(3.0).density(), counterexample_mixture(),
+                maximally_mixed()):
+        data = scramble_state(rho)
+        rep = detect(data, ["entropy"], spec_x=spec_x, spec_z=spec_z)
+        ev = rep.evidence["entropy"]
+        s_xx = float(entropy_nd(data.multiset(XX), spec_x))
+        assert ev["s_xx"] == s_xx
+        assert ev["s_zz"] == float(entropy_nd(data.multiset(ZZ), spec_z))
+        assert ev["separable_bound"] == float(get_separable_boundary(spec_x, spec_z).value(s_xx))
+        detected = entropy_detect(data, spec_x, spec_z)
+        assert rep.methods["entropy"] == ("detected" if detected else "not_detected")
+
+
+@pytest.mark.parametrize("specs", SPEC_PAIRS, ids=["tsallis2-tsallis2", "renyi3-tsallis2.5"])
+def test_warm_entropy_detect_evaluates_each_entropy_once(specs):
+    spec_x, spec_z = specs
+    code = entropy_module.entropy_nd.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(1)
+
+    # singlet: not detected, so both orientations are read; psi_3: detected
+    for rho in (singlet().density(), psi_t(3.0).density()):
+        data = scramble_state(rho)
+        detect(data, ["entropy"], spec_x=spec_x, spec_z=spec_z)  # builds both boundaries
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            detect(data, ["entropy"], spec_x=spec_x, spec_z=spec_z)
+        finally:
+            sys.setprofile(None)
+        assert len(calls) == 2
 
 
 def test_scan_has_no_inconclusive_sample():
@@ -339,13 +401,11 @@ def test_verify_counterexample_all_pass():
     assert report.all_passed
 
 
-def test_witness_min_stack_matches_scalar():
+def test_family_values_match_scalar():
     from qscramble.witness import (correlation_witness_values, scrambled_family_min,
-                                   scrambled_witness_min, tangent_curve)
+                                   scrambled_witness_min)
     states = random_hs_stack(13, 25)
-    pxx = np.clip(probabilities_stack(states, XX), 0, 1)
-    pzz = np.clip(probabilities_stack(states, ZZ), 0, 1)
-    vec = witness_min_stack(pxx, pzz)
+    vec = np.min(_family_values(*_multisets(states), tangent_curve()), axis=1)
     for i, m in enumerate(states):
         data = scramble_state(DensityMatrix(m))
         curve = min(scrambled_witness_min(data, a, 0.0, g) for a, g in tangent_curve())
@@ -360,16 +420,14 @@ def test_hierarchy_on_scan(tsallis2, boundary_22):
     n = 3000
     seed = 2718
     outcomes = scan_details(n, seed, False)
-    states = random_hs_stack(seed, n)
-    pxx = np.clip(probabilities_stack(states, XX), 0, 1)
-    pzz = np.clip(probabilities_stack(states, ZZ), 0, 1)
-    wvals = witness_min_stack(pxx, pzz)
-    edet = entropy_detected_stack(pxx, pzz, tsallis2, tsallis2)
+    mx, mz = _multisets(random_hs_stack(seed, n))
+    wvals = np.min(_family_values(mx, mz, tangent_curve()), axis=1)
+    edet = _decide_pairs(mx, mz, tsallis2, tsallis2)[3]
     sdp_detected = outcomes == 1
     assert not np.any(edet & ~sdp_detected)
     # witness detection certifies the scrambled data, hence also every
     # relabeling of the identity assignment
-    assert not np.any((wvals < -1e-8) & (outcomes == 0))
+    assert not np.any((wvals < -WITNESS_DETECT_TOL) & (outcomes == 0))
 
 
 def test_star_convexity_single_flip_on_detected_states():

@@ -52,6 +52,8 @@ CASES = {
     "scramble_state-labels-none": (lambda: scramble_state(RHO, None), "expects a"),
     "correlation_witness_values-none": (lambda: correlation_witness_values(None), "expects a"),
     "detect-methods-none": (lambda: detect(RHO, None), "expects a"),
+    "detect-methods-str": (lambda: detect(RHO, "sdp"), r"such as \['sdp'\], not a string"),
+    "detect-methods-empty": (lambda: detect(RHO, []), "no detection method"),
     "detect-array-spec": (lambda: detect(RHO, spec_z=np.zeros(3)), "expects a"),
     # not a number
     "robustness-str": (lambda: robustness("x"), "real number"),

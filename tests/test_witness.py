@@ -8,7 +8,7 @@ from qscramble.measurement import (XX, YY, ZZ, OutcomeDistribution, ScrambledDat
                                    apply_permutation, canonical_permutations,
                                    probabilities, scramble, scramble_state)
 from qscramble.quantum import eig_hermitian, psi_t, random_hs_stack, singlet
-from qscramble.witness import (WitnessParams, _min_over_b, _separable_min,
+from qscramble.witness import (WITNESS_DETECT_TOL, WitnessParams, _min_over_b, _separable_min,
                                _tangency_scales, correlation_witness_values,
                                min_entropy_form, min_over_separable, optimize_params,
                                scrambled_correlation_min, scrambled_family_min,
@@ -436,4 +436,4 @@ def test_scrambled_family_min_soundness_on_separable_data():
     for m in states[ppt][:60]:
         data = scramble_state(DensityMatrix(m))
         value, _ = scrambled_family_min(data)
-        assert value >= -1e-8
+        assert value >= -WITNESS_DETECT_TOL
