@@ -32,7 +32,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, DomainError, check_count, check_instance,
+from .errors import (ConvergenceFailure, DomainError, check_count, check_instance, check_numbers,
                      check_probabilities, check_real)
 from .measurement import XX, ZZ, OutcomeDistribution, ScrambledData
 from .optimize import bisect
@@ -114,35 +114,37 @@ def _logsumexp(a: np.ndarray, axis: int | None = None, b: np.ndarray | None = No
     return out[()] if out.ndim == 0 else out
 
 
-def _power_sum(p: np.ndarray, q: float, axis: int = -1) -> np.ndarray:
-    """sum_j p_j^q, evaluated in log space for large q."""
+def _power_sum(p: np.ndarray, q: float) -> np.ndarray:
+    """sum_j p_j^q along the last axis, evaluated in log space for large q."""
     if q > _LOGSPACE_Q:
         with np.errstate(divide="ignore"):
             logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -np.inf)
-        return np.exp(_logsumexp(q * logp, axis=axis))
-    return np.sum(np.where(p > 0.0, p, 0.0) ** q, axis=axis)
+        return np.exp(_logsumexp(q * logp, axis=-1))
+    return np.sum(np.where(p > 0.0, p, 0.0) ** q, axis=-1)
 
 
-def entropy_nd(p: np.ndarray, spec: EntropySpec, axis: int = -1) -> np.ndarray:
-    """Entropy of probability vectors along ``axis`` (vectorized).
+def entropy_nd(p: np.ndarray, spec: EntropySpec) -> np.ndarray:
+    """Entropy of probability vectors along the last axis (vectorized).
 
-    Entries are summed in sorted order, which makes the result bit-exact
-    under permutations of the input.
+    Entries are summed in sorted order, so the result is bit-exact under
+    permutations of the input; a deterministic row gives +0.0, not -0.0.
     """
     check_instance("an entropy function", spec, EntropySpec)
-    p = np.sort(np.asarray(p, dtype=float), axis=axis)
+    p = np.sort(np.asarray(p, dtype=float), axis=-1)
+    q = spec.parameter
     if spec.kind == SHANNON:
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
-        return -np.sum(terms, axis=axis)
-    q = spec.parameter
-    if spec.kind == TSALLIS:
-        return (1.0 - _power_sum(p, q, axis=axis)) / (q - 1.0)
-    if math.isinf(q):
-        return -np.log2(np.max(p, axis=axis))
-    with np.errstate(divide="ignore"):
-        logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -np.inf)
-    return _logsumexp(q * logp, axis=axis) / math.log(2.0) / (1.0 - q)
+        out = -np.sum(terms, axis=-1)
+    elif spec.kind == TSALLIS:
+        out = (1.0 - _power_sum(p, q)) / (q - 1.0)
+    elif math.isinf(q):
+        out = -np.log2(np.max(p, axis=-1))
+    else:
+        with np.errstate(divide="ignore"):
+            logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -np.inf)
+        out = _logsumexp(q * logp, axis=-1) / math.log(2.0) / (1.0 - q)
+    return out + 0.0  # -0.0 + 0.0 is +0.0, and x + 0.0 is x for every other x
 
 
 def entropy(p, spec: EntropySpec) -> float:
@@ -206,6 +208,15 @@ def _require_bound_regime(spec: EntropySpec, role: str) -> None:
             f"for the bound operations, got {spec.kind}-{spec.parameter}")
 
 
+def _sxx_in_range(s, smax: float) -> np.ndarray:
+    """Floats ``s`` clipped to [0, smax]; :class:`DomainError` if one lies over 1e-12 outside."""
+    s = check_numbers("S_xx", s)
+    bad = ~((s >= -1e-12) & (s <= smax + 1e-12))  # NaN is bad too
+    if np.any(bad):
+        raise DomainError(f"S_xx = {float(s[bad][0])!r} outside the attainable range [0, {smax!r}]")
+    return np.clip(s, 0.0, smax)
+
+
 def t_from_sxx_vec(s: np.ndarray, spec_x: EntropySpec) -> np.ndarray:
     """Vectorized inverse of t -> S_xx(psi_t); capped at T_CAP near the asymptote.
 
@@ -215,13 +226,7 @@ def t_from_sxx_vec(s: np.ndarray, spec_x: EntropySpec) -> np.ndarray:
     targets at or above S_xx(psi_T_CAP) give T_CAP.
     """
     _require_bound_regime(spec_x, "horizontal")
-    s = np.asarray(s, dtype=float)
-    shape = s.shape
-    s = np.atleast_1d(s).astype(float)
-    smax = max_entropy(spec_x)
-    if not np.all((s >= -1e-12) & (s <= smax + 1e-12)):  # NaN fails too
-        raise DomainError(f"target entropy outside the attainable range [0, {smax!r}]")
-    s = np.clip(s, 0.0, smax)
+    s = _sxx_in_range(s, max_entropy(spec_x))
     s_at_cap = float(entropy_nd(psi_t_xx_probs(T_CAP), spec_x))
     out = np.where(s <= 1e-12, 1.0, np.nan)
     out = np.where(s >= s_at_cap, T_CAP, out)
@@ -231,7 +236,7 @@ def t_from_sxx_vec(s: np.ndarray, spec_x: EntropySpec) -> np.ndarray:
         lo, hi = bisect(lambda t: entropy_nd(psi_t_xx_probs(t), spec_x) <= target,
                         np.ones(target.size), T_CAP, 80)
         out[todo] = 0.5 * (lo + hi)
-    return out.reshape(shape)
+    return out
 
 
 def t_from_sxx(s: float, spec_x: EntropySpec) -> float:
@@ -241,8 +246,7 @@ def t_from_sxx(s: float, spec_x: EntropySpec) -> float:
 
 def all_states_bound_vec(s_xx: np.ndarray, spec_x: EntropySpec,
                          spec_z: EntropySpec) -> np.ndarray:
-    _require_bound_regime(spec_x, "horizontal")
-    _require_bound_regime(spec_z, "vertical")
+    _require_bound_regime(spec_z, "vertical")  # t_from_sxx_vec checks spec_x
     t = t_from_sxx_vec(s_xx, spec_x)
     return entropy_nd(psi_t_zz_probs(t), spec_z)
 
@@ -254,9 +258,7 @@ def all_states_bound(s_xx: float, spec_x: EntropySpec, spec_z: EntropySpec) -> f
 
 def all_states_bound_closed_form(s_xx: float) -> float:
     """Closed form of the all-states bound for q = qtilde = 2."""
-    if not (-1e-12 <= check_real("S_xx", s_xx) <= 0.75 + 1e-12):
-        raise DomainError(f"S_xx^(2) = {s_xx} outside [0, 3/4]")
-    s_xx = min(max(s_xx, 0.0), 0.75)
+    s_xx = float(_sxx_in_range(check_real("S_xx", s_xx), 0.75))
     big_t = math.sqrt(9.0 - 12.0 * s_xx)
     big_q = 3.0 + big_t + math.sqrt(3.0) * math.sqrt((1.0 + big_t) * (3.0 - big_t))
     return (3.0 * big_q * big_t ** 2 - big_t ** 4) / (3.0 * big_q ** 2)
@@ -351,18 +353,13 @@ def separable_bound(s_xx: float, spec_x: EntropySpec, spec_z: EntropySpec) -> fl
     theta found by bisection.  For Tsallis or Renyi parameters >= 2 on both
     axes the symmetric state phi_theta (x) phi_theta alone attains it.
     """
-    s_xx, smax = check_real("S_xx", s_xx), max_entropy(spec_x)
-    if not (-1e-12 <= s_xx <= smax + 1e-12):
-        raise DomainError(f"S_xx = {s_xx} outside the attainable range [0, {smax!r}]")
-    s = min(max(s_xx, 0.0), smax)
-    return float(_separable_values(np.array([s]), spec_x, spec_z)[0])
+    s = _sxx_in_range(check_real("S_xx", s_xx), max_entropy(spec_x))
+    return float(_separable_values(s.reshape(1), spec_x, spec_z)[0])
 
 
 def separable_bound_closed_form(s_xx: float) -> float:
     """The q = qtilde = 2 separable boundary: -9/4 + 3 sqrt(1 - S_xx) + S_xx."""
-    if not (-1e-12 <= check_real("S_xx", s_xx) <= 0.75 + 1e-12):
-        raise DomainError(f"S_xx^(2) = {s_xx} outside [0, 3/4]")
-    s_xx = min(max(s_xx, 0.0), 0.75)
+    s_xx = float(_sxx_in_range(check_real("S_xx", s_xx), 0.75))
     return -2.25 + 3.0 * math.sqrt(1.0 - s_xx) + s_xx
 
 

@@ -82,11 +82,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (DomainError, check_count, check_instance, check_integer, check_numbers,
-                     check_probabilities)
+from .errors import DomainError, check_instance, check_numbers, check_probabilities
 from .measurement import XX, ZZ, setting
 from .optimize import bisect
-from .quantum import DensityMatrix, _ginibre, derive_seed
+from .quantum import DensityMatrix, _ginibre, derive_seed, partial_transpose_stack
 
 TOL_FEASIBLE = 1e-7
 TOL_INFEASIBLE = 1e-6
@@ -159,13 +158,12 @@ class FeasibilityResult:
     status: FeasibilityStatus
     witness_state: DensityMatrix | None
     residual: float
-    cycles: int
 
 
 @lru_cache(maxsize=1)
 def _projectors() -> np.ndarray:
-    """The eight measured projectors, XX then ZZ outcomes, as real (8, 4, 4)."""
-    projs = np.concatenate([setting(XX).projectors, setting(ZZ).projectors]).real
+    """The eight measured projectors, XX then ZZ outcomes, as C-contiguous real (8, 4, 4)."""
+    projs = np.concatenate([setting(XX).projectors, setting(ZZ).projectors]).real.copy()
     projs.setflags(write=False)
     return projs
 
@@ -396,25 +394,21 @@ def _certificate(a: np.ndarray, low: np.ndarray):
 def feasible_for_probabilities(problem: FeasibilityProblem) -> FeasibilityResult:
     """Decide one labeled-probability instance; see the module docstring."""
     check_instance("feasible_for_probabilities", problem, FeasibilityProblem)
-    statuses, states, viol, cycles = solve_batch(problem.p_xx[None], problem.p_zz[None])
+    statuses, states, viol, _ = solve_batch(problem.p_xx[None], problem.p_zz[None])
     state = DensityMatrix(states[0]) if states[0] is not None else None
-    return FeasibilityResult(statuses[0], state, float(viol[0]), int(cycles[0]))
+    return FeasibilityResult(statuses[0], state, float(viol[0]))
 
 
 # ---------------------------------------------------------------------------
 # Independent oracle: direct minimization of the constraint violation over a
 # parametrized family of PPT states.  Kept deliberately separate from the
-# closed-form solver so the two routes share no machinery.
+# closed-form solver: the two routes share the measured projectors and the
+# package's partial transpose, and no step of a decision.
 # ---------------------------------------------------------------------------
 
 ORACLE_FEASIBLE_TOL = 1e-10
+_ORACLE_STARTS = 6
 _ORACLE_SEED = 0x0AC1E
-
-
-@lru_cache(maxsize=1)
-def _real_constraint_ops() -> np.ndarray:
-    ops = np.concatenate([setting(XX).projectors, setting(ZZ).projectors])
-    return np.ascontiguousarray(ops.real)
 
 
 def oracle_objective(avec: np.ndarray, targets: np.ndarray):
@@ -423,7 +417,7 @@ def oracle_objective(avec: np.ndarray, targets: np.ndarray):
     The violation is the squared probability mismatch plus the squared
     negative part of the partially transposed spectrum.
     """
-    ops = _real_constraint_ops()
+    ops = _projectors()
     a = avec.reshape(4, 4)
     s = a @ a.T
     tr = float(np.trace(s))
@@ -431,38 +425,36 @@ def oracle_objective(avec: np.ndarray, targets: np.ndarray):
         return 1e6 + tr, -2.0 * avec
     rho = s / tr
     r = np.einsum("kab,ab->k", ops, rho) - targets
-    m = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    m = partial_transpose_stack(rho)
     w, v = np.linalg.eigh(0.5 * (m + m.T))
     neg = np.minimum(w, 0.0)
     value = float(r @ r + neg @ neg)
     d = 2.0 * np.einsum("k,kab->ab", r, ops)
     dpen = 2.0 * (v * neg) @ v.T
-    d = d + dpen.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    d = d + partial_transpose_stack(dpen)
     grad = (2.0 / tr) * (d @ a - float(np.sum(d * rho)) * a)
     return value, grad.ravel()
 
 
-def oracle_min_violation(p_xx: np.ndarray, p_zz: np.ndarray, *,
-                         n_starts: int = 6, seed: int = _ORACLE_SEED) -> float:
+def oracle_min_violation(p_xx: np.ndarray, p_zz: np.ndarray) -> float:
     """Smallest achievable squared constraint violation over PPT states.
 
     Parametrizes rho = A A^T / Tr(A A^T) with real A; real states suffice
     because the constraint operators are real, so the real part of any
     feasible state is feasible.  The PPT condition enters as a squared
     eigenvalue-negativity penalty, minimized by L-BFGS with an analytic
-    gradient from several starts.
+    gradient from six starts: the identity and five fixed random matrices.
     """
     targets = np.concatenate([check_probabilities("p_xx", p_xx, 1),
                               check_probabilities("p_zz", p_zz, 1)])
-    n_starts, seed = check_count("n_starts", n_starts, 1), check_integer("seed", seed)
     from scipy.optimize import minimize
 
     best = math.inf
-    for k in range(n_starts):
+    for k in range(_ORACLE_STARTS):
         if k == 0:
             a0 = (0.5 * np.eye(4)).ravel()
         else:
-            a0 = _ginibre(derive_seed(seed, k))[0].real.ravel() * 0.5
+            a0 = _ginibre(derive_seed(_ORACLE_SEED, k))[0].real.ravel() * 0.5
         res = minimize(oracle_objective, a0, args=(targets,), jac=True,
                        method="L-BFGS-B",
                        options={"maxiter": 400, "ftol": 1e-18, "gtol": 1e-12})
@@ -472,5 +464,5 @@ def oracle_min_violation(p_xx: np.ndarray, p_zz: np.ndarray, *,
     return best
 
 
-def oracle_feasible(p_xx: np.ndarray, p_zz: np.ndarray, **kwargs) -> bool:
-    return oracle_min_violation(p_xx, p_zz, **kwargs) < ORACLE_FEASIBLE_TOL
+def oracle_feasible(p_xx: np.ndarray, p_zz: np.ndarray) -> bool:
+    return oracle_min_violation(p_xx, p_zz) < ORACLE_FEASIBLE_TOL

@@ -15,12 +15,14 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DomainError, check_numbers
-from .measurement import XX, YY, ZZ, OutcomeDistribution, ScrambledData, scramble
+from .errors import DomainError, check_instance, check_numbers
+from .measurement import XX, YY, ZZ, OutcomeDistribution, ScrambledData, _by_setting, scramble
 from .quantum import DensityMatrix
 
 
 def write_state(path, rho: DensityMatrix) -> None:
+    """Write ``rho``, a :class:`DensityMatrix` (or :class:`DomainError`), as a state file."""
+    check_instance("write_state", rho, DensityMatrix)
     payload = {
         "rho_re": rho.matrix.real.tolist(),
         "rho_im": rho.matrix.imag.tolist(),
@@ -64,15 +66,16 @@ _KEY_FOR = {"xx": XX, "zz": ZZ, "yy": YY}
 
 
 def write_probabilities(path, dists=None, data: ScrambledData | None = None) -> None:
+    """Write labeled ``dists``, as :func:`~qscramble.measurement.scramble` takes
+    them, or scrambled ``data``, exactly one of them, as a probability file."""
     if (dists is None) == (data is None):
         raise DomainError("pass exactly one of labeled distributions or scrambled data")
-    payload: dict = {"scrambled": data is not None}
     if dists is not None:
-        for d in dists:
-            payload[d.setting.lower()] = d.p.tolist()
+        rows = {label: d.p for label, d in _by_setting(dists, "write_probabilities").items()}
     else:
-        for label in data.settings:
-            payload[label.lower()] = data.multiset(label).tolist()
+        data = check_instance("write_probabilities", data, ScrambledData)
+        rows = {label: data.multiset(label) for label in data.settings}
+    payload = {"scrambled": dists is None, **{k.lower(): v.tolist() for k, v in rows.items()}}
     Path(path).write_text(json.dumps(payload, indent=1))
 
 

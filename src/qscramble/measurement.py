@@ -158,15 +158,21 @@ class ScrambledData:
             raise MissingSetting(f"the scrambled data has no {label} multiset") from None
 
 
+def _by_setting(dists, caller: str) -> dict[str, OutcomeDistribution]:
+    """``dists``, an iterable of :class:`OutcomeDistribution` (or :class:`DomainError`
+    naming ``caller``), keyed by setting; :class:`DuplicateSetting` if one repeats."""
+    out: dict[str, OutcomeDistribution] = {}
+    for d in check_instance(caller, dists, Iterable):
+        check_instance(caller, d, OutcomeDistribution)
+        if d.setting in out:
+            raise DuplicateSetting(f"two distributions given for setting {d.setting}")
+        out[d.setting] = d
+    return out
+
+
 def scramble(dists: Iterable[OutcomeDistribution]) -> ScrambledData:
     """Forget outcome labels, keeping one sorted multiset per setting."""
-    multisets: dict[str, np.ndarray] = {}
-    for d in check_instance("scramble", dists, Iterable):
-        check_instance("scramble", d, OutcomeDistribution)
-        if d.setting in multisets:
-            raise DuplicateSetting(f"two distributions given for setting {d.setting}")
-        multisets[d.setting] = d.p
-    return ScrambledData(multisets)
+    return ScrambledData({label: d.p for label, d in _by_setting(dists, "scramble").items()})
 
 
 def scramble_state(rho: DensityMatrix, labels: Iterable[str] = (XX, ZZ)) -> ScrambledData:

@@ -20,8 +20,9 @@ one entropy test.
 
 ``bisect`` halves a batch of brackets at most a fixed number of times.  It
 serves every 1-D search of the package: the psi_t and product-state
-inverses of S_xx, the robustness root and the ray searches of the
-possibly-separable set, each with its own step count.  It stops early at
+inverses of S_xx, the robustness root, the s* search of the feasibility
+test (``feasibility._lmi``) and the ray searches of the possibly-separable
+set, each with its own step count.  It stops early at
 the first step that moves no bracket end: every later step would repeat
 the same midpoints and decisions, so the result is the full count's, bit
 for bit.

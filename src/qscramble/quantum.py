@@ -8,7 +8,8 @@ Conventions used everywhere in this package:
   the eigenvectors of sigma_y, and ``|0>, |1>`` those of sigma_z.
 
 Eigenvalues come from LAPACK through ``numpy.linalg.eigh``/``eigvalsh``, and
-:func:`partial_transpose_stack` is the package's one partial transpose.
+:func:`partial_transpose_stack` is the package's one partial transpose, used
+by the PPT test and by the L-BFGS oracle of :mod:`~qscramble.feasibility`.
 """
 
 from __future__ import annotations
@@ -52,15 +53,21 @@ def hermiticity_defect(m) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _as_hermitian4(h) -> np.ndarray:
+    """``h`` as a 4x4 array; :class:`NotHermitian` if max|h - h^dag| > 1e-10."""
+    a = _as_matrix4(h)
+    defect = hermiticity_defect(a)
+    if defect > HERMITIAN_ATOL:
+        raise NotHermitian(f"matrix deviates from Hermitian by {defect:.3e}")
+    return a
+
+
 def eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvector columns of ``h``.
 
     Raises :class:`NotHermitian` if ``max|h - h^dag|`` exceeds ``1e-10``.
     """
-    a = _as_matrix4(h)
-    defect = hermiticity_defect(a)
-    if defect > HERMITIAN_ATOL:
-        raise NotHermitian(f"matrix deviates from Hermitian by {defect:.3e}")
+    a = _as_hermitian4(h)
     evals, evecs = np.linalg.eigh(0.5 * (a + a.conj().T))
     return evals[::-1], evecs[:, ::-1]
 
@@ -79,11 +86,12 @@ def partial_transpose_stack(m: np.ndarray) -> np.ndarray:
 def partial_transpose(rho) -> np.ndarray:
     """Transpose the second tensor factor: rho^{T_B}.
 
-    Accepts a :class:`DensityMatrix` or a raw 4x4 array and returns a raw
+    Accepts a :class:`DensityMatrix` or a raw 4x4 array that passes
+    :func:`eig_hermitian`'s rule (or :class:`NotHermitian`), and returns a raw
     array; the result is Hermitian and trace-preserving but in general not
     positive.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else _as_matrix4(rho)
+    m = rho.matrix if isinstance(rho, DensityMatrix) else _as_hermitian4(rho)
     return partial_transpose_stack(m)
 
 

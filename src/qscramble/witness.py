@@ -15,7 +15,7 @@ entanglement.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (ConvergenceFailure, DomainError, MissingSetting, check_count, check_instance,
                      check_real)
-from .measurement import XX, YY, ZZ, OutcomeDistribution, ScrambledData, setting
+from .measurement import XX, YY, ZZ, OutcomeDistribution, ScrambledData, _by_setting, setting
 # multistart_minimize is not called here; bench/spans.py traces witness.multistart_minimize
 from .optimize import multistart_minimize  # noqa: F401
 from .quantum import PureState
@@ -71,17 +71,10 @@ def witness_matrix(w: WitnessParams) -> np.ndarray:
     return m
 
 
-def _dist_map(dists, caller: str) -> Mapping[str, OutcomeDistribution]:
-    items = dists.values() if isinstance(dists, Mapping) else dists
-    return {check_instance(caller, d, OutcomeDistribution).setting: d
-            for d in check_instance(caller, items, Iterable)}
-
-
-def witness_value(dists: Iterable[OutcomeDistribution] | Mapping[str, OutcomeDistribution],
-                  w: WitnessParams) -> float:
+def witness_value(dists: Iterable[OutcomeDistribution], w: WitnessParams) -> float:
     """<W> = 1 + alpha p_x + beta p_y + gamma p_z for labeled distributions."""
     check_instance("witness_value", w, WitnessParams)
-    dmap = _dist_map(dists, "witness_value")
+    dmap = _by_setting(dists, "witness_value")
     value = 1.0
     for coeff, label, choice in ((w.alpha, XX, w.choice_x), (w.beta, YY, w.choice_y),
                                  (w.gamma, ZZ, w.choice_z)):
@@ -132,13 +125,12 @@ def min_entropy_form(alpha: float, beta: float, gamma: float,
     return value
 
 
-def correlation_witness_values(
-        dists: Iterable[OutcomeDistribution] | Mapping[str, OutcomeDistribution]) -> np.ndarray:
+def correlation_witness_values(dists: Iterable[OutcomeDistribution]) -> np.ndarray:
     """The four values 1 + s1 E_xx + s2 E_zz for s1, s2 in {+1, -1}.
 
     E = p0 - p1 - p2 + p3 in outcome-label order; sign order (++, +-, -+, --).
     """
-    dmap = _dist_map(dists, "correlation_witness_values")
+    dmap = _by_setting(dists, "correlation_witness_values")
     for label in (XX, ZZ):
         if label not in dmap:
             raise MissingSetting(f"correlation witnesses need the {label} distribution")
@@ -309,9 +301,9 @@ def optimize_params(beta: float, *, num: int = 33) -> list[tuple[float, float]]:
 
 # typed: num=3.0 must reach the count check, not hit num=3's entry
 @lru_cache(maxsize=4, typed=True)
-def tangent_curve(beta: float = 0.0, num: int = 17) -> tuple[tuple[float, float], ...]:
-    """Cached tangent curve used by the detector's witness method."""
-    return tuple(optimize_params(beta, num=num))
+def tangent_curve(num: int = 17) -> tuple[tuple[float, float], ...]:
+    """The cached beta = 0 curve of :func:`optimize_params`, which ``detect`` reads."""
+    return tuple(optimize_params(0.0, num=num))
 
 
 def _least_pairing_delta(m: np.ndarray) -> np.ndarray:

@@ -69,6 +69,22 @@ def test_entropy_permutation_invariance_exact():
                 assert entropy(p[list(perm)], spec) == base
 
 
+def test_deterministic_rows_have_positive_zero_entropy():
+    specs = [SH, T2, EntropySpec(TSALLIS, 0.5), EntropySpec(TSALLIS, 60.0),
+             EntropySpec(RENYI, 0.5), EntropySpec(RENYI, 3.0), EntropySpec(RENYI, 60.0),
+             EntropySpec(RENYI, math.inf)]
+    rows = np.eye(4)
+    for spec in specs:
+        for row in rows:
+            s = entropy(row, spec)
+            assert s == 0.0 and not np.signbit(s), (spec, row)
+        stack = entropy_nd(rows, spec)
+        assert np.all(stack == 0.0) and not np.any(np.signbit(stack)), spec
+    r3 = EntropySpec(RENYI, 3.0)
+    pt = psi_t_entropies(1.0, r3, r3)
+    assert pt.s_xx == 0.0 and not np.signbit(pt.s_xx)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(1e-6, 1.0), min_size=4, max_size=4),
        st.floats(1.1, 40.0))

@@ -2,22 +2,26 @@
 probability rows with a DomainError, through the helpers of qscramble.errors."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qscramble import (DomainError, EntropySpec, OutcomeDistribution, ProductStateParams,
-                       ScrambledData, WitnessParams, all_states_bound_closed_form,
-                       apply_permutation, correlation_witness_values, detect, entropy,
+from qscramble import (DomainError, DuplicateSetting, EntropySpec, OutcomeDistribution,
+                       ProductStateParams, ScrambledData, WitnessParams,
+                       all_states_bound_closed_form, apply_permutation,
+                       correlation_witness_values, detect, entropy,
                        entropy_detect, min_entropy_form, min_over_separable, mix,
                        oracle_feasible, probabilities, product_state, psi_t, psi_t_entropies,
                        robustness, scramble, scramble_equivalent, scramble_state,
                        scrambled_witness_min, separable_bound, separable_bound_closed_form,
                        setting, singlet, t_from_sxx, witness_matrix, witness_value)
 from qscramble.detector import classify_slice_point
+from qscramble.entropy import all_states_bound_vec, t_from_sxx_vec
 from qscramble.errors import check_probabilities, check_real
 from qscramble.feasibility import FeasibilityProblem, solve_batch
+from qscramble.fileio import write_probabilities, write_state
 from qscramble.measurement import XX, ZZ
 from qscramble.witness import scrambled_correlation_min, scrambled_family_min
 
@@ -26,6 +30,8 @@ RHO = singlet().density()
 DATA = scramble_state(RHO)
 DISTS = [probabilities(RHO, XX), probabilities(RHO, ZZ)]
 UNIFORM = [0.25] * 4
+# the writers must raise before writing: in a missing directory a write would fail otherwise
+PATH = Path("no-such-directory") / "out.json"
 
 CASES = {
     # wrong type
@@ -84,8 +90,12 @@ CASES = {
     "oracle_feasible-three": (lambda: oracle_feasible([1, 0, 0], UNIFORM), "shape"),
     "oracle_feasible-nan": (lambda: oracle_feasible([math.nan, 0, 0, 1], UNIFORM),
                             "non-finite"),
-    "oracle_feasible-n_starts": (lambda: oracle_feasible(UNIFORM, UNIFORM, n_starts="x"),
-                                 "integer"),
+    # S_xx that numpy cannot read as an array of numbers
+    "all_states_bound_vec-str": (lambda: all_states_bound_vec(["a"], T2, T2), "numbers"),
+    "t_from_sxx_vec-ragged": (lambda: t_from_sxx_vec([[0.1], [0.1, 0.2]], T2), "numbers"),
+    # the file writers
+    "write_state-int": (lambda: write_state(PATH, 3), "expects a"),
+    "write_probabilities-int": (lambda: write_probabilities(PATH, dists=[1]), "expects a"),
     # entropy of an unnormalized or misshaped row
     "entropy-unnormalized": (lambda: entropy([0.6, 0.6, 0.0, 0.0], T2), "sums to"),
     "entropy-two-entries": (lambda: entropy([0.5, 0.5], T2), "shape"),
@@ -97,6 +107,18 @@ def test_bad_input_is_a_domain_error(name):
     call, message = CASES[name]
     with pytest.raises(DomainError, match=message):
         call()
+
+
+def test_a_repeated_setting_is_a_duplicate_setting(tmp_path):
+    # DuplicateSetting, which scramble raises too, is not a DomainError
+    path, twice = tmp_path / "twice.json", [DISTS[0], DISTS[1], DISTS[0]]
+    with pytest.raises(DuplicateSetting, match="setting XX"):
+        write_probabilities(path, dists=twice)
+    assert not path.exists()
+    for call in (lambda: witness_value(twice, WitnessParams(-1.0, 0.0, 0.0)),
+                 lambda: correlation_witness_values(twice)):
+        with pytest.raises(DuplicateSetting, match="setting XX"):
+            call()
 
 
 def test_inf_is_accepted_where_it_is_meaningful():

@@ -80,6 +80,16 @@ def test_partial_transpose_involution_and_trace(random_states_2k):
 def test_is_ppt_examples():
     assert is_ppt(maximally_mixed())
     assert not is_ppt(singlet().density())
+    assert is_ppt(np.eye(4) / 4) and not is_ppt(singlet().projector())
+
+
+def test_is_ppt_rejects_a_non_hermitian_array():
+    # eigvalsh reads one triangle only, so unchecked, triu and tril would disagree
+    for m in (np.triu(np.ones((4, 4))), np.tril(np.ones((4, 4))),
+              np.eye(4) / 4 + 1e-9 * np.eye(4, k=1)):
+        with pytest.raises(NotHermitian):
+            is_ppt(m)
+    assert is_ppt(np.eye(4) / 4 + 1e-11 * np.eye(4, k=1))
 
 
 def test_random_hs_state_contract():

@@ -291,12 +291,12 @@ def test_optimize_params_tangency():
 
 
 def test_curve_resolution_must_be_positive():
-    tangent_curve(0.0, 3)  # num=3.0 must not be served from this entry
+    tangent_curve(3)  # num=3.0 must not be served from this entry
     for num in (0, -1, 3.0, True):
         with pytest.raises(DomainError, match="resolution"):
             optimize_params(0.0, num=num)
         with pytest.raises(DomainError, match="resolution"):
-            tangent_curve(0.0, num)
+            tangent_curve(num)
 
 
 def test_optimize_params_beta_nonzero():
