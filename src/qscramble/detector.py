@@ -29,10 +29,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import witness
-from .entropy import TSALLIS, EntropySpec, _decide_pairs
+from .entropy import _TSALLIS2, EntropySpec, _decide_pairs
 from .errors import DomainError, check_count, check_instance, check_real
 from .feasibility import FeasibilityStatus, _solve_codes, solve_batch
-from .measurement import (XX, ZZ, PermutationPair, ScrambledData, apply_permutation,
+from .measurement import (_CANONICAL, XX, ZZ, PermutationPair, ScrambledData, apply_permutation,
                           canonical_permutations, ginibre_probabilities, probabilities,
                           scramble_equivalent, scramble_state)
 from .optimize import bisect
@@ -51,7 +51,6 @@ from .witness import (correlation_witness_values, scrambled_family_min,  # noqa:
 # _solve_codes call and, when scrambled, the rest in one _decide call
 _SCAN_CHUNK = 8192
 _ALL_METHODS = ("sdp", "witness", "entropy")
-_TSALLIS2 = EntropySpec(TSALLIS, 2.0)  # the default of both entropy axes
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +111,7 @@ _VERDICT_OF_MAX_CODE = np.array([-1, 0, 1], dtype=np.int8)
 @lru_cache(maxsize=1)
 def _assignment_index() -> tuple[np.ndarray, np.ndarray]:
     """(18, 4) index arrays: row j holds canonical assignment j's pi_x / pi_z."""
-    perms = canonical_permutations()
-    return np.array([p.pi_x for p in perms]), np.array([p.pi_z for p in perms])
+    return np.array([px for px, _ in _CANONICAL]), np.array([pz for _, pz in _CANONICAL])
 
 
 def _fold(codes: np.ndarray, k: int) -> np.ndarray:

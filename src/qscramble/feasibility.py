@@ -83,7 +83,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, check_instance, check_numbers, check_probabilities
-from .measurement import XX, ZZ, setting
+from .measurement import _measured_kets
 from .optimize import bisect
 from .quantum import DensityMatrix, _ginibre, derive_seed, partial_transpose_stack
 
@@ -162,8 +162,10 @@ class FeasibilityResult:
 
 @lru_cache(maxsize=1)
 def _projectors() -> np.ndarray:
-    """The eight measured projectors, XX then ZZ outcomes, as C-contiguous real (8, 4, 4)."""
-    projs = np.concatenate([setting(XX).projectors, setting(ZZ).projectors]).real.copy()
+    """The eight measured projectors |u_k><u_k|, XX then ZZ outcomes, as C-contiguous
+    real (8, 4, 4)."""
+    kets = _measured_kets()
+    projs = kets[:, :, None] * kets[:, None, :]
     projs.setflags(write=False)
     return projs
 

@@ -6,7 +6,8 @@ forgotten.  Permutations act independently per setting, so a full relabeling
 is a pair of permutations of four symbols, one for the XX and one for the ZZ
 setting.  Local bit flips and the qubit swap generate a 32-element group of
 relabelings that never changes physics, which cuts the 576 assignment pairs
-down to 18 canonical representatives.
+down to 18 canonical representatives; both tables are generated from this
+structure, with no numerical step.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import (DomainError, DuplicateSetting, MissingSetting, SettingMismatch, check_instance,
                      check_integer, check_probabilities, check_real)
-from .quantum import I2, SIGMA_X, SIGMA_Z, DensityMatrix
+from .quantum import DensityMatrix
 
 XX, YY, ZZ = "XX", "YY", "ZZ"
 SETTING_LABELS = (XX, YY, ZZ)
@@ -58,7 +59,7 @@ def setting(label: str) -> MeasurementSetting:
 @lru_cache(maxsize=None)
 def _setting(label: str) -> MeasurementSetting:
     va, vb = _LOCAL_BASES[label]
-    kets = [np.kron(a, b) for a in (va, vb) for b in (va, vb)]
+    kets = [np.outer(a, b).ravel() for a in (va, vb) for b in (va, vb)]  # kron(a, b), cheaper
     projs = np.stack([np.outer(k, k.conj()) for k in kets])
     projs.setflags(write=False)
     return MeasurementSetting(label, projs, _OUTCOME_LABELS[label])
@@ -100,7 +101,7 @@ def _measured_kets() -> np.ndarray:
     """The eight measured kets u_k, XX then ZZ outcomes in outcome-label
     order, as the rows of a real (8, 4) matrix; its entries are 0, 1 and
     +-1/2 exactly."""
-    kets = [np.kron(a, b).real for label in (XX, ZZ)
+    kets = [np.outer(a, b).ravel().real for label in (XX, ZZ)
             for a in _LOCAL_BASES[label] for b in _LOCAL_BASES[label]]
     k = np.array(kets)
     k.setflags(write=False)
@@ -199,7 +200,6 @@ def scramble_equivalent(d1: ScrambledData, d2: ScrambledData, tol: float = 1e-9)
 # ---------------------------------------------------------------------------
 
 Perm = tuple[int, int, int, int]
-_IDENTITY: Perm = (0, 1, 2, 3)
 
 
 @dataclass(frozen=True, order=True)
@@ -227,61 +227,37 @@ def _compose(a: Perm, b: Perm) -> Perm:
     return (a[b[0]], a[b[1]], a[b[2]], a[b[3]])
 
 
-def _induced_permutation(u: np.ndarray, label: str) -> Perm:
-    """Outcome permutation sigma with U^dag Pi_i U = Pi_sigma(i)."""
-    projs = setting(label).projectors
-    conj = u.conj().T @ projs @ u
-    match = np.max(np.abs(conj[:, None] - projs[None]), axis=(-2, -1)) < 1e-9
-    if not np.all(np.count_nonzero(match, axis=1) == 1):
-        raise ArithmeticError(f"relabeling does not permute {label} projectors")
-    return tuple(int(j) for j in np.argmax(match, axis=1))  # type: ignore[return-value]
+# Outcome 2a + b is qubit A's outcome a and qubit B's b in either setting.  A
+# local Pauli flips one qubit's outcome in one setting and fixes the other
+# setting's (V4, the bit flips), and the qubit swap exchanges outcomes 1 and 2.
+_FLIPS: tuple[Perm, ...] = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+_SWAP: Perm = (0, 2, 1, 3)
+_FIX_0 = [pi for pi in itertools.permutations(range(4)) if pi[0] == 0]
+# The canonical (pi_x, pi_z) as integers: a flip per setting brings any entry
+# to position 0 and the swap then orders pi_x[1] < pi_x[2], so each orbit has
+# exactly one such pair, its lexicographic minimum.
+_CANONICAL = tuple((px, pz) for px in _FIX_0 if px[1] < px[2] for pz in _FIX_0)
 
 
 @lru_cache(maxsize=1)
 def relabeling_group() -> tuple[PermutationPair, ...]:
-    """The group of physical outcome relabelings, computed numerically.
-
-    Generated by the induced actions of sigma_x (x) 1, sigma_z (x) 1,
-    1 (x) sigma_x, 1 (x) sigma_z and the qubit swap on the XX and ZZ
-    outcome sets.  Its order is 32.
-    """
-    swap = np.zeros((4, 4), dtype=complex)
-    swap[0, 0] = swap[3, 3] = 1
-    swap[1, 2] = swap[2, 1] = 1
-    gens = [np.kron(SIGMA_X, I2), np.kron(SIGMA_Z, I2),
-            np.kron(I2, SIGMA_X), np.kron(I2, SIGMA_Z), swap]
-    gen_pairs = [(_induced_permutation(u, XX), _induced_permutation(u, ZZ)) for u in gens]
-    group = {(_IDENTITY, _IDENTITY)}
-    frontier = [(_IDENTITY, _IDENTITY)]
-    while frontier:
-        nxt = []
-        for gx, gz in frontier:
-            for hx, hz in gen_pairs:
-                prod = (_compose(hx, gx), _compose(hz, gz))
-                if prod not in group:
-                    group.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return tuple(sorted(PermutationPair(gx, gz) for gx, gz in group))
+    """The 32 physical outcome relabelings, sorted: the pairs (a, b) with a
+    and b both in V4 or both in V4 o swap.  tests/test_measurement.py derives
+    them again from the conjugated projectors."""
+    cosets = (_FLIPS, tuple(_compose(v, _SWAP) for v in _FLIPS))
+    return tuple(sorted(PermutationPair(a, b) for coset in cosets for a in coset for b in coset))
 
 
 @lru_cache(maxsize=1)
 def canonical_permutations() -> tuple[PermutationPair, ...]:
-    """Lexicographically minimal representatives of the 18 relabeling orbits.
+    """Lexicographically minimal representatives of the 18 relabeling orbits,
+    in lexicographic order: pi_x[0] = pi_z[0] = 0 and pi_x[1] < pi_x[2].
 
     Two assignment pairs are equivalent when they differ by right-composition
     with a relabeling-group element; equivalent assignments yield feasibility
     problems related by a separability-preserving transformation.
     """
-    group = [(g.pi_x, g.pi_z) for g in relabeling_group()]
-    # pairs come in lexicographic order, so the first pair met in an orbit is its minimum
-    seen: set[tuple[Perm, Perm]] = set()
-    reps = []
-    for ax, az in itertools.product(itertools.permutations(range(4)), repeat=2):
-        if (ax, az) not in seen:
-            reps.append(PermutationPair(ax, az))
-            seen.update((_compose(ax, hx), _compose(az, hz)) for hx, hz in group)
-    return tuple(reps)
+    return tuple(PermutationPair(px, pz) for px, pz in _CANONICAL)
 
 
 def apply_permutation(d: ScrambledData, pair: PermutationPair) -> list[OutcomeDistribution]:

@@ -11,9 +11,9 @@ import pytest
 
 import qscramble.quantum as qm
 from qscramble.detector import counterexample_mixture, scan_details, verify_counterexample
-from qscramble.entropy import (TSALLIS, EntropySpec, all_states_bound_closed_form,
-                               _decide_pairs, all_states_bound_vec, entropy_nd,
-                               psi_t_entropies, robustness, separable_bound,
+from qscramble.entropy import (_CURVES, TSALLIS, EntropySpec, _decide_pairs, _entropy_nd,
+                               _product_envelope, all_states_bound_closed_form,
+                               all_states_bound_vec, psi_t_entropies, robustness,
                                separable_bound_closed_form)
 from qscramble.feasibility import (FeasibilityStatus, oracle_feasible, solve_batch)
 from qscramble.measurement import (XX, ZZ, canonical_permutations, probabilities,
@@ -63,8 +63,8 @@ def test_criterion_2_eur_validity_and_saturation(big_stack):
     for q, qt in ((2.0, 2.0), (2.0, 3.0), (3.0, 2.0), (3.0, 3.0)):
         spec_x = EntropySpec(TSALLIS, qt)
         spec_z = EntropySpec(TSALLIS, q)
-        s_x = entropy_nd(pxx, spec_x)
-        s_z = entropy_nd(pzz, spec_z)
+        s_x = _entropy_nd(pxx, spec_x)
+        s_z = _entropy_nd(pzz, spec_z)
         bound = all_states_bound_vec(s_x, spec_x, spec_z)
         worst_f = min(worst_f, float(np.min(s_z - bound)))
     sat = 0.0
@@ -90,16 +90,17 @@ def test_criterion_3_closed_form_agreement():
 
 
 def test_criterion_4_separable_boundary(big_stack):
+    # the bisected product-state envelope, symmetric curve alone and all three
+    # curves, against the closed form that the (T2, T2) boundary evaluates
     grid = np.linspace(0.0, 0.75, 20)
-    worst_opt = 0.0
-    for s in grid:
-        worst_opt = max(worst_opt, abs(separable_bound(float(s), T2, T2)
-                                       - separable_bound_closed_form(float(s))))
+    closed = np.array([separable_bound_closed_form(float(s)) for s in grid])
+    worst_opt = max(float(np.max(np.abs(_product_envelope(grid, T2, T2, curves) - closed)))
+                    for curves in ((None,), _CURVES))
     states, pxx, pzz = big_stack
     sub = slice(0, 45_000)
     ppt = qm.min_eigval_stack(qm.partial_transpose_stack(states[sub])) >= -1e-9
-    sep_x = entropy_nd(pxx[sub][ppt], T2)[:10_000]
-    sep_z = entropy_nd(pzz[sub][ppt], T2)[:10_000]
+    sep_x = _entropy_nd(pxx[sub][ppt], T2)[:10_000]
+    sep_z = _entropy_nd(pzz[sub][ppt], T2)[:10_000]
     n_sep = sep_x.size
     formula = np.array([separable_bound_closed_form(float(s)) for s in sep_x])
     worst_below = float(np.min(sep_z - formula))

@@ -300,3 +300,21 @@ def test_a_fresh_interpreter_loads_no_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path / "cx.json")],
                           env={"PYTHONPATH": src}, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_a_cold_detect_prints_what_a_warm_one_does(tmp_path, capsys):
+    # a fresh process builds the relabeling tables and the separable boundary
+    # itself; its output must be byte for byte that of a warm in-process call
+    path = tmp_path / "cx.json"
+    m = [0.6875] + [0.10416666666666667] * 3
+    path.write_text(json.dumps({"xx": m, "zz": m, "scrambled": True}))
+    argv = ["detect", "--in", str(path), "--method", "all"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    warm = capsys.readouterr().out
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-m", "qscramble.cli", *argv],
+                          env={"PYTHONPATH": src}, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == warm.encode()

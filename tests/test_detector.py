@@ -9,8 +9,8 @@ import qscramble.detector as det
 from qscramble.detector import (classify_slice_point, counterexample_mixture, detect,
                                 nonconvex_slice, rho1, scan, scan_details,
                                 verify_counterexample)
-from qscramble.entropy import (RENYI, TSALLIS, EntropySpec, _decide_pairs, entropy_detect,
-                               entropy_nd, get_separable_boundary)
+from qscramble.entropy import (RENYI, TSALLIS, EntropySpec, _decide_pairs, _entropy_nd,
+                               entropy_detect, get_separable_boundary)
 from qscramble.errors import DomainError, MissingSetting
 from qscramble.feasibility import FeasibilityStatus, _solve_codes, solve_batch
 from qscramble.measurement import (XX, ZZ, ScrambledData, apply_permutation,
@@ -108,9 +108,9 @@ def test_detect_entropy_evidence_is_the_route_decision(specs):
         data = scramble_state(rho)
         rep = detect(data, ["entropy"], spec_x=spec_x, spec_z=spec_z)
         ev = rep.evidence["entropy"]
-        s_xx = float(entropy_nd(data.multiset(XX), spec_x))
+        s_xx = float(_entropy_nd(data.multiset(XX), spec_x))
         assert ev["s_xx"] == s_xx
-        assert ev["s_zz"] == float(entropy_nd(data.multiset(ZZ), spec_z))
+        assert ev["s_zz"] == float(_entropy_nd(data.multiset(ZZ), spec_z))
         assert ev["separable_bound"] == float(get_separable_boundary(spec_x, spec_z).value(s_xx))
         detected = entropy_detect(data, spec_x, spec_z)
         assert rep.methods["entropy"] == ("detected" if detected else "not_detected")
@@ -119,7 +119,7 @@ def test_detect_entropy_evidence_is_the_route_decision(specs):
 @pytest.mark.parametrize("specs", SPEC_PAIRS, ids=["tsallis2-tsallis2", "renyi3-tsallis2.5"])
 def test_warm_entropy_detect_evaluates_each_entropy_once(specs):
     spec_x, spec_z = specs
-    code = entropy_module.entropy_nd.__code__
+    code = entropy_module._entropy_nd.__code__
     calls = []
 
     def profile(frame, event, arg):

@@ -11,11 +11,12 @@ import qscramble.quantum as qm
 from qscramble.entropy import (RENYI, SHANNON, TSALLIS, EntropySpec, T_CAP,
                                all_states_bound, all_states_bound_closed_form,
                                all_states_bound_vec, entropy, entropy_detect,
-                               entropy_nd, get_separable_boundary, max_entropy,
+                               get_separable_boundary, max_entropy,
                                psi_t_entropies, psi_t_xx_probs, psi_t_zz_probs, robustness,
                                separable_bound, separable_bound_closed_form,
                                t_from_sxx)
-from qscramble.entropy import _logsumexp, _pair_probs, _product_envelope, _separable_values
+from qscramble.entropy import (_CURVES, _entropy_nd, _logsumexp, _pair_probs,
+                               _product_envelope, _separable_values)
 from qscramble.errors import DomainError
 from qscramble.measurement import XX, ZZ, probabilities, scramble, scramble_state
 from qscramble.optimize import nelder_mead
@@ -78,7 +79,7 @@ def test_deterministic_rows_have_positive_zero_entropy():
         for row in rows:
             s = entropy(row, spec)
             assert s == 0.0 and not np.signbit(s), (spec, row)
-        stack = entropy_nd(rows, spec)
+        stack = _entropy_nd(rows, spec)
         assert np.all(stack == 0.0) and not np.any(np.signbit(stack)), spec
     r3 = EntropySpec(RENYI, 3.0)
     pt = psi_t_entropies(1.0, r3, r3)
@@ -119,7 +120,7 @@ def test_psi_t_probs_match_measurement():
 def test_t_from_sxx():
     assert t_from_sxx(0.0, T2) == 1.0
     t = t_from_sxx(5 / 12, T2)
-    assert abs(float(entropy_nd(psi_t_xx_probs(t), T2)) - 5 / 12) <= 1e-12
+    assert abs(float(_entropy_nd(psi_t_xx_probs(t), T2)) - 5 / 12) <= 1e-12
     assert abs(t - 3.0) < 1e-6
     assert t_from_sxx(0.75, T2) == T_CAP
     with pytest.raises(DomainError):
@@ -173,8 +174,8 @@ def test_eur_validity_sample(random_states_2k):
     pxx = np.clip(probabilities_stack(random_states_2k, XX), 0, 1)
     pzz = np.clip(probabilities_stack(random_states_2k, ZZ), 0, 1)
     for qx, qz in ((2.0, 2.0), (3.0, 2.0)):
-        sx = entropy_nd(pxx, EntropySpec(TSALLIS, qx))
-        sz = entropy_nd(pzz, EntropySpec(TSALLIS, qz))
+        sx = _entropy_nd(pxx, EntropySpec(TSALLIS, qx))
+        sz = _entropy_nd(pzz, EntropySpec(TSALLIS, qz))
         bound = all_states_bound_vec(sx, EntropySpec(TSALLIS, qx), EntropySpec(TSALLIS, qz))
         assert float(np.min(sz - bound)) >= -1e-9
 
@@ -184,14 +185,22 @@ def test_separable_bound_formula_points():
     expected = -2.25 + 3.0 * math.sqrt(7 / 12) + 5 / 12
     assert abs(separable_bound_closed_form(5 / 12) - expected) < 1e-15
     assert abs(separable_bound_closed_form(0.75)) < 1e-15
-    for s in (0.0, 0.3, 5 / 12, 0.6, 0.75):
-        assert abs(separable_bound(s, T2, T2) - separable_bound_closed_form(s)) < 1e-4
+    points = np.array([0.0, 0.3, 5 / 12, 0.6, 0.75])
+    closed = np.array([separable_bound_closed_form(float(s)) for s in points])
+    for curves in ((None,), _CURVES):  # the bisected envelope, not the closed-form grid
+        assert np.max(np.abs(_product_envelope(points, T2, T2, curves) - closed)) < 1e-4
+    assert [separable_bound(float(s), T2, T2) for s in points] == closed.tolist()
 
 
 def test_boundary_22_is_the_closed_form(boundary_22):
+    # the (T2, T2) grid reads the closed form; the bisected envelope, symmetric
+    # curve alone and all three curves, must agree with it on that grid
     closed = np.array([separable_bound_closed_form(float(s)) for s in boundary_22.grid])
     assert boundary_22.grid.size == 97
     assert np.max(np.abs(boundary_22.values - closed)) <= 1e-14
+    for curves in ((None,), _CURVES):
+        envelope = _product_envelope(boundary_22.grid, T2, T2, curves)
+        assert np.max(np.abs(envelope - closed)) <= 1e-14
 
 
 def _mixture_dists(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,8 +237,8 @@ def test_no_mixture_below_the_separable_boundary(spec_x, spec_z):
 
     def gap(x):
         dxx, dzz = _mixture_dists(x)
-        s_xx = np.clip(entropy_nd(dxx, spec_x), 0.0, smax)
-        return entropy_nd(dzz, spec_z) - _separable_values(s_xx, spec_x, spec_z)
+        s_xx = np.clip(_entropy_nd(dxx, spec_x), 0.0, smax)
+        return _entropy_nd(dzz, spec_z) - _separable_values(s_xx, spec_x, spec_z)
 
     x = np.random.default_rng(2718).uniform(0.0, 1.0, (10_000, 5)) \
         * np.array([1.0, math.pi, math.pi, math.pi, math.pi])
@@ -284,8 +293,8 @@ def test_separable_states_not_detected(boundary_22, random_states_2k):
     from qscramble.quantum import min_eigval_stack, partial_transpose_stack
     ppt = min_eigval_stack(partial_transpose_stack(random_states_2k)) >= -1e-9
     sep = random_states_2k[ppt]
-    sx = entropy_nd(np.clip(probabilities_stack(sep, XX), 0, 1), T2)
-    sz = entropy_nd(np.clip(probabilities_stack(sep, ZZ), 0, 1), T2)
+    sx = _entropy_nd(np.clip(probabilities_stack(sep, XX), 0, 1), T2)
+    sz = _entropy_nd(np.clip(probabilities_stack(sep, ZZ), 0, 1), T2)
     assert not np.any(sz < boundary_22.value(sx) - 1e-9)
     assert not np.any(sx < boundary_22.value(sz) - 1e-9)
 

@@ -7,7 +7,7 @@ from qscramble import fileio
 from qscramble.errors import DomainError, DuplicateSetting, SettingMismatch
 from qscramble.feasibility import FeasibilityProblem, solve_batch
 from qscramble.measurement import (XX, YY, ZZ, OutcomeDistribution, PermutationPair,
-                                   ScrambledData, _induced_permutation, apply_permutation,
+                                   ScrambledData, apply_permutation,
                                    canonical_permutations, ginibre_probabilities, probabilities,
                                    probabilities_stack, relabeling_group, scramble,
                                    scramble_equivalent, scramble_state, setting)
@@ -165,6 +165,44 @@ def test_relabeling_group_order():
     assert len(relabeling_group()) == 32
 
 
+def _compose(a, b):
+    return tuple(a[i] for i in b)
+
+
+def _induced_permutation(u: np.ndarray, label: str):
+    """Outcome permutation sigma with U^dag Pi_i U = Pi_sigma(i)."""
+    projs = setting(label).projectors
+    conj = u.conj().T @ projs @ u
+    match = np.max(np.abs(conj[:, None] - projs[None]), axis=(-2, -1)) < 1e-9
+    if not np.all(np.count_nonzero(match, axis=1) == 1):
+        raise ArithmeticError(f"relabeling does not permute {label} projectors")
+    return tuple(int(j) for j in np.argmax(match, axis=1))
+
+
+def test_relabeling_tables_match_their_derivation():
+    # the group: closure of the actions that sigma_x (x) 1, sigma_z (x) 1,
+    # 1 (x) sigma_x, 1 (x) sigma_z and the qubit swap induce on the projectors
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    gens = [np.kron(SIGMA_X, I2), np.kron(SIGMA_Z, I2), np.kron(I2, SIGMA_X),
+            np.kron(I2, SIGMA_Z), swap]
+    gen_pairs = [(_induced_permutation(u, XX), _induced_permutation(u, ZZ)) for u in gens]
+    identity = ((0, 1, 2, 3), (0, 1, 2, 3))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        products = {(_compose(hx, gx), _compose(hz, gz))
+                    for gx, gz in frontier for hx, hz in gen_pairs}
+        frontier = list(products - group)
+        group |= products
+    assert relabeling_group() == tuple(PermutationPair(gx, gz) for gx, gz in sorted(group))
+    # the representatives: in lexicographic order, the first pair met in each orbit
+    seen, reps = set(), []
+    for ax, az in itertools.product(itertools.permutations(range(4)), repeat=2):
+        if (ax, az) not in seen:
+            reps.append(PermutationPair(ax, az))
+            seen.update((_compose(ax, hx), _compose(az, hz)) for hx, hz in group)
+    assert canonical_permutations() == tuple(reps)
+
+
 def test_induced_permutation_rejects_a_non_permuting_unitary():
     # H (x) 1 maps the XX projectors onto XZ ones, which match no XX projector
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -179,14 +217,10 @@ def test_canonical_permutations_count_and_cover():
     assert PermutationPair((0, 1, 2, 3), (0, 1, 2, 3)) in reps
 
     group = [(g.pi_x, g.pi_z) for g in relabeling_group()]
-
-    def compose(a, b):
-        return tuple(a[i] for i in b)
-
     seen = {}
     for ax in itertools.permutations(range(4)):
         for az in itertools.permutations(range(4)):
-            orbit = {(compose(ax, hx), compose(az, hz)) for hx, hz in group}
+            orbit = {(_compose(ax, hx), _compose(az, hz)) for hx, hz in group}
             assert len(orbit) == 32  # free action
             rep = min(orbit)
             seen.setdefault(rep, set()).update(orbit)

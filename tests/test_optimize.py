@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from qscramble.entropy import (RENYI, SHANNON, TSALLIS, EntropySpec, get_separable_boundary,
-                               max_entropy, separable_bound, t_from_sxx_vec)
+                               max_entropy, separable_bound, separable_bound_closed_form,
+                               t_from_sxx_vec)
 from qscramble.errors import ConvergenceFailure
 from qscramble.optimize import bisect, multistart_minimize, nelder_mead
 
@@ -55,6 +56,17 @@ def _scalar_nelder_mead(f, x0, *, step, xtol, ftol, max_iter):
                     vals[i] = f(simplex[i])
     best = int(np.argmin(vals))
     return simplex[best], vals[best]
+
+
+def test_default_boundary_runs_no_bisection(monkeypatch):
+    # the (T2, T2) grid is the closed form, so a cold detect bisects nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("the default separable boundary ran a bisection")
+    monkeypatch.setattr(importlib.import_module("qscramble.entropy"), "bisect", refuse)
+    t2 = EntropySpec(TSALLIS, 2.0)
+    bound = get_separable_boundary.__wrapped__(t2, t2)
+    assert bound.values[0] == 0.75 and bound.values[-1] == 0.0
+    assert separable_bound(0.3, t2, t2) == separable_bound_closed_form(0.3)
 
 
 @pytest.mark.parametrize("max_iter", [40, 400])
@@ -154,6 +166,17 @@ def test_bound_regime_boundary_runs_no_search(monkeypatch):
     separable_bound(1.3, shannon, t15)
 
 
+def test_default_boundary_runs_no_bisection(monkeypatch):
+    # the (T2, T2) grid is the closed form, so a cold detect bisects nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("the default separable boundary ran a bisection")
+    monkeypatch.setattr(importlib.import_module("qscramble.entropy"), "bisect", refuse)
+    t2 = EntropySpec(TSALLIS, 2.0)
+    bound = get_separable_boundary.__wrapped__(t2, t2)
+    assert bound.values[0] == 0.75 and bound.values[-1] == 0.0
+    assert separable_bound(0.3, t2, t2) == separable_bound_closed_form(0.3)
+
+
 @pytest.mark.parametrize("max_iter", [40, 400])
 def test_only_moving_simplices_are_evaluated(max_iter):
     # f receives exactly the points the scalar reference evaluates, its d + 1
@@ -223,7 +246,7 @@ def _fixed_step_bisect(go_right, lo, hi, steps):
 
 
 def test_bisect_fixed_point_exit_matches_every_step(monkeypatch):
-    # the T2/T2 boundary's 95 brackets and the psi_t inverse of S_xx return
+    # the T3/T2 boundary's 95 brackets and the psi_t inverse of S_xx return
     # the bits of all 80 halvings; the boundary's stop moving after 56
     runs = []
 
@@ -239,7 +262,7 @@ def test_bisect_fixed_point_exit_matches_every_step(monkeypatch):
 
     monkeypatch.setattr(importlib.import_module("qscramble.entropy"), "bisect", spy)
     t2 = EntropySpec(TSALLIS, 2.0)
-    get_separable_boundary.__wrapped__(t2, t2)
+    get_separable_boundary.__wrapped__(EntropySpec(TSALLIS, 3.0), t2)
     t_from_sxx_vec(np.linspace(0.0, max_entropy(t2), 97), t2)
     assert len(runs) == 2
     for (lo, hi), (ref_lo, ref_hi), calls, steps in runs:
