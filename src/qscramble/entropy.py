@@ -199,9 +199,9 @@ def psi_t_xx_probs(t) -> np.ndarray:
 
 
 def psi_t_entropies(t: float, spec_x: EntropySpec, spec_z: EntropySpec) -> EntropyPoint:
-    """Exact (S_xx, S_zz) entropies of psi_t for t >= 1."""
-    if not check_real("t", t) >= 1.0:
-        raise DomainError(f"psi_t family requires t >= 1, got {t}")
+    """Exact (S_xx, S_zz) entropies of psi_t for 1 <= t <= T_CAP."""
+    if not 1.0 <= check_real("t", t) <= T_CAP:
+        raise DomainError(f"psi_t family requires 1 <= t <= T_CAP = {T_CAP:g}, got {t}")
     s_xx = float(_entropy_nd(psi_t_xx_probs(t), spec_x))
     s_zz = float(_entropy_nd(psi_t_zz_probs(t), spec_z))
     return EntropyPoint(max(s_xx, 0.0), max(s_zz, 0.0))

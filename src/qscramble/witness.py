@@ -30,11 +30,18 @@ from .quantum import PureState
 
 TANGENT_TOL = 1e-8
 WITNESS_DETECT_TOL = 1e-8
+# a value of W rounds by about |coefficient| 2^-52, below TANGENT_TOL up to here
+COEFFICIENT_CAP = 1e7
 
 
 def _coefficients(**coefficients) -> list[float]:
-    """Each named witness coefficient through :func:`~qscramble.errors.check_real`."""
-    return [check_real(f"witness coefficient {name}", v) for name, v in coefficients.items()]
+    """Each named witness coefficient through :func:`~qscramble.errors.check_real`,
+    at most COEFFICIENT_CAP in magnitude."""
+    out = [check_real(f"witness coefficient {name}", v) for name, v in coefficients.items()]
+    for name, v in zip(coefficients, out):
+        if abs(v) > COEFFICIENT_CAP:
+            raise DomainError(f"witness coefficient {name} = {v!r} exceeds {COEFFICIENT_CAP:g}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -242,8 +249,10 @@ def witness_min_eigvec(alpha: float, gamma: float) -> tuple[float, PureState]:
         raise DomainError("a detecting witness needs a negative coefficient")
     t = -(alpha - 2.0 * gamma + 2.0 * math.sqrt(alpha * alpha - alpha * gamma
                                                 + gamma * gamma)) / alpha
+    if math.isinf(t):
+        raise DomainError(f"the t-formula overflows at alpha = {alpha!r}")
     vec = np.array([t, 1.0, 1.0, 1.0], dtype=complex)
-    return t, PureState(vec / np.linalg.norm(vec))
+    return t, PureState(vec / math.hypot(t, 1.0, 1.0, 1.0))  # hypot: |t| may exceed 1e154
 
 
 # -- tangency: scale coefficients so the separable minimum is exactly zero --
@@ -288,7 +297,7 @@ def optimize_params(beta: float, *, num: int = 33) -> list[tuple[float, float]]:
     direction at once (:func:`_tangency_scales`); directions with no
     tangent scale are left out.
     """
-    beta = check_real("witness coefficient beta", beta)
+    (beta,) = _coefficients(beta=beta)
     num = check_count("the curve resolution num", num, 1)
     omega = np.linspace(0.0, 0.5 * math.pi, num)
     a0, g0 = -np.cos(omega), -np.sin(omega)

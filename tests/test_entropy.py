@@ -18,7 +18,8 @@ from qscramble.entropy import (RENYI, SHANNON, TSALLIS, EntropySpec, T_CAP,
 from qscramble.entropy import (_CURVES, _entropy_nd, _logsumexp, _pair_probs,
                                _product_envelope, _separable_values)
 from qscramble.errors import DomainError
-from qscramble.measurement import XX, ZZ, probabilities, scramble, scramble_state
+from qscramble.measurement import (XX, ZZ, probabilities, probabilities_stack, scramble,
+                                   scramble_state)
 from qscramble.optimize import nelder_mead
 
 # the package's entropy() function shadows the module's name as an attribute
@@ -170,7 +171,6 @@ def test_saturation_on_psi_t_grid():
 
 
 def test_eur_validity_sample(random_states_2k):
-    from qscramble.measurement import probabilities_stack
     pxx = np.clip(probabilities_stack(random_states_2k, XX), 0, 1)
     pzz = np.clip(probabilities_stack(random_states_2k, ZZ), 0, 1)
     for qx, qz in ((2.0, 2.0), (3.0, 2.0)):
@@ -254,6 +254,28 @@ def test_no_mixture_below_the_separable_boundary(spec_x, spec_z):
     assert float(np.min(gap(products))) >= -1e-12
 
 
+def test_shannon_pair_detects_no_pure_state():
+    # the paper's no-go: no state, entangled or not, lies below the exact
+    # Shannon envelope (no chords); the same states do go below the Tsallis-2
+    # one, so the test can fail
+    t = np.geomspace(1.0, 1e4, 4000)
+    g = np.random.default_rng(577215).normal(size=(2, 20_000, 4))
+    v = g[0] + 1j * g[1]
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    rho = v[:, :, None] * v[:, None, :].conj()  # 2 x 10^4 Haar-random pure states
+    dists = [(psi_t_xx_probs(t), psi_t_zz_probs(t)),
+             (np.clip(probabilities_stack(rho, XX), 0.0, 1.0),
+              np.clip(probabilities_stack(rho, ZZ), 0.0, 1.0))]
+
+    def least_gaps(spec):
+        return [float(np.min(_entropy_nd(dzz, spec) - _separable_values(
+            np.clip(_entropy_nd(dxx, spec), 0.0, max_entropy(spec)), spec, spec)))
+            for dxx, dzz in dists]
+
+    assert min(least_gaps(SH)) >= -1e-12
+    assert max(least_gaps(T2)) < -0.02
+
+
 @pytest.mark.parametrize("spec_x, spec_z", IN_REGIME)
 def test_envelope_is_the_symmetric_curve_in_the_bound_regime(spec_x, spec_z):
     # the condition under which the bound regime evaluates the symmetric curve alone
@@ -289,7 +311,6 @@ def test_entropy_detect_verdicts(boundary_22):
 
 
 def test_separable_states_not_detected(boundary_22, random_states_2k):
-    from qscramble.measurement import probabilities_stack
     from qscramble.quantum import min_eigval_stack, partial_transpose_stack
     ppt = min_eigval_stack(partial_transpose_stack(random_states_2k)) >= -1e-9
     sep = random_states_2k[ppt]

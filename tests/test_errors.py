@@ -2,6 +2,7 @@
 probability rows with a DomainError, through the helpers of qscramble.errors."""
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,14 +17,16 @@ from qscramble import (DomainError, DuplicateSetting, EntropySpec, OutcomeDistri
                        oracle_feasible, probabilities, product_state, psi_t, psi_t_entropies,
                        robustness, scramble, scramble_equivalent, scramble_state,
                        scrambled_witness_min, separable_bound, separable_bound_closed_form,
-                       setting, singlet, t_from_sxx, witness_matrix, witness_value)
+                       setting, singlet, t_from_sxx, witness_matrix, witness_min_eigvec,
+                       witness_value)
 from qscramble.detector import classify_slice_point
-from qscramble.entropy import all_states_bound_vec, t_from_sxx_vec
+from qscramble.entropy import T_CAP, all_states_bound_vec, t_from_sxx_vec
 from qscramble.errors import check_probabilities, check_real
 from qscramble.feasibility import FeasibilityProblem, solve_batch
 from qscramble.fileio import write_probabilities, write_state
 from qscramble.measurement import XX, ZZ
-from qscramble.witness import scrambled_correlation_min, scrambled_family_min
+from qscramble.witness import (COEFFICIENT_CAP, optimize_params, scrambled_correlation_min,
+                               scrambled_family_min)
 
 T2 = EntropySpec("tsallis", 2.0)
 RHO = singlet().density()
@@ -96,6 +99,11 @@ CASES = {
     # the file writers
     "write_state-int": (lambda: write_state(PATH, 3), "expects a"),
     "write_probabilities-int": (lambda: write_probabilities(PATH, dists=[1]), "expects a"),
+    # large or tiny finite numbers, which overflowed: wrong values, warnings or a misleading error
+    "psi_t_entropies-huge": (lambda: psi_t_entropies(1e200, T2, T2), "T_CAP"),
+    "min_over_separable-huge": (lambda: min_over_separable(-1e155, 0, 0), "coefficient alpha"),
+    "witness_min_eigvec-subnormal": (lambda: witness_min_eigvec(5e-324, -1), "alpha"),
+    "optimize_params-huge": (lambda: optimize_params(1e200), "coefficient beta"),
     # entropy of an unnormalized or misshaped row
     "entropy-unnormalized": (lambda: entropy([0.6, 0.6, 0.0, 0.0], T2), "sums to"),
     "entropy-two-entries": (lambda: entropy([0.5, 0.5], T2), "shape"),
@@ -119,6 +127,16 @@ def test_a_repeated_setting_is_a_duplicate_setting(tmp_path):
                  lambda: correlation_witness_values(twice)):
         with pytest.raises(DuplicateSetting, match="setting XX"):
             call()
+
+
+def test_large_finite_inputs_give_right_values_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert psi_t_entropies(T_CAP, T2, T2).s_xx <= 0.75
+        assert min_over_separable(-COEFFICIENT_CAP, 0, 0) == 1.0 - COEFFICIENT_CAP
+        t, state = witness_min_eigvec(1e-300, -1)  # the state is -|00>
+        assert math.isclose(t, -4e300) and abs(state.amplitudes[0] + 1.0) <= 1e-15
+        assert len(optimize_params(COEFFICIENT_CAP, num=3)) == 3
 
 
 def test_inf_is_accepted_where_it_is_meaningful():
