@@ -384,8 +384,10 @@ def separable_bound_closed_form(s_xx: float) -> float:
 class SeparableBoundary:
     """Grid-sampled separable boundary with linear interpolation.
 
-    Linear chords of a concave curve underestimate it, so interpolation errs
-    on the side of fewer detections.
+    The chords underestimate the curve only where it is concave, as it is
+    for two Tsallis entropies; with a Renyi entropy they can lie above it.
+    So the grid is a screen, and :func:`_decide_pairs` decides each row it
+    detects on the exact boundary.
     """
 
     spec_x: EntropySpec
@@ -418,21 +420,38 @@ def get_separable_boundary(spec_x: EntropySpec, spec_z: EntropySpec,
 # ---------------------------------------------------------------------------
 
 
+def _below(s: np.ndarray, t: np.ndarray, bound: np.ndarray, spec_s: EntropySpec,
+           spec_t: EntropySpec) -> np.ndarray:
+    """Where t lies more than ``DETECT_MARGIN`` below the separable boundary
+    at s.  ``bound`` holds the grid's values, only a screen: where the curve
+    is convex, as it can be with a Renyi entropy, the chords lie above it.
+    So each row they pass is decided again on the exact boundary at its own
+    s, whose value replaces the grid's in ``bound``."""
+    hit = np.flatnonzero(t < bound - DETECT_MARGIN)
+    if hit.size:
+        bound[hit] = _separable_values(s[hit], spec_s, spec_t)
+    return t < bound - DETECT_MARGIN
+
+
 def _decide_pairs(mx: np.ndarray, mz: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec):
     """(s_xx, s_zz, bound, detected) for sorted multisets ``mx``, ``mz`` (n, 4):
-    the entropy pairs, the separable boundary at s_xx, and the verdicts.
+    the entropy pairs, the separable boundary at s_xx that decided each row,
+    and the verdicts.
 
     A row is detected when its pair lies more than ``DETECT_MARGIN`` below
     the separable boundary in either orientation (the XX/ZZ roles can be
-    swapped by a local Hadamard, which preserves separability).
+    swapped by a local Hadamard, which preserves separability), each
+    decided by :func:`_below`.
     """
     _require_bound_regime(spec_x, "horizontal")
     _require_bound_regime(spec_z, "vertical")
     s_x, s_z = _entropy_nd(mx, spec_x), _entropy_nd(mz, spec_z)
     bound = get_separable_boundary(spec_x, spec_z).value(s_x)
-    detected = s_z < bound - DETECT_MARGIN
-    if not np.all(detected):
-        detected |= s_x < get_separable_boundary(spec_z, spec_x).value(s_z) - DETECT_MARGIN
+    detected = _below(s_x, s_z, bound, spec_x, spec_z)
+    rest = np.flatnonzero(~detected)
+    if rest.size:
+        back = get_separable_boundary(spec_z, spec_x).value(s_z[rest])
+        detected[rest] = _below(s_z[rest], s_x[rest], back, spec_z, spec_x)
     return s_x, s_z, bound, detected
 
 

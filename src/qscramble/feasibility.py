@@ -30,9 +30,15 @@ principal blocks, are PSD and x lies in the interval
 
 which becomes |x| <= sqrt(M_00 M_11) as e -> 0.  So a row is feasible when
 its four edges are PSD and the two intervals meet: a few dozen flops, no
-iteration and no eigendecomposition.  The test runs on M + 1e-8 I, so a row
-is feasible when s* = max_t lambda_min(A(t)) >= -1e-8.  Each verdict carries
-a certificate that is checked apart from the test:
+iteration and no eigendecomposition.  A row that fails on M is tested on
+M + 1e-8 I, its intervals only where its edges pass there, so a row is
+feasible when s* = max_t lambda_min(A(t)) >= -1e-8.  Rows are decided side
+by side: ``_bell_entries`` returns the eight fixed entries as an (8, n)
+array, each entry one contiguous row, and the edge eigenvalues, intervals,
+y, witnesses and margins are elementwise formulas on those rows, with no
+reduction over a short axis; only the three fixed tables (the entries, A
+and the certificate check) go through ``_apply``, row by row.  Each verdict
+carries a certificate that is checked apart from the test:
 
 * feasible: x is the midpoint of the two intervals and y the max-determinant
   choice M_{2,01} S^+ M_{01,3}, S = [[M_00, x], [x, M_11]]; M(x, y) is PSD,
@@ -114,21 +120,16 @@ _ENTRY_MAP = _frozen(np.array([[-1, 1, 1, -1, 0, 0, 2, 0],
                                [-1, 1, -1, 1, 0, 0, 0, -2],
                                [1, -1, 1, -1, -2, 0, 0, 0]]) / 4.0)
 _ENTRY_BASE = _frozen([0.25] * 4 + [0.0] * 4)
-# M(x, y) flattened, from m extended by x (column 8) and y (column 9)
+# M(x, y) flattened, from m extended by x (entry 8) and y (entry 9); also
+# lays out the witness W from its entries at the same places
 _M_INDEX = np.array([0, 8, 4, 5, 8, 1, 6, 7, 4, 6, 2, 9, 5, 7, 9, 3])
-# row c: where column c of [m, x, y] sits in M(x, y), flattened
-_PATTERN = _frozen(np.arange(10)[:, None] == _M_INDEX)
 # vec(T W T^T) = vec(W) @ _TO_COMPUTATIONAL, for W in the Bell frame
 _TO_COMPUTATIONAL = _frozen(0.5 * np.kron(_BELL, _BELL).T)
 # A = T M(x, y) T^T flattened is [m, x, y] @ _CERT_MAP; exact, as entries are
 # multiples of 1/2
-_CERT_MAP = _frozen(_PATTERN @ _TO_COMPUTATIONAL)
-# the blocks {0,1,2} and {0,1,3} of M at x (column 8), flattened
+_CERT_MAP = _frozen((np.arange(10)[:, None] == _M_INDEX) @ _TO_COMPUTATIONAL)
+# the blocks {0,1,2} and {0,1,3} of M at x (entry 8), flattened
 _BLOCK_INDEX = np.array([[0, 8, 4, 8, 1, 6, 4, 6, 2], [0, 8, 5, 8, 1, 7, 5, 7, 3]])
-# (2, 3, 3) blocks of outer products, flattened, to their places in a 4x4
-_BLOCK_EMBED = _frozen(np.arange(16) == np.array([[0, 1, 2], [4, 5, 6], [8, 9, 10],
-                                                  [0, 1, 3], [4, 5, 7], [12, 13, 15]])
-                       .reshape(18, 1))
 # below every lambda_min(M(0, 0)), by Gershgorin: M_ii >= -1/4, and each row
 # has two off-diagonal entries, each at most 1/2 in size
 _SHIFT_FLOOR = -1.5
@@ -178,139 +179,142 @@ def _apply(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def _bell_entries(p: np.ndarray) -> np.ndarray:
-    """M's eight fixed entries (see ``_ENTRY_MAP``) for rows [p_xx | p_zz]."""
-    return _apply(p, _ENTRY_MAP) + _ENTRY_BASE
+    """M's eight fixed entries (see ``_ENTRY_MAP``) for rows [p_xx | p_zz],
+    as (8, n): entry c of every row is the contiguous row c."""
+    return np.ascontiguousarray((_apply(p, _ENTRY_MAP) + _ENTRY_BASE).T)
 
 
-def _edge_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """lambda_min of each row's four edges [[M_ii, M_ik], [M_ik, M_kk]], as
-    (n, 2, 2) over i = 0, 1 and k = 2, 3."""
-    di, dk = m[:, :2, None], m[:, None, 2:4]
-    return 0.5 * (di + dk) - np.hypot(0.5 * (di - dk), m[:, 4:].reshape(-1, 2, 2))
-
-
-def _x_interval(m: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi): the x at which both 3x3 blocks of M - sI are PSD, for rows
-    whose edges are; lo > hi when there is none.  ``s`` is a scalar or one
-    shift per row, shape (n, 1).  A block whose diagonal entry e is 0 is
+def _interval(m: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): the x at which both 3x3 blocks of M - sI are PSD, for the
+    columns of ``m`` whose edges are; lo > hi when there is none.  ``s`` is a
+    scalar or one shift per column.  A block whose diagonal entry e is 0 is
     computed with e = 1: its edges are PSD only when M_0k = M_1k = 0, and
     then the interval is the e -> 0 limit |x| <= sqrt(M_00 M_11)."""
-    d = m[:, :4] - s
-    e = np.where(d[:, 2:] > 0.0, d[:, 2:], 1.0)
-    a, b = m[:, 4:6], m[:, 6:]
-    h = np.sqrt(np.maximum((d[:, :1] * e - a * a) * (d[:, 1:2] * e - b * b), 0.0))
+    d = m[:4] - s
+    e = np.where(d[2:] > 0.0, d[2:], 1.0)
+    a, b = m[4:6], m[6:]
+    h = np.sqrt(np.maximum((d[0] * e - a * a) * (d[1] * e - b * b), 0.0))
     ab = a * b
     lo, hi = (ab - h) / e, (ab + h) / e
-    # two columns each: numpy reduces so short an axis many times slower
-    return np.maximum(lo[:, 0], lo[:, 1]), np.minimum(hi[:, 0], hi[:, 1])
-
-
-def _completes(m: np.ndarray, lam_min: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Rows whose M - sI has a PSD completion, one shift per row."""
-    lo, hi = _x_interval(m, s[:, None])
-    return (lam_min >= s) & (lo <= hi)
+    return np.maximum(lo[0], lo[1]), np.minimum(hi[0], hi[1])
 
 
 def _completion(m: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A = T M(x, y) T^T, y the max-determinant completion of M - sI at x:
-    y = u^T S^+ w with u = (M_02, M_12), w = (M_03, M_13) and S = [[M_00 - s,
-    x], [x, M_11 - s]]; S^+ = adj(S) / det S, or S / Tr(S)^2 where S has
-    rank one."""
-    d = m[:, :2] - s[:, None]
-    u, w, xc = m[:, 4::2], m[:, 5::2], x[:, None]
-    det = d[:, 0] * d[:, 1] - x * x
+    """A = T M(x, y) T^T, (k, 4, 4), y the max-determinant completion of
+    M - sI at x: y = u^T S^+ w with u = (M_02, M_12), w = (M_03, M_13) and
+    S = [[M_00 - s, x], [x, M_11 - s]]; S^+ = adj(S) / det S, or S / Tr(S)^2
+    where S has rank one."""
+    d0, d1 = m[0] - s, m[1] - s
+    u0, w0, u1, w1 = m[4:]
+    det = d0 * d1 - x * x
     full = det > 0.0
-    y = (u * (d[:, ::-1] * w - xc * w[:, ::-1])).sum(axis=1) / np.where(full, det, 1.0)
+    y = (u0 * (d1 * w0 - x * w1) + u1 * (d0 * w1 - x * w0)) / np.where(full, det, 1.0)
     r = np.flatnonzero(~full)
     if r.size:
-        tr2 = d[r].sum(axis=1) ** 2
-        y[r] = ((u[r] * (d[r] * w[r] + xc[r] * w[r, ::-1])).sum(axis=1)
+        e0, e1, xr = d0[r], d1[r], x[r]
+        tr2 = (e0 + e1) ** 2
+        y[r] = ((u0[r] * (e0 * w0[r] + xr * w1[r]) + u1[r] * (e1 * w1[r] + xr * w0[r]))
                 / np.where(tr2 > 0.0, tr2, 1.0))
-    return _apply(np.concatenate([m, xc, y[:, None]], axis=1), _CERT_MAP).reshape(-1, 4, 4)
+    ext = np.concatenate([m.T, x[:, None], y[:, None]], axis=1)
+    return _apply(ext, _CERT_MAP).reshape(-1, 4, 4)
 
 
 def _witness(m: np.ndarray, lam: np.ndarray, lam_min: np.ndarray, s: np.ndarray,
              x: np.ndarray):
-    """(W, Tr(W M)) for rows whose M - sI has no PSD completion, one shift s
-    per row, and x between the intervals of the rows whose edges pass.
+    """(W, Tr(W M)) for the columns of ``m`` whose M - sI has no PSD
+    completion, one shift s per column, and x between the intervals of the
+    columns whose edges pass; ``lam`` holds the four edges' lambda_min.
 
-    W, flattened and in the Bell frame, is PSD with trace one and W_01 =
-    W_23 = 0: v v^T for the least eigenvector v of an edge that fails, else
-    |2 w_0 w_1| v v^T + |2 v_0 v_1| w w^T for the least eigenvectors v, w of
-    the blocks {0,1,2} and {0,1,3} at x.  The margin is +inf where W_01 came
-    out nonzero, which the slopes' opposite signs rule out up to rounding.
+    W, in the Bell frame, is PSD with trace one and W_01 = W_23 = 0: v v^T
+    for the least eigenvector v of an edge that fails, else |2 w_0 w_1| v v^T
+    + |2 v_0 v_1| w w^T for the least eigenvectors v, w of the blocks {0,1,2}
+    and {0,1,3} at x.  It is returned as (10, k), laid out as m extended by
+    x and y: its entries at M's eight fixed places, W_01 and W_23 = 0.  The
+    margin is +inf where W_01 came out nonzero, which the slopes' opposite
+    signs rule out up to rounding.
     """
-    k = len(m)
-    vecs = np.zeros((k, 2, 3))  # one vector on each block, its third entry vertex 2 or 3
-    weight = np.zeros((k, 2))
+    w = np.zeros((10, m.shape[1]))  # row 9: W_23, which stays 0
     on_edge = lam_min < s
     r = np.flatnonzero(on_edge)
     if r.size:
-        edge = lam[r].reshape(-1, 4).argmin(axis=1)
+        edge = lam[:, r].argmin(axis=0)
         i, block = edge >> 1, edge & 1
-        theta = 0.5 * np.arctan2(2.0 * m[r, 4 + edge], m[r, i] - m[r, 2 + block])
-        vecs[r, block, i], vecs[r, block, 2] = -np.sin(theta), np.cos(theta)
-        weight[r, block] = 1.0
+        theta = 0.5 * np.arctan2(2.0 * m[4 + edge, r], m[i, r] - m[2 + block, r])
+        sin, cos = np.sin(theta), np.cos(theta)
+        w[i, r], w[4 + edge, r], w[2 + block, r] = sin * sin, -sin * cos, cos * cos
     g = np.flatnonzero(~on_edge)
     if g.size:
-        ext = np.concatenate([m[g], x[g, None]], axis=1)
-        vecs[g] = np.linalg.eigh(ext[:, _BLOCK_INDEX].reshape(-1, 2, 3, 3))[1][..., 0]
-        weight[g] = np.abs(2.0 * vecs[g, ::-1, 0] * vecs[g, ::-1, 1])
-    w = (weight[:, :, None, None] * (vecs[:, :, :, None] * vecs[:, :, None, :])).reshape(k, 18)
-    w = w @ _BLOCK_EMBED
-    w /= np.maximum(w[:, ::5].sum(axis=1), np.finfo(float).tiny)[:, None]
-    margin = np.einsum("nk,jk,nj->n", w, _PATTERN[:8], m)
-    return w, np.where(w[:, 1] == 0.0, margin, np.inf)
+        blocks = np.concatenate([m[:, g], x[None, g]])[_BLOCK_INDEX]
+        v = np.linalg.eigh(np.moveaxis(blocks, -1, 0).reshape(-1, 2, 3, 3))[1][..., 0]
+        v = v.transpose(1, 2, 0)  # (2, 3, g): the vector of each block
+        weight = np.abs(2.0 * v[::-1, 0] * v[::-1, 1])
+        # weight (v_a v_b), not (weight v_a) v_b: only this order cancels W_01 exactly
+        p = weight[:, None, None] * (v[:, :, None] * v[:, None, :])
+        w[:9, g] = [p[0, 0, 0] + p[1, 0, 0], p[0, 1, 1] + p[1, 1, 1], p[0, 2, 2], p[1, 2, 2],
+                    p[0, 0, 2], p[1, 0, 2], p[0, 1, 2], p[1, 1, 2], p[0, 0, 1] + p[1, 0, 1]]
+    w /= np.maximum(((w[0] + w[1]) + w[2]) + w[3], np.finfo(float).tiny)
+    t = w[:8] * m
+    margin = (((t[0] + t[1]) + t[2]) + t[3]) + 2.0 * (((t[4] + t[5]) + t[6]) + t[7])
+    return w, np.where(w[8] == 0.0, margin, np.inf)
 
 
 def _lmi(m: np.ndarray):
-    """Decide the completion problem for each row of fixed entries ``m``.
+    """Decide the completion problem for each column of fixed entries ``m``,
+    shape (8, n) as :func:`_bell_entries` returns it.
 
     Returns (code, a, witness, value): code 1 for feasible rows, -1 where a
     witness checked and 0 otherwise; ``a`` holds A = T M(x, y) T^T of the
     rows with code 1 and ``witness`` the Bell-frame W of those with code -1,
-    each in row order.  ``value`` is 0 for feasible rows that pass
+    each (k, 4, 4) in row order.  ``value`` is 0 for feasible rows that pass
     the test on M itself and -1e-8, a bound on lambda_min(A), for those that
     need the shift; Tr(W rho_b) for infeasible rows, and s* for the others.
     """
-    n = len(m)
+    n = m.shape[1]
     code = np.zeros(n, dtype=np.int8)
     value = np.zeros(n)
-    lam = _edge_eigenvalues(m)
-    lam_min = lam.min(axis=(1, 2))
-    lo, hi = _x_interval(m, 0.0)
+    # lambda_min of the edges [[M_ii, M_ik], [M_ik, M_kk]], i = 0, 1 and k = 2, 3
+    di, dk = m[:2, None], m[None, 2:4]
+    lam = (0.5 * (di + dk) - np.hypot(0.5 * (di - dk), m[4:].reshape(2, 2, n))).reshape(4, n)
+    lam_min = lam.min(axis=0)  # elementwise, over contiguous rows
+    lo, hi = _interval(m, 0.0)
     ok = (lam_min >= 0.0) & (lo <= hi)
     x, shift = 0.5 * (lo + hi), np.zeros(n)
     redo = np.flatnonzero(~ok)
+    shift[redo] = -_CERT_EIG_TOL
+    # the decision: M + 1e-8 I, whose intervals matter only where its edges pass
+    redo = redo[lam_min[redo] >= -_CERT_EIG_TOL]
     if redo.size:
-        # the decision: M + 1e-8 I
-        lo, hi = _x_interval(m[redo], -_CERT_EIG_TOL)
-        x[redo], shift[redo] = 0.5 * (lo + hi), -_CERT_EIG_TOL
-        ok[redo] = (lam_min[redo] >= -_CERT_EIG_TOL) & (lo <= hi)
+        lo, hi = _interval(m[:, redo], -_CERT_EIG_TOL)
+        x[redo] = 0.5 * (lo + hi)
+        ok[redo] = lo <= hi
     hit = np.flatnonzero(ok)
     code[hit] = 1
     value[hit] = shift[hit]
-    a = _completion(m[hit], shift[hit], x[hit]) if hit.size else np.zeros((0, 4, 4))
+    a = _completion(m[:, hit], shift[hit], x[hit]) if hit.size else np.zeros((0, 4, 4))
     rest = np.flatnonzero(~ok)
     if not rest.size:
         return code, a, np.zeros((0, 4, 4)), value
-    m, lam, lam_min, s = m[rest], lam[rest], lam_min[rest], shift[rest]
+    m, lam, lam_min, s = m[:, rest], lam[:, rest], lam_min[rest], shift[rest]
     w, margin = _witness(m, lam, lam_min, s, x[rest])
     found = margin <= -TOL_INFEASIBLE
     short = np.flatnonzero(~found)
     if short.size:
         # rebuild W just above s*, bisected between a shift at which every
         # M - sI is PSD at x = y = 0 and the failing -1e-8
-        m, lam, lam_min = m[short], lam[short], lam_min[short]
-        s_lo, s_hi = bisect(lambda t: _completes(m, lam_min, t),
-                            np.full(short.size, _SHIFT_FLOOR), s[short], 50)
-        lo, hi = _x_interval(m, s_hi[:, None])
-        w[short], rebuilt = _witness(m, lam, lam_min, s_hi, 0.5 * (lo + hi))
+        m, lam, lam_min = m[:, short], lam[:, short], lam_min[short]
+
+        def completes(t):
+            lo, hi = _interval(m, t)
+            return (lam_min >= t) & (lo <= hi)
+
+        s_lo, s_hi = bisect(completes, np.full(short.size, _SHIFT_FLOOR), s[short], 50)
+        lo, hi = _interval(m, s_hi)
+        w[:, short], rebuilt = _witness(m, lam, lam_min, s_hi, 0.5 * (lo + hi))
         found[short] = rebuilt <= -TOL_INFEASIBLE
         margin[short] = np.where(found[short], rebuilt, 0.5 * (s_lo + s_hi))
     code[rest[found]] = -1
     value[rest] = margin
-    return code, a, w[found].reshape(-1, 4, 4), value
+    return code, a, w[_M_INDEX][:, found].T.reshape(-1, 4, 4), value
 
 
 def _checked_pair(p_xx, p_zz) -> np.ndarray:
@@ -344,7 +348,8 @@ def _solve_codes(p_xx, p_zz):
     hit = np.flatnonzero(code == 1)
     certs, value[hit] = _certificate(a, value[hit])
     rows = _apply(certs.reshape(-1, 16), _projectors().reshape(8, 16).T)
-    ok = np.abs(rows - p[hit]).max(axis=1) <= TOL_FEASIBLE
+    # the worst column by elementwise maxima: numpy reduces a short last axis slowly
+    ok = np.ascontiguousarray(np.abs(rows - p[hit]).T).max(axis=0) <= TOL_FEASIBLE
     code[hit[~ok]] = 0
     return code, certs[ok], value
 

@@ -207,7 +207,9 @@ def psi_t(t: float) -> PureState:
     """The boundary family (t|00> + |01> + |10> + |11>) / sqrt(3 + t^2), t >= 1."""
     if not check_real("t", t) >= 1.0:
         raise DomainError(f"psi_t requires t >= 1, got {t}")
-    return PureState(np.array([t, 1.0, 1.0, 1.0], dtype=complex) / math.sqrt(3.0 + t * t))
+    norm2 = 3.0 + t * t  # overflows past t = 1.3e154, where hypot still holds the norm
+    norm = math.sqrt(norm2) if norm2 < math.inf else math.hypot(t, 1.0, 1.0, 1.0)
+    return PureState(np.array([t, 1.0, 1.0, 1.0], dtype=complex) / norm)
 
 
 def mix(rho1: DensityMatrix, rho2: DensityMatrix, w: float) -> DensityMatrix:

@@ -236,11 +236,15 @@ def min_over_separable(alpha: float, beta: float, gamma: float) -> float:
 
 
 def witness_min_eigvec(alpha: float, gamma: float) -> tuple[float, PureState]:
-    """Parameter t and state psi_t spanning the minimal eigenvector of W.
+    """Parameter t and the state (t|00> + |01> + |10> + |11>) / norm spanning
+    the minimal eigenvector of W.
 
     Valid for W = 1 + alpha |++><++| + gamma |00><00| with alpha nonzero and
     at least one negative coefficient; uses the closed form
     t = -(alpha - 2 gamma + 2 sqrt(alpha^2 - alpha gamma + gamma^2)) / alpha.
+    The state is :func:`~qscramble.quantum.psi_t` (t >= 1) exactly when
+    alpha < 0 and gamma <= 0.  Otherwise t lies outside psi_t's range:
+    0 < t < 1 for alpha < 0 < gamma, and t < 0 for alpha > 0 > gamma.
     """
     alpha, gamma = _coefficients(alpha=alpha, gamma=gamma)
     if alpha == 0.0:

@@ -9,7 +9,8 @@ import qscramble.detector as det
 from qscramble.detector import (classify_slice_point, counterexample_mixture, detect,
                                 nonconvex_slice, rho1, scan, scan_details,
                                 verify_counterexample)
-from qscramble.entropy import (RENYI, TSALLIS, EntropySpec, _decide_pairs, _entropy_nd,
+from qscramble.entropy import (DETECT_MARGIN, RENYI, TSALLIS, EntropySpec, _decide_pairs,
+                               _entropy_nd, _separable_values,
                                entropy_detect, get_separable_boundary)
 from qscramble.errors import DomainError, MissingSetting
 from qscramble.feasibility import FeasibilityStatus, _solve_codes, solve_batch
@@ -111,9 +112,31 @@ def test_detect_entropy_evidence_is_the_route_decision(specs):
         s_xx = float(_entropy_nd(data.multiset(XX), spec_x))
         assert ev["s_xx"] == s_xx
         assert ev["s_zz"] == float(_entropy_nd(data.multiset(ZZ), spec_z))
-        assert ev["separable_bound"] == float(get_separable_boundary(spec_x, spec_z).value(s_xx))
+        # the bound that decided the row: the grid's, unless the grid detects
+        # it, which sends it to the exact boundary at s_xx
+        grid = float(get_separable_boundary(spec_x, spec_z).value(s_xx))
+        exact = float(_separable_values(np.array([s_xx]), spec_x, spec_z)[0])
+        screened = ev["s_zz"] < grid - DETECT_MARGIN
+        assert ev["separable_bound"] == (exact if screened else grid)
         detected = entropy_detect(data, spec_x, spec_z)
         assert rep.methods["entropy"] == ("detected" if detected else "not_detected")
+
+
+def test_renyi_product_state_is_not_entropy_detected():
+    # phi_0.7 (x) phi_0.7 lies on the (Renyi 3, Renyi 3) product curve, which
+    # is convex there: the grid's chord passes 8.7e-7 above it and detected
+    # this product state, while sdp certified it
+    phi = np.array([np.cos(0.35), np.sin(0.35)])
+    psi = np.kron(phi, phi)
+    r3 = EntropySpec(RENYI, 3.0)
+    rep = detect(scramble_state(DensityMatrix(np.outer(psi, psi))), ["sdp", "entropy"],
+                 spec_x=r3, spec_z=r3)
+    assert rep.methods == {"sdp": "possibly_separable", "entropy": "not_detected"}
+    assert rep.overall == "possibly_separable"
+    ev = rep.evidence["entropy"]
+    assert float(get_separable_boundary(r3, r3).value(ev["s_xx"])) - ev["s_zz"] > 8e-7
+    assert abs(ev["s_zz"] - 0.5379734905677552) <= 1e-15
+    assert abs(ev["separable_bound"] - 0.5379734905677538) <= 1e-15
 
 
 @pytest.mark.parametrize("specs", SPEC_PAIRS, ids=["tsallis2-tsallis2", "renyi3-tsallis2.5"])
@@ -124,9 +147,10 @@ def test_warm_entropy_detect_evaluates_each_entropy_once(specs):
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code is code:
-            calls.append(1)
+            calls.append(np.array(frame.f_locals["p"]))
 
-    # singlet: not detected, so both orientations are read; psi_3: detected
+    # singlet: not detected, so both orientations are read; psi_3: detected,
+    # and confirmed on the exact boundary, whose product states are not the data
     for rho in (singlet().density(), psi_t(3.0).density()):
         data = scramble_state(rho)
         detect(data, ["entropy"], spec_x=spec_x, spec_z=spec_z)  # builds both boundaries
@@ -136,7 +160,9 @@ def test_warm_entropy_detect_evaluates_each_entropy_once(specs):
             detect(data, ["entropy"], spec_x=spec_x, spec_z=spec_z)
         finally:
             sys.setprofile(None)
-        assert len(calls) == 2
+        own = [label for label in (XX, ZZ) for p in calls
+               if np.array_equal(p, data.multiset(label)[None])]
+        assert own == [XX, ZZ]
 
 
 def test_scan_has_no_inconclusive_sample():

@@ -26,6 +26,9 @@ from qscramble.optimize import nelder_mead
 entropy_module = importlib.import_module("qscramble.entropy")
 
 T2 = EntropySpec(TSALLIS, 2.0)
+# every Tsallis and Renyi entropy with parameter in {2, 2.5, 3, 5, 20}
+BOUND_SPECS = [EntropySpec(kind, q) for kind in (TSALLIS, RENYI)
+               for q in (2.0, 2.5, 3.0, 5.0, 20.0)]
 T15 = EntropySpec(TSALLIS, 1.5)
 SH = EntropySpec(SHANNON)
 
@@ -421,3 +424,14 @@ def test_robustness_is_pinned():
     assert robustness(2.0) == 0.013107913731346343
     assert robustness(3.0) == 0.018931554437131126
     assert robustness(5.0) == 0.020212660196648358
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(BOUND_SPECS), st.sampled_from(BOUND_SPECS), st.floats(0.0, math.pi / 2))
+def test_no_symmetric_product_state_is_entropy_detected(spec_x, spec_z, theta):
+    # phi_theta (x) phi_theta traces the symmetric product curve, the boundary
+    # of every such pair; a grid chord above a convex stretch of it (any pair
+    # with a Renyi entropy) must not detect the product state itself
+    phi = np.array([math.cos(0.5 * theta), math.sin(0.5 * theta)])
+    psi = np.kron(phi, phi)
+    assert not entropy_detect(scramble_state(qm.DensityMatrix(np.outer(psi, psi))), spec_x, spec_z)

@@ -133,6 +133,11 @@ def test_large_finite_inputs_give_right_values_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert psi_t_entropies(T_CAP, T2, T2).s_xx <= 0.75
+        # t * t overflows past 1.3e154: the norm comes from hypot there, and
+        # below it psi_t keeps the bits of sqrt(3 + t^2)
+        assert np.array_equal(psi_t(1e200).amplitudes, [1.0, 1e-200, 1e-200, 1e-200])
+        psi3 = np.array([3, 1, 1, 1], dtype=complex) / math.sqrt(12.0)
+        assert np.array_equal(psi_t(3).amplitudes, psi3)
         assert min_over_separable(-COEFFICIENT_CAP, 0, 0) == 1.0 - COEFFICIENT_CAP
         t, state = witness_min_eigvec(1e-300, -1)  # the state is -|00>
         assert math.isclose(t, -4e300) and abs(state.amplitudes[0] + 1.0) <= 1e-15

@@ -65,7 +65,8 @@ def test_lmi_reduction_reproduces_rows():
     # rho_b reproduces the rows, the free directions are invisible to the
     # projectors and to the partial transpose, and in the Bell frame M =
     # T^T A(t) T the data fix the eight entries _bell_entries returns while
-    # t moves only M_01 = (t_1 + t_2)/4 and M_23 = (t_2 - t_1)/4
+    # t moves only M_01 = (t_1 + t_2)/4 and M_23 = (t_2 - t_1)/4; each entry
+    # is one contiguous row of _bell_entries' (8, n)
     states = random_hs_stack(99, 20)
     pxx = probabilities_stack(states, XX)
     pzz = probabilities_stack(states, ZZ)
@@ -84,9 +85,10 @@ def test_lmi_reduction_reproduces_rows():
     fixed = np.concatenate([np.diagonal(m, axis1=1, axis2=2),
                             m[:, [0, 0, 1, 1], [2, 3, 2, 3]]], axis=1)
     entries = fz._bell_entries(np.concatenate([pxx, pzz], axis=1))
-    assert np.max(np.abs(entries - fixed)) <= 1e-15
+    assert entries.shape == (8, 20) and entries.flags.c_contiguous
+    assert np.max(np.abs(entries.T - fixed)) <= 1e-15
     assert np.max(np.abs(m[:, 0, 1] - x)) <= 1e-15 and np.max(np.abs(m[:, 2, 3] - y)) <= 1e-15
-    ext = np.concatenate([entries, x[:, None], y[:, None]], axis=1)
+    ext = np.concatenate([entries.T, x[:, None], y[:, None]], axis=1)
     assert np.max(np.abs((ext @ fz._CERT_MAP).reshape(-1, 4, 4) - a)) <= 1e-15
 
 
@@ -408,18 +410,41 @@ def _hs_true_rows(seed, count):
             np.clip(probabilities_stack(states, ZZ), 0, 1))
 
 
-def test_newton_step_counts():
-    # the closed form takes no Newton step, so every cycle count is 0; the
-    # (feasible, infeasible, inconclusive) counts of the resolution-8 slice
-    # grid, the rank-deficient |+>|0> labeling and the true rows of 30 000
-    # and 3 000 HS states are those the earlier barrier solver reached
+def test_solver_exit_counts(monkeypatch):
+    # every row leaves _lmi by one of five exits, counted in this order:
+    # certified at M (value 0), certified at M + 1e-8 I (value -1e-8), the
+    # witness of a failing edge, the interval witness, whose W_01 must cancel
+    # to exactly 0.0 (a W_01 that rounding leaves nonzero sends its row to
+    # the rebuild), and the s* rebuild, counted at its bisection.  The status
+    # counts are those the earlier barrier solver reached, and no row iterates
+    rebuilt, bisect = [], fz.bisect
+
+    def counted_bisect(go_right, lo, hi, steps):
+        rebuilt.append(len(lo))
+        return bisect(go_right, lo, hi, steps)
+
+    monkeypatch.setattr(fz, "bisect", counted_bisect)
+    hs = _hs_true_rows(314159265, 30000)
+    sx, sz = (np.sort(q[:3000], axis=1)[:, ::-1] for q in hs)
     plus_zero = np.array([[.5, .5, 0, 0]]), np.array([[.5, 0, .5, 0]])
-    for (pxx, pzz), counts in [(_slice_rows(8), (196, 452, 0)), (plus_zero, (1, 0, 0)),
-                               (_hs_true_rows(314159265, 30000), (29664, 336, 0)),
-                               (_hs_true_rows(107, 3000), (2959, 41, 0))]:
+    for (pxx, pzz), counts, exits in [
+            (_slice_rows(8), (196, 452, 0), (196, 0, 436, 16, 0)),
+            (_slice_rows(16), (1048, 1400, 0), (1048, 0, 1348, 52, 0)),
+            (_slice_rows(32), (4680, 4824, 0), (4680, 0, 4564, 260, 0)),
+            (hs, (29664, 336, 0), (29664, 0, 336, 0, 0)),
+            (_assignment_rows(sx, sz), (53566, 434, 0), (53566, 0, 428, 6, 0)),
+            (_hs_true_rows(107, 3000), (2959, 41, 0), (2959, 0, 41, 0, 0)),
+            (plus_zero, (1, 0, 0), (1, 0, 0, 0, 0))]:
         statuses, _, _, cycles = solve_batch(pxx, pzz)
         assert _status_counts(statuses) == counts
         assert cycles.shape == (len(pxx),) and cycles.dtype.kind == "i" and not cycles.any()
+        rebuilt.clear()
+        code, _, w, value = fz._lmi(fz._bell_entries(np.concatenate([pxx, pzz], axis=1)))
+        interval = (w[:, 2, 2] > 0.0) & (w[:, 3, 3] > 0.0)  # an edge witness has one of them 0
+        assert np.all(w[interval, 0, 1] == 0.0)
+        assert (np.sum((code == 1) & (value == 0.0)),
+                np.sum((code == 1) & (value == -fz._CERT_EIG_TOL)),
+                np.sum(~interval), np.sum(interval), sum(rebuilt)) == exits
 
 
 def test_docstring_rows_headroom():
@@ -606,7 +631,6 @@ def test_edge_rows_keep_their_verdicts():
         assert np.max(np.abs(m[i, [0, 1], 2] + m[i, [0, 1], 3])) <= 1e-15
     assert np.abs(np.diagonal(m[5:8], axis1=1, axis2=2)).min(axis=1).max() <= 3.4e-7
     entries = fz._bell_entries(np.concatenate([pxx, pzz], axis=1))
-    lam = fz._edge_eigenvalues(entries)
     for i, s in enumerate(statuses):
         if s is FeasibilityStatus.FEASIBLE:
             assert certificate_checks(certs[i], pxx[i], pzz[i]) and residuals[i] == 0.0
@@ -627,10 +651,12 @@ def test_edge_rows_keep_their_verdicts():
             assert -residuals[i] <= s_star + 1e-9, i
     # the rebuilt rows: the witness between the intervals of M + 1e-8 I misses
     # the -1e-6 floor, so their verdicts rest on the rebuild
-    rows = entries[8:14]
-    lo, hi = fz._x_interval(rows, -fz._CERT_EIG_TOL)
+    rows = entries[:, 8:14]
+    lo, hi = fz._interval(rows, -fz._CERT_EIG_TOL)
+    lam = np.array([[np.linalg.eigvalsh(m[i][np.ix_(e, e)])[0] for i in range(8, 14)]
+                    for e in ([0, 2], [0, 3], [1, 2], [1, 3])])
     shift = np.full(6, -fz._CERT_EIG_TOL)
-    _, first = fz._witness(rows, lam[8:14], lam[8:14].min(axis=(1, 2)), shift, 0.5 * (lo + hi))
+    _, first = fz._witness(rows, lam, lam.min(axis=0), shift, 0.5 * (lo + hi))
     assert np.all((first > -fz.TOL_INFEASIBLE) & (first < 0.0))
     assert np.all(residuals[8:14] > 1e-4)
 

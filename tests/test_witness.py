@@ -384,6 +384,22 @@ def test_witness_min_eigvec():
         witness_min_eigvec(0.5, 0.5)
 
 
+def test_witness_min_eigvec_is_psi_t_for_two_negative_coefficients():
+    # t >= 1, so the state is psi_t, exactly when alpha < 0 and gamma <= 0;
+    # otherwise t is in (0, 1) (alpha < 0 < gamma) or negative (alpha > 0 > gamma)
+    for alpha, gamma, lo, hi in [(-1.0, 0.0, 1.0, 1.0), (-0.7, -0.7, 1.0, math.inf),
+                                 (-1e-3, -5.0, 1.0, math.inf), (-5.0, -1e-3, 1.0, math.inf),
+                                 (-1.0, 2.0, 0.0, 1.0), (3.0, -1.0, -math.inf, 0.0),
+                                 (1e-150, -1.0, -math.inf, 0.0)]:
+        t, state = witness_min_eigvec(alpha, gamma)
+        assert lo <= t <= hi and (t >= 1.0) == (alpha < 0.0 and gamma <= 0.0), (alpha, gamma)
+        if t >= 1.0:
+            assert np.max(np.abs(state.amplitudes - psi_t(t).amplitudes)) <= 1e-15
+        w = witness_matrix(WitnessParams(alpha, 0.0, gamma))
+        evals, evecs = eig_hermitian(w)
+        assert abs(abs(np.vdot(state.amplitudes, evecs[:, -1])) - 1.0) <= 1e-9
+
+
 def test_correlation_witness_values():
     vals = correlation_witness_values(singlet_dists())
     assert abs(min(vals) + 1.0) < 1e-15
