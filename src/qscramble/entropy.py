@@ -420,38 +420,39 @@ def get_separable_boundary(spec_x: EntropySpec, spec_z: EntropySpec,
 # ---------------------------------------------------------------------------
 
 
-def _below(s: np.ndarray, t: np.ndarray, bound: np.ndarray, spec_s: EntropySpec,
-           spec_t: EntropySpec) -> np.ndarray:
-    """Where t lies more than ``DETECT_MARGIN`` below the separable boundary
-    at s.  ``bound`` holds the grid's values, only a screen: where the curve
-    is convex, as it can be with a Renyi entropy, the chords lie above it.
-    So each row they pass is decided again on the exact boundary at its own
-    s, whose value replaces the grid's in ``bound``."""
+def _below(s: np.ndarray, t: np.ndarray, spec_s: EntropySpec, spec_t: EntropySpec):
+    """(detected, bound): where t lies more than ``DETECT_MARGIN`` below the
+    separable boundary at s, and that boundary.  The grid's values are only a
+    screen: where the curve is convex, as it can be with a Renyi entropy, the
+    chords lie above it.  So each row they pass is decided again on the exact
+    boundary at its own s, and ``bound`` holds that exact value there and the
+    grid's value elsewhere."""
+    bound = get_separable_boundary(spec_s, spec_t).value(s)
     hit = np.flatnonzero(t < bound - DETECT_MARGIN)
     if hit.size:
         bound[hit] = _separable_values(s[hit], spec_s, spec_t)
-    return t < bound - DETECT_MARGIN
+    return t < bound - DETECT_MARGIN, bound
 
 
 def _decide_pairs(mx: np.ndarray, mz: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec):
     """(s_xx, s_zz, bound, detected) for sorted multisets ``mx``, ``mz`` (n, 4):
-    the entropy pairs, the separable boundary at s_xx that decided each row,
-    and the verdicts.
+    the entropy pairs, the forward separable boundary at s_xx as
+    :func:`_below` returns it, and the verdicts.
 
     A row is detected when its pair lies more than ``DETECT_MARGIN`` below
     the separable boundary in either orientation (the XX/ZZ roles can be
     swapped by a local Hadamard, which preserves separability), each
-    decided by :func:`_below`.
+    decided by :func:`_below`.  ``bound`` is the forward orientation's even
+    for a row detected only in the swapped one, where s_zz does not lie
+    below it.
     """
     _require_bound_regime(spec_x, "horizontal")
     _require_bound_regime(spec_z, "vertical")
     s_x, s_z = _entropy_nd(mx, spec_x), _entropy_nd(mz, spec_z)
-    bound = get_separable_boundary(spec_x, spec_z).value(s_x)
-    detected = _below(s_x, s_z, bound, spec_x, spec_z)
+    detected, bound = _below(s_x, s_z, spec_x, spec_z)
     rest = np.flatnonzero(~detected)
     if rest.size:
-        back = get_separable_boundary(spec_z, spec_x).value(s_z[rest])
-        detected[rest] = _below(s_z[rest], s_x[rest], back, spec_z, spec_x)
+        detected[rest] = _below(s_z[rest], s_x[rest], spec_z, spec_x)[0]
     return s_x, s_z, bound, detected
 
 

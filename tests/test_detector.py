@@ -149,20 +149,33 @@ def test_warm_entropy_detect_evaluates_each_entropy_once(specs):
         if event == "call" and frame.f_code is code:
             calls.append(np.array(frame.f_locals["p"]))
 
-    # singlet: not detected, so both orientations are read; psi_3: detected,
-    # and confirmed on the exact boundary, whose product states are not the data
-    for rho in (singlet().density(), psi_t(3.0).density()):
+    # singlet: not detected, so both orientations are read and nothing else
+    # is evaluated. psi_3: detected, and confirmed on the exact boundary
+    # for its own s alone, never on a grid (a (95, 4) stack when rebuilt): at
+    # the default pair in closed form, which reads only the endpoints
+    # (max_entropy's uniform distribution), else by bisecting product states
+    for rho, verdict in ((singlet().density(), "not_detected"),
+                         (psi_t(3.0).density(), "detected")):
         data = scramble_state(rho)
         detect(data, ["entropy"], spec_x=spec_x, spec_z=spec_z)  # builds both boundaries
         calls.clear()
+        misses = get_separable_boundary.cache_info().misses
         sys.setprofile(profile)
         try:
-            detect(data, ["entropy"], spec_x=spec_x, spec_z=spec_z)
+            report = detect(data, ["entropy"], spec_x=spec_x, spec_z=spec_z)
         finally:
             sys.setprofile(None)
+        assert report.methods["entropy"] == verdict
+        assert get_separable_boundary.cache_info().misses == misses
         own = [label for label in (XX, ZZ) for p in calls
                if np.array_equal(p, data.multiset(label)[None])]
         assert own == [XX, ZZ]
+        assert all(p.size == 4 for p in calls)
+        if verdict == "not_detected":
+            assert len(calls) == 2
+        elif spec_x == spec_z == EntropySpec(TSALLIS, 2.0):
+            assert len(calls) == 4
+            assert all(np.array_equal(p, np.full(4, 0.25)) for p in calls[2:])
 
 
 def test_scan_has_no_inconclusive_sample():
