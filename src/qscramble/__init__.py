@@ -17,7 +17,7 @@ from .entropy import (EntropyPoint, EntropySpec, all_states_bound,
 from .errors import (ConvergenceFailure, DomainError, DuplicateSetting, InvalidState,
                      MissingSetting, NotHermitian, QScrambleError, SettingMismatch)
 from .feasibility import (FeasibilityProblem, FeasibilityResult, FeasibilityStatus,
-                          feasible_for_probabilities, oracle_feasible)
+                          feasible_for_probabilities)
 from .measurement import (MeasurementSetting, OutcomeDistribution, PermutationPair,
                           ScrambledData, apply_permutation, canonical_permutations,
                           probabilities, relabeling_group, scramble, scramble_equivalent,

@@ -19,9 +19,10 @@ the all-states bound.
 The Renyi entropies and the large-q power sums go through a local
 log-sum-exp, :func:`_logsumexp`, a step-for-step port of scipy 1.17's
 ``scipy.special.logsumexp`` for real input.  It gives scipy 1.17's bits
-whatever scipy version is installed, and it keeps scipy out of every
-process that does not run the L-BFGS oracle: on a 2-core x86-64 machine,
-importing ``scipy.special`` costs about 0.3 s and 18 MB of peak memory.
+whatever scipy version is installed, and it is what keeps the package
+numpy-only: scipy is a test dependency, for the L-BFGS oracle and the
+bit-for-bit check of this port.  On a 2-core x86-64 machine, importing
+``scipy.special`` costs about 0.3 s and 18 MB of peak memory.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ TSALLIS = "tsallis"
 RENYI = "renyi"
 
 T_CAP = 1e8
+# Tsallis-q entropies are at most about 1/(q - 1): above this cap the maximum
+# falls below 1e-6, toward the 1e-12 at which the separable boundary reads an
+# entropy as zero, and the power sums overflow
+TSALLIS_CAP = 1e6
 _LOGSPACE_Q = 50.0
 DETECT_MARGIN = 1e-9
 
@@ -54,7 +59,8 @@ class EntropySpec:
     """Which entropy to evaluate: Shannon, Tsallis-q, or Renyi-alpha.
 
     ``parameter`` is q (Tsallis) or alpha (Renyi) and is ignored for Shannon;
-    parameter 1 is remapped to Shannon, the families' common limit.
+    parameter 1 is remapped to Shannon, the families' common limit.  Tsallis
+    q is at most ``TSALLIS_CAP``; Renyi alpha may be any positive float or inf.
     """
 
     kind: str
@@ -71,8 +77,9 @@ class EntropySpec:
         if kind != SHANNON:
             if not par > 0:
                 raise DomainError(f"entropy parameter must be positive, got {par}")
-            if math.isinf(par) and kind == TSALLIS:
-                raise DomainError("Tsallis entropy does not support an infinite parameter")
+            if kind == TSALLIS and par > TSALLIS_CAP:
+                raise DomainError(f"Tsallis entropy parameter must be at most "
+                                  f"TSALLIS_CAP = {TSALLIS_CAP:g}, got {par}")
             if par == 1.0:
                 kind = SHANNON
         if kind == SHANNON:

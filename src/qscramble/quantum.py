@@ -9,7 +9,8 @@ Conventions used everywhere in this package:
 
 Eigenvalues come from LAPACK through ``numpy.linalg.eigh``/``eigvalsh``, and
 :func:`partial_transpose_stack` is the package's one partial transpose, used
-by the PPT test and by the L-BFGS oracle of :mod:`~qscramble.feasibility`.
+by the PPT test; the tests' independent L-BFGS oracle (``tests/oracle.py``)
+imports it too.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ NORM_ATOL = 1e-12
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 

@@ -15,13 +15,15 @@ from qscramble.entropy import (_CURVES, TSALLIS, EntropySpec, _decide_pairs, _en
                                _product_envelope, all_states_bound_closed_form,
                                all_states_bound_vec, psi_t_entropies, robustness,
                                separable_bound_closed_form)
-from qscramble.feasibility import (FeasibilityStatus, oracle_feasible, solve_batch)
+from qscramble.feasibility import FeasibilityStatus, solve_batch
 from qscramble.measurement import (XX, ZZ, canonical_permutations, probabilities,
                                    probabilities_stack, scramble_equivalent,
                                    scramble_state)
 from qscramble.witness import (WITNESS_DETECT_TOL, _family_values, min_over_separable,
                                optimize_params, tangent_curve, witness_matrix,
                                witness_min_eigvec, WitnessParams)
+
+from oracle import oracle_feasible
 
 SEED = 314159265
 T2 = EntropySpec(TSALLIS, 2.0)

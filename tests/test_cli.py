@@ -283,23 +283,51 @@ def test_cli_verify(capsys):
 
 _NO_SCIPY = """
 import json, sys
-import qscramble, qscramble.cli as cli
+
+blocked = []
+
+
+class NoScipy:
+    # a meta path finder that makes scipy unimportable and records each attempt
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            blocked.append(name)
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from qscramble.cli import main
+
 m = [0.6875] + [0.10416666666666667] * 3
 json.dump({"xx": m, "zz": m, "scrambled": True}, open(sys.argv[1], "w"))
-assert cli.main(["detect", "--in", sys.argv[1], "--entropy", "renyi", "--q", "3"]) == 0
-loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-assert not loaded, loaded
-assert qscramble.oracle_feasible([0.25] * 4, [0.25] * 4)
-assert "scipy.optimize" in sys.modules
+for argv in (["verify"], ["detect", "--in", sys.argv[1]],
+             ["detect", "--in", sys.argv[1], "--entropy", "renyi", "--q", "3"],
+             ["entropy-curve", "--entropy", "renyi", "--q", "3", "--qtilde", "2",
+              "--resolution", "9"],
+             ["witness-curve", "--resolution", "3"], ["nonconvex-slice", "--resolution", "8"],
+             ["scan", "--samples", "200", "--scrambled", "true"], ["robustness", "--q", "2"],
+             ["table1"]):
+    assert main(argv) == 0, argv
+assert not blocked, blocked
+assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
 """
 
 
 def test_a_fresh_interpreter_loads_no_scipy(tmp_path):
-    # only the L-BFGS oracle imports scipy, on its first call
+    # scipy is a test dependency only: the L-BFGS oracle lives in tests/oracle.py
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path / "cx.json")],
                           env={"PYTHONPATH": src}, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
 
 
 def test_a_cold_detect_prints_what_a_warm_one_does(tmp_path, capsys):

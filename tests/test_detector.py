@@ -469,6 +469,24 @@ def test_hierarchy_on_scan(tsallis2, boundary_22):
     assert not np.any((wvals < -WITNESS_DETECT_TOL) & (outcomes == 0))
 
 
+@pytest.mark.parametrize("kinds", [((RENYI, 3.0), (RENYI, 3.0)), ((RENYI, 3.0), (TSALLIS, 2.5)),
+                                   ((RENYI, np.inf), (RENYI, 2.0)),
+                                   ((TSALLIS, 5.0), (RENYI, 20.0))],
+                         ids=["renyi3-renyi3", "renyi3-tsallis2.5", "renyiinf-renyi2",
+                              "tsallis5-renyi20"])
+def test_renyi_entropy_detections_are_sdp_detected(kinds):
+    # the entropy route lies inside sdp for pairs with a Renyi entropy too,
+    # whose boundary the grid's chords can overshoot; each pair detects some
+    # of these states, so the check is not vacuous
+    g = np.random.default_rng(141421).normal(size=(2, 20_000, 4))
+    v = g[0] + 1j * g[1]
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    mx, mz = _multisets(v[:, :, None] * v[:, None, :].conj())  # Haar-random pure states
+    edet = _decide_pairs(mx, mz, EntropySpec(*kinds[0]), EntropySpec(*kinds[1]))[3]
+    assert np.count_nonzero(edet) >= 5
+    assert np.all(det._decide(mx[edet], mz[edet])[0] == 1)
+
+
 def test_star_convexity_single_flip_on_detected_states():
     # scrambled-detectable states are rare among random states, so build a
     # population by perturbing the paper's detected mixture, then check the

@@ -1,6 +1,7 @@
 """Every public entry point rejects wrong types, non-numbers and invalid
 probability rows with a DomainError, through the helpers of qscramble.errors."""
 
+import json
 import math
 import warnings
 from pathlib import Path
@@ -14,19 +15,23 @@ from qscramble import (DomainError, DuplicateSetting, EntropySpec, OutcomeDistri
                        all_states_bound_closed_form, apply_permutation,
                        correlation_witness_values, detect, entropy,
                        entropy_detect, min_entropy_form, min_over_separable, mix,
-                       oracle_feasible, probabilities, product_state, psi_t, psi_t_entropies,
+                       probabilities, product_state, psi_t, psi_t_entropies,
                        robustness, scramble, scramble_equivalent, scramble_state,
                        scrambled_witness_min, separable_bound, separable_bound_closed_form,
                        setting, singlet, t_from_sxx, witness_matrix, witness_min_eigvec,
                        witness_value)
+from qscramble.cli import main
 from qscramble.detector import classify_slice_point
-from qscramble.entropy import T_CAP, all_states_bound_vec, t_from_sxx_vec
+from qscramble.entropy import T_CAP, TSALLIS_CAP, all_states_bound_vec, t_from_sxx_vec
 from qscramble.errors import check_probabilities, check_real
 from qscramble.feasibility import FeasibilityProblem, solve_batch
 from qscramble.fileio import write_probabilities, write_state
 from qscramble.measurement import XX, ZZ
+from qscramble.quantum import DensityMatrix
 from qscramble.witness import (COEFFICIENT_CAP, optimize_params, scrambled_correlation_min,
                                scrambled_family_min)
+
+from oracle import oracle_feasible
 
 T2 = EntropySpec("tsallis", 2.0)
 RHO = singlet().density()
@@ -142,6 +147,35 @@ def test_large_finite_inputs_give_right_values_without_warnings():
         t, state = witness_min_eigvec(1e-300, -1)  # the state is -|00>
         assert math.isclose(t, -4e300) and abs(state.amplitudes[0] + 1.0) <= 1e-15
         assert len(optimize_params(COEFFICIENT_CAP, num=3)) == 3
+
+
+def test_tsallis_parameters_above_the_cap_are_domain_errors(tmp_path, capsys):
+    # Tsallis-q entropies are at most about 1/(q - 1), so at q = 1e13 every
+    # entropy read as an endpoint of the separable boundary, and detect
+    # called this product state entangled while sdp certified it
+    phi = np.array([math.cos(0.35), math.sin(0.35)])
+    path = tmp_path / "phi.json"
+    write_state(path, DensityMatrix(np.outer(np.kron(phi, phi), np.kron(phi, phi))))
+    assert main(["detect", "--in", str(path), "--q", "1e13"]) == 2
+    captured = capsys.readouterr()
+    assert "Tsallis entropy parameter" in captured.err and captured.out == ""
+    for q in (np.nextafter(TSALLIS_CAP, math.inf), 1e308, math.inf):
+        with pytest.raises(DomainError, match="TSALLIS_CAP"):
+            EntropySpec("tsallis", q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q, qtilde in ((TSALLIS_CAP, 2.0), (2.0, TSALLIS_CAP), (TSALLIS_CAP, TSALLIS_CAP)):
+            argv = ["detect", "--in", str(path), "--q", repr(q), "--qtilde", repr(qtilde)]
+            assert main(argv) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["methods"] == {"sdp": "possibly_separable", "witness": "not_detected",
+                                      "entropy": "not_detected"}
+        # the Renyi order has no cap
+        for alpha in ("1e15", "1e300", "inf"):
+            argv = ["detect", "--in", str(path), "--entropy", "renyi", "--q", alpha,
+                    "--qtilde", alpha, "--method", "entropy"]
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["methods"] == {"entropy": "not_detected"}
 
 
 def test_inf_is_accepted_where_it_is_meaningful():

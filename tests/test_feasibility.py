@@ -7,13 +7,14 @@ import qscramble.detector as det
 import qscramble.feasibility as fz
 from qscramble.detector import Verdict, scrambled_possibly_separable, star_convexity_ray
 from qscramble.feasibility import (FeasibilityProblem, FeasibilityStatus,
-                                   feasible_for_probabilities, oracle_feasible,
-                                   oracle_min_violation, solve_batch)
+                                   feasible_for_probabilities, solve_batch)
 from qscramble.measurement import (XX, ZZ, ScrambledData, apply_permutation,
                                    canonical_permutations, probabilities, probabilities_stack,
                                    scramble, scramble_state, setting)
 from qscramble.quantum import (DensityMatrix, is_ppt, maximally_mixed, mix,
                                partial_transpose_stack, random_hs_stack, singlet)
+
+from oracle import oracle_feasible, oracle_min_violation, oracle_objective
 
 
 _PLUS, _MINUS = np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([1.0, -1.0]) / np.sqrt(2.0)
@@ -181,7 +182,6 @@ def test_oracle_values_on_known_instances():
 
 
 def test_oracle_gradient_matches_finite_differences():
-    from qscramble.feasibility import oracle_objective
     rng = np.random.default_rng(2)
     targets = np.array([0.1, 0.2, 0.3, 0.4, 0.4, 0.3, 0.2, 0.1])
     a0 = rng.normal(size=16)
