@@ -145,73 +145,102 @@ _Q_HELP = "entropy parameter q of the ZZ (vertical) entropy"
 _QTILDE_HELP = "entropy parameter q~ of the XX (horizontal) entropy"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qscramble",
-        description="Two-qubit entanglement detection from scrambled measurement data.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _entropy_options(p) -> None:
+    p.add_argument("--q", type=float, default=2.0, help=_Q_HELP)
+    p.add_argument("--qtilde", type=float, default=2.0, help=_QTILDE_HELP)
+    p.add_argument("--entropy", choices=["shannon", "tsallis", "renyi"], default="tsallis")
 
-    sub.add_parser("table1", help="print the singlet vs |+>|0> data table")
 
-    p = sub.add_parser("detect", help="run detection methods on a state or data file")
+def _detect_options(p) -> None:
     p.add_argument("--in", dest="infile", required=True,
                    help="state or probability JSON; a probability file's yy field is "
                         "accepted but not read (the witness family has beta = 0)")
     p.add_argument("--method", choices=["sdp", "witness", "entropy", "all"], default="all")
-    p.add_argument("--q", type=float, default=2.0, help=_Q_HELP)
-    p.add_argument("--qtilde", type=float, default=2.0, help=_QTILDE_HELP)
-    p.add_argument("--entropy", choices=["shannon", "tsallis", "renyi"], default="tsallis")
+    _entropy_options(p)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("scan", help="Monte-Carlo detection scan over random states")
+
+def _scan_options(p) -> None:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scrambled", choices=["true", "false"], default="false")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("entropy-curve", help="emit the two entropy bounds on a grid")
-    p.add_argument("--q", type=float, default=2.0, help=_Q_HELP)
-    p.add_argument("--qtilde", type=float, default=2.0, help=_QTILDE_HELP)
-    p.add_argument("--entropy", choices=["shannon", "tsallis", "renyi"], default="tsallis")
+
+def _entropy_curve_options(p) -> None:
+    _entropy_options(p)
     p.add_argument("--resolution", type=int, default=64)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("witness-curve", help="emit the tangent witness parameter curve")
+
+def _witness_curve_options(p) -> None:
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--resolution", type=int, default=33)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("nonconvex-slice", help="classify the symmetric data slice")
+
+def _slice_options(p) -> None:
     p.add_argument("--resolution", type=int, default=16)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("robustness", help="maximal detectable white-noise weight")
+
+def _robustness_options(p) -> None:
     p.add_argument("--q", default="inf")
 
-    sub.add_parser("verify", help="check the paper's counterexample end to end")
-    return parser
 
-
-_DISPATCH = {
-    "table1": _cmd_table1,
-    "detect": _cmd_detect,
-    "scan": _cmd_scan,
-    "entropy-curve": _cmd_entropy_curve,
-    "witness-curve": _cmd_witness_curve,
-    "nonconvex-slice": _cmd_slice,
-    "robustness": _cmd_robustness,
-    "verify": _cmd_verify,
+# name -> (help, options or None, handler), in the order the usage lists them
+_COMMANDS = {
+    "table1": ("print the singlet vs |+>|0> data table", None, _cmd_table1),
+    "detect": ("run detection methods on a state or data file", _detect_options, _cmd_detect),
+    "scan": ("Monte-Carlo detection scan over random states", _scan_options, _cmd_scan),
+    "entropy-curve": ("emit the two entropy bounds on a grid", _entropy_curve_options,
+                      _cmd_entropy_curve),
+    "witness-curve": ("emit the tangent witness parameter curve", _witness_curve_options,
+                      _cmd_witness_curve),
+    "nonconvex-slice": ("classify the symmetric data slice", _slice_options, _cmd_slice),
+    "robustness": ("maximal detectable white-noise weight", _robustness_options,
+                   _cmd_robustness),
+    "verify": ("check the paper's counterexample end to end", None, _cmd_verify),
 }
 
 
+def _parser(names) -> argparse.ArgumentParser:
+    """The top-level parser with the subcommands ``names`` of ``_COMMANDS``."""
+    parser = argparse.ArgumentParser(
+        prog="qscramble",
+        description="Two-qubit entanglement detection from scrambled measurement data.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, options, _ = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        if options is not None:
+            options(p)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parser(_COMMANDS)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the named subcommand's
+    parser where that one parses all of ``argv``.  Its errors and help are the
+    full parser's, as that hands the same words to the same subparser; unknown
+    words are reported by the full parser, whose usage lists every command."""
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _parser([argv[0]]).parse_known_args(argv)
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except (QScrambleError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -189,8 +189,12 @@ class DetectionReport:
 
     ``methods`` maps method name to one of "detected", "not_detected",
     "possibly_separable", "inconclusive" or "error: ...".  A failed method's
-    evidence is {"error": <exception class name>, "message": <text>}.  The
-    overall verdict is detected as soon as any method detects.
+    evidence is {"error": <exception class name>, "message": <text>}.
+
+    ``overall`` is "detected" as soon as any method detects; otherwise
+    "inconclusive" if sdp is inconclusive or any method failed; otherwise
+    "possibly_separable" if sdp ran, as only sdp certifies that, and
+    "not_detected" if it did not.
     """
 
     methods: Mapping[str, str]
@@ -255,8 +259,10 @@ def detect(inp, methods: Iterable[str] = _ALL_METHODS, *,
     elif (verdicts.get("sdp") == Verdict.INCONCLUSIVE.value
           or any(v.startswith("error") for v in verdicts.values())):
         overall = Verdict.INCONCLUSIVE.value
-    else:
+    elif "sdp" in verdicts:
         overall = Verdict.POSSIBLY_SEPARABLE.value
+    else:
+        overall = "not_detected"
     return DetectionReport(methods=verdicts, overall=overall, evidence=evidence)
 
 

@@ -312,10 +312,42 @@ def optimize_params(beta: float, *, num: int = 33) -> list[tuple[float, float]]:
     return [(float(a), float(g)) for a, g in zip(scale[keep] * a0[keep], scale[keep] * g0[keep])]
 
 
+# optimize_params(0.0, num=17), each float written by repr so that it reads
+# back bit for bit
+_TANGENT_CURVE_17 = (
+    (-1.0, 0.0),
+    (-0.974755986463627, -0.09600508503759964),
+    (-0.9476779627889769, -0.18850486709188682),
+    (-0.9179938463643881, -0.2784703888665853),
+    (-0.8847101936310651, -0.36645896097171415),
+    (-0.8465342545559968, -0.45248198602398243),
+    (-0.8018392527945583, -0.5357718597624963),
+    (-0.7488412252727843, -0.614558111279521),
+    (-0.6862915010152397, -0.6862915010152396),
+    (-0.614558111279521, -0.7488412252727843),
+    (-0.5357718597624963, -0.8018392527945581),
+    (-0.4524819860239826, -0.8465342545559967),
+    (-0.3664589609717142, -0.8847101936310651),
+    (-0.2784703888665852, -0.917993846364388),
+    (-0.18850486709188694, -0.947677962788977),
+    (-0.09600508503759979, -0.9747559864636269),
+    (0.0, -1.0),
+)
+
+
 # typed: num=3.0 must reach the count check, not hit num=3's entry
 @lru_cache(maxsize=4, typed=True)
 def tangent_curve(num: int = 17) -> tuple[tuple[float, float], ...]:
-    """The cached beta = 0 curve of :func:`optimize_params`, which ``detect`` reads."""
+    """The cached beta = 0 curve of :func:`optimize_params`, which ``detect`` reads.
+
+    The default 17 points are the constant ``_TANGENT_CURVE_17``, so a fresh
+    process runs no Newton loop for them; it is ``optimize_params(0.0, num=17)``
+    written out, which ``test_the_tangent_table_is_optimize_params`` in
+    tests/test_witness.py re-derives and checks for tangency.  Any other
+    ``num`` (17.0 and True included) goes through :func:`optimize_params`.
+    """
+    if type(num) is int and num == 17:
+        return _TANGENT_CURVE_17
     return tuple(optimize_params(0.0, num=num))
 
 

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qscramble.cli import main
+from qscramble import cli, witness
+from qscramble.cli import build_parser, main
 from qscramble.fileio import (read_probabilities, read_state, write_probabilities,
                               write_state)
 from qscramble.measurement import XX, ZZ, probabilities
@@ -165,6 +166,19 @@ def test_cli_detect_q_roles(tmp_path, capsys, monkeypatch):
     assert ev["s_zz"] == pytest.approx((1.0 - np.sum(p_zz ** 3)) / 2.0, abs=1e-12)
 
 
+def test_cli_detect_without_sdp_is_never_possibly_separable(tmp_path, capsys):
+    # the counterexample data: entropy does not detect it, sdp and witness do
+    path = tmp_path / "cx.json"
+    m = [0.6875] + [0.10416666666666667] * 3
+    path.write_text(json.dumps({"xx": m, "zz": m, "scrambled": True}))
+    for method, verdict, overall in (("entropy", "not_detected", "not_detected"),
+                                     ("sdp", "detected", "detected"),
+                                     ("witness", "detected", "detected")):
+        assert main(["detect", "--in", str(path), "--method", method]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["methods"], doc["overall"]) == ({method: verdict}, overall)
+
+
 def test_cli_detect_missing_file(capsys):
     assert main(["detect", "--in", "/nonexistent/state.json"]) == 2
 
@@ -172,6 +186,33 @@ def test_cli_detect_missing_file(capsys):
 def test_cli_usage_error():
     assert main(["detect"]) == 2  # --in required
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["table1", "extra"], ["detect", "--in", "x", "extra"], ["detect"],
+    ["detect", "--in", "x", "--method", "nope"], ["scan", "--samples", "x"],
+    ["nonconvex-slice", "--resolution"], *([c, "-h"] for c in cli._COMMANDS),
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_cli_usage_and_help_are_the_full_parsers(argv, capsys):
+    # main builds one subcommand's parser where it can; every help, usage and
+    # error text and exit code must still be the full parser's
+    code = main(argv)
+    got = capsys.readouterr()
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    assert (code, got.out, got.err) == (int(full.value.code or 0), want.out, want.err)
+
+
+def test_main_reads_sys_argv_as_the_console_script_does(monkeypatch, capsys):
+    # the installed qscramble script calls main() with no arguments
+    monkeypatch.setattr(sys, "argv", ["qscramble", "robustness", "--q", "inf"])
+    assert main() == 0
+    assert capsys.readouterr().out.strip().startswith("0.0202459397")
+    monkeypatch.setattr(sys, "argv", ["qscramble", "table1", "extra"])
+    assert main() == 2
+    err = capsys.readouterr().err
+    assert "{table1,detect,scan," in err and "unrecognized arguments: extra" in err
 
 
 def test_cli_rejects_retired_solver_flags(tmp_path, capsys):
@@ -346,3 +387,47 @@ def test_a_cold_detect_prints_what_a_warm_one_does(tmp_path, capsys):
                           env={"PYTHONPATH": src}, capture_output=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout == warm.encode()
+
+
+_COLD_DETECT = """
+import argparse, sys
+
+added, built = [], []
+add_parser = argparse._SubParsersAction.add_parser
+
+
+def counted(self, name, **kwargs):
+    added.append(name)
+    return add_parser(self, name, **kwargs)
+
+
+argparse._SubParsersAction.add_parser = counted
+from qscramble import cli, witness
+
+
+def refuse(*args, **kwargs):
+    built.append(args)
+    raise AssertionError("a cold detect must not build the tangent curve")
+
+
+witness.optimize_params = witness._separable_min = refuse
+code = cli.main(["detect", "--in", sys.argv[1], "--method", "all"])
+assert (code, added, built) == (0, ["detect"], []), (code, added, built)
+"""
+
+
+def test_a_cold_detect_builds_one_parser_and_no_curve(tmp_path, capsys, monkeypatch):
+    # a fresh process answers detect from the tangent table and the detect
+    # subparser alone, and prints what the full parser with a derived curve does
+    path = tmp_path / "cx.json"
+    m = [0.6875] + [0.10416666666666667] * 3
+    path.write_text(json.dumps({"xx": m, "zz": m, "scrambled": True}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", _COLD_DETECT, str(path)],
+                          env={"PYTHONPATH": src}, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    monkeypatch.setattr(witness, "tangent_curve",
+                        lambda: tuple(witness.optimize_params(0.0, num=17)))
+    args = build_parser().parse_args(["detect", "--in", str(path), "--method", "all"])
+    assert cli._COMMANDS[args.command][2](args) == 0
+    assert done.stdout == capsys.readouterr().out.encode()

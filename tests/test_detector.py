@@ -75,6 +75,16 @@ def test_detect_accepts_scrambled_data(boundary_22):
         detect(data, methods=["sdp", "nonsense"])
 
 
+def test_only_sdp_makes_the_overall_verdict_possibly_separable(boundary_22):
+    # the witness and entropy routes certify nothing when they do not detect
+    data = scramble_state(singlet().density())
+    for methods in (["witness"], ["entropy"], ["witness", "entropy"]):
+        rep = detect(data, methods)
+        assert set(rep.methods.values()) == {"not_detected"}
+        assert rep.overall == "not_detected"
+    assert detect(data, ["sdp", "witness"]).overall == "possibly_separable"
+
+
 def test_detect_reads_a_one_shot_methods_iterable_once():
     data = scramble_state(singlet().density())
     rep = detect(data, (m for m in ["witness", "sdp"]))

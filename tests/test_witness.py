@@ -8,7 +8,7 @@ from qscramble.measurement import (XX, YY, ZZ, OutcomeDistribution, ScrambledDat
                                    apply_permutation, canonical_permutations,
                                    probabilities, scramble, scramble_state)
 from qscramble.quantum import eig_hermitian, psi_t, random_hs_stack, singlet
-from qscramble.witness import (WITNESS_DETECT_TOL, WitnessParams, _min_over_b, _separable_min,
+from qscramble.witness import (TANGENT_TOL, WITNESS_DETECT_TOL, WitnessParams, _min_over_b, _separable_min,
                                _tangency_scales, correlation_witness_values,
                                min_entropy_form, min_over_separable, optimize_params,
                                scrambled_correlation_min, scrambled_family_min,
@@ -288,6 +288,17 @@ def test_optimize_params_beta_zero():
 def test_optimize_params_tangency():
     for a, g in optimize_params(0.0, num=7):
         assert abs(min_over_separable(a, 0.0, g)) < 1e-8
+
+
+def test_the_tangent_table_is_optimize_params():
+    # tangent_curve() serves a literal table; it must be optimize_params'
+    # 17-point beta = 0 curve bit for bit (repr also tells -0.0 from 0.0), and
+    # each pair must be tangent whatever the Newton loop does
+    curve = tangent_curve()
+    derived = tuple(optimize_params(0.0, num=17))
+    assert curve == derived and repr(curve) == repr(derived)
+    for a, g in curve:
+        assert abs(min_over_separable(a, 0.0, g)) <= TANGENT_TOL
 
 
 def test_curve_resolution_must_be_positive():
