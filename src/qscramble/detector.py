@@ -9,13 +9,14 @@ family in ``witness._family_values`` and the entropy pair in
 ``entropy._decide_pairs``.  :func:`detect` keeps their verdicts side by side.
 
 Scrambled data is decided here, labeled rows in :mod:`~qscramble.feasibility`.
-``_decide`` alone expands sorted multisets into their 18 canonical
-assignments, solves them in one ``solve_batch`` call and folds each sample's
-statuses into one code; it backs the sdp method, the slice grid, the scans'
-second stage and ``_ray_search``, the one bisection behind
-:func:`nonconvex_slice` and :func:`star_convexity_ray`.  The sorted multiset
-of (1 - lambda) I/4 + lambda rho is 0.25 + lambda (m - 0.25), m that of rho,
-so rays are searched in data space.
+``_assignment_rows`` alone expands sorted multisets into their 18 canonical
+assignments.  ``_decide`` solves those rows in one ``solve_batch`` call and
+folds each sample's statuses into one code; it backs the sdp method, the
+slice grid and the scans' second stage.  ``_ray_search``, the one bisection
+behind :func:`nonconvex_slice` and :func:`star_convexity_ray`, builds the
+rows' Bell-frame entries once per ray end: on (1 - lambda) I/4 + lambda rho
+each row's s* is affine in lambda, so every midpoint is decided by the
+solver's closed-form completion test at one shift, without a solve.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import numpy as np
 from . import witness
 from .entropy import _TSALLIS2, EntropySpec, _decide_pairs
 from .errors import DomainError, check_count, check_instance, check_real
-from .feasibility import FeasibilityStatus, _solve_codes, solve_batch
+from .feasibility import (TOL_INFEASIBLE, FeasibilityStatus, _bell_entries, _completes,
+                          _edge_eigenvalues, _solve_codes, solve_batch)
 from .measurement import (_CANONICAL, XX, ZZ, PermutationPair, ScrambledData, apply_permutation,
                           canonical_permutations, ginibre_probabilities, probabilities,
                           scramble_equivalent, scramble_state)
@@ -119,26 +121,48 @@ def _fold(codes: np.ndarray, k: int) -> np.ndarray:
     return _VERDICT_OF_MAX_CODE[codes.reshape(-1, k).max(axis=1)]
 
 
+def _assignment_rows(mx: np.ndarray, mz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p_xx, p_zz), each (18 n, 4): the assignment rows of sorted
+    (descending) multisets (n, 4).  Row ``18 i + j`` gives outcome ``k`` of
+    sample ``i`` the ``pi[k]``-th largest entry, pi canonical assignment ``j``."""
+    ix, iz = _assignment_index()
+    return mx[:, ix].reshape(-1, 4), mz[:, iz].reshape(-1, 4)
+
+
 def _decide(mx: np.ndarray, mz: np.ndarray):
     """(codes, statuses, states, residuals): ``solve_batch`` on the 18 n
-    assignment rows of sorted (descending) multisets (n, 4), and one code per
-    sample.  Row ``18 i + j`` gives outcome ``k`` of sample ``i`` the
-    ``pi[k]``-th largest entry, pi canonical assignment ``j``."""
-    ix, iz = _assignment_index()
-    statuses, states, residuals, _ = solve_batch(mx[:, ix].reshape(-1, 4),
-                                                 mz[:, iz].reshape(-1, 4))
+    assignment rows of sorted (descending) multisets (n, 4), in the order of
+    :func:`_assignment_rows`, and one code per sample."""
+    statuses, states, residuals, _ = solve_batch(*_assignment_rows(mx, mz))
     codes = np.fromiter(map(_CODE_OF_STATUS.__getitem__, statuses), dtype=np.int8,
                         count=len(statuses))
-    return _fold(codes, len(ix)), statuses, states, residuals
+    return _fold(codes, len(_CANONICAL)), statuses, states, residuals
 
 
 def _ray_search(mx: np.ndarray, mz: np.ndarray, resolution: int):
     """(lo, hi): [0, 1] halved ceil(log2(resolution)) times towards the
     detection threshold of lambda on each ray (1 - lambda) I/4 + lambda rho,
-    given by the sorted multisets of its rho; inconclusive is not detected."""
+    given by the sorted multisets of its rho.
+
+    Each assignment's Bell-frame matrix along the ray is M(lambda) =
+    (1 - lambda) I/4 + lambda M, M that of rho, so its s*(lambda) = (1 -
+    lambda)/4 + lambda s* is affine in lambda, and s*(lambda) <
+    -``TOL_INFEASIBLE``, the margin at which the solver witnesses a row
+    infeasible, holds exactly when M - sI has no PSD completion, s = -((1 -
+    lambda)/4 + ``TOL_INFEASIBLE``)/lambda.  A midpoint is detected when that
+    holds for all 18 assignments.  The entries and edge eigenvalues of M are
+    built once per ray, and each midpoint costs one closed-form completion
+    test per assignment, with no certificate; the decisions are ``_decide``'s
+    up to rounding.  As s*(lambda) is affine and s*(0) = 1/4, each row's
+    test flips once along the ray, and so does the sample's.
+    """
+    m = _bell_entries(np.concatenate(_assignment_rows(mx, mz), axis=1))
+    lam_min = _edge_eigenvalues(m).min(axis=0)
+    k = len(_CANONICAL)
+
     def undetected(lam):
-        lam = lam[:, None]
-        return _decide(0.25 + lam * (mx - 0.25), 0.25 + lam * (mz - 0.25))[0] != 1
+        s = np.repeat(-((1.0 - lam) * 0.25 + TOL_INFEASIBLE) / lam, k)
+        return _completes(m, lam_min, s).reshape(-1, k).any(axis=1)
 
     steps = max(1, math.ceil(math.log2(resolution)))
     return bisect(undetected, np.zeros(len(mx)), 1.0, steps)
@@ -162,12 +186,18 @@ def scrambled_possibly_separable(d: ScrambledData) -> tuple[Verdict, Separabilit
 def star_convexity_ray(rho: DensityMatrix, resolution: int = 256) -> float:
     """Detectability threshold along the ray from the maximally mixed state.
 
-    Bisects the weight lambda of ``mix(I/4, rho, lambda)`` (``_ray_search``;
-    by star-convexity the verdict flips once) and returns the upper end of the
-    final bracket, the least weight shown detected, or 1.0 when ``rho`` is not
-    detected or the threshold lies in the top bracket: the counterexample
-    mixture gives 1.0 at resolution 2 and 0.859375 at 64.  Inconclusive counts
-    as not detected, which can only push the reported threshold outward.
+    ``rho`` itself is decided by the solver; when detected, the weight lambda
+    of ``mix(I/4, rho, lambda)`` is bisected (``_ray_search``).  Each
+    assignment's s*(lambda) = (1 - lambda)/4 + lambda s* is affine in lambda,
+    so the verdict flips once, and a weight is shown detected when every
+    assignment's s*(lambda) < -``TOL_INFEASIBLE`` (1e-6), the margin at which
+    the solver certifies a row infeasible with a witness.  Returns the upper
+    end of the final bracket, the least weight shown detected, or 1.0 when
+    ``rho`` is not detected or the threshold lies in the top bracket: the
+    counterexample mixture gives 1.0 at resolution 2 and 0.859375 at 64.  A
+    row with s*(lambda) between -1e-6 and -1e-8, which the solver reports
+    inconclusive, counts as not detected, which can only push the reported
+    threshold outward.
     """
     check_instance("star_convexity_ray", rho, DensityMatrix)
     resolution = check_count("resolution", resolution, 2)
@@ -386,13 +416,18 @@ def nonconvex_slice(resolution: int, *, rays: int = 64) -> list[SlicePoint]:
     The grid covers the valid triangle p_pp in [0, 1], p_pm in [0, (1-p_pp)/2];
     the boundary is bisected (``_ray_search``) along ``rays`` (at least 1)
     evenly spaced rays from the uniform point (1/4, 1/4), which is sound as the
-    possibly-separable set is star-convex around I/4.  The ray ends come last.
+    possibly-separable set is star-convex around I/4: each assignment's
+    s*(lambda) = (1 - lambda)/4 + lambda s* is affine along a ray.  The ray
+    points come last, each the lower end of its final bracket, the greatest
+    weight not shown detected.
 
-    A point is flagged possibly separable unless all 18 of its assignments
-    are proven infeasible: a point with no feasible assignment but an
-    inconclusive one counts as possibly separable, as in
-    :func:`star_convexity_ray`.  Solver doubt can therefore only move the
-    reported boundary outward.
+    A grid point is flagged possibly separable unless all 18 of its
+    assignments are proven infeasible: a point with no feasible assignment
+    but an inconclusive one counts as possibly separable, as in
+    :func:`star_convexity_ray`.  A bisection midpoint is shown detected when
+    every assignment's s*(lambda) < -``TOL_INFEASIBLE``, the margin of a
+    checked witness.  Solver doubt can therefore only move the reported
+    boundary outward.
     """
     resolution = check_count("resolution", resolution, 8)
     rays = check_count("rays", rays, 1)

@@ -69,13 +69,15 @@ grid) no row comes near them, with certificate residuals up to 4.5e-16 and
 witness margins no shallower than -7.7e-5.  There is no iteration count:
 :func:`solve_batch`'s ``cycles`` are all zero.  A row's arithmetic never
 mixes with another row's, so neither its verdict nor its bits depend on the
-batch.  Every decision goes through ``_solve_codes``: the input check, the
-test and the certificate check, returning int8 codes (1 certified feasible,
--1 witnessed infeasible, 0 inconclusive) and the certificates.
-:func:`solve_batch` turns them into statuses, states and residuals; a scan
-uses the codes for its true rows.  This module decides labeled rows only;
-:mod:`~qscramble.detector` alone expands scrambled data into its 18
-canonical assignments and folds their verdicts.
+batch.  Every certified decision goes through ``_solve_codes``: the input
+check, the test and the certificate check, returning int8 codes (1
+certified feasible, -1 witnessed infeasible, 0 inconclusive) and the
+certificates.  :func:`solve_batch` turns them into statuses, states and
+residuals; a scan uses the codes for its true rows.  This module decides
+labeled rows only; :mod:`~qscramble.detector` alone expands scrambled data
+into its 18 canonical assignments and folds their verdicts.  Its ray search
+uses the test alone (``_edge_eigenvalues`` and ``_completes``), uncertified,
+at the shift where a row's s* along the ray crosses -``TOL_INFEASIBLE``.
 """
 
 from __future__ import annotations
@@ -198,6 +200,22 @@ def _interval(m: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(lo[0], lo[1]), np.minimum(hi[0], hi[1])
 
 
+def _edge_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """(4, n): lambda_min of the edges [[M_ii, M_ik], [M_ik, M_kk]], i = 0, 1
+    and k = 2, 3, of each column of ``m``."""
+    n = m.shape[1]
+    di, dk = m[:2, None], m[None, 2:4]
+    return (0.5 * (di + dk) - np.hypot(0.5 * (di - dk), m[4:].reshape(2, 2, n))).reshape(4, n)
+
+
+def _completes(m: np.ndarray, lam_min: np.ndarray, s) -> np.ndarray:
+    """Where M - sI has a PSD completion, for the columns of ``m`` whose
+    edges have least eigenvalue ``lam_min``: its edges are PSD and its two
+    intervals meet.  ``s`` is a scalar or one shift per column."""
+    lo, hi = _interval(m, s)
+    return (lam_min >= s) & (lo <= hi)
+
+
 def _completion(m: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A = T M(x, y) T^T, (k, 4, 4), y the max-determinant completion of
     M - sI at x: y = u^T S^+ w with u = (M_02, M_12), w = (M_03, M_13) and
@@ -271,9 +289,7 @@ def _lmi(m: np.ndarray):
     n = m.shape[1]
     code = np.zeros(n, dtype=np.int8)
     value = np.zeros(n)
-    # lambda_min of the edges [[M_ii, M_ik], [M_ik, M_kk]], i = 0, 1 and k = 2, 3
-    di, dk = m[:2, None], m[None, 2:4]
-    lam = (0.5 * (di + dk) - np.hypot(0.5 * (di - dk), m[4:].reshape(2, 2, n))).reshape(4, n)
+    lam = _edge_eigenvalues(m)
     lam_min = lam.min(axis=0)  # elementwise, over contiguous rows
     lo, hi = _interval(m, 0.0)
     ok = (lam_min >= 0.0) & (lo <= hi)
@@ -301,12 +317,8 @@ def _lmi(m: np.ndarray):
         # rebuild W just above s*, bisected between a shift at which every
         # M - sI is PSD at x = y = 0 and the failing -1e-8
         m, lam, lam_min = m[:, short], lam[:, short], lam_min[short]
-
-        def completes(t):
-            lo, hi = _interval(m, t)
-            return (lam_min >= t) & (lo <= hi)
-
-        s_lo, s_hi = bisect(completes, np.full(short.size, _SHIFT_FLOOR), s[short], 50)
+        s_lo, s_hi = bisect(lambda t: _completes(m, lam_min, t),
+                            np.full(short.size, _SHIFT_FLOOR), s[short], 50)
         lo, hi = _interval(m, s_hi)
         w[:, short], rebuilt = _witness(m, lam, lam_min, s_hi, 0.5 * (lo + hi))
         found[short] = rebuilt <= -TOL_INFEASIBLE

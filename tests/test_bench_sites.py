@@ -5,6 +5,8 @@ breaks its traced runs or zeroes its counts.  These checks fail fast first."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import qscramble.detector as det
 from qscramble.detector import nonconvex_slice
 from qscramble.feasibility import solve_batch
@@ -37,6 +39,10 @@ def test_nonconvex_slice_decides_through_detector_solve_batch(monkeypatch):
 
     monkeypatch.setattr(det, "solve_batch", counting)
     points = nonconvex_slice(8, rays=4)
-    # the 18 assignments of every grid point, then of 4 rays x 3 bisection
-    # midpoints; the ray ends come last in the output
-    assert sum(rows) == 18 * (len(points) - 4 + 4 * 3)
+    # the 18 assignments of every grid point; the ray ends come last in the
+    # output, and their bisection decides midpoints by the closed-form test
+    assert sum(rows) == 18 * (len(points) - 4)
+    ends = det._slice_multisets(np.array([0.0, 1.0]), np.array([0.5, 0.0]))
+    rows.clear()
+    det._ray_search(ends, ends, 2 ** 20)
+    assert rows == []

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import math
 import sys
 
 import numpy as np
@@ -17,6 +18,7 @@ from qscramble.feasibility import FeasibilityStatus, _solve_codes, solve_batch
 from qscramble.measurement import (XX, ZZ, ScrambledData, apply_permutation,
                                    canonical_permutations, probabilities, probabilities_stack,
                                    scramble_state)
+from qscramble.optimize import bisect
 from qscramble.quantum import (DensityMatrix, ginibre_stack, is_ppt, maximally_mixed,
                                psi_t, random_hs_stack, singlet)
 from qscramble.witness import WITNESS_DETECT_TOL, _family_values, tangent_curve
@@ -582,3 +584,46 @@ def test_star_convexity_ray_matches_the_state_route():
     for k in range(len(states)):
         alone = det._ray_search(mx[k:k + 1], mz[k:k + 1], 2 ** 20)
         assert (lo[k], hi[k]) == (alone[0][0], alone[1][0])
+
+
+def _ray_ends():
+    """Sorted multisets of seeded Dirichlet rows (alpha 0.3, 1 and 5) and of
+    points on the slice triangle's edges, where entries tie or vanish."""
+    rng = np.random.default_rng(20191)
+    mx, mz = [], []
+    for alpha in (0.3, 1.0, 5.0):
+        mx.append(np.sort(rng.dirichlet(np.full(4, alpha), 400), axis=1)[:, ::-1])
+        mz.append(np.sort(rng.dirichlet(np.full(4, alpha), 400), axis=1)[:, ::-1])
+    t = np.linspace(0.0, 1.0, 41)
+    edges = det._slice_multisets(np.concatenate([t, np.zeros_like(t), t]),
+                                 np.concatenate([(1.0 - t) / 2.0, t / 2.0, np.zeros_like(t)]))
+    return np.concatenate(mx + [edges]), np.concatenate(mz + [edges])
+
+
+@pytest.mark.parametrize("resolution", [2, 8, 2 ** 12])
+def test_ray_search_equals_bisection_on_certified_decisions(resolution):
+    # the closed-form midpoint test against the bisection it replaced, which
+    # decides every midpoint with _decide's 18 certified rows
+    mx, mz = _ray_ends()
+
+    def on_ray(lam):
+        lam = np.asarray(lam)[:, None]
+        return 0.25 + lam * (mx - 0.25), 0.25 + lam * (mz - 0.25)
+
+    def undetected(lam):
+        return det._decide(*on_ray(lam))[0] != 1
+
+    steps = max(1, math.ceil(math.log2(resolution)))
+    ref_lo, ref_hi = bisect(undetected, np.zeros(len(mx)), 1.0, steps)
+    lo, hi = det._ray_search(mx, mz, resolution)
+    assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+
+    # every hi below 1 is detected with 18 checked witnesses, and no lo is
+    inner = hi < 1.0
+    assert resolution == 2 or inner.sum() >= 100
+    codes, statuses, _, _ = det._decide(*on_ray(hi))
+    assert np.all(codes[inner] == 1)
+    k = len(canonical_permutations())
+    blocks = np.array([s is FeasibilityStatus.INFEASIBLE for s in statuses]).reshape(-1, k)
+    assert blocks[inner].all()
+    assert not np.any(det._decide(*on_ray(lo))[0] == 1)
