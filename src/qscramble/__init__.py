@@ -11,7 +11,7 @@ from .detector import (DetectionReport, ScanStats, SlicePoint, Verdict,
                        counterexample_mixture, detect, nonconvex_slice, rho1, scan,
                        scrambled_possibly_separable, star_convexity_ray, verify_counterexample)
 from .entropy import (EntropyPoint, EntropySpec, all_states_bound,
-                      all_states_bound_closed_form, entropy, entropy_detect,
+                      all_states_bound_closed_form, entropy_detect,
                       psi_t_entropies, robustness, separable_bound,
                       separable_bound_closed_form, t_from_sxx)
 from .errors import (ConvergenceFailure, DomainError, DuplicateSetting, InvalidState,

@@ -105,13 +105,13 @@ def _cmd_entropy_curve(args) -> int:
     spec_z = EntropySpec(args.entropy, args.q)
     # the whole curve is computed before the output is opened, so a failure
     # leaves no partial file behind
-    bound = get_separable_boundary(spec_x, spec_z, n=args.resolution)
+    grid, values = get_separable_boundary(spec_x, spec_z, n=args.resolution)
     if spec_x.bound_capable and spec_z.bound_capable:
-        ball = [_fmt(v) for v in all_states_bound_vec(bound.grid, spec_x, spec_z)]
+        ball = [_fmt(v) for v in all_states_bound_vec(grid, spec_x, spec_z)]
     else:
-        ball = [""] * len(bound.grid)  # outside the proven regime of the all-states bound
+        ball = [""] * len(grid)  # outside the proven regime of the all-states bound
     rows = [[_fmt(s), b, _fmt(v), _fmt(spec_z.parameter), _fmt(spec_x.parameter), spec_x.kind]
-            for s, b, v in zip(bound.grid, ball, bound.values)]
+            for s, b, v in zip(grid, ball, values)]
     _write_csv(args.out, ["s_xx", "bound_all", "bound_sep", "q", "qtilde", "entropy_kind"], rows)
     return 0
 

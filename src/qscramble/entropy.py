@@ -9,8 +9,9 @@ Both detection bounds live in the plane spanned by the XX-measurement entropy
   product states: phi_theta (x) phi_theta, |0> (x) phi_theta and
   |+> (x) phi_theta, each found by one vectorized bisection.  For Tsallis
   and Renyi parameters >= 2 on both axes the symmetric curve alone is the
-  envelope; the default pair q = qtilde = 2 reads its closed form
-  -9/4 + 3 sqrt(1 - S) + S and bisects nothing.
+  envelope, and one Newton iteration on a qubit's q-norm finds its point
+  at each S_xx (see :func:`_symmetric_w`); the default pair
+  q = qtilde = 2 reads its closed form -9/4 + 3 sqrt(1 - S) + S.
 
 Entanglement is detected from scrambled data whenever the measured entropy
 pair falls strictly below the separable bound but, necessarily, on or above
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from numbers import Real
 
 import numpy as np
@@ -339,33 +339,70 @@ def _separable_22(s):
     return -2.25 + 3.0 * np.sqrt(1.0 - s) + s
 
 
+def _symmetric_w(s: np.ndarray, spec: EntropySpec) -> np.ndarray:
+    """w = 1 - u on the symmetric curve at S_xx = s in (0, max), for Tsallis or Renyi q >= 2.
+
+    Each qubit's X distribution is ((1 + u)/2, (1 - u)/2) there, so S_xx fixes
+    its q-norm f(u) at c = (1 - (q - 1) s)^(1/(2q)) (Tsallis) or
+    2^((1 - q) s/(2q)) (Renyi); Renyi inf has u = 2 2^(-s/2) - 1 outright.  f
+    is convex and increasing on [0, 1], and f(u) >= (1 + u)/2, the inf-norm,
+    so Newton from u0 = 2c - 1 starts right of the root and falls onto it
+    monotonically: no tangent of f crosses zero left of the root.  An entry
+    stops at its first iterate that does not decrease (25 steps at most for
+    s 1e-12 from an end), so its bits ignore its batch.  Carrying w from the
+    accurate 1 - c keeps the digits of u near 1 (s near 0).
+    """
+    q = spec.parameter
+    if math.isinf(q):
+        return -2.0 * np.expm1(-0.5 * math.log(2.0) * s)
+    if spec.kind == TSALLIS:
+        one_minus_c = -np.expm1(np.log1p(-(q - 1.0) * s) / (2.0 * q))
+    else:
+        one_minus_c = -np.expm1((1.0 - q) * math.log(2.0) / (2.0 * q) * s)
+    w = 2.0 * one_minus_c
+    for _ in range(64):
+        log_r = np.log(w / (2.0 - w))  # r = (1 - u)/(1 + u)
+        lp = np.log1p(np.exp(q * log_r))  # f(u) = (1 + u)/2 (1 + r^q)^(1/q)
+        excess = one_minus_c - 0.5 * w + (1.0 - 0.5 * w) * np.expm1(lp / q)  # f(u) - c
+        slope = -0.5 * np.exp(lp / q - lp) * np.expm1((q - 1.0) * log_r)  # f'(u)
+        step = w + excess / slope
+        moved = step > w
+        if not moved.any():
+            return w
+        w = np.where(moved, step, w)
+    raise ConvergenceFailure(f"separable boundary: Newton did not settle for {spec}")
+
+
 def _separable_values(s: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec) -> np.ndarray:
     """Separable boundary at every S_xx in ``s`` (inside [0, max]).
 
-    The endpoints are exact: an XX eigenstate forces uniform ZZ and vice
-    versa.  An interior point is the lower envelope of three curves of pure
-    real product states A (x) phi_theta: A = phi_theta (the symmetric
-    curve), A = |0> and A = |+>.  No minimizer runs.  For q = qtilde = 2
-    (the default pair) the envelope is :func:`separable_bound_closed_form`,
-    evaluated with no bisection.  Otherwise, when both entropies are
-    Tsallis or Renyi with parameter >= 2 the envelope equals the symmetric
-    curve bit for bit, so only that curve is bisected.
-    tests/test_entropy.py finds no mixture of two real product states, and
-    no product state on a grid, below the envelope, inside the regime and
-    outside it (Shannon, Tsallis 1.5, Renyi 0.5), and the bisected envelope
-    within 1e-14 of the closed form.
+    The default pair q = qtilde = 2 reads the closed form
+    :func:`separable_bound_closed_form`.  Otherwise the endpoints are exact
+    (an XX eigenstate forces uniform ZZ and vice versa), and an interior
+    point is the lower envelope of three curves of pure real product states
+    A (x) phi_theta: A = phi_theta (the symmetric curve), |0> and |+>, all
+    bisected.  With Tsallis or Renyi parameters >= 2 on both axes the
+    envelope is the symmetric curve: :func:`_symmetric_w` finds its point,
+    whose ZZ entropy is read at v = sqrt((1 - u)(1 + u)).  tests/test_entropy.py
+    finds no mixture of two real product states, and no product state on a
+    grid, below the boundary, inside the regime and outside it (Shannon,
+    Tsallis 1.5, Renyi 0.5), and checks the Newton points against the
+    bisected symmetric curve and the bisected envelope against the closed form.
     """
+    if spec_x == spec_z == _TSALLIS2:
+        return _separable_22(np.clip(s, 0.0, 0.75))
     smax = max_entropy(spec_x)
     out = np.where(s <= 1e-12, max_entropy(spec_z), 0.0)
     inner = (s > 1e-12) & (s < smax - 1e-12)
     if not np.any(inner):
         return out
-    if spec_x == spec_z == _TSALLIS2:
-        out[inner] = _separable_22(s[inner])
+    if spec_x.bound_capable and spec_z.bound_capable:
+        w = _symmetric_w(s[inner], spec_x)
+        v = np.sqrt(w * (2.0 - w))
+        z0, z1 = 0.5 * (1.0 + v), 0.5 * (1.0 - v)
+        out[inner] = _entropy_nd(_product_dist(z0, z1, z0, z1), spec_z)
     else:
-        in_regime = spec_x.bound_capable and spec_z.bound_capable
-        out[inner] = _product_envelope(s[inner], spec_x, spec_z,
-                                       (None,) if in_regime else _CURVES)
+        out[inner] = _product_envelope(s[inner], spec_x, spec_z)
     return out
 
 
@@ -373,10 +410,8 @@ def separable_bound(s_xx: float, spec_x: EntropySpec, spec_z: EntropySpec) -> fl
     """Minimal S_zz over separable states at the given S_xx.
 
     This is the least S_zz, at this S_xx, of the product states
-    phi_theta (x) phi_theta, |0> (x) phi_theta and |+> (x) phi_theta, each
-    theta found by bisection.  For Tsallis or Renyi parameters >= 2 on both
-    axes the symmetric state phi_theta (x) phi_theta alone attains it, and
-    for q = qtilde = 2 the value is the closed form.
+    phi_theta (x) phi_theta, |0> (x) phi_theta and |+> (x) phi_theta (see
+    :func:`_separable_values`).
     """
     s = _sxx_in_range(check_real("S_xx", s_xx), max_entropy(spec_x))
     return float(_separable_values(s.reshape(1), spec_x, spec_z)[0])
@@ -387,39 +422,15 @@ def separable_bound_closed_form(s_xx: float) -> float:
     return float(_separable_22(_sxx_in_range(check_real("S_xx", s_xx), 0.75)))
 
 
-@dataclass(frozen=True)
-class SeparableBoundary:
-    """Grid-sampled separable boundary with linear interpolation.
-
-    The chords underestimate the curve only where it is concave, as it is
-    for two Tsallis entropies; with a Renyi entropy they can lie above it.
-    So the grid is a screen, and :func:`_decide_pairs` decides each row it
-    detects on the exact boundary.
-    """
-
-    spec_x: EntropySpec
-    spec_z: EntropySpec
-    grid: np.ndarray
-    values: np.ndarray
-
-    def value(self, s: float | np.ndarray) -> np.ndarray:
-        s = np.clip(np.asarray(s, dtype=float), self.grid[0], self.grid[-1])
-        return np.interp(s, self.grid, self.values)
-
-
-# typed: n=9.0 must reach the count check, not hit n=9's entry
-@lru_cache(maxsize=8, typed=True)
 def get_separable_boundary(spec_x: EntropySpec, spec_z: EntropySpec,
-                           n: int = 97) -> SeparableBoundary:
-    """The separable boundary on ``n`` evenly spaced S_xx from 0 to the maximum.
-
-    The default (Tsallis 2, Tsallis 2) grid is the closed form, about 0.5 ms
-    for n = 97 on a 2-core x86-64 machine; any other pair bisects each
-    interior point, 3.5-6 ms for (Tsallis 3, Tsallis 2).
+                           n: int = 97) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, values): the separable boundary on ``n`` evenly spaced S_xx
+    from 0 to the maximum, the points that ``entropy-curve`` prints.
+    Verdicts never read it: each row is decided at its own S_xx.
     """
     n = check_count("the boundary resolution n", n, 2)
     grid = np.linspace(0.0, max_entropy(spec_x), n)
-    return SeparableBoundary(spec_x, spec_z, grid, _separable_values(grid, spec_x, spec_z))
+    return grid, _separable_values(grid, spec_x, spec_z)
 
 
 # ---------------------------------------------------------------------------
@@ -427,39 +438,24 @@ def get_separable_boundary(spec_x: EntropySpec, spec_z: EntropySpec,
 # ---------------------------------------------------------------------------
 
 
-def _below(s: np.ndarray, t: np.ndarray, spec_s: EntropySpec, spec_t: EntropySpec):
-    """(detected, bound): where t lies more than ``DETECT_MARGIN`` below the
-    separable boundary at s, and that boundary.  The grid's values are only a
-    screen: where the curve is convex, as it can be with a Renyi entropy, the
-    chords lie above it.  So each row they pass is decided again on the exact
-    boundary at its own s, and ``bound`` holds that exact value there and the
-    grid's value elsewhere."""
-    bound = get_separable_boundary(spec_s, spec_t).value(s)
-    hit = np.flatnonzero(t < bound - DETECT_MARGIN)
-    if hit.size:
-        bound[hit] = _separable_values(s[hit], spec_s, spec_t)
-    return t < bound - DETECT_MARGIN, bound
-
-
 def _decide_pairs(mx: np.ndarray, mz: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec):
     """(s_xx, s_zz, bound, detected) for sorted multisets ``mx``, ``mz`` (n, 4):
-    the entropy pairs, the forward separable boundary at s_xx as
-    :func:`_below` returns it, and the verdicts.
+    the entropy pairs, the separable boundary at s_xx, and the verdicts.
 
     A row is detected when its pair lies more than ``DETECT_MARGIN`` below
     the separable boundary in either orientation (the XX/ZZ roles can be
-    swapped by a local Hadamard, which preserves separability), each
-    decided by :func:`_below`.  ``bound`` is the forward orientation's even
-    for a row detected only in the swapped one, where s_zz does not lie
-    below it.
+    swapped by a local Hadamard, which preserves separability), each read at
+    the row's own entropy.  ``bound`` is the forward orientation's even for
+    a row detected only in the swapped one, where s_zz does not lie below it.
     """
     _require_bound_regime(spec_x, "horizontal")
     _require_bound_regime(spec_z, "vertical")
     s_x, s_z = _entropy_nd(mx, spec_x), _entropy_nd(mz, spec_z)
-    detected, bound = _below(s_x, s_z, spec_x, spec_z)
+    bound = _separable_values(s_x, spec_x, spec_z)
+    detected = s_z < bound - DETECT_MARGIN
     rest = np.flatnonzero(~detected)
     if rest.size:
-        detected[rest] = _below(s_z[rest], s_x[rest], spec_z, spec_x)[0]
+        detected[rest] = s_x[rest] < _separable_values(s_z[rest], spec_z, spec_x) - DETECT_MARGIN
     return s_x, s_z, bound, detected
 
 

@@ -335,19 +335,22 @@ _TANGENT_CURVE_17 = (
 )
 
 
-# typed: num=3.0 must reach the count check, not hit num=3's entry
-@lru_cache(maxsize=4, typed=True)
 def tangent_curve(num: int = 17) -> tuple[tuple[float, float], ...]:
-    """The cached beta = 0 curve of :func:`optimize_params`, which ``detect`` reads.
+    """The beta = 0 curve of :func:`optimize_params`, which ``detect`` reads.
 
     The default 17 points are the constant ``_TANGENT_CURVE_17``, so a fresh
     process runs no Newton loop for them; it is ``optimize_params(0.0, num=17)``
     written out, which ``test_the_tangent_table_is_optimize_params`` in
-    tests/test_witness.py re-derives and checks for tangency.  Any other
-    ``num`` (17.0 and True included) goes through :func:`optimize_params`.
+    tests/test_witness.py re-derives and checks for tangency.  ``num`` is
+    checked before any cache is read, so 17.0, True or a list raise
+    :class:`DomainError`; another count goes through :func:`optimize_params`.
     """
-    if type(num) is int and num == 17:
-        return _TANGENT_CURVE_17
+    num = check_count("the curve resolution num", num, 1)
+    return _TANGENT_CURVE_17 if num == 17 else _tangent_curve(num)
+
+
+@lru_cache(maxsize=4)
+def _tangent_curve(num: int) -> tuple[tuple[float, float], ...]:
     return tuple(optimize_params(0.0, num=num))
 
 

@@ -12,7 +12,7 @@ def tsallis2():
 
 @pytest.fixture(scope="session")
 def boundary_22(tsallis2):
-    # built once per session; every entropy-detection test shares it
+    # (grid, values) of the default pair, built once per session
     return get_separable_boundary(tsallis2, tsallis2)
 
 

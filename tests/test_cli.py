@@ -140,20 +140,9 @@ def test_cli_detect_reads_the_file_once(tmp_path, capsys, monkeypatch, kind):
     assert reads == [path]
 
 
-def test_cli_detect_q_roles(tmp_path, capsys, monkeypatch):
+def test_cli_detect_q_roles(tmp_path, capsys):
     # --qtilde is the XX (horizontal) entropy parameter and --q the ZZ
-    # (vertical) one, as in entropy-curve; a flat stub boundary keeps the test
-    # from building the q = 3 separable boundaries, which play no part here
-    import importlib
-    from qscramble import detector
-    from qscramble.entropy import SeparableBoundary, max_entropy
-    entropy_module = importlib.import_module("qscramble.entropy")
-
-    def flat(spec_x, spec_z):
-        return SeparableBoundary(spec_x, spec_z, np.array([0.0, max_entropy(spec_x)]),
-                                 np.zeros(2))
-    monkeypatch.setattr(detector, "get_separable_boundary", flat)
-    monkeypatch.setattr(entropy_module, "get_separable_boundary", flat)
+    # (vertical) one, as in entropy-curve
     rho = random_hs_state(17)
     path = tmp_path / "state.json"
     write_state(path, rho)

@@ -114,8 +114,8 @@ def test_detect_counterexample_data_pin(tmp_path, capsys):
     d = _detect(capsys, path)
     methods = {"sdp": "detected", "witness": "detected", "entropy": "not_detected"}
     assert (d["overall"], d["methods"]) == ("detected", methods), d
-    bound = d["evidence"]["entropy"]["separable_bound"]
-    assert abs(bound - 0.377117729227137) <= 1e-12, bound
+    bound = d["evidence"]["entropy"]["separable_bound"]  # the exact boundary at s_xx
+    assert abs(bound - 0.37713193032066405) <= 1e-12, bound
 
     d = _detect(capsys, path, "--method", "sdp")
     e = d["evidence"]["sdp"]

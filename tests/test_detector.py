@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import math
 import sys
@@ -7,10 +6,11 @@ import numpy as np
 import pytest
 
 import qscramble.detector as det
+import qscramble.entropy as entropy_module
 from qscramble.detector import (classify_slice_point, counterexample_mixture, detect,
                                 nonconvex_slice, rho1, scan, scan_details,
                                 verify_counterexample)
-from qscramble.entropy import (DETECT_MARGIN, RENYI, TSALLIS, EntropySpec, _decide_pairs,
+from qscramble.entropy import (RENYI, TSALLIS, EntropySpec, _decide_pairs,
                                _entropy_nd, _separable_values,
                                entropy_detect, get_separable_boundary)
 from qscramble.errors import DomainError, MissingSetting
@@ -23,8 +23,6 @@ from qscramble.quantum import (DensityMatrix, ginibre_stack, is_ppt, maximally_m
                                psi_t, random_hs_stack, singlet)
 from qscramble.witness import WITNESS_DETECT_TOL, _family_values, tangent_curve
 
-# the package's `entropy` attribute is the function, not the module
-entropy_module = importlib.import_module("qscramble.entropy")
 SPEC_PAIRS = [(EntropySpec(TSALLIS, 2.0), EntropySpec(TSALLIS, 2.0)),
               (EntropySpec(RENYI, 3.0), EntropySpec(TSALLIS, 2.5))]
 
@@ -49,7 +47,7 @@ def test_counterexample_mixture_probabilities():
     assert np.max(np.abs(probabilities(m, ZZ).p - expected)) < 1e-12
 
 
-def test_detect_reports(boundary_22):
+def test_detect_reports():
     rep = detect(singlet().density())
     assert list(rep.methods) == ["sdp", "witness", "entropy"]
     assert rep.methods["sdp"] == "possibly_separable"
@@ -67,7 +65,7 @@ def test_detect_reports(boundary_22):
     assert rep.overall == "detected"
 
 
-def test_detect_accepts_scrambled_data(boundary_22):
+def test_detect_accepts_scrambled_data():
     data = scramble_state(maximally_mixed())
     rep = detect(data)
     assert rep.overall == "possibly_separable"
@@ -77,7 +75,7 @@ def test_detect_accepts_scrambled_data(boundary_22):
         detect(data, methods=["sdp", "nonsense"])
 
 
-def test_only_sdp_makes_the_overall_verdict_possibly_separable(boundary_22):
+def test_only_sdp_makes_the_overall_verdict_possibly_separable():
     # the witness and entropy routes certify nothing when they do not detect
     data = scramble_state(singlet().density())
     for methods in (["witness"], ["entropy"], ["witness", "entropy"]):
@@ -124,20 +122,17 @@ def test_detect_entropy_evidence_is_the_route_decision(specs):
         s_xx = float(_entropy_nd(data.multiset(XX), spec_x))
         assert ev["s_xx"] == s_xx
         assert ev["s_zz"] == float(_entropy_nd(data.multiset(ZZ), spec_z))
-        # the bound that decided the row: the grid's, unless the grid detects
-        # it, which sends it to the exact boundary at s_xx
-        grid = float(get_separable_boundary(spec_x, spec_z).value(s_xx))
+        # the bound that decided the row: the exact boundary at its own s_xx
         exact = float(_separable_values(np.array([s_xx]), spec_x, spec_z)[0])
-        screened = ev["s_zz"] < grid - DETECT_MARGIN
-        assert ev["separable_bound"] == (exact if screened else grid)
+        assert ev["separable_bound"] == exact
         detected = entropy_detect(data, spec_x, spec_z)
         assert rep.methods["entropy"] == ("detected" if detected else "not_detected")
 
 
 def test_renyi_product_state_is_not_entropy_detected():
     # phi_0.7 (x) phi_0.7 lies on the (Renyi 3, Renyi 3) product curve, which
-    # is convex there: the grid's chord passes 8.7e-7 above it and detected
-    # this product state, while sdp certified it
+    # is convex there: the grid's chord passes 8.7e-7 above it and once
+    # detected this product state, while sdp certified it
     phi = np.array([np.cos(0.35), np.sin(0.35)])
     psi = np.kron(phi, phi)
     r3 = EntropySpec(RENYI, 3.0)
@@ -146,7 +141,8 @@ def test_renyi_product_state_is_not_entropy_detected():
     assert rep.methods == {"sdp": "possibly_separable", "entropy": "not_detected"}
     assert rep.overall == "possibly_separable"
     ev = rep.evidence["entropy"]
-    assert float(get_separable_boundary(r3, r3).value(ev["s_xx"])) - ev["s_zz"] > 8e-7
+    grid, values = get_separable_boundary(r3, r3)
+    assert float(np.interp(ev["s_xx"], grid, values)) - ev["s_zz"] > 8e-7
     assert abs(ev["s_zz"] - 0.5379734905677552) <= 1e-15
     assert abs(ev["separable_bound"] - 0.5379734905677538) <= 1e-15
 
@@ -161,33 +157,45 @@ def test_warm_entropy_detect_evaluates_each_entropy_once(specs):
         if event == "call" and frame.f_code is code:
             calls.append(np.array(frame.f_locals["p"]))
 
-    # singlet: not detected, so both orientations are read and nothing else
-    # is evaluated. psi_3: detected, and confirmed on the exact boundary
-    # for its own s alone, never on a grid (a (95, 4) stack when rebuilt): at
-    # the default pair in closed form, which reads only the endpoints
-    # (max_entropy's uniform distribution), else by bisecting product states
-    for rho, verdict in ((singlet().density(), "not_detected"),
-                         (psi_t(3.0).density(), "detected")):
+    # singlet: not detected, so the boundary is read in both orientations;
+    # psi_3: detected in the forward one alone.  Each read is of one row, at
+    # its own s, never of a grid: at the default pair the closed form, which
+    # evaluates no entropy, else the two maxima (uniform rows) and the ZZ
+    # entropy of the Newton point
+    default = spec_x == spec_z == EntropySpec(TSALLIS, 2.0)
+    for rho, verdict, reads in ((singlet().density(), "not_detected", 2),
+                                (psi_t(3.0).density(), "detected", 1)):
         data = scramble_state(rho)
-        detect(data, ["entropy"], spec_x=spec_x, spec_z=spec_z)  # builds both boundaries
+        detect(data, ["entropy"], spec_x=spec_x, spec_z=spec_z)  # warm
         calls.clear()
-        misses = get_separable_boundary.cache_info().misses
         sys.setprofile(profile)
         try:
             report = detect(data, ["entropy"], spec_x=spec_x, spec_z=spec_z)
         finally:
             sys.setprofile(None)
         assert report.methods["entropy"] == verdict
-        assert get_separable_boundary.cache_info().misses == misses
         own = [label for label in (XX, ZZ) for p in calls
                if np.array_equal(p, data.multiset(label)[None])]
         assert own == [XX, ZZ]
         assert all(p.size == 4 for p in calls)
-        if verdict == "not_detected":
-            assert len(calls) == 2
-        elif spec_x == spec_z == EntropySpec(TSALLIS, 2.0):
-            assert len(calls) == 4
-            assert all(np.array_equal(p, np.full(4, 0.25)) for p in calls[2:])
+        assert len(calls) == (2 if default else 2 + 3 * reads)
+        uniform = [p for p in calls if np.array_equal(p, np.full(4, 0.25))]
+        assert len(uniform) == (0 if default else 2 * reads)
+
+
+@pytest.mark.parametrize("kinds", [((TSALLIS, 2.0), (TSALLIS, 2.0)), ((RENYI, 3.0), (TSALLIS, 2.5)),
+                                   ((RENYI, math.inf), (RENYI, 2.0))],
+                         ids=["tsallis2-tsallis2", "renyi3-tsallis2.5", "renyiinf-renyi2"])
+def test_entropy_detect_builds_no_grid_and_bisects_nothing(kinds, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the entropy route built a grid or ran a bisection")
+    monkeypatch.setattr(entropy_module, "get_separable_boundary", refuse)
+    monkeypatch.setattr(entropy_module, "bisect", refuse)
+    spec_x, spec_z = EntropySpec(*kinds[0]), EntropySpec(*kinds[1])
+    for rho, verdict in ((singlet().density(), "not_detected"),
+                         (psi_t(3.0).density(), "detected")):
+        rep = detect(rho, ["entropy"], spec_x=spec_x, spec_z=spec_z)
+        assert rep.methods == {"entropy": verdict}
 
 
 def test_scan_has_no_inconclusive_sample():
@@ -466,7 +474,7 @@ def test_family_values_match_scalar():
         assert scrambled_family_min(data)[0] == vec[i]
 
 
-def test_hierarchy_on_scan(tsallis2, boundary_22):
+def test_hierarchy_on_scan(tsallis2):
     # witness-detected and entropy-detected instances must be sdp-detected
     n = 3000
     seed = 2718
@@ -488,7 +496,7 @@ def test_hierarchy_on_scan(tsallis2, boundary_22):
                               "tsallis5-renyi20"])
 def test_renyi_entropy_detections_are_sdp_detected(kinds):
     # the entropy route lies inside sdp for pairs with a Renyi entropy too,
-    # whose boundary the grid's chords can overshoot; each pair detects some
+    # whose boundary a grid's chords can overshoot; each pair detects some
     # of these states, so the check is not vacuous
     g = np.random.default_rng(141421).normal(size=(2, 20_000, 4))
     v = g[0] + 1j * g[1]

@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import math
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qscramble.entropy as entropy_module
 import qscramble.quantum as qm
 from qscramble.entropy import (RENYI, SHANNON, TSALLIS, EntropySpec, T_CAP,
                                all_states_bound, all_states_bound_closed_form,
@@ -15,15 +15,12 @@ from qscramble.entropy import (RENYI, SHANNON, TSALLIS, EntropySpec, T_CAP,
                                psi_t_entropies, psi_t_xx_probs, psi_t_zz_probs, robustness,
                                separable_bound, separable_bound_closed_form,
                                t_from_sxx)
-from qscramble.entropy import (_CURVES, _entropy_nd, _logsumexp, _pair_probs,
+from qscramble.entropy import (_CURVES, _entropy_nd, _logsumexp, _pair_probs, _product_dist,
                                _product_envelope, _separable_values)
 from qscramble.errors import DomainError
 from qscramble.measurement import (XX, ZZ, probabilities, probabilities_stack, scramble,
                                    scramble_state)
 from qscramble.optimize import nelder_mead
-
-# the package's entropy() function shadows the module's name as an attribute
-entropy_module = importlib.import_module("qscramble.entropy")
 
 T2 = EntropySpec(TSALLIS, 2.0)
 # every Tsallis and Renyi entropy with parameter in {2, 2.5, 3, 5, 20}
@@ -198,11 +195,12 @@ def test_separable_bound_formula_points():
 def test_boundary_22_is_the_closed_form(boundary_22):
     # the (T2, T2) grid reads the closed form; the bisected envelope, symmetric
     # curve alone and all three curves, must agree with it on that grid
-    closed = np.array([separable_bound_closed_form(float(s)) for s in boundary_22.grid])
-    assert boundary_22.grid.size == 97
-    assert np.max(np.abs(boundary_22.values - closed)) <= 1e-14
+    grid, values = boundary_22
+    closed = np.array([separable_bound_closed_form(float(s)) for s in grid])
+    assert grid.size == 97
+    assert np.max(np.abs(values - closed)) <= 1e-14
     for curves in ((None,), _CURVES):
-        envelope = _product_envelope(boundary_22.grid, T2, T2, curves)
+        envelope = _product_envelope(grid, T2, T2, curves)
         assert np.max(np.abs(envelope - closed)) <= 1e-14
 
 
@@ -287,23 +285,79 @@ def test_envelope_is_the_symmetric_curve_in_the_bound_regime(spec_x, spec_z):
                           _product_envelope(s, spec_x, spec_z, (None,)))
 
 
+# the pairs of the exactness gate: Tsallis {2, 2.5, 3, 7.3, 60}, Renyi {2, 2.5, 3, 20, 60, inf}
+NEWTON_SPECS = ([EntropySpec(TSALLIS, q) for q in (2.0, 2.5, 3.0, 7.3, 60.0)]
+                + [EntropySpec(RENYI, q) for q in (2.0, 2.5, 3.0, 20.0, 60.0, math.inf)])
+
+
+@pytest.mark.parametrize("spec_x", NEWTON_SPECS, ids=lambda spec: f"{spec.kind}{spec.parameter}")
+def test_newton_boundary_is_the_bisected_symmetric_curve(spec_x):
+    # in the regime the Newton points match the bisected symmetric curve on
+    # 997 interior points, for every vertical entropy of the gate
+    s = np.linspace(0.0, max_entropy(spec_x), 999)[1:-1]
+    for spec_z in NEWTON_SPECS:
+        gap = _separable_values(s, spec_x, spec_z) - _product_envelope(s, spec_x, spec_z, (None,))
+        assert np.max(np.abs(gap)) <= 1e-13, spec_z
+
+
+_REGIME_SPECS = st.one_of(
+    st.builds(EntropySpec, st.sampled_from([TSALLIS, RENYI]), st.floats(2.0, 100.0)),
+    st.just(EntropySpec(RENYI, math.inf)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_REGIME_SPECS, _REGIME_SPECS, st.floats(0.0, 1.0))
+def test_newton_point_matches_bisection_and_ignores_its_batch(spec_x, spec_z, frac):
+    # s in [1e-6, max - 1e-6].  Near s = 1e-6 the bisection forms 1 - sin(theta)
+    # by cancellation, so its S_xx is off by a few ulps, and it lands up to
+    # 6e-13 from a 60-digit value; the tolerance adds the curve's slope times
+    # 1e-15 for that.  Newton stays within 4e-14 of the 60-digit value there
+    smax = max_entropy(spec_x)
+    s = 1e-6 + frac * (smax - 2e-6)
+    h = 1e-3 * min(s, smax - s)
+    below, ref, above = _product_envelope(np.array([s - h, s, s + h]), spec_x, spec_z, (None,))
+    alone = _separable_values(np.array([s]), spec_x, spec_z)[0]
+    assert abs(alone - ref) <= 1e-13 + 1e-15 * abs(above - below) / (2.0 * h)
+    batch = np.insert(np.linspace(1e-6, smax - 1e-6, 6), 3, s)
+    assert _separable_values(batch, spec_x, spec_z)[3] == alone
+
+
+@pytest.mark.parametrize("spec_x", [T2, EntropySpec(RENYI, 2.0)], ids=["tsallis2", "renyi2"])
+def test_newton_boundary_at_q2_is_the_closed_form(spec_x):
+    # at q = 2 the power sum (1 + u^2)/2 is sqrt(1 - s) (Tsallis) or 2^(-s/2)
+    # (Renyi), so v^2 = 1 - u^2 has a closed form accurate down to s near 0,
+    # where the bisection is not; v = sqrt(1 - (1 - w)^2) misses it by 4.7e-12
+    smax = max_entropy(spec_x)
+    s = np.concatenate([np.geomspace(1e-9, 1e-2, 200), np.linspace(0.0, 1.0, 999)[1:-1]]) * smax
+    if spec_x == T2:
+        v = np.sqrt(2.0 * s / (1.0 + np.sqrt(1.0 - s)))
+    else:
+        v = np.sqrt(-2.0 * np.expm1(-0.5 * math.log(2.0) * s))
+    z0, z1 = 0.5 * (1.0 + v), 0.5 * (1.0 - v)
+    for spec_z in [z for z in NEWTON_SPECS if (spec_x, z) != (T2, T2)]:  # not the default pair
+        exact = _entropy_nd(_product_dist(z0, z1, z0, z1), spec_z)
+        assert np.max(np.abs(_separable_values(s, spec_x, spec_z) - exact)) <= 1e-14, spec_z
+
+
 def test_boundary_resolution_must_be_at_least_two():
-    get_separable_boundary(T2, T2, n=9)  # n=9.0 must not be served from this entry
-    for n in (1, 0, -3, 9.0, True):
+    get_separable_boundary(T2, T2, n=9)
+    for n in (1, 0, -3, 9.0, True, [9]):
         with pytest.raises(DomainError, match="resolution"):
             get_separable_boundary(T2, T2, n=n)
-    assert get_separable_boundary(SH, SH, n=2).values.tolist() == [2.0, 0.0]
+    with pytest.raises(DomainError, match="expects a"):
+        get_separable_boundary([2], T2)
+    assert get_separable_boundary(SH, SH, n=2)[1].tolist() == [2.0, 0.0]
 
 
 def test_bound_ordering(boundary_22):
-    grid = boundary_22.grid
+    grid, values = boundary_22
     alls = all_states_bound_vec(grid, T2, T2)
-    assert np.all(boundary_22.values - alls >= -1e-9)
+    assert np.all(values - alls >= -1e-9)
     interior = (grid > 0.02) & (grid < 0.73)
-    assert np.all((boundary_22.values - alls)[interior] > 1e-4)
+    assert np.all((values - alls)[interior] > 1e-4)
 
 
-def test_entropy_detect_verdicts(boundary_22):
+def test_entropy_detect_verdicts():
     assert entropy_detect(scramble_state(qm.psi_t(3.0).density()), T2, T2)
     plusplus = qm.product_state(qm.ProductStateParams(math.pi / 2, math.pi / 2))
     assert not entropy_detect(scramble_state(plusplus.density()), T2, T2)
@@ -313,14 +367,15 @@ def test_entropy_detect_verdicts(boundary_22):
         entropy_detect(scramble_state(noisy), EntropySpec(SHANNON), EntropySpec(SHANNON))
 
 
-def test_separable_states_not_detected(boundary_22, random_states_2k):
+def test_separable_states_not_detected(random_states_2k):
     from qscramble.quantum import min_eigval_stack, partial_transpose_stack
     ppt = min_eigval_stack(partial_transpose_stack(random_states_2k)) >= -1e-9
     sep = random_states_2k[ppt]
     sx = _entropy_nd(np.clip(probabilities_stack(sep, XX), 0, 1), T2)
     sz = _entropy_nd(np.clip(probabilities_stack(sep, ZZ), 0, 1), T2)
-    assert not np.any(sz < boundary_22.value(sx) - 1e-9)
-    assert not np.any(sx < boundary_22.value(sz) - 1e-9)
+    # on the exact boundary, which verdicts read; its chords lie below it
+    assert not np.any(sz < _separable_values(sx, T2, T2) - 1e-9)
+    assert not np.any(sx < _separable_values(sz, T2, T2) - 1e-9)
 
 
 def test_robustness():
@@ -414,9 +469,9 @@ def test_logsumexp_weighted_calls_of_robustness_match_scipy():
 ], ids=["Rinf-R2", "R3-R2", "R0.5-R0.5", "T60-T60"])
 def test_boundaries_are_those_of_scipy_logsumexp(spec_x, spec_z, monkeypatch):
     from scipy.special import logsumexp
-    ours = get_separable_boundary.__wrapped__(spec_x, spec_z).values
+    ours = get_separable_boundary(spec_x, spec_z)[1]
     monkeypatch.setattr(entropy_module, "_logsumexp", logsumexp)
-    assert np.array_equal(ours, get_separable_boundary.__wrapped__(spec_x, spec_z).values)
+    assert np.array_equal(ours, get_separable_boundary(spec_x, spec_z)[1])
 
 
 def test_robustness_is_pinned():
@@ -430,8 +485,9 @@ def test_robustness_is_pinned():
 @given(st.sampled_from(BOUND_SPECS), st.sampled_from(BOUND_SPECS), st.floats(0.0, math.pi / 2))
 def test_no_symmetric_product_state_is_entropy_detected(spec_x, spec_z, theta):
     # phi_theta (x) phi_theta traces the symmetric product curve, the boundary
-    # of every such pair; a grid chord above a convex stretch of it (any pair
-    # with a Renyi entropy) must not detect the product state itself
+    # of every such pair; read at the state's own S_xx, it must not detect
+    # the product state itself, where a grid chord above a convex stretch
+    # of it (any pair with a Renyi entropy) once did
     phi = np.array([math.cos(0.5 * theta), math.sin(0.5 * theta)])
     psi = np.kron(phi, phi)
     assert not entropy_detect(scramble_state(qm.DensityMatrix(np.outer(psi, psi))), spec_x, spec_z)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from qscramble import (DomainError, DuplicateSetting, EntropySpec, OutcomeDistribution,
                        ProductStateParams, ScrambledData, WitnessParams,
                        all_states_bound_closed_form, apply_permutation,
-                       correlation_witness_values, detect, entropy,
+                       correlation_witness_values, detect,
                        entropy_detect, min_entropy_form, min_over_separable, mix,
                        probabilities, product_state, psi_t, psi_t_entropies,
                        robustness, scramble, scramble_equivalent, scramble_state,
@@ -22,7 +22,7 @@ from qscramble import (DomainError, DuplicateSetting, EntropySpec, OutcomeDistri
                        witness_value)
 from qscramble.cli import main
 from qscramble.detector import classify_slice_point
-from qscramble.entropy import T_CAP, TSALLIS_CAP, all_states_bound_vec, t_from_sxx_vec
+from qscramble.entropy import T_CAP, TSALLIS_CAP, all_states_bound_vec, entropy, t_from_sxx_vec
 from qscramble.errors import check_probabilities, check_real
 from qscramble.feasibility import FeasibilityProblem, solve_batch
 from qscramble.fileio import write_probabilities, write_state

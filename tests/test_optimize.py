@@ -1,9 +1,9 @@
-import importlib
 import math
 
 import numpy as np
 import pytest
 
+import qscramble.entropy as entropy_module
 from qscramble.entropy import (RENYI, SHANNON, TSALLIS, EntropySpec, get_separable_boundary,
                                max_entropy, separable_bound, separable_bound_closed_form,
                                t_from_sxx_vec)
@@ -62,10 +62,10 @@ def test_default_boundary_runs_no_bisection(monkeypatch):
     # the (T2, T2) grid is the closed form, so a cold detect bisects nothing
     def refuse(*args, **kwargs):
         raise AssertionError("the default separable boundary ran a bisection")
-    monkeypatch.setattr(importlib.import_module("qscramble.entropy"), "bisect", refuse)
+    monkeypatch.setattr(entropy_module, "bisect", refuse)
     t2 = EntropySpec(TSALLIS, 2.0)
-    bound = get_separable_boundary.__wrapped__(t2, t2)
-    assert bound.values[0] == 0.75 and bound.values[-1] == 0.0
+    values = get_separable_boundary(t2, t2)[1]
+    assert values[0] == 0.75 and values[-1] == 0.0
     assert separable_bound(0.3, t2, t2) == separable_bound_closed_form(0.3)
 
 
@@ -135,46 +135,31 @@ def test_group_alone_equals_group_in_batch():
 
 
 def test_separable_point_alone_equals_grid_point(boundary_22, tsallis2):
+    grid, values = boundary_22
     for k in (1, 30, 60, 95):
-        s = float(boundary_22.grid[k])
-        assert separable_bound(s, tsallis2, tsallis2) == boundary_22.values[k]
+        assert separable_bound(float(grid[k]), tsallis2, tsallis2) == values[k]
 
 
 def test_searched_point_alone_equals_grid_point():
     # outside the bound regime the boundary is the three-curve envelope
     for spec in (EntropySpec(SHANNON), EntropySpec(TSALLIS, 1.5)):
-        bound = get_separable_boundary.__wrapped__(spec, spec, n=9)
-        for s, v in zip(bound.grid, bound.values):
+        for s, v in zip(*get_separable_boundary(spec, spec, n=9)):
             assert separable_bound(float(s), spec, spec) == v
 
 
 def test_bound_regime_boundary_runs_no_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a separable boundary ran a search")
-    # the package's `entropy` attribute is the function, so fetch the module
-    monkeypatch.setattr(importlib.import_module("qscramble.entropy"), "multistart_minimize",
-                        refuse)
+    monkeypatch.setattr(entropy_module, "multistart_minimize", refuse)
     renyi_inf, t3 = EntropySpec(RENYI, math.inf), EntropySpec(TSALLIS, 3.0)
     t15, shannon = EntropySpec(TSALLIS, 1.5), EntropySpec(SHANNON)
-    # the uncached builder, so the grid is computed here
-    get_separable_boundary.__wrapped__(t3, EntropySpec(TSALLIS, 2.0))
-    get_separable_boundary.__wrapped__(renyi_inf, EntropySpec(RENYI, 2.0), n=9)
-    get_separable_boundary.__wrapped__(shannon, shannon, n=64)
-    get_separable_boundary.__wrapped__(t15, t15, n=9)
+    get_separable_boundary(t3, EntropySpec(TSALLIS, 2.0))
+    get_separable_boundary(renyi_inf, EntropySpec(RENYI, 2.0), n=9)
+    get_separable_boundary(shannon, shannon, n=64)
+    get_separable_boundary(t15, t15, n=9)
     separable_bound(0.3, EntropySpec(TSALLIS, 2.0), t3)
     separable_bound(0.3, t15, t3)
     separable_bound(1.3, shannon, t15)
-
-
-def test_default_boundary_runs_no_bisection(monkeypatch):
-    # the (T2, T2) grid is the closed form, so a cold detect bisects nothing
-    def refuse(*args, **kwargs):
-        raise AssertionError("the default separable boundary ran a bisection")
-    monkeypatch.setattr(importlib.import_module("qscramble.entropy"), "bisect", refuse)
-    t2 = EntropySpec(TSALLIS, 2.0)
-    bound = get_separable_boundary.__wrapped__(t2, t2)
-    assert bound.values[0] == 0.75 and bound.values[-1] == 0.0
-    assert separable_bound(0.3, t2, t2) == separable_bound_closed_form(0.3)
 
 
 @pytest.mark.parametrize("max_iter", [40, 400])
@@ -246,8 +231,9 @@ def _fixed_step_bisect(go_right, lo, hi, steps):
 
 
 def test_bisect_fixed_point_exit_matches_every_step(monkeypatch):
-    # the T3/T2 boundary's 95 brackets and the psi_t inverse of S_xx return
-    # the bits of all 80 halvings; the boundary's stop moving after 56
+    # the bisected T3/T2 symmetric curve's 95 brackets (the tests' reference
+    # for the Newton boundary) and the psi_t inverse of S_xx return the bits
+    # of all 80 halvings; the curve's stop moving after 56
     runs = []
 
     def spy(go_right, lo, hi, steps):
@@ -260,9 +246,9 @@ def test_bisect_fixed_point_exit_matches_every_step(monkeypatch):
         runs.append((got, _fixed_step_bisect(go_right, lo, hi, steps), len(calls), steps))
         return got
 
-    monkeypatch.setattr(importlib.import_module("qscramble.entropy"), "bisect", spy)
-    t2 = EntropySpec(TSALLIS, 2.0)
-    get_separable_boundary.__wrapped__(EntropySpec(TSALLIS, 3.0), t2)
+    monkeypatch.setattr(entropy_module, "bisect", spy)
+    t2, t3 = EntropySpec(TSALLIS, 2.0), EntropySpec(TSALLIS, 3.0)
+    entropy_module._product_envelope(np.linspace(0.0, max_entropy(t3), 97)[1:-1], t3, t2, (None,))
     t_from_sxx_vec(np.linspace(0.0, max_entropy(t2), 97), t2)
     assert len(runs) == 2
     for (lo, hi), (ref_lo, ref_hi), calls, steps in runs:

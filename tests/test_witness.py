@@ -302,8 +302,8 @@ def test_the_tangent_table_is_optimize_params():
 
 
 def test_curve_resolution_must_be_positive():
-    tangent_curve(3)  # num=3.0 must not be served from this entry
-    for num in (0, -1, 3.0, True):
+    tangent_curve(3)  # num=3.0 and [3] must not be served from this entry
+    for num in (0, -1, 3.0, True, [3]):
         with pytest.raises(DomainError, match="resolution"):
             optimize_params(0.0, num=num)
         with pytest.raises(DomainError, match="resolution"):
