@@ -103,6 +103,8 @@ class SeparabilityEvidence:
 _VERDICT_OF_CODE = {1: Verdict.DETECTED, 0: Verdict.POSSIBLY_SEPARABLE, -1: Verdict.INCONCLUSIVE}
 _CODE_OF_STATUS = {FeasibilityStatus.FEASIBLE: 1, FeasibilityStatus.INCONCLUSIVE: 0,
                    FeasibilityStatus.INFEASIBLE: -1}
+# a status's text in detect's evidence, read without the enum's value property
+_TEXT_OF_STATUS = {status: status.value for status in FeasibilityStatus}
 # a sample's verdict is its assignments' greatest code: any feasible row (1)
 # makes it possibly separable (0), else any inconclusive row (0) inconclusive
 # (-1), and only infeasible rows (-1) detected (1); indexed by that code,
@@ -175,7 +177,7 @@ def scrambled_possibly_separable(d: ScrambledData) -> tuple[Verdict, Separabilit
     check_instance("scrambled_possibly_separable", d, ScrambledData)
     codes, statuses, states, viol = _decide(d.multiset(XX)[None], d.multiset(ZZ)[None])
     verdict = _VERDICT_OF_CODE[int(codes[0])]
-    evidence = dict(statuses=tuple(statuses), residuals=tuple(float(v) for v in viol))
+    evidence = dict(statuses=tuple(statuses), residuals=tuple(viol.tolist()))
     if verdict is Verdict.POSSIBLY_SEPARABLE:
         i = statuses.index(FeasibilityStatus.FEASIBLE)
         evidence.update(permutation=canonical_permutations()[i],
@@ -262,7 +264,7 @@ def detect(inp, methods: Iterable[str] = _ALL_METHODS, *,
                 verdict, ev = scrambled_possibly_separable(data)
                 verdicts[method] = verdict.value
                 evidence[method] = {
-                    "statuses": [s.value for s in ev.statuses],
+                    "statuses": list(map(_TEXT_OF_STATUS.__getitem__, ev.statuses)),
                     "permutation": None if ev.permutation is None else
                         {"pi_x": list(ev.permutation.pi_x), "pi_z": list(ev.permutation.pi_z)},
                     "residuals": list(ev.residuals),

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Real
 
 import numpy as np
@@ -47,11 +48,23 @@ RENYI = "renyi"
 
 T_CAP = 1e8
 # Tsallis-q entropies are at most about 1/(q - 1): above this cap the maximum
-# falls below 1e-6, toward the 1e-12 at which the separable boundary reads an
-# entropy as zero, and the power sums overflow
+# falls below 1e-6 and the power sums overflow
 TSALLIS_CAP = 1e6
 _LOGSPACE_Q = 50.0
 DETECT_MARGIN = 1e-9
+# The separable boundary reads its value at S_xx = 0 up to this S_xx, which
+# is within 4.1 sqrt(S_xx) <= 5e-15 of it for every spec pair in the regime.
+_S_FLOOR = 1e-30
+# It reads 0, its value at the maximum, over this top fraction of the S_xx
+# axis: a row at the maximum computes a few ulps below it, and where S_zz is
+# a Renyi or Tsallis entropy of parameter below 1 the boundary rises like a
+# root of the distance to the maximum (3.8e-8 one ulp below it for Renyi 0.5)
+_TOP_MARGIN = 1e-12
+# and, for Tsallis S_xx, where q times the power sum 1 - (q - 1) S_xx falls
+# below this: the sum carries an absolute rounding error of about 1e-16,
+# which there moves the boundary by up to about 1e-8 (Renyi-inf S_zz), 3e-10
+# (Renyi 2) or 5e-11 (Tsallis 2)
+_POWER_SUM_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -168,8 +181,28 @@ def entropy(p, spec: EntropySpec) -> float:
 
 
 def max_entropy(spec: EntropySpec) -> float:
-    """Entropy of the uniform distribution over four outcomes."""
+    """Entropy of the uniform distribution over four outcomes.
+
+    ``spec`` is checked before the per-spec cache is read, so a list or a
+    non-spec raises :class:`DomainError`."""
+    return _max_entropy(check_instance("an entropy function", spec, EntropySpec))
+
+
+@lru_cache(maxsize=16)
+def _max_entropy(spec: EntropySpec) -> float:
     return float(_entropy_nd(np.full(4, 0.25), spec))
+
+
+def _resolved_top(spec: EntropySpec) -> float:
+    """The least S_xx at which the separable boundary reads 0: 1e-12 below the
+    maximum relative to it, or for Tsallis q > 1 the S_xx where
+    q (1 - (q - 1) S_xx) reaches ``_POWER_SUM_FLOOR`` if that comes first
+    (q above about 13), the top 1e-6/q or so of the axis."""
+    smax, q = max_entropy(spec), spec.parameter
+    top = smax * (1.0 - _TOP_MARGIN)
+    if spec.kind == TSALLIS and q > 1.0:
+        top = min(top, (1.0 - _POWER_SUM_FLOOR / q) / (q - 1.0))
+    return top
 
 
 @dataclass(frozen=True)
@@ -348,9 +381,10 @@ def _symmetric_w(s: np.ndarray, spec: EntropySpec) -> np.ndarray:
     is convex and increasing on [0, 1], and f(u) >= (1 + u)/2, the inf-norm,
     so Newton from u0 = 2c - 1 starts right of the root and falls onto it
     monotonically: no tangent of f crosses zero left of the root.  An entry
-    stops at its first iterate that does not decrease (25 steps at most for
-    s 1e-12 from an end), so its bits ignore its batch.  Carrying w from the
-    accurate 1 - c keeps the digits of u near 1 (s near 0).
+    stops at its first iterate that does not decrease (28 steps at most for
+    s from 1e-30 to the last float below the maximum), so its bits ignore its
+    batch.  Carrying w from the accurate 1 - c keeps the digits of u near 1
+    (s near 0).
     """
     q = spec.parameter
     if math.isinf(q):
@@ -378,7 +412,10 @@ def _separable_values(s: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec) -
 
     The default pair q = qtilde = 2 reads the closed form
     :func:`separable_bound_closed_form`.  Otherwise the endpoints are exact
-    (an XX eigenstate forces uniform ZZ and vice versa), and an interior
+    (an XX eigenstate forces uniform ZZ and vice versa): S_xx up to
+    ``_S_FLOOR`` (1e-30) reads the maximal S_zz, and S_xx from
+    :func:`_resolved_top` on (the top 1e-12 of the axis, or more for Tsallis
+    q above about 13), the maximum itself included, reads 0.  An interior
     point is the lower envelope of three curves of pure real product states
     A (x) phi_theta: A = phi_theta (the symmetric curve), |0> and |+>, all
     bisected.  With Tsallis or Renyi parameters >= 2 on both axes the
@@ -391,9 +428,8 @@ def _separable_values(s: np.ndarray, spec_x: EntropySpec, spec_z: EntropySpec) -
     """
     if spec_x == spec_z == _TSALLIS2:
         return _separable_22(np.clip(s, 0.0, 0.75))
-    smax = max_entropy(spec_x)
-    out = np.where(s <= 1e-12, max_entropy(spec_z), 0.0)
-    inner = (s > 1e-12) & (s < smax - 1e-12)
+    out = np.where(s <= _S_FLOOR, max_entropy(spec_z), 0.0)
+    inner = (s > _S_FLOOR) & (s < _resolved_top(spec_x))
     if not np.any(inner):
         return out
     if spec_x.bound_capable and spec_z.bound_capable:

@@ -92,8 +92,22 @@ def probabilities_stack(rhos: np.ndarray, label: str) -> np.ndarray:
     summed over each matrix on its own, so a matrix gets the same bits alone
     as in any stack (a stacked einsum does not).
     """
-    terms = setting(label).projectors * np.swapaxes(rhos, -1, -2)[..., None, :, :]
+    return _measure(setting(label).projectors, rhos)
+
+
+def _measure(projs: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """Re sum_ab Pi_k[a, b] rho[b, a] for each projector Pi_k of the stack
+    ``projs`` (k, 4, 4) and each matrix of ``rhos`` (..., 4, 4), shape (..., k)."""
+    terms = projs * np.swapaxes(rhos, -1, -2)[..., None, :, :]
     return np.real(terms.sum(axis=(-2, -1)))
+
+
+@lru_cache(maxsize=None)
+def _stacked_projectors(labels: tuple[str, ...]) -> np.ndarray:
+    """The projectors of the settings ``labels`` (known, distinct), stacked (4 k, 4, 4)."""
+    projs = np.concatenate([_setting(label).projectors for label in labels])
+    projs.setflags(write=False)
+    return projs
 
 
 @lru_cache(maxsize=1)
@@ -131,7 +145,9 @@ class ScrambledData:
 
     Each multiset is stored as :func:`~qscramble.errors.check_probabilities`
     returns it, sorted, so its assignments are the rows that the scans decide
-    for the same multisets.
+    for the same multisets.  All settings are checked and sorted as one
+    (k, 4) stack, and again one setting at a time on failure, for an error
+    naming the setting.
     """
 
     multisets: Mapping[str, np.ndarray]
@@ -141,12 +157,15 @@ class ScrambledData:
         unknown = set(multisets) - set(SETTING_LABELS)
         if unknown:
             raise DomainError(f"unknown setting labels {sorted(unknown, key=repr)}")
-        canon = {}
-        for label in [lab for lab in SETTING_LABELS if lab in multisets]:
-            m = check_probabilities(f"setting {label} probabilities", multisets[label], 1)
-            canon[label] = np.sort(m)[::-1]
-            canon[label].setflags(write=False)
-        object.__setattr__(self, "multisets", canon)
+        labels = [lab for lab in SETTING_LABELS if lab in multisets]
+        try:
+            rows = check_probabilities("multisets", [multisets[lab] for lab in labels], 2)
+        except DomainError:
+            rows = np.array([check_probabilities(f"setting {lab} probabilities", multisets[lab], 1)
+                             for lab in labels]).reshape(-1, 4)
+        rows = np.sort(rows, axis=1)[:, ::-1]
+        rows.setflags(write=False)
+        object.__setattr__(self, "multisets", dict(zip(labels, rows)))
 
     @property
     def settings(self) -> tuple[str, ...]:
@@ -176,10 +195,28 @@ def scramble(dists: Iterable[OutcomeDistribution]) -> ScrambledData:
     return ScrambledData({label: d.p for label, d in _by_setting(dists, "scramble").items()})
 
 
-def scramble_state(rho: DensityMatrix, labels: Iterable[str] = (XX, ZZ)) -> ScrambledData:
-    """Measure ``rho`` in the given settings and scramble the outcomes."""
-    labels = check_instance("scramble_state (labels)", labels, Iterable)
-    return scramble([probabilities(rho, lab) for lab in labels])
+def scramble_state(rho: DensityMatrix,
+                   labels: Iterable[str | MeasurementSetting] = (XX, ZZ)) -> ScrambledData:
+    """Measure ``rho`` in the given settings and scramble the outcomes.
+
+    The multisets equal ``scramble([probabilities(rho, lab) for lab in
+    labels])`` bit for bit, with no :class:`OutcomeDistribution` built: one
+    elementwise product with the settings' stacked projectors gives every
+    probability by the per-projector sum of :func:`probabilities_stack`, and
+    :class:`ScrambledData` checks them once.  A non-iterable ``labels``, a
+    ``rho`` that is not a :class:`DensityMatrix` and an unknown label raise
+    :class:`DomainError`, a repeated label :class:`DuplicateSetting`.
+    """
+    labels = [s.label if isinstance(s, MeasurementSetting) else s
+              for s in check_instance("scramble_state (labels)", labels, Iterable)]
+    check_instance("probabilities", rho, DensityMatrix)  # named as probabilities() names it
+    for label in labels:
+        setting(label)  # DomainError for an unknown label
+    if len(set(labels)) < len(labels):
+        again = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
+        raise DuplicateSetting(f"two distributions given for setting {again}")
+    p = _measure(_stacked_projectors(tuple(labels)), rho.matrix).reshape(-1, 4)
+    return ScrambledData(dict(zip(labels, p)))
 
 
 def scramble_equivalent(d1: ScrambledData, d2: ScrambledData, tol: float = 1e-9) -> bool:

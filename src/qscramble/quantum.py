@@ -37,7 +37,7 @@ def _as_matrix4(m) -> np.ndarray:
     a = check_numbers("a 4x4 matrix", m, complex)
     if a.shape != (4, 4):
         raise DomainError(f"expected a 4x4 matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise DomainError("matrix has non-finite entries")
     return a
 
@@ -133,22 +133,27 @@ class PureState:
 class DensityMatrix:
     """4x4 Hermitian, trace-one, positive-semidefinite operator.
 
-    The constructor verifies Hermiticity and the trace; use
+    The constructor checks, in this order, that the input is a 4x4 array
+    of numbers, that its entries are finite (:class:`DomainError` for
+    either), that it is Hermitian within 1e-10 and that its trace is 1
+    within 1e-9 (:class:`InvalidState` for either), and stores the
+    Hermitian part, read-only, forming the conjugate transpose once.  Use
     :meth:`from_matrix` for untrusted input, which additionally checks
-    positivity of the spectrum.  The stored array is read-only.
+    positivity of the spectrum.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = _as_matrix4(self.matrix)
-        defect = hermiticity_defect(m)
+        h = m.conj().T
+        defect = float(abs(m - h).max())
         if defect > HERMITIAN_ATOL:
             raise InvalidState(f"not Hermitian: max|rho - rho^dag| = {defect:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise InvalidState(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        m = 0.5 * (m + m.conj().T)
+        off = abs(m.trace() - 1.0)
+        if off > TRACE_ATOL:
+            raise InvalidState(f"trace deviates from 1 by {off:.3e}")
+        m = 0.5 * (m + h)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

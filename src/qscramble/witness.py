@@ -333,6 +333,13 @@ _TANGENT_CURVE_17 = (
     (-0.09600508503759979, -0.9747559864636269),
     (0.0, -1.0),
 )
+# the table's (alpha, gamma) rows, and the multiset entry that each
+# coefficient weighs in the scrambled minimum: the largest (0) where it is
+# negative, else the least (3)
+_COEFFICIENTS_17 = np.array(_TANGENT_CURVE_17).T
+_ENTRIES_17 = np.where(_COEFFICIENTS_17 < 0.0, 0, 3)
+_COEFFICIENTS_17.setflags(write=False)
+_ENTRIES_17.setflags(write=False)
 
 
 def tangent_curve(num: int = 17) -> tuple[tuple[float, float], ...]:
@@ -379,20 +386,18 @@ def scrambled_correlation_min(d: ScrambledData) -> float:
                  - _least_pairing_delta(d.multiset(ZZ)))
 
 
-def _family_values(mx: np.ndarray, mz: np.ndarray, curve) -> np.ndarray:
+def _family_values(mx: np.ndarray, mz: np.ndarray) -> np.ndarray:
     """Certified witness values of sorted (descending) multisets of shape (n, 4),
     the witness route's decision: a row whose least value is below
     -WITNESS_DETECT_TOL is detected.
 
-    Column j < len(curve) is :func:`scrambled_witness_min` at curve point j
-    (beta = 0); the last column is :func:`scrambled_correlation_min`.
+    Column j < 17 is :func:`scrambled_witness_min` at point j of the tangent
+    table that :func:`tangent_curve` serves (beta = 0), read from its
+    constant columns; the last column is :func:`scrambled_correlation_min`.
     """
-    ag = np.array(curve, dtype=float).reshape(-1, 2)
-    a, g = ag[:, 0], ag[:, 1]
-    px = np.where(a < 0.0, mx[:, :1], mx[:, -1:])
-    pz = np.where(g < 0.0, mz[:, :1], mz[:, -1:])
+    (a, g), (ix, iz) = _COEFFICIENTS_17, _ENTRIES_17
     corr = 1.0 - _least_pairing_delta(mx) - _least_pairing_delta(mz)
-    return np.concatenate([1.0 + a * px + g * pz, corr[:, None]], axis=1)
+    return np.concatenate([1.0 + a * mx[:, ix] + g * mz[:, iz], corr[:, None]], axis=1)
 
 
 def scrambled_family_min(d: ScrambledData) -> tuple[float, tuple[float, float]]:
@@ -404,7 +409,6 @@ def scrambled_family_min(d: ScrambledData) -> tuple[float, tuple[float, float]]:
     the correlation family.
     """
     check_instance("scrambled_family_min", d, ScrambledData)
-    curve = tangent_curve()
-    values = _family_values(d.multiset(XX)[None], d.multiset(ZZ)[None], curve)[0]
+    values = _family_values(d.multiset(XX)[None], d.multiset(ZZ)[None])[0]
     j = int(np.argmin(values))
-    return float(values[j]), curve[j] if j < len(curve) else (-1.0, -1.0)
+    return float(values[j]), _TANGENT_CURVE_17[j] if j < len(_TANGENT_CURVE_17) else (-1.0, -1.0)

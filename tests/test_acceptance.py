@@ -20,7 +20,7 @@ from qscramble.measurement import (XX, ZZ, canonical_permutations, probabilities
                                    probabilities_stack, scramble_equivalent,
                                    scramble_state)
 from qscramble.witness import (WITNESS_DETECT_TOL, _family_values, min_over_separable,
-                               optimize_params, tangent_curve, witness_matrix,
+                               optimize_params, witness_matrix,
                                witness_min_eigvec, WitnessParams)
 
 from oracle import oracle_feasible
@@ -200,7 +200,7 @@ def test_criterion_9_detection_rate_and_hierarchy(big_stack, boundary_22, tsalli
 
     _, pxx, pzz = big_stack
     mx, mz = (np.sort(p, axis=1)[:, ::-1] for p in (pxx, pzz))
-    wvals = np.min(_family_values(mx, mz, tangent_curve()), axis=1)
+    wvals = np.min(_family_values(mx, mz), axis=1)
     wdet = wvals < -WITNESS_DETECT_TOL
     ok_hierarchy = not np.any(wdet & (outcomes != 1))
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qscramble import cli, witness
+from qscramble import cli
 from qscramble.cli import build_parser, main
 from qscramble.fileio import (read_probabilities, read_state, write_probabilities,
                               write_state)
@@ -405,9 +405,10 @@ assert (code, added, built) == (0, ["detect"], []), (code, added, built)
 """
 
 
-def test_a_cold_detect_builds_one_parser_and_no_curve(tmp_path, capsys, monkeypatch):
+def test_a_cold_detect_builds_one_parser_and_no_curve(tmp_path, capsys):
     # a fresh process answers detect from the tangent table and the detect
-    # subparser alone, and prints what the full parser with a derived curve does
+    # subparser alone, and prints what the full parser does (the table is
+    # optimize_params' curve bit for bit: test_the_tangent_table_is_optimize_params)
     path = tmp_path / "cx.json"
     m = [0.6875] + [0.10416666666666667] * 3
     path.write_text(json.dumps({"xx": m, "zz": m, "scrambled": True}))
@@ -415,8 +416,6 @@ def test_a_cold_detect_builds_one_parser_and_no_curve(tmp_path, capsys, monkeypa
     done = subprocess.run([sys.executable, "-c", _COLD_DETECT, str(path)],
                           env={"PYTHONPATH": src}, capture_output=True)
     assert done.returncode == 0, done.stderr
-    monkeypatch.setattr(witness, "tangent_curve",
-                        lambda: tuple(witness.optimize_params(0.0, num=17)))
     args = build_parser().parse_args(["detect", "--in", str(path), "--method", "all"])
     assert cli._COMMANDS[args.command][2](args) == 0
     assert done.stdout == capsys.readouterr().out.encode()

@@ -16,7 +16,7 @@ from qscramble.entropy import (RENYI, SHANNON, TSALLIS, EntropySpec, T_CAP,
                                separable_bound, separable_bound_closed_form,
                                t_from_sxx)
 from qscramble.entropy import (_CURVES, _entropy_nd, _logsumexp, _pair_probs, _product_dist,
-                               _product_envelope, _separable_values)
+                               _product_envelope, _separable_values, _symmetric_w)
 from qscramble.errors import DomainError
 from qscramble.measurement import (XX, ZZ, probabilities, probabilities_stack, scramble,
                                    scramble_state)
@@ -320,6 +320,52 @@ def test_newton_point_matches_bisection_and_ignores_its_batch(spec_x, spec_z, fr
     assert abs(alone - ref) <= 1e-13 + 1e-15 * abs(above - below) / (2.0 * h)
     batch = np.insert(np.linspace(1e-6, smax - 1e-6, 6), 3, s)
     assert _separable_values(batch, spec_x, spec_z)[3] == alone
+
+
+def test_max_entropy_is_cached_per_spec_with_the_uniform_row_bits():
+    for spec in BOUND_SPECS + [SH, T15, EntropySpec(RENYI, 0.5), EntropySpec(RENYI, math.inf),
+                               EntropySpec(TSALLIS, 1e6)]:
+        value = max_entropy(spec)
+        assert value.hex() == float(_entropy_nd(np.full(4, 0.25), spec)).hex()
+        assert max_entropy(EntropySpec(spec.kind, spec.parameter)) is value
+
+
+@pytest.mark.parametrize("spec_x, spec_z", [(EntropySpec(TSALLIS, 1e4), T2),
+                                            (EntropySpec(TSALLIS, 1e6), EntropySpec(RENYI, 2.0))],
+                         ids=["tsallis1e4-tsallis2", "tsallis1e6-renyi2"])
+def test_separable_boundary_margins_are_relative_to_the_maximum(spec_x, spec_z):
+    # an absolute 1e-12 margin read 0 over the top 1e-8 (Tsallis 1e4) or 1e-6
+    # (Tsallis 1e6) of the axis, and the maximal S_zz up to S_xx = 1e-12,
+    # where the boundary is 0.748 and 2.000 (top) and just below the maximum
+    # (bottom); inside those bands the points now match the bisected curve
+    smax = max_entropy(spec_x)
+    top = smax * (1.0 - np.array([1e-9, 1e-8, 1e-7, 1e-6, 1e-3]))
+    bottom = np.array([1e-29, 1e-20, 1e-15, 1e-12, 1e-9])
+    s = np.concatenate([bottom, top])
+    values = _separable_values(s, spec_x, spec_z)
+    assert np.max(np.abs(values - _product_envelope(s, spec_x, spec_z, (None,)))) <= 1e-10
+    assert np.all(values[bottom.size:] > 0.7)
+    assert np.all(values[2:bottom.size] < max_entropy(spec_z))  # below 1e-20 it rounds to it
+    # the ends stay exact: the maximal S_zz at 0 and up to 1e-30, and 0 at the maximum
+    ends = _separable_values(np.array([0.0, 1e-30, smax]), spec_x, spec_z)
+    assert ends.tolist() == [max_entropy(spec_z), max_entropy(spec_z), 0.0]
+
+
+@pytest.mark.parametrize("spec_x", NEWTON_SPECS + [EntropySpec(TSALLIS, 1e3),
+                                                  EntropySpec(RENYI, 1e4)],
+                         ids=lambda spec: f"{spec.kind}{spec.parameter}")
+def test_newton_settles_from_1e_30_to_the_last_float_below_the_top(spec_x):
+    # Newton gives a w in (0, 1] at every S_xx between the bottom band and the
+    # maximum, with no warning (RuntimeWarning is an error here) and no
+    # ConvergenceFailure, and the boundary stays in [0, max] on both sides
+    smax = max_entropy(spec_x)
+    s = np.concatenate([np.geomspace(2e-30, smax, 200)[:-1],
+                        smax * (1.0 - np.geomspace(1e-16, 1e-3, 60)), [np.nextafter(smax, 0.0)]])
+    w = _symmetric_w(s, spec_x)
+    assert np.all((w > 0.0) & (w <= 1.0))
+    for spec_z in (T2, EntropySpec(RENYI, math.inf)):
+        values = _separable_values(s, spec_x, spec_z)
+        assert np.all((values >= 0.0) & (values <= max_entropy(spec_z)))
 
 
 @pytest.mark.parametrize("spec_x", [T2, EntropySpec(RENYI, 2.0)], ids=["tsallis2", "renyi2"])

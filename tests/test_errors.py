@@ -22,7 +22,8 @@ from qscramble import (DomainError, DuplicateSetting, EntropySpec, OutcomeDistri
                        witness_value)
 from qscramble.cli import main
 from qscramble.detector import classify_slice_point
-from qscramble.entropy import T_CAP, TSALLIS_CAP, all_states_bound_vec, entropy, t_from_sxx_vec
+from qscramble.entropy import (T_CAP, TSALLIS_CAP, all_states_bound_vec, entropy, max_entropy,
+                               t_from_sxx_vec)
 from qscramble.errors import check_probabilities, check_real
 from qscramble.feasibility import FeasibilityProblem, solve_batch
 from qscramble.fileio import write_probabilities, write_state
@@ -59,6 +60,9 @@ CASES = {
     "scramble-int": (lambda: scramble([1]), "expects a"),
     "entropy-str-spec": (lambda: entropy(UNIFORM, "x"), "expects a"),
     "separable_bound-none-spec": (lambda: separable_bound(0.1, T2, None), "expects a"),
+    # checked before the per-spec cache, so neither is a TypeError (unhashable)
+    "max_entropy-list-spec": (lambda: max_entropy([T2]), "expects a"),
+    "max_entropy-str-spec": (lambda: max_entropy("tsallis"), "expects a"),
     "psi_t_entropies-none-spec": (lambda: psi_t_entropies(2, None, T2), "expects a"),
     "product_state-none": (lambda: product_state(None), "expects a"),
     "scramble-none": (lambda: scramble(None), "expects a"),

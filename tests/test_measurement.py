@@ -151,6 +151,57 @@ def test_scramble_examples():
     assert not scramble_equivalent(s_data, mixture, 1e-9)
 
 
+def _pure_states(seed: int, count: int) -> list[DensityMatrix]:
+    g = np.random.default_rng(seed).normal(size=(count, 2, 4))
+    kets = g[:, 0] + 1j * g[:, 1]
+    return [PureState(k / np.linalg.norm(k)).density() for k in kets]
+
+
+@pytest.mark.parametrize("labels", [(XX, ZZ), (XX, YY, ZZ), (ZZ,), (YY, XX), (setting(XX), ZZ)],
+                         ids=["xx-zz", "xx-yy-zz", "zz", "yy-xx", "setting-xx-zz"])
+def test_scramble_state_is_scramble_of_probabilities_bit_for_bit(labels):
+    # one product with the stacked projectors gives the multisets that two
+    # (or three) OutcomeDistributions and scramble give, byte for byte
+    states = [DensityMatrix(m) for m in random_hs_stack(2718, 200)] + _pure_states(31, 200)
+    for rho in states:
+        got = scramble_state(rho, labels)
+        want = scramble([probabilities(rho, label) for label in labels])
+        assert got.settings == want.settings
+        for label in want.settings:
+            assert got.multiset(label).tobytes() == want.multiset(label).tobytes()
+            assert not got.multiset(label).flags.writeable
+
+
+def test_scramble_state_errors_keep_their_types_and_messages():
+    rho = singlet().density()
+    with pytest.raises(DuplicateSetting, match=r"^two distributions given for setting XX$"):
+        scramble_state(rho, (XX, ZZ, XX))
+    with pytest.raises(DomainError, match=r"^unknown setting label 'QQ'$"):
+        scramble_state(rho, (XX, "QQ"))
+    with pytest.raises(DomainError, match=r"^unknown setting label 'QQ'$"):
+        scramble_state(rho, (XX, XX, "QQ"))  # every label is read before a repeat is
+    with pytest.raises(DomainError, match=r"^probabilities expects a DensityMatrix, got "
+                                          r"<class 'numpy\.ndarray'>$"):
+        scramble_state(np.eye(4) / 4)
+    with pytest.raises(DomainError, match=r"^scramble_state \(labels\) expects a Iterable"):
+        scramble_state(rho, 3)
+    # a Hermitian, trace-one matrix that is not PSD gives a negative probability
+    bad = DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]))
+    with pytest.raises(DomainError, match=r"^setting ZZ probabilities has entries outside"):
+        scramble_state(bad, (ZZ,))
+
+
+def test_scrambled_data_names_the_failing_setting():
+    # one stacked check, and the failing setting named as when each is checked alone
+    with pytest.raises(DomainError, match=r"^setting ZZ probabilities sums to 1\.2"):
+        ScrambledData({XX: np.full(4, 0.25), ZZ: [0.3, 0.3, 0.3, 0.3]})
+    with pytest.raises(DomainError, match=r"^setting XX probabilities must have shape \(4,\)"):
+        ScrambledData({XX: np.full((1, 4), 0.25), ZZ: np.full(4, 0.25)})
+    with pytest.raises(DomainError, match=r"^setting YY probabilities has non-finite"):
+        ScrambledData({XX: np.full(4, 0.25), YY: [np.nan, 0.5, 0.25, 0.25], ZZ: np.full(4, 0.25)})
+    assert ScrambledData({}).settings == ()
+
+
 def test_scramble_errors():
     d = OutcomeDistribution(XX, [0.25] * 4)
     with pytest.raises(DuplicateSetting):

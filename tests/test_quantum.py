@@ -264,6 +264,44 @@ def test_density_matrix_validation():
             PureState(amplitudes)
 
 
+_SKEW = np.eye(4, dtype=complex) / 4.0
+_SKEW[0, 1] = 0.1
+_NAN_HERMITIAN = np.eye(4, dtype=complex) / 4.0
+_NAN_HERMITIAN[0, 1] = _NAN_HERMITIAN[1, 0] = complex(0.0, math.nan)
+
+
+@pytest.mark.parametrize("matrix, error, message", [
+    (_SKEW, InvalidState, r"^not Hermitian: max\|rho - rho\^dag\| = 1\.000e-01$"),
+    (np.eye(4), InvalidState, r"^trace deviates from 1 by 3\.000e\+00$"),
+    (np.eye(4) / 4.0 + 1e-9 * np.diag([1.0, 1.0, 0.5, 0.0]), InvalidState,
+     r"^trace deviates from 1 by 2\.500e-09$"),
+    (np.full((4, 4), math.nan), DomainError, r"^matrix has non-finite entries$"),
+    (_NAN_HERMITIAN, DomainError, r"^matrix has non-finite entries$"),
+    (np.diag([math.inf, 0.0, 0.0, 0.0]), DomainError, r"^matrix has non-finite entries$"),
+    (np.eye(3) / 3.0, DomainError, r"^expected a 4x4 matrix, got shape \(3, 3\)$"),
+    (np.full((1, 4, 4), math.nan), DomainError, r"^expected a 4x4 matrix, got shape \(1, 4, 4\)$"),
+    (np.full(16, 1 / 16), DomainError, r"^expected a 4x4 matrix, got shape \(16,\)$"),
+    ([[0.25, 0.0], [0.0, 0.25, 0.0]], DomainError,
+     r"^a 4x4 matrix must be a rectangular array of numbers \("),
+    ([["a"] * 4] * 4, DomainError, r"^a 4x4 matrix must be a rectangular array of numbers \("),
+], ids=["not-hermitian", "trace-4", "trace-off-by-2.5e-9", "nan", "nan-hermitian-pair", "inf",
+        "shape-3x3", "shape-1x4x4-nan", "shape-16", "ragged", "non-numeric"])
+def test_density_matrix_rejections_keep_their_types_and_messages(matrix, error, message):
+    # checked in order: numbers, shape, finiteness, Hermiticity, trace
+    with pytest.raises(error, match=message):
+        DensityMatrix(matrix)
+
+
+def test_density_matrix_stores_the_hermitian_part_read_only():
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 1], m[1, 0] = 0.1 + 1e-11j, 0.1 - 3e-11j
+    rho = DensityMatrix(m)
+    assert np.array_equal(rho.matrix, 0.5 * (m + m.conj().T))
+    assert not rho.matrix.flags.writeable
+    m[0, 0] = 1.0  # the input is copied
+    assert rho.matrix[0, 0] == 0.25
+
+
 def test_pure_state_rejects_non_finite_amplitudes():
     for amplitudes in (np.full(4, np.nan), [math.inf, 0.0, 0.0, 0.0]):
         with pytest.raises(DomainError, match="norm"):
