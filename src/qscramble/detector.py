@@ -25,7 +25,6 @@ import math
 from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,9 +33,10 @@ from .entropy import _TSALLIS2, EntropySpec, _decide_pairs
 from .errors import DomainError, check_count, check_instance, check_real
 from .feasibility import (TOL_INFEASIBLE, FeasibilityStatus, _bell_entries, _completes,
                           _edge_eigenvalues, _solve_codes, solve_batch)
-from .measurement import (_CANONICAL, XX, ZZ, PermutationPair, ScrambledData, apply_permutation,
-                          canonical_permutations, ginibre_probabilities, probabilities,
-                          scramble_equivalent, scramble_state)
+from .measurement import (_CANONICAL, _CANONICAL_X, _CANONICAL_Z, XX, ZZ, PermutationPair,
+                          ScrambledData, apply_permutation, canonical_permutations,
+                          ginibre_probabilities, probabilities, scramble_equivalent,
+                          scramble_state)
 from .optimize import bisect
 from .quantum import (SIGMA_X, SIGMA_Z, I2, DensityMatrix, ginibre_stack, is_ppt, mix,
                       phi_plus, plus_zero)
@@ -112,12 +112,6 @@ _TEXT_OF_STATUS = {status: status.value for status in FeasibilityStatus}
 _VERDICT_OF_MAX_CODE = np.array([-1, 0, 1], dtype=np.int8)
 
 
-@lru_cache(maxsize=1)
-def _assignment_index() -> tuple[np.ndarray, np.ndarray]:
-    """(18, 4) index arrays: row j holds canonical assignment j's pi_x / pi_z."""
-    return np.array([px for px, _ in _CANONICAL]), np.array([pz for _, pz in _CANONICAL])
-
-
 def _fold(codes: np.ndarray, k: int) -> np.ndarray:
     """One int8 verdict code per consecutive block of ``k`` int8 solver codes."""
     return _VERDICT_OF_MAX_CODE[codes.reshape(-1, k).max(axis=1)]
@@ -127,8 +121,7 @@ def _assignment_rows(mx: np.ndarray, mz: np.ndarray) -> tuple[np.ndarray, np.nda
     """(p_xx, p_zz), each (18 n, 4): the assignment rows of sorted
     (descending) multisets (n, 4).  Row ``18 i + j`` gives outcome ``k`` of
     sample ``i`` the ``pi[k]``-th largest entry, pi canonical assignment ``j``."""
-    ix, iz = _assignment_index()
-    return mx[:, ix].reshape(-1, 4), mz[:, iz].reshape(-1, 4)
+    return mx[:, _CANONICAL_X].reshape(-1, 4), mz[:, _CANONICAL_Z].reshape(-1, 4)
 
 
 def _decide(mx: np.ndarray, mz: np.ndarray):

@@ -50,6 +50,10 @@ T_CAP = 1e8
 # Tsallis-q entropies are at most about 1/(q - 1): above this cap the maximum
 # falls below 1e-6 and the power sums overflow
 TSALLIS_CAP = 1e6
+# A finite Renyi order is at most this: above about 9e307, q log p and the
+# division by 1 - q overflow, and the maximum entropy reads inf.  The order
+# inf is Renyi's min-entropy, computed apart.
+RENYI_CAP = 1e300
 _LOGSPACE_Q = 50.0
 DETECT_MARGIN = 1e-9
 # The separable boundary reads its value at S_xx = 0 up to this S_xx, which
@@ -73,7 +77,7 @@ class EntropySpec:
 
     ``parameter`` is q (Tsallis) or alpha (Renyi) and is ignored for Shannon;
     parameter 1 is remapped to Shannon, the families' common limit.  Tsallis
-    q is at most ``TSALLIS_CAP``; Renyi alpha may be any positive float or inf.
+    q is at most ``TSALLIS_CAP``; Renyi alpha is at most ``RENYI_CAP`` or is inf.
     """
 
     kind: str
@@ -93,6 +97,9 @@ class EntropySpec:
             if kind == TSALLIS and par > TSALLIS_CAP:
                 raise DomainError(f"Tsallis entropy parameter must be at most "
                                   f"TSALLIS_CAP = {TSALLIS_CAP:g}, got {par}")
+            if kind == RENYI and RENYI_CAP < par < math.inf:
+                raise DomainError(f"a finite Renyi entropy order must be at most "
+                                  f"RENYI_CAP = {RENYI_CAP:g}, got {par}")
             if par == 1.0:
                 kind = SHANNON
         if kind == SHANNON:
@@ -510,12 +517,14 @@ def robustness(q: float) -> float:
 
     Solves the power-sum equation matching the noisy psi_3 outcome terms to
     those of the symmetric product state with amplitude ratio 1 + sqrt(2);
-    ``q = inf`` returns the closed form (10 - sqrt(2) - sqrt(12) - sqrt(24))/11.
+    ``q = inf`` returns the closed form (10 - sqrt(2) - sqrt(12) - sqrt(24))/11;
+    a finite q is at most ``RENYI_CAP``, above which 2 q log b overflows.
     """
     if isinstance(q, Real) and q == math.inf:
         return (10.0 - math.sqrt(2.0) - math.sqrt(12.0) - math.sqrt(24.0)) / 11.0
-    if not check_real("q", q) >= 2.0:
-        raise DomainError(f"robustness requires q >= 2 or q = inf, got {q}")
+    if not 2.0 <= check_real("q", q) <= RENYI_CAP:
+        raise DomainError(f"robustness requires 2 <= q <= RENYI_CAP = {RENYI_CAP:g} "
+                          f"or q = inf, got {q}")
     t = _ROBUST_T
     s = _ROBUST_S
     amp_big = t / math.sqrt(3.0 + t * t)

@@ -38,8 +38,8 @@ class MissingSetting(QScrambleError, KeyError):
 
 class ConvergenceFailure(QScrambleError, RuntimeError):
     """An iterative solve did not converge: the beta != 0 tangency scaling,
-    the robustness root, or a multi-start search that did not reproduce its
-    minimum."""
+    the Newton iteration of the separable boundary, the robustness root, or a
+    multi-start search that did not reproduce its minimum."""
 
 
 def check_integer(name: str, value) -> int:

@@ -85,12 +85,11 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, check_instance, check_numbers, check_probabilities
-from .measurement import _measured_kets
+from .measurement import _MEASURED_KETS
 from .optimize import bisect
 from .quantum import DensityMatrix
 
@@ -131,6 +130,9 @@ _TO_COMPUTATIONAL = _frozen(0.5 * np.kron(_BELL, _BELL).T)
 _CERT_MAP = _frozen((np.arange(10)[:, None] == _M_INDEX) @ _TO_COMPUTATIONAL)
 # the blocks {0,1,2} and {0,1,3} of M at x (entry 8), flattened
 _BLOCK_INDEX = np.array([[0, 8, 4, 8, 1, 6, 4, 6, 2], [0, 8, 5, 8, 1, 7, 5, 7, 3]])
+# the eight measured projectors |u_k><u_k|, XX then ZZ outcomes, as C-contiguous
+# real (8, 4, 4)
+_PROJECTORS = _frozen(_MEASURED_KETS[:, :, None] * _MEASURED_KETS[:, None, :])
 # below every lambda_min(M(0, 0)), by Gershgorin: M_ii >= -1/4, and each row
 # has two off-diagonal entries, each at most 1/2 in size
 _SHIFT_FLOOR = -1.5
@@ -160,16 +162,6 @@ class FeasibilityResult:
     status: FeasibilityStatus
     witness_state: DensityMatrix | None
     residual: float
-
-
-@lru_cache(maxsize=1)
-def _projectors() -> np.ndarray:
-    """The eight measured projectors |u_k><u_k|, XX then ZZ outcomes, as C-contiguous
-    real (8, 4, 4)."""
-    kets = _measured_kets()
-    projs = kets[:, :, None] * kets[:, None, :]
-    projs.setflags(write=False)
-    return projs
 
 
 def _apply(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -358,7 +350,7 @@ def _solve_codes(p_xx, p_zz):
     code, a, _, value = _lmi(_bell_entries(p))
     hit = np.flatnonzero(code == 1)
     certs, value[hit] = _certificate(a, value[hit])
-    rows = _apply(certs.reshape(-1, 16), _projectors().reshape(8, 16).T)
+    rows = _apply(certs.reshape(-1, 16), _PROJECTORS.reshape(8, 16).T)
     # the worst column by elementwise maxima: numpy reduces a short last axis slowly
     ok = np.ascontiguousarray(np.abs(rows - p[hit]).T).max(axis=0) <= TOL_FEASIBLE
     code[hit[~ok]] = 0

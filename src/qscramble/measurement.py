@@ -1,5 +1,9 @@
 """Local measurements, outcome probabilities, and the scrambled-data format.
 
+The paper measures two settings, XX and ZZ, in mutually unbiased bases, and
+:func:`scramble_state` measures a state in exactly those; :func:`scramble`
+builds scrambled data of any settings from their :class:`OutcomeDistribution`s.
+Every ket and projector table is built once, at import, from the local bases.
 Scrambled data keeps, for each measurement setting, only the multiset of the
 four outcome probabilities; the assignment of probabilities to outcomes is
 forgotten.  Permutations act independently per setting, so a full relabeling
@@ -49,20 +53,30 @@ class MeasurementSetting:
     outcome_labels: tuple[str, str, str, str]
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# Each setting's four kets |a b> = kron(a, b), in outcome-label order, as rows.
+_KETS = {label: _frozen(np.array([np.outer(a, b).ravel() for a in basis for b in basis]))
+         for label, basis in _LOCAL_BASES.items()}
+_SETTINGS = {label: MeasurementSetting(label,
+                                       _frozen(np.stack([np.outer(k, k.conj()) for k in kets])),
+                                       _OUTCOME_LABELS[label])
+             for label, kets in _KETS.items()}
+# The paper's two settings: the XX then the ZZ projectors, complex (8, 4, 4),
+# and the eight measured kets u_k as the rows of a real (8, 4) matrix, whose
+# entries are 0, 1 and +-1/2 exactly.
+_XX_ZZ_PROJECTORS = _frozen(np.concatenate([_SETTINGS[XX].projectors, _SETTINGS[ZZ].projectors]))
+_MEASURED_KETS = _frozen(np.concatenate([_KETS[XX], _KETS[ZZ]]).real.copy())
+
+
 def setting(label: str) -> MeasurementSetting:
     """The measurement setting for ``label`` in {"XX", "YY", "ZZ"}, else :class:`DomainError`."""
     if not (isinstance(label, str) and label in SETTING_LABELS):
         raise DomainError(f"unknown setting label {label!r}")
-    return _setting(label)
-
-
-@lru_cache(maxsize=None)
-def _setting(label: str) -> MeasurementSetting:
-    va, vb = _LOCAL_BASES[label]
-    kets = [np.outer(a, b).ravel() for a in (va, vb) for b in (va, vb)]  # kron(a, b), cheaper
-    projs = np.stack([np.outer(k, k.conj()) for k in kets])
-    projs.setflags(write=False)
-    return MeasurementSetting(label, projs, _OUTCOME_LABELS[label])
+    return _SETTINGS[label]
 
 
 @dataclass(frozen=True)
@@ -102,26 +116,6 @@ def _measure(projs: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     return np.real(terms.sum(axis=(-2, -1)))
 
 
-@lru_cache(maxsize=None)
-def _stacked_projectors(labels: tuple[str, ...]) -> np.ndarray:
-    """The projectors of the settings ``labels`` (known, distinct), stacked (4 k, 4, 4)."""
-    projs = np.concatenate([_setting(label).projectors for label in labels])
-    projs.setflags(write=False)
-    return projs
-
-
-@lru_cache(maxsize=1)
-def _measured_kets() -> np.ndarray:
-    """The eight measured kets u_k, XX then ZZ outcomes in outcome-label
-    order, as the rows of a real (8, 4) matrix; its entries are 0, 1 and
-    +-1/2 exactly."""
-    kets = [np.outer(a, b).ravel().real for label in (XX, ZZ)
-            for a in _LOCAL_BASES[label] for b in _LOCAL_BASES[label]]
-    k = np.array(kets)
-    k.setflags(write=False)
-    return k
-
-
 def ginibre_probabilities(h: np.ndarray) -> np.ndarray:
     """[p_xx | p_zz], shape (n, 4 + 4), of the states rho = G G^dag / Tr(G G^dag)
     for Ginibre matrices G given as real (n, 4, 8) arrays H = [Re G | Im G]
@@ -134,7 +128,7 @@ def ginibre_probabilities(h: np.ndarray) -> np.ndarray:
     at a time, and the einsum sums each row of K H in one fixed order, so a
     sample's row has the same bits alone as in any stack.
     """
-    kh = _measured_kets() @ h
+    kh = _MEASURED_KETS @ h
     num = np.einsum("nkj,nkj->nk", kh, kh)
     return num / num[:, 4:].sum(axis=1, keepdims=True)
 
@@ -195,28 +189,20 @@ def scramble(dists: Iterable[OutcomeDistribution]) -> ScrambledData:
     return ScrambledData({label: d.p for label, d in _by_setting(dists, "scramble").items()})
 
 
-def scramble_state(rho: DensityMatrix,
-                   labels: Iterable[str | MeasurementSetting] = (XX, ZZ)) -> ScrambledData:
-    """Measure ``rho`` in the given settings and scramble the outcomes.
+def scramble_state(rho: DensityMatrix) -> ScrambledData:
+    """Measure ``rho`` in the paper's two settings, XX and ZZ, and scramble the outcomes.
 
-    The multisets equal ``scramble([probabilities(rho, lab) for lab in
-    labels])`` bit for bit, with no :class:`OutcomeDistribution` built: one
-    elementwise product with the settings' stacked projectors gives every
-    probability by the per-projector sum of :func:`probabilities_stack`, and
-    :class:`ScrambledData` checks them once.  A non-iterable ``labels``, a
-    ``rho`` that is not a :class:`DensityMatrix` and an unknown label raise
-    :class:`DomainError`, a repeated label :class:`DuplicateSetting`.
+    The multisets equal ``scramble([probabilities(rho, XX), probabilities(rho,
+    ZZ)])`` bit for bit, with no :class:`OutcomeDistribution` built: one
+    elementwise product with the stacked XX and ZZ projectors gives all eight
+    probabilities by the per-projector sum of :func:`probabilities_stack`,
+    and :class:`ScrambledData` checks them once.  Scrambled data of other
+    settings is ``scramble([probabilities(rho, s) for s in labels])``.  A
+    ``rho`` that is not a :class:`DensityMatrix` raises :class:`DomainError`.
     """
-    labels = [s.label if isinstance(s, MeasurementSetting) else s
-              for s in check_instance("scramble_state (labels)", labels, Iterable)]
     check_instance("probabilities", rho, DensityMatrix)  # named as probabilities() names it
-    for label in labels:
-        setting(label)  # DomainError for an unknown label
-    if len(set(labels)) < len(labels):
-        again = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
-        raise DuplicateSetting(f"two distributions given for setting {again}")
-    p = _measure(_stacked_projectors(tuple(labels)), rho.matrix).reshape(-1, 4)
-    return ScrambledData(dict(zip(labels, p)))
+    p = _measure(_XX_ZZ_PROJECTORS, rho.matrix)
+    return ScrambledData({XX: p[:4], ZZ: p[4:]})
 
 
 def scramble_equivalent(d1: ScrambledData, d2: ScrambledData, tol: float = 1e-9) -> bool:
@@ -274,6 +260,8 @@ _FIX_0 = [pi for pi in itertools.permutations(range(4)) if pi[0] == 0]
 # to position 0 and the swap then orders pi_x[1] < pi_x[2], so each orbit has
 # exactly one such pair, its lexicographic minimum.
 _CANONICAL = tuple((px, pz) for px in _FIX_0 if px[1] < px[2] for pz in _FIX_0)
+# The same pairs as two (18, 4) index arrays: row j holds pair j's pi_x / pi_z.
+_CANONICAL_X, _CANONICAL_Z = (_frozen(np.array(pis)) for pis in zip(*_CANONICAL))
 
 
 @lru_cache(maxsize=1)

@@ -343,9 +343,11 @@ _ENTRIES_17.setflags(write=False)
 
 
 def tangent_curve(num: int = 17) -> tuple[tuple[float, float], ...]:
-    """The beta = 0 curve of :func:`optimize_params`, which ``detect`` reads.
+    """The beta = 0 curve of :func:`optimize_params`.
 
-    The default 17 points are the constant ``_TANGENT_CURVE_17``, so a fresh
+    ``detect`` does not call it: it reads the 17-point table
+    ``_TANGENT_CURVE_17`` through :func:`_family_values` and
+    :func:`scrambled_family_min`.  The default 17 points are that constant, so a fresh
     process runs no Newton loop for them; it is ``optimize_params(0.0, num=17)``
     written out, which ``test_the_tangent_table_is_optimize_params`` in
     tests/test_witness.py re-derives and checks for tangency.  ``num`` is

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from qscramble.errors import check_probabilities
-from qscramble.feasibility import _projectors
+from qscramble.feasibility import _PROJECTORS
 from qscramble.quantum import _ginibre, derive_seed, partial_transpose_stack
 
 # ---------------------------------------------------------------------------
@@ -29,7 +29,7 @@ def oracle_objective(avec: np.ndarray, targets: np.ndarray):
     The violation is the squared probability mismatch plus the squared
     negative part of the partially transposed spectrum.
     """
-    ops = _projectors()
+    ops = _PROJECTORS
     a = avec.reshape(4, 4)
     s = a @ a.T
     tr = float(np.trace(s))

@@ -22,8 +22,8 @@ from qscramble import (DomainError, DuplicateSetting, EntropySpec, OutcomeDistri
                        witness_value)
 from qscramble.cli import main
 from qscramble.detector import classify_slice_point
-from qscramble.entropy import (T_CAP, TSALLIS_CAP, all_states_bound_vec, entropy, max_entropy,
-                               t_from_sxx_vec)
+from qscramble.entropy import (RENYI_CAP, T_CAP, TSALLIS_CAP, all_states_bound_vec, entropy,
+                               max_entropy, t_from_sxx_vec)
 from qscramble.errors import check_probabilities, check_real
 from qscramble.feasibility import FeasibilityProblem, solve_batch
 from qscramble.fileio import write_probabilities, write_state
@@ -67,7 +67,6 @@ CASES = {
     "product_state-none": (lambda: product_state(None), "expects a"),
     "scramble-none": (lambda: scramble(None), "expects a"),
     "ScrambledData-none": (lambda: ScrambledData(None), "expects a"),
-    "scramble_state-labels-none": (lambda: scramble_state(RHO, None), "expects a"),
     "correlation_witness_values-none": (lambda: correlation_witness_values(None), "expects a"),
     "detect-methods-none": (lambda: detect(RHO, None), "expects a"),
     "detect-methods-str": (lambda: detect(RHO, "sdp"), r"such as \['sdp'\], not a string"),
@@ -174,12 +173,42 @@ def test_tsallis_parameters_above_the_cap_are_domain_errors(tmp_path, capsys):
             doc = json.loads(capsys.readouterr().out)
             assert doc["methods"] == {"sdp": "possibly_separable", "witness": "not_detected",
                                       "entropy": "not_detected"}
-        # the Renyi order has no cap
+        # a finite Renyi order up to RENYI_CAP, and inf, is accepted
         for alpha in ("1e15", "1e300", "inf"):
             argv = ["detect", "--in", str(path), "--entropy", "renyi", "--q", alpha,
                     "--qtilde", alpha, "--method", "entropy"]
             assert main(argv) == 0
             assert json.loads(capsys.readouterr().out)["methods"] == {"entropy": "not_detected"}
+
+
+def test_renyi_orders_above_the_cap_are_domain_errors(tmp_path, capsys):
+    # from about 9e307 on, q log p overflowed: the maximum entropy read inf,
+    # and detect called |+>|0> entangled while sdp did not
+    for alpha in (np.nextafter(RENYI_CAP, math.inf), 1e308):
+        with pytest.raises(DomainError, match="RENYI_CAP"):
+            EntropySpec("renyi", alpha)
+    assert max_entropy(EntropySpec("renyi", RENYI_CAP)) == 2.0
+    path = tmp_path / "uniform.json"
+    path.write_text(json.dumps({"xx": [0.25] * 4, "zz": [0.25] * 4, "scrambled": True}))
+    argv = ["detect", "--in", str(path), "--entropy", "renyi", "--q", "1e308", "--qtilde", "1e308"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "RENYI_CAP" in captured.err and captured.out == ""
+
+
+def test_robustness_orders_above_the_cap_are_domain_errors(capsys):
+    # from about 9e307 on, 2 q log b overflowed on both sides of the
+    # equation, and the bisection returned 4.5e-13 with a RuntimeWarning
+    lam_inf = robustness(math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(robustness(RENYI_CAP) - lam_inf) < 1e-9
+    for q in (np.nextafter(RENYI_CAP, math.inf), 1e308):
+        with pytest.raises(DomainError, match="RENYI_CAP"):
+            robustness(q)
+    assert main(["robustness", "--q", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert "RENYI_CAP" in captured.err and captured.out == ""
 
 
 def test_inf_is_accepted_where_it_is_meaningful():

@@ -76,7 +76,7 @@ def test_lmi_reduction_reproduces_rows():
     assert np.max(np.abs(probabilities_stack(rho_b, XX) - pxx)) <= 1e-15
     assert np.max(np.abs(probabilities_stack(rho_b, ZZ) - pzz)) <= 1e-15
     projs = np.concatenate([setting(XX).projectors, setting(ZZ).projectors])
-    assert np.array_equal(fz._projectors(), projs.real)  # the solver's copy, from the kets
+    assert np.array_equal(fz._PROJECTORS, projs.real)  # the solver's copy, from the kets
     assert np.max(np.abs(np.einsum("kab,fba->kf", projs, _FREE))) <= 1e-15
     t = np.random.default_rng(5).normal(size=(20, 2))
     a = rho_b + t[:, 0, None, None] * _FREE[0] + t[:, 1, None, None] * _FREE[1]

@@ -5,8 +5,10 @@ import pytest
 
 from qscramble import fileio
 from qscramble.errors import DomainError, DuplicateSetting, SettingMismatch
-from qscramble.feasibility import FeasibilityProblem, solve_batch
-from qscramble.measurement import (XX, YY, ZZ, OutcomeDistribution, PermutationPair,
+from qscramble.feasibility import _PROJECTORS, FeasibilityProblem, solve_batch
+from qscramble.measurement import (_CANONICAL, _CANONICAL_X, _CANONICAL_Z, _KETS, _LOCAL_BASES,
+                                   _MEASURED_KETS, _XX_ZZ_PROJECTORS, XX, YY, ZZ,
+                                   OutcomeDistribution, PermutationPair,
                                    ScrambledData, apply_permutation,
                                    canonical_permutations, ginibre_probabilities, probabilities,
                                    probabilities_stack, relabeling_group, scramble,
@@ -160,35 +162,53 @@ def _pure_states(seed: int, count: int) -> list[DensityMatrix]:
 @pytest.mark.parametrize("labels", [(XX, ZZ), (XX, YY, ZZ), (ZZ,), (YY, XX), (setting(XX), ZZ)],
                          ids=["xx-zz", "xx-yy-zz", "zz", "yy-xx", "setting-xx-zz"])
 def test_scramble_state_is_scramble_of_probabilities_bit_for_bit(labels):
-    # one product with the stacked projectors gives the multisets that two
-    # (or three) OutcomeDistributions and scramble give, byte for byte
+    # one product with the stacked XX and ZZ projectors gives the multisets
+    # that OutcomeDistributions and scramble give, byte for byte, whatever
+    # other settings are scrambled with them
     states = [DensityMatrix(m) for m in random_hs_stack(2718, 200)] + _pure_states(31, 200)
     for rho in states:
-        got = scramble_state(rho, labels)
+        got = scramble_state(rho)
         want = scramble([probabilities(rho, label) for label in labels])
-        assert got.settings == want.settings
-        for label in want.settings:
+        assert got.settings == (XX, ZZ)
+        for label in set(want.settings) & {XX, ZZ}:
             assert got.multiset(label).tobytes() == want.multiset(label).tobytes()
             assert not got.multiset(label).flags.writeable
 
 
 def test_scramble_state_errors_keep_their_types_and_messages():
-    rho = singlet().density()
-    with pytest.raises(DuplicateSetting, match=r"^two distributions given for setting XX$"):
-        scramble_state(rho, (XX, ZZ, XX))
-    with pytest.raises(DomainError, match=r"^unknown setting label 'QQ'$"):
-        scramble_state(rho, (XX, "QQ"))
-    with pytest.raises(DomainError, match=r"^unknown setting label 'QQ'$"):
-        scramble_state(rho, (XX, XX, "QQ"))  # every label is read before a repeat is
     with pytest.raises(DomainError, match=r"^probabilities expects a DensityMatrix, got "
                                           r"<class 'numpy\.ndarray'>$"):
         scramble_state(np.eye(4) / 4)
-    with pytest.raises(DomainError, match=r"^scramble_state \(labels\) expects a Iterable"):
-        scramble_state(rho, 3)
     # a Hermitian, trace-one matrix that is not PSD gives a negative probability
     bad = DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]))
     with pytest.raises(DomainError, match=r"^setting ZZ probabilities has entries outside"):
-        scramble_state(bad, (ZZ,))
+        scramble_state(bad)
+
+
+def test_fixed_tables_are_read_only_derivations_of_the_local_bases():
+    kets = {label: np.array([np.kron(a, b) for a in basis for b in basis])
+            for label, basis in _LOCAL_BASES.items()}
+    for label in (XX, YY, ZZ):
+        projs = np.array([np.outer(k, k.conj()) for k in kets[label]])
+        assert _KETS[label].tobytes() == kets[label].tobytes()
+        assert setting(label).projectors.tobytes() == projs.tobytes()
+        assert setting(label) is setting(label)
+    stack = np.concatenate([setting(XX).projectors, setting(ZZ).projectors])
+    real_kets = np.concatenate([kets[XX], kets[ZZ]]).real
+    assert _XX_ZZ_PROJECTORS.shape == (8, 4, 4)
+    assert _XX_ZZ_PROJECTORS.tobytes() == stack.tobytes()
+    assert _MEASURED_KETS.tobytes() == real_kets.tobytes()
+    assert _PROJECTORS.tobytes() == stack.real.tobytes()
+    assert _PROJECTORS.tobytes() == np.array([np.outer(k, k) for k in real_kets]).tobytes()
+    assert _MEASURED_KETS.flags.c_contiguous and _PROJECTORS.flags.c_contiguous
+    assert _CANONICAL_X.tolist() == [list(px) for px, _ in _CANONICAL]
+    assert _CANONICAL_Z.tolist() == [list(pz) for _, pz in _CANONICAL]
+    tables = [*_KETS.values(), *(setting(label).projectors for label in (XX, YY, ZZ)),
+              _XX_ZZ_PROJECTORS, _MEASURED_KETS, _PROJECTORS, _CANONICAL_X, _CANONICAL_Z]
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 0
 
 
 def test_scrambled_data_names_the_failing_setting():

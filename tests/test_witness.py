@@ -105,7 +105,7 @@ def test_min_entropy_form_matches_extremal_choice():
     for m in random_hs_stack(2024, 40):
         from qscramble.quantum import DensityMatrix
         rho = DensityMatrix(m)
-        data = scramble_state(rho, (XX, YY, ZZ))
+        data = scramble([probabilities(rho, s) for s in (XX, YY, ZZ)])
         a, b, g = -rng.uniform(0.1, 2, size=3)
         assert abs(min_entropy_form(a, b, g, data)
                    - scrambled_witness_min(data, a, b, g)) < 1e-12
