@@ -18,10 +18,10 @@ from .errors import (ConvergenceFailure, DomainError, DuplicateSetting, InvalidS
                      MissingSetting, NotHermitian, QScrambleError, SettingMismatch)
 from .feasibility import (FeasibilityProblem, FeasibilityResult, FeasibilityStatus,
                           feasible_for_probabilities)
-from .measurement import (MeasurementSetting, OutcomeDistribution, PermutationPair,
-                          ScrambledData, apply_permutation, canonical_permutations,
-                          probabilities, relabeling_group, scramble, scramble_equivalent,
-                          scramble_state, setting)
+from .measurement import (OutcomeDistribution, PermutationPair, ScrambledData,
+                          apply_permutation, canonical_permutations, probabilities,
+                          relabeling_group, scramble, scramble_equivalent, scramble_state,
+                          setting)
 from .quantum import (DensityMatrix, ProductStateParams, PureState, eig_hermitian,
                       is_ppt, maximally_mixed, mix, partial_transpose, phi_plus,
                       plus_zero, product_state, psi_t, random_hs_state, singlet)

@@ -3,7 +3,9 @@
 The paper measures two settings, XX and ZZ, in mutually unbiased bases, and
 :func:`scramble_state` measures a state in exactly those; :func:`scramble`
 builds scrambled data of any settings from their :class:`OutcomeDistribution`s.
-Every ket and projector table is built once, at import, from the local bases.
+The measurements are fixed, so a setting is named by its label, "XX", "YY"
+or "ZZ", and :func:`setting` returns the label's projector stack.  Every
+ket and projector table is built once, at import, from the local bases.
 Scrambled data keeps, for each measurement setting, only the multiset of the
 four outcome probabilities; the assignment of probabilities to outcomes is
 forgotten.  Permutations act independently per setting, so a full relabeling
@@ -30,12 +32,6 @@ from .quantum import DensityMatrix
 XX, YY, ZZ = "XX", "YY", "ZZ"
 SETTING_LABELS = (XX, YY, ZZ)
 
-_OUTCOME_LABELS = {
-    XX: ("++", "+-", "-+", "--"),
-    YY: ("++", "+-", "-+", "--"),
-    ZZ: ("00", "01", "10", "11"),
-}
-
 _SQ2 = np.sqrt(2.0)
 _LOCAL_BASES = {
     XX: (np.array([1, 1], dtype=complex) / _SQ2, np.array([1, -1], dtype=complex) / _SQ2),
@@ -43,14 +39,6 @@ _LOCAL_BASES = {
     YY: (np.array([1, 1j], dtype=complex) / _SQ2, np.array([1, -1j], dtype=complex) / _SQ2),
     ZZ: (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)),
 }
-
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """One local two-qubit measurement: label, rank-1 projectors, outcome names."""
-
-    label: str
-    projectors: np.ndarray  # (4, 4, 4), outcome index first
-    outcome_labels: tuple[str, str, str, str]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -61,19 +49,20 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 # Each setting's four kets |a b> = kron(a, b), in outcome-label order, as rows.
 _KETS = {label: _frozen(np.array([np.outer(a, b).ravel() for a in basis for b in basis]))
          for label, basis in _LOCAL_BASES.items()}
-_SETTINGS = {label: MeasurementSetting(label,
-                                       _frozen(np.stack([np.outer(k, k.conj()) for k in kets])),
-                                       _OUTCOME_LABELS[label])
+# Each setting's four rank-1 projectors |k><k|, a (4, 4, 4) stack, outcome first.
+_SETTINGS = {label: _frozen(np.stack([np.outer(k, k.conj()) for k in kets]))
              for label, kets in _KETS.items()}
 # The paper's two settings: the XX then the ZZ projectors, complex (8, 4, 4),
 # and the eight measured kets u_k as the rows of a real (8, 4) matrix, whose
 # entries are 0, 1 and +-1/2 exactly.
-_XX_ZZ_PROJECTORS = _frozen(np.concatenate([_SETTINGS[XX].projectors, _SETTINGS[ZZ].projectors]))
+_XX_ZZ_PROJECTORS = _frozen(np.concatenate([_SETTINGS[XX], _SETTINGS[ZZ]]))
 _MEASURED_KETS = _frozen(np.concatenate([_KETS[XX], _KETS[ZZ]]).real.copy())
 
 
-def setting(label: str) -> MeasurementSetting:
-    """The measurement setting for ``label`` in {"XX", "YY", "ZZ"}, else :class:`DomainError`."""
+def setting(label: str) -> np.ndarray:
+    """The read-only (4, 4, 4) projector stack of the setting ``label`` in
+    {"XX", "YY", "ZZ"}, outcome index first; any other argument is a
+    :class:`DomainError`."""
     if not (isinstance(label, str) and label in SETTING_LABELS):
         raise DomainError(f"unknown setting label {label!r}")
     return _SETTINGS[label]
@@ -88,14 +77,15 @@ class OutcomeDistribution:
     p: np.ndarray
 
     def __post_init__(self):
-        p = check_probabilities(f"setting {setting(self.setting).label} probabilities", self.p, 1)
+        setting(self.setting)
+        p = check_probabilities(f"setting {self.setting} probabilities", self.p, 1)
         object.__setattr__(self, "p", p)
 
 
-def probabilities(rho: DensityMatrix, s: MeasurementSetting | str) -> OutcomeDistribution:
-    """Outcome probabilities p_i = Tr(rho Pi_i) for one setting."""
+def probabilities(rho: DensityMatrix, label: str) -> OutcomeDistribution:
+    """Outcome probabilities p_i = Tr(rho Pi_i) for the setting ``label``
+    ("XX", "YY" or "ZZ"); anything but a label is a :class:`DomainError`."""
     check_instance("probabilities", rho, DensityMatrix)
-    label = s.label if isinstance(s, MeasurementSetting) else s
     return OutcomeDistribution(label, probabilities_stack(rho.matrix, label))
 
 
@@ -106,7 +96,7 @@ def probabilities_stack(rhos: np.ndarray, label: str) -> np.ndarray:
     summed over each matrix on its own, so a matrix gets the same bits alone
     as in any stack (a stacked einsum does not).
     """
-    return _measure(setting(label).projectors, rhos)
+    return _measure(setting(label), rhos)
 
 
 def _measure(projs: np.ndarray, rhos: np.ndarray) -> np.ndarray:
@@ -206,10 +196,13 @@ def scramble_state(rho: DensityMatrix) -> ScrambledData:
 
 
 def scramble_equivalent(d1: ScrambledData, d2: ScrambledData, tol: float = 1e-9) -> bool:
-    """Whether two scrambled-data objects agree elementwise within ``tol``."""
+    """Whether two scrambled-data objects agree elementwise within ``tol``, a
+    finite real >= 0 (else :class:`DomainError`)."""
     check_instance("scramble_equivalent (d1)", d1, ScrambledData)
     check_instance("scramble_equivalent (d2)", d2, ScrambledData)
     tol = check_real("tol", tol)
+    if tol < 0.0:
+        raise DomainError(f"tol = {tol!r} is negative")
     if d1.settings != d2.settings:
         raise SettingMismatch(f"settings {d1.settings} vs {d2.settings}")
     return all(

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -72,9 +71,9 @@ def witness_matrix(w: WitnessParams) -> np.ndarray:
     """1 + alpha Pi_x + beta Pi_y + gamma Pi_z with the chosen projectors."""
     check_instance("witness_matrix", w, WitnessParams)
     m = np.eye(4, dtype=complex)
-    m = m + w.alpha * setting(XX).projectors[w.choice_x]
-    m = m + w.beta * setting(YY).projectors[w.choice_y]
-    m = m + w.gamma * setting(ZZ).projectors[w.choice_z]
+    m = m + w.alpha * setting(XX)[w.choice_x]
+    m = m + w.beta * setting(YY)[w.choice_y]
+    m = m + w.gamma * setting(ZZ)[w.choice_z]
     return m
 
 
@@ -333,13 +332,9 @@ _TANGENT_CURVE_17 = (
     (-0.09600508503759979, -0.9747559864636269),
     (0.0, -1.0),
 )
-# the table's (alpha, gamma) rows, and the multiset entry that each
-# coefficient weighs in the scrambled minimum: the largest (0) where it is
-# negative, else the least (3)
+# the table's (alpha, gamma) rows; every coefficient is <= 0
 _COEFFICIENTS_17 = np.array(_TANGENT_CURVE_17).T
-_ENTRIES_17 = np.where(_COEFFICIENTS_17 < 0.0, 0, 3)
 _COEFFICIENTS_17.setflags(write=False)
-_ENTRIES_17.setflags(write=False)
 
 
 def tangent_curve(num: int = 17) -> tuple[tuple[float, float], ...]:
@@ -351,16 +346,11 @@ def tangent_curve(num: int = 17) -> tuple[tuple[float, float], ...]:
     process runs no Newton loop for them; it is ``optimize_params(0.0, num=17)``
     written out, which ``test_the_tangent_table_is_optimize_params`` in
     tests/test_witness.py re-derives and checks for tangency.  ``num`` is
-    checked before any cache is read, so 17.0, True or a list raise
-    :class:`DomainError`; another count goes through :func:`optimize_params`.
+    checked first, so 17.0, True or a list raise :class:`DomainError`; any
+    other count runs :func:`optimize_params` on each call, uncached.
     """
     num = check_count("the curve resolution num", num, 1)
-    return _TANGENT_CURVE_17 if num == 17 else _tangent_curve(num)
-
-
-@lru_cache(maxsize=4)
-def _tangent_curve(num: int) -> tuple[tuple[float, float], ...]:
-    return tuple(optimize_params(0.0, num=num))
+    return _TANGENT_CURVE_17 if num == 17 else tuple(optimize_params(0.0, num=num))
 
 
 def _least_pairing_delta(m: np.ndarray) -> np.ndarray:
@@ -395,11 +385,13 @@ def _family_values(mx: np.ndarray, mz: np.ndarray) -> np.ndarray:
 
     Column j < 17 is :func:`scrambled_witness_min` at point j of the tangent
     table that :func:`tangent_curve` serves (beta = 0), read from its
-    constant columns; the last column is :func:`scrambled_correlation_min`.
+    constant columns.  Every coefficient there is <= 0, so each weighs the
+    largest entry of its multiset; a zero one weighs nothing, whichever entry
+    it reads.  The last column is :func:`scrambled_correlation_min`.
     """
-    (a, g), (ix, iz) = _COEFFICIENTS_17, _ENTRIES_17
+    a, g = _COEFFICIENTS_17
     corr = 1.0 - _least_pairing_delta(mx) - _least_pairing_delta(mz)
-    return np.concatenate([1.0 + a * mx[:, ix] + g * mz[:, iz], corr[:, None]], axis=1)
+    return np.concatenate([1.0 + a * mx[:, :1] + g * mz[:, :1], corr[:, None]], axis=1)
 
 
 def scrambled_family_min(d: ScrambledData) -> tuple[float, tuple[float, float]]:

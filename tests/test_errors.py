@@ -96,6 +96,8 @@ CASES = {
                                  "not arrays"),
     "scramble_equivalent-nan": (lambda: scramble_equivalent(DATA, DATA, math.nan),
                                 "non-finite"),
+    "scramble_equivalent-negative": (lambda: scramble_equivalent(DATA, DATA, -1.0),
+                                     "negative"),
     "detect-str-spec": (lambda: detect(RHO, ["entropy"], spec_x="tsallis"), "expects a"),
     # oracle
     "oracle_feasible-three": (lambda: oracle_feasible([1, 0, 0], UNIFORM), "shape"),

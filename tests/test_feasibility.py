@@ -53,7 +53,7 @@ def reference_base_state(pxx, pzz):
     """rho_b from its seven fixed Pauli coordinates, built apart from the solver:
     I/4 plus c_P P / 4 with c_P = sum_k p_k Tr(Pi_k P) over the eight
     measured projectors."""
-    projs = np.concatenate([setting(XX).projectors, setting(ZZ).projectors]).real
+    projs = np.concatenate([setting(XX), setting(ZZ)]).real
     p = np.concatenate([np.atleast_2d(pxx), np.atleast_2d(pzz)], axis=1)
     rho = np.broadcast_to(np.eye(4) / 4.0, (len(p), 4, 4)).copy()
     for a, b in ((_PX, _I2), (_I2, _PX), (_PX, _PX), (_PZ, _I2), (_I2, _PZ), (_PZ, _PZ)):
@@ -75,7 +75,7 @@ def test_lmi_reduction_reproduces_rows():
     assert np.max(np.abs(np.trace(rho_b, axis1=1, axis2=2) - 1.0)) <= 1e-15
     assert np.max(np.abs(probabilities_stack(rho_b, XX) - pxx)) <= 1e-15
     assert np.max(np.abs(probabilities_stack(rho_b, ZZ) - pzz)) <= 1e-15
-    projs = np.concatenate([setting(XX).projectors, setting(ZZ).projectors])
+    projs = np.concatenate([setting(XX), setting(ZZ)])
     assert np.array_equal(fz._PROJECTORS, projs.real)  # the solver's copy, from the kets
     assert np.max(np.abs(np.einsum("kab,fba->kf", projs, _FREE))) <= 1e-15
     t = np.random.default_rng(5).normal(size=(20, 2))
@@ -460,7 +460,7 @@ def test_docstring_rows_headroom():
             (_assignment_rows(sx, sz), (5366, 34, 0)),
             (_slice_rows(16), (1048, 1400, 0))]
     assert sum(len(rows[0]) for rows, _ in sets) == 27848
-    projs = np.concatenate([setting(XX).projectors, setting(ZZ).projectors]).real
+    projs = np.concatenate([setting(XX), setting(ZZ)]).real
     for (pxx, pzz), counts in sets:
         statuses, certs, residuals, _ = solve_batch(pxx, pzz)
         assert _status_counts(statuses) == counts

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,14 +20,15 @@ from qscramble.quantum import (I2, SIGMA_X, SIGMA_Z, DensityMatrix, PureState, g
 
 def test_projector_invariants():
     for label in (XX, YY, ZZ):
-        s = setting(label)
+        projs = setting(label)
+        assert projs.shape == (4, 4, 4)
         total = np.zeros((4, 4), dtype=complex)
         for i in range(4):
-            p = s.projectors[i]
+            p = projs[i]
             assert np.max(np.abs(p @ p - p)) < 1e-12
             assert np.max(np.abs(p - p.conj().T)) < 1e-12
             for j in range(i + 1, 4):
-                assert np.max(np.abs(p @ s.projectors[j])) < 1e-12
+                assert np.max(np.abs(p @ projs[j])) < 1e-12
             total += p
         assert np.max(np.abs(total - np.eye(4))) < 1e-12
 
@@ -159,8 +161,8 @@ def _pure_states(seed: int, count: int) -> list[DensityMatrix]:
     return [PureState(k / np.linalg.norm(k)).density() for k in kets]
 
 
-@pytest.mark.parametrize("labels", [(XX, ZZ), (XX, YY, ZZ), (ZZ,), (YY, XX), (setting(XX), ZZ)],
-                         ids=["xx-zz", "xx-yy-zz", "zz", "yy-xx", "setting-xx-zz"])
+@pytest.mark.parametrize("labels", [(XX, ZZ), (XX, YY, ZZ), (ZZ,), (YY, XX)],
+                         ids=["xx-zz", "xx-yy-zz", "zz", "yy-xx"])
 def test_scramble_state_is_scramble_of_probabilities_bit_for_bit(labels):
     # one product with the stacked XX and ZZ projectors gives the multisets
     # that OutcomeDistributions and scramble give, byte for byte, whatever
@@ -173,6 +175,15 @@ def test_scramble_state_is_scramble_of_probabilities_bit_for_bit(labels):
         for label in set(want.settings) & {XX, ZZ}:
             assert got.multiset(label).tobytes() == want.multiset(label).tobytes()
             assert not got.multiset(label).flags.writeable
+
+
+@pytest.mark.parametrize("s", [setting(ZZ), [XX], SimpleNamespace(label=XX)],
+                         ids=["stack", "list", "labeled"])
+def test_probabilities_takes_only_a_label(s):
+    # a setting is named by its label alone: a projector stack, a list or an
+    # object with a .label is not measured under some label, it is refused
+    with pytest.raises(DomainError, match="^unknown setting label"):
+        probabilities(plus_zero().density(), s)
 
 
 def test_scramble_state_errors_keep_their_types_and_messages():
@@ -191,9 +202,9 @@ def test_fixed_tables_are_read_only_derivations_of_the_local_bases():
     for label in (XX, YY, ZZ):
         projs = np.array([np.outer(k, k.conj()) for k in kets[label]])
         assert _KETS[label].tobytes() == kets[label].tobytes()
-        assert setting(label).projectors.tobytes() == projs.tobytes()
+        assert setting(label).tobytes() == projs.tobytes()
         assert setting(label) is setting(label)
-    stack = np.concatenate([setting(XX).projectors, setting(ZZ).projectors])
+    stack = np.concatenate([setting(XX), setting(ZZ)])
     real_kets = np.concatenate([kets[XX], kets[ZZ]]).real
     assert _XX_ZZ_PROJECTORS.shape == (8, 4, 4)
     assert _XX_ZZ_PROJECTORS.tobytes() == stack.tobytes()
@@ -203,7 +214,7 @@ def test_fixed_tables_are_read_only_derivations_of_the_local_bases():
     assert _MEASURED_KETS.flags.c_contiguous and _PROJECTORS.flags.c_contiguous
     assert _CANONICAL_X.tolist() == [list(px) for px, _ in _CANONICAL]
     assert _CANONICAL_Z.tolist() == [list(pz) for _, pz in _CANONICAL]
-    tables = [*_KETS.values(), *(setting(label).projectors for label in (XX, YY, ZZ)),
+    tables = [*_KETS.values(), *(setting(label) for label in (XX, YY, ZZ)),
               _XX_ZZ_PROJECTORS, _MEASURED_KETS, _PROJECTORS, _CANONICAL_X, _CANONICAL_Z]
     for table in tables:
         assert not table.flags.writeable
@@ -242,7 +253,7 @@ def _compose(a, b):
 
 def _induced_permutation(u: np.ndarray, label: str):
     """Outcome permutation sigma with U^dag Pi_i U = Pi_sigma(i)."""
-    projs = setting(label).projectors
+    projs = setting(label)
     conj = u.conj().T @ projs @ u
     match = np.max(np.abs(conj[:, None] - projs[None]), axis=(-2, -1)) < 1e-9
     if not np.all(np.count_nonzero(match, axis=1) == 1):

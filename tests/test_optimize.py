@@ -148,16 +148,20 @@ def test_searched_point_alone_equals_grid_point():
 
 
 def test_bound_regime_boundary_runs_no_search(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a separable boundary ran a search")
-    monkeypatch.setattr(entropy_module, "multistart_minimize", refuse)
+    # inside the bound regime only the _symmetric_w Newton runs; outside it
+    # the three-curve envelope bisects, and each such call must complete
     renyi_inf, t3 = EntropySpec(RENYI, math.inf), EntropySpec(TSALLIS, 3.0)
     t15, shannon = EntropySpec(TSALLIS, 1.5), EntropySpec(SHANNON)
-    get_separable_boundary(t3, EntropySpec(TSALLIS, 2.0))
-    get_separable_boundary(renyi_inf, EntropySpec(RENYI, 2.0), n=9)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a separable boundary in the bound regime bisected")
+    with monkeypatch.context() as m:
+        m.setattr(entropy_module, "bisect", refuse)
+        get_separable_boundary(t3, EntropySpec(TSALLIS, 2.0))
+        get_separable_boundary(renyi_inf, EntropySpec(RENYI, 2.0), n=9)
+        separable_bound(0.3, EntropySpec(TSALLIS, 2.0), t3)
     get_separable_boundary(shannon, shannon, n=64)
     get_separable_boundary(t15, t15, n=9)
-    separable_bound(0.3, EntropySpec(TSALLIS, 2.0), t3)
     separable_bound(0.3, t15, t3)
     separable_bound(1.3, shannon, t15)
 

@@ -302,7 +302,7 @@ def test_the_tangent_table_is_optimize_params():
 
 
 def test_curve_resolution_must_be_positive():
-    tangent_curve(3)  # num=3.0 and [3] must not be served from this entry
+    tangent_curve(3)  # a count of 3 runs optimize_params; 3.0, True and [3] are refused
     for num in (0, -1, 3.0, True, [3]):
         with pytest.raises(DomainError, match="resolution"):
             optimize_params(0.0, num=num)
